@@ -1,8 +1,6 @@
 """Hybrid-NOMA uplink simulator and rate-shortfall probability analysis."""
 
-from .asymptotic import (AsymptoticConstants, SeriesFailureError,
-                         asymptotic_constants, asymptotic_pt_terms,
-                         moment_loss_series, p_t_asymptotic)
+from .asymptotic import asymptotic_pt_terms, p_t_asymptotic
 from .channel import (ChannelDraw, OrderPairDensity, joint_pdf,
                       joint_pdf_near_zero, mass_lower_interval,
                       mass_upper_interval, sample_gain_matrix,

@@ -1,284 +1,70 @@
 """High-SNR limits of the contended-loss probability at a fixed power ratio.
 
-With both transmit SNRs growing at a fixed ratio, the boundary curves
-collapse toward the origin.  Rescaling the legacy gain by rho_m turns the
-ordered-pair density into its leading polynomial and every sub-event mass
-into a polynomial (or power-series) moment times 1/rho_m^n (legacy rank
-below the opportunistic one) or 1/rho_m^m (above).
+Every boundary curve scales exactly with rho_m: with u = rho_m * t, each
+curve at (rho_m, rho_n = eta * rho_m) is 1/rho_m times the same curve at
+(rho_m = 1, rho_n = eta).  The crossing points and the whole branch table
+are therefore those of ``exact`` at that unit-SNR config, in the rescaled
+gains.  As rho_m grows the rescaled region shrinks onto the origin of the
+original gains, where the ordered-pair density tends to its leading
+polynomial pref * x^(i-1) * (y-x)^(j-i-1) (i, j the smaller and larger
+rank); integrating it over the unit-SNR sub-events gives a coefficient
+that decays as rho_m^-n (legacy rank below the opportunistic one) or
+rho_m^-m (above).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import replace
 
-from .config import InvalidConfigError, SystemConfig
+import numpy as np
+
+from .channel import _leggauss
+from .config import SystemConfig
 from .estimates import ASYMPTOTIC, ProbEstimate
-from .exact import _positive_root, eta_thresholds
+from .exact import _curve_values, _gc_nodes, compute_constants, contended_terms
 from .numerics import comp_sum
 
-
-class SeriesFailureError(RuntimeError):
-    """Power series did not converge; carries the partial sum and bound."""
-
-    def __init__(self, partial, bound, message="series did not converge"):
-        super().__init__(f"{message}: partial={partial!r}, last-term bound={bound!r}")
-        self.partial = partial
-        self.bound = bound
+_N_C = 256  # Fejer nodes along u, the exact engine's default n_c
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """Fixed-ratio limits of the boundary-curve crossings (gain * rho_m)."""
-
-    eta: float
-    eps_m: float
-    beta: float
-    varpi_1: float          # None when the power-cap curve stays below the diagonal
-    varpi_2: float
-    varpi_3: float
-    varpi_4: float          # None when the first-stage-loss line stays above it
-    zbar_1: float
-    zbar_2: float
-    zbar_3: float
-    series_tol: float = 1e-12
-    series_max_terms: int = 10_000
-
-
-def asymptotic_constants(cfg_or_eta, eps_m=None, beta=None,
-                         series_tol=1e-12, series_max_terms=10_000) -> AsymptoticConstants:
-    """Limit constants from a config or from raw (eta, eps_m, beta)."""
-    if isinstance(cfg_or_eta, SystemConfig):
-        eta, eps, beta = cfg_or_eta.eta, cfg_or_eta.eps_m, cfg_or_eta.beta
-    else:
-        eta, eps = float(cfg_or_eta), float(eps_m)
-    if not 0.0 < beta < 0.5 or eps <= 0.0 or eta <= 0.0:
-        raise InvalidConfigError("need 0 < beta < 1/2, eps_m > 0, eta > 0")
-    bhe = beta * eta * eps
-    varpi_1 = 1.0 / (1.0 / eps - beta * eta) if bhe < 1.0 else None
-    den4 = beta ** 2 * eta - (1.0 - beta)
-    constants = AsymptoticConstants(
-        eta=eta, eps_m=eps, beta=beta,
-        varpi_1=varpi_1,
-        varpi_2=(1.0 - beta) * eps / beta,
-        varpi_3=(1.0 - 2.0 * beta) / (beta ** 2 * eta),
-        varpi_4=(1.0 - 2.0 * beta) / den4 if den4 > 0.0 else None,
-        zbar_1=_positive_root(eps / beta - 1.0, (1.0 - beta) * eps / beta),
-        zbar_2=_positive_root(eps / beta - 1.0 / (beta * eta), eps / (beta * eta)),
-        zbar_3=_positive_root(beta * eta * eps + eps - 1.0, eps),
-        series_tol=series_tol,
-        series_max_terms=series_max_terms,
-    )
-    for u, s, q in (
-        (constants.zbar_1, eps / beta - 1.0, (1.0 - beta) * eps / beta),
-        (constants.zbar_2, eps / beta - 1.0 / (beta * eta), eps / (beta * eta)),
-        (constants.zbar_3, beta * eta * eps + eps - 1.0, eps),
-    ):
-        if abs(u * u - s * u - q) > 1e-10 * max(u * u, 1.0):
-            raise InvalidConfigError("limit-constant back-substitution failed")
-    return constants
-
-
-# ---------------------------------------------------------------------------
-#  Moments of the rescaled boundary curves
-#
-#  Each moment is integral_a^b u^(base-1) * K(u)^N du for the rescaled
-#  kernel K of one boundary curve; the curve powers expand into finite
-#  binomial/multinomial sums except the capped-loss one, which needs a
-#  power series.
-# ---------------------------------------------------------------------------
-
-def _power_diff(a, b, p):
-    return (b ** p - a ** p) / p
-
-
-def moment_diag(a, b, N, base):
-    return _power_diff(a, b, base + N)
-
-
-def moment_cap(a, b, N, base, eps_m, beta, eta):
-    """Rescaled power-cap curve: (u/eps - 1) / (beta eta)."""
-    terms = [
-        math.comb(N, q) * (1.0 / eps_m) ** (N - q) * (-1.0) ** q
-        * _power_diff(a, b, base + N - q)
-        for q in range(N + 1)
-    ]
-    return comp_sum(terms) / (beta * eta) ** N
-
-
-def moment_first(a, b, N, base, eps_m, beta, eta):
-    """Rescaled first-stage-loss line: ((1-beta) u + 1 - 2 beta) / (beta^2 eta)."""
-    terms = [
-        math.comb(N, q) * (1.0 - beta) ** (N - q) * (1.0 - 2.0 * beta) ** q
-        * _power_diff(a, b, base + N - q)
-        for q in range(N + 1)
-    ]
-    return comp_sum(terms) / (beta ** 2 * eta) ** N
-
-
-def moment_tie(a, b, N, base, eps_m, beta, eta):
-    """Rescaled decode-tie curve: (u/eps - 1)(1 + u) / (beta eta)."""
-    terms = []
-    for i1 in range(N + 1):
-        for i2 in range(N + 1 - i1):
-            i3 = N - i1 - i2
-            coef = (math.factorial(N)
-                    / (math.factorial(i1) * math.factorial(i2) * math.factorial(i3))
-                    * (1.0 / eps_m) ** i1 * (1.0 / eps_m - 1.0) ** i2
-                    * (-1.0) ** i3)
-            terms.append(coef * _power_diff(a, b, base + 2 * i1 + i2))
-    return comp_sum(terms) / (beta * eta) ** N
-
-
-def moment_loss_series(a, b, N, base, eps_m, beta, eta,
-                       tol=1e-12, max_terms=10_000):
-    """Rescaled capped-loss curve: ((u/eps - 1)/(1 - beta u / eps))^N / eta^N.
-
-    The reciprocal factor only has a power series for u < eps/beta, so
-    convergence is checked, not assumed; three consecutive negligible
-    terms stop the sum.
-    """
-    if b <= a:
-        return 0.0
-    rb = beta * b / eps_m
-    ra = beta * a / eps_m
-    if rb >= 1.0:
-        raise SeriesFailureError(0.0, math.inf,
-                                 "upper limit outside the convergence region")
-    # powers are accumulated in the contracted variable beta*u/eps so no
-    # intermediate overflows even when the raw limits exceed 1
-    pow_b = b ** base
-    pow_a = a ** base
-    total = 0.0
-    small_streak = 0
-    term = math.inf
-    for s in range(max_terms):
-        coef = comp_sum(
-            math.comb(N, q) * math.comb(N + s - q - 1, s - q)
-            * (-1.0) ** (N - q) * beta ** (-q)
-            for q in range(min(s, N) + 1)
-        )
-        term = coef * (pow_b - pow_a) / (base + s)
-        total += term
-        pow_b *= rb
-        pow_a *= ra
-        if abs(term) <= tol * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                return total / eta ** N
-        else:
-            small_streak = 0
-    raise SeriesFailureError(total / eta ** N, abs(term) / eta ** N)
-
-
-# ---------------------------------------------------------------------------
-#  Sub-event coefficients and dispatch
-# ---------------------------------------------------------------------------
-
-def _moment(kind, a, b, N, base, k: AsymptoticConstants):
-    if kind == "diag":
-        return moment_diag(a, b, N, base)
-    if kind == "cap":
-        return moment_cap(a, b, N, base, k.eps_m, k.beta, k.eta)
-    if kind == "first":
-        return moment_first(a, b, N, base, k.eps_m, k.beta, k.eta)
-    if kind == "tie":
-        return moment_tie(a, b, N, base, k.eps_m, k.beta, k.eta)
-    if kind == "loss":
-        return moment_loss_series(a, b, N, base, k.eps_m, k.beta, k.eta,
-                                  k.series_tol, k.series_max_terms)
-    raise ValueError(kind)
-
-
-def _between(M, m, n, k: AsymptoticConstants, lower, upper, a, b):
+def _leading_mass(unit: SystemConfig, pref: float, lower: str, upper: str,
+                  a, b) -> float:
+    """Leading-order density mass with the opportunistic gain between two
+    unit-SNR curves, for legacy gain u in (a, b), clipped to the wedge."""
     if a is None or b is None or not (b > a):
         return 0.0
-    if m < n:
-        pref = math.factorial(M) / (math.factorial(m - 1)
-                                    * math.factorial(n - m - 1)
-                                    * math.factorial(M - n))
-        specs = [(math.comb(n - m - 1, p) * (-1.0) ** p, n - m - p, m + p)
-                 for p in range(n - m)]
+    u, wgt = _gc_nodes(a, b, _N_C)
+    lo = _curve_values(unit, lower, u)
+    hi = _curve_values(unit, upper, u)
+    i, j = min(unit.m, unit.n), max(unit.m, unit.n)
+    if unit.m < unit.n:
+        # legacy gain is the smaller one: integrate (y-u)^(j-i-1) over y
+        lo = np.minimum(np.maximum(lo, u), hi)
+        inner = u ** (i - 1) * ((hi - u) ** (j - i) - (lo - u) ** (j - i)) / (j - i)
     else:
-        pref = math.factorial(M) / (math.factorial(n - 1)
-                                    * math.factorial(m - n - 1)
-                                    * math.factorial(M - m))
-        specs = [(math.comb(m - n - 1, p) * (-1.0) ** p, n + p, m - n - p)
-                 for p in range(m - n)]
-    terms = [
-        w / N * (_moment(upper, a, b, N, base, k) - _moment(lower, a, b, N, base, k))
-        for w, N, base in specs
-    ]
-    return pref * comp_sum(terms)
+        # legacy gain is the larger one: polynomial of degree j-2 in x
+        hi = np.minimum(hi, u)
+        lo = np.minimum(np.maximum(lo, 0.0), hi)
+        nodes, wts = _leggauss(j // 2 + 1)
+        x = lo + 0.5 * (hi - lo) * (1.0 + nodes[:, None])
+        inner = 0.5 * (hi - lo) * (wts @ (x ** (i - 1) * (u - x) ** (j - i - 1)))
+    return pref * float(inner @ wgt)
 
 
-def asymptotic_pt_terms(cfg: SystemConfig, consts: AsymptoticConstants = None) -> dict:
+def asymptotic_pt_terms(cfg: SystemConfig) -> dict:
     """Leading coefficients of each sub-event (multiply by rho_m^-n or ^-m)."""
-    k = consts if consts is not None else asymptotic_constants(cfg)
-    M, m, n, eta = cfg.M, cfg.m, cfg.n, k.eta
-    eps = k.eps_m
-    th = eta_thresholds(k.beta, eps)
-    low_ratio = eta <= th["k_1"]
-
-    def bet(lower, upper, a, b):
-        return _between(M, m, n, k, lower, upper, a, b)
-
-    def first_branch_upper():
-        if eta <= th["first_lo"]:
-            return k.zbar_3
-        if eta <= th["k_2"]:
-            return min(k.zbar_3, k.varpi_4)
-        return None
-
-    out = {}
-    if m < n:
-        out["P_T1_1"] = (bet("cap", "tie", k.varpi_1, k.varpi_2)
-                         if low_ratio else 0.0)
-        lo = k.varpi_2 if low_ratio else k.zbar_2
-        out["P_T1_2"] = bet("loss", "tie", lo, k.zbar_1)
-        up = k.varpi_1 if low_ratio else k.zbar_2
-        out["P_T1_3"] = bet("diag", "tie", k.zbar_3, up)
-        out["P_T2_1"] = bet("diag", "first", eps, first_branch_upper())
-        out["P_T2_2"] = bet("tie", "first", k.zbar_3, k.zbar_1)
-    else:
-        up11 = k.zbar_3 if eta <= th["k_3"] else k.varpi_2
-        out["P_T1_1"] = bet("cap", "tie", eps, up11)
-        if low_ratio:
-            up12 = k.varpi_1
-        elif eta <= th["k_3"]:
-            up12 = k.varpi_2
-        else:
-            up12 = None
-        out["P_T1_2"] = bet("cap", "diag", k.zbar_3, up12)
-        out["P_T1_3"] = (bet("loss", "tie", k.varpi_2, min(k.zbar_1, k.zbar_3))
-                         if eta > th["k_3"] else 0.0)
-        if low_ratio:
-            lo14 = None
-        elif eta <= th["k_3"]:
-            lo14 = k.varpi_2
-        else:
-            lo14 = k.zbar_3
-        out["P_T1_4"] = bet("loss", "diag", lo14, k.zbar_2)
-        out["P_T2_1"] = bet("tie", "diag", eps, first_branch_upper())
-        if eta <= th["first_lo"]:
-            lo22 = None
-        elif eta <= th["k_2"]:
-            lo22 = k.varpi_4
-        else:
-            lo22 = eps
-        out["P_T2_2"] = bet("tie", "first", lo22, k.zbar_1)
-    return out
+    unit = replace(cfg, rho_m=1.0, rho_n=cfg.eta)
+    k = compute_constants(unit)
+    return contended_terms(
+        unit, k,
+        lambda lower, upper, a, b: _leading_mass(unit, k.pair_prefactor,
+                                                 lower, upper, a, b))
 
 
-def p_t_asymptotic(cfg: SystemConfig, rho_m: float = None,
-                   consts: AsymptoticConstants = None) -> ProbEstimate:
+def p_t_asymptotic(cfg: SystemConfig, rho_m: float = None) -> ProbEstimate:
     """High-SNR approximation of the contended-loss probability."""
-    terms = asymptotic_pt_terms(cfg, consts)
-    coef = comp_sum(terms.values())
-    if coef < -1e-9:
-        raise SeriesFailureError(coef, 0.0, "negative leading coefficient")
+    coef = comp_sum(asymptotic_pt_terms(cfg).values())
     rho = cfg.rho_m if rho_m is None else rho_m
-    decay = cfg.n if cfg.m < cfg.n else cfg.m
-    value = max(0.0, coef) / rho ** decay
+    value = coef / rho ** max(cfg.m, cfg.n)
     return ProbEstimate(value=min(1.0, value), trials=0, std_err=0.0,
                         method=ASYMPTOTIC)

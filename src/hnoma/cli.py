@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
-from .config import InvalidConfigError
+from .config import InvalidConfigError, SystemConfig
 from .sweep import SweepSpec, run_sweep, write_rows
 from .validate import report_text, run_validation
 
@@ -27,6 +27,14 @@ def load_preset(name: str) -> dict:
     return json.loads(text)
 
 
+def _parsed(build, raw):
+    """``build(raw)``; the KeyError/TypeError of malformed JSON is a config error."""
+    try:
+        return build(raw)
+    except (KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"malformed spec: {exc}") from exc
+
+
 def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
     updates = {}
     if args.trials is not None:
@@ -40,7 +48,7 @@ def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
 
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        spec = SweepSpec.from_dict(json.load(fh))
+        spec = _parsed(SweepSpec.from_dict, json.load(fh))
     spec = _apply_overrides(spec, args)
     rows = run_sweep(spec)
     write_rows(rows, args.out, args.format)
@@ -53,7 +61,7 @@ def cmd_figure(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ext = "csv" if args.format == "csv" else "json"
     for raw in preset["sweeps"]:
-        spec = _apply_overrides(SweepSpec.from_dict(raw), args)
+        spec = _apply_overrides(_parsed(SweepSpec.from_dict, raw), args)
         rows = run_sweep(spec)
         path = os.path.join(args.out, f"{preset['name']}_{spec.label}.{ext}")
         write_rows(rows, path, args.format)
@@ -66,6 +74,7 @@ def cmd_validate(args) -> int:
     if args.config:
         with open(args.config) as fh:
             configs = json.load(fh)
+        _parsed(lambda cs: [SystemConfig.make(**p) for p in cs], configs)
     kwargs = {}
     if args.trials is not None:
         kwargs["trials"] = args.trials
@@ -112,8 +121,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfigError, FileNotFoundError, json.JSONDecodeError,
-            KeyError, TypeError) as exc:
+    except (InvalidConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,6 +7,11 @@ curves.  The engine evaluates them by Chebyshev-node quadrature of the
 cancellation-free interval mass, which keeps full relative precision at
 any SNR; the equivalent signed-expansion antiderivatives (exponential
 segments, scaled-erfc Gaussian segments) are retained for validation.
+
+The branch table that picks each sub-event's curves and limits from the
+power ratio lives in ``contended_terms`` alone; the high-SNR engine in
+``asymptotic`` evaluates the same table at rho_m = 1 with another
+interval mass.
 """
 
 from __future__ import annotations
@@ -313,19 +318,15 @@ def _between_expansion(cfg, k: RegimeConstants, lower: str, upper: str,
 #  Sub-event terms and their branch dispatch
 # ---------------------------------------------------------------------------
 
-def exact_pt_terms(cfg: SystemConfig, consts: RegimeConstants = None,
-                   n_c: int = 256, engine: str = "product") -> dict:
+def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
     """Each contended-loss sub-event in its active branch (column).
 
-    ``engine="expansion"`` evaluates the same terms through the signed
-    exponential expansion (erf/exponential antiderivatives); it is kept
-    for validating that algebra and is only trustworthy while the masses
-    are well above its cancellation floor.
+    ``between(lower, upper, a, b)`` is the mass with the opportunistic gain
+    between the curves ``lower`` and ``upper`` for legacy gain in (a, b);
+    it returns 0 when a limit is None or the interval is empty.  The
+    exact and the high-SNR engines share this table and differ only in
+    ``between``.
     """
-    if n_c < 16:
-        raise InvalidConfigError(f"n_c={n_c} too small; need >= 16")
-    k = consts if consts is not None else compute_constants(cfg)
-    between = {"product": _between, "expansion": _between_expansion}[engine]
     eta = cfg.eta
     alpha = k.alpha_m
     th = eta_thresholds(cfg.beta, k.eps_m)
@@ -340,27 +341,25 @@ def exact_pt_terms(cfg: SystemConfig, consts: RegimeConstants = None,
 
     out = {}
     if cfg.m < cfg.n:
-        out["P_T1_1"] = (between(cfg, k, "cap", "tie", k.omega_1, k.omega_2, n_c)
+        out["P_T1_1"] = (between("cap", "tie", k.omega_1, k.omega_2)
                          if low_ratio else 0.0)
         lo = k.omega_2 if low_ratio else k.z_2
-        out["P_T1_2"] = between(cfg, k, "loss", "tie", lo, k.z_1, n_c)
+        out["P_T1_2"] = between("loss", "tie", lo, k.z_1)
         up = k.omega_1 if low_ratio else k.z_2
-        out["P_T1_3"] = between(cfg, k, "diag", "tie", k.z_3, up, n_c)
-        out["P_T2_1"] = between(cfg, k, "diag", "first", alpha,
-                                first_branch_upper(), n_c)
-        out["P_T2_2"] = between(cfg, k, "tie", "first", k.z_3, k.z_1, n_c)
+        out["P_T1_3"] = between("diag", "tie", k.z_3, up)
+        out["P_T2_1"] = between("diag", "first", alpha, first_branch_upper())
+        out["P_T2_2"] = between("tie", "first", k.z_3, k.z_1)
     else:
         up11 = k.z_3 if eta <= k.k_3 else k.omega_2
-        out["P_T1_1"] = between(cfg, k, "cap", "tie", alpha, up11, n_c)
+        out["P_T1_1"] = between("cap", "tie", alpha, up11)
         if low_ratio:
             up12 = k.omega_1
         elif eta <= k.k_3:
             up12 = k.omega_2
         else:
             up12 = None
-        out["P_T1_2"] = between(cfg, k, "cap", "diag", k.z_3, up12, n_c)
-        out["P_T1_3"] = (between(cfg, k, "loss", "tie", k.omega_2,
-                                 min(k.z_1, k.z_3), n_c)
+        out["P_T1_2"] = between("cap", "diag", k.z_3, up12)
+        out["P_T1_3"] = (between("loss", "tie", k.omega_2, min(k.z_1, k.z_3))
                          if eta > k.k_3 else 0.0)
         if low_ratio:
             lo14 = None
@@ -368,17 +367,33 @@ def exact_pt_terms(cfg: SystemConfig, consts: RegimeConstants = None,
             lo14 = k.omega_2
         else:
             lo14 = k.z_3
-        out["P_T1_4"] = between(cfg, k, "loss", "diag", lo14, k.z_2, n_c)
-        out["P_T2_1"] = between(cfg, k, "tie", "diag", alpha,
-                                first_branch_upper(), n_c)
+        out["P_T1_4"] = between("loss", "diag", lo14, k.z_2)
+        out["P_T2_1"] = between("tie", "diag", alpha, first_branch_upper())
         if eta <= th["first_lo"]:
             lo22 = None
         elif eta <= k.k_2:
             lo22 = k.omega_4
         else:
             lo22 = alpha
-        out["P_T2_2"] = between(cfg, k, "tie", "first", lo22, k.z_1, n_c)
+        out["P_T2_2"] = between("tie", "first", lo22, k.z_1)
     return out
+
+
+def exact_pt_terms(cfg: SystemConfig, consts: RegimeConstants = None,
+                   n_c: int = 256, engine: str = "product") -> dict:
+    """Each contended-loss sub-event at the config's SNR.
+
+    ``engine="expansion"`` evaluates the same terms through the signed
+    exponential expansion (erf/exponential antiderivatives); it is kept
+    for validating that algebra and is only trustworthy while the masses
+    are well above its cancellation floor.
+    """
+    if n_c < 16:
+        raise InvalidConfigError(f"n_c={n_c} too small; need >= 16")
+    k = consts if consts is not None else compute_constants(cfg)
+    between = {"product": _between, "expansion": _between_expansion}[engine]
+    return contended_terms(
+        cfg, k, lambda lower, upper, a, b: between(cfg, k, lower, upper, a, b, n_c))
 
 
 def p_t_exact(cfg: SystemConfig, consts: RegimeConstants = None,

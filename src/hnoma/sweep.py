@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 from .asymptotic import p_t_asymptotic
@@ -13,6 +14,7 @@ from .config import InvalidConfigError, SystemConfig
 from .estimates import ASYMPTOTIC, EXACT, MC, NUMERIC, ProbEstimate
 from .exact import p_t_exact, regime_label
 from .mc import integrate_event, integrate_underperformance, mc_summary
+from .numerics import IntegrationFailureError
 from .regions import region_contended_loss
 from .schemes import Scheme
 
@@ -44,6 +46,10 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.snr_db) == 0:
             raise InvalidConfigError("empty SNR grid")
+        if not all(isinstance(s, numbers.Real) for s in self.snr_db):
+            raise InvalidConfigError(f"non-numeric SNR in {self.snr_db}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise InvalidConfigError(f"seed={self.seed!r} is not an integer")
         if len(self.schemes) == 0:
             raise InvalidConfigError("empty scheme list")
         if len(self.methods) == 0:
@@ -152,7 +158,8 @@ def run_sweep(spec: SweepSpec) -> list:
                         raise InvalidConfigError(f"unknown method {method!r}")
                     rows.append(_row(snr, scheme, method, est, regime,
                                      gamma_mean, energy_mean))
-                except (InvalidConfigError, ArithmeticError) as exc:
+                except (InvalidConfigError, ArithmeticError,
+                        IntegrationFailureError) as exc:
                     rows.append(_row(snr, scheme, method,
                                      regime=f"error:{type(exc).__name__}"))
     return rows

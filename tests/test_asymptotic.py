@@ -1,92 +1,99 @@
 import math
+from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy import integrate
 
-from hnoma import (SeriesFailureError, SystemConfig, asymptotic_constants,
-                   asymptotic_pt_terms, moment_loss_series, p_t_asymptotic,
+from hnoma import (OrderPairDensity, SystemConfig, asymptotic_pt_terms,
+                   exact_pt_terms, joint_pdf_near_zero, p_t_asymptotic,
                    p_t_exact)
-from hnoma.asymptotic import moment_cap, moment_diag, moment_first, moment_tie
-from hnoma.exact import eta_thresholds
+from hnoma.exact import (_curve_values, compute_constants, contended_terms,
+                         eta_thresholds)
 
 from conftest import make_cfg, regime_covering_configs
 
 
+def _unit(cfg):
+    return replace(cfg, rho_m=1.0, rho_n=cfg.eta)
+
+
 def test_limit_constants_satisfy_their_quadratics():
     for cfg in regime_covering_configs(10, seed=21):
-        k = asymptotic_constants(cfg)
-        eps, beta, eta = k.eps_m, k.beta, k.eta
+        k = compute_constants(_unit(cfg))
+        eps, beta, eta = cfg.eps_m, cfg.beta, cfg.eta
         for u, s, q in (
-            (k.zbar_1, eps / beta - 1.0, (1.0 - beta) * eps / beta),
-            (k.zbar_2, eps / beta - 1.0 / (beta * eta), eps / (beta * eta)),
-            (k.zbar_3, beta * eta * eps + eps - 1.0, eps),
+            (k.z_1, eps / beta - 1.0, (1.0 - beta) * eps / beta),
+            (k.z_2, eps / beta - 1.0 / (beta * eta), eps / (beta * eta)),
+            (k.z_3, beta * eta * eps + eps - 1.0, eps),
         ):
             assert abs(u * u - s * u - q) <= 1e-10 * max(u * u, 1.0)
-        assert math.isclose(k.varpi_2, (1.0 - beta) * eps / beta)
-        # limit constants are the scaled high-SNR limits of the finite ones
-        from hnoma.exact import compute_constants
+        assert math.isclose(k.omega_2, (1.0 - beta) * eps / beta)
+        # the unit-SNR constants are the rescaled finite ones at any SNR
         hi = cfg.with_snr(90.0)
         kk = compute_constants(hi)
-        assert math.isclose(kk.z_1 * hi.rho_m, k.zbar_1, rel_tol=1e-5)
-        assert math.isclose(kk.z_3 * hi.rho_m, k.zbar_3, rel_tol=1e-5)
-        assert math.isclose(kk.omega_2 * hi.rho_m, k.varpi_2, rel_tol=1e-12)
+        assert math.isclose(kk.z_1 * hi.rho_m, k.z_1, rel_tol=1e-12)
+        assert math.isclose(kk.z_3 * hi.rho_m, k.z_3, rel_tol=1e-12)
+        assert math.isclose(kk.omega_2 * hi.rho_m, k.omega_2, rel_tol=1e-12)
 
 
-def _loss_kernel_quad(a, b, N, base, eps, beta, eta):
-    f = lambda u: u ** (base - 1) * ((u / eps - 1.0) / (1.0 - beta * u / eps)) ** N
-    return integrate.quad(f, a, b, limit=300)[0] / eta ** N
+def _quad_leading_mass(unit, lower, upper, a, b):
+    # nested adaptive quadrature of the leading-order pair density; the
+    # density vanishes off the ordered wedge, which does the clipping
+    if a is None or b is None or not (b > a):
+        return 0.0
+    pair = OrderPairDensity(unit.M, unit.m, unit.n)
+
+    def inner(u):
+        lo = float(_curve_values(unit, lower, u))
+        hi = float(_curve_values(unit, upper, u))
+        if unit.m < unit.n:
+            lo, hi = max(lo, u), hi
+            f = lambda v: joint_pdf_near_zero(pair, u, v)
+        else:
+            lo, hi = max(lo, 0.0), min(hi, u)
+            f = lambda v: joint_pdf_near_zero(pair, v, u)
+        return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-9)[0] if hi > lo else 0.0
+
+    return integrate.quad(inner, a, b, epsabs=0.0, epsrel=1e-9, limit=200)[0]
 
 
-def test_loss_series_empty_interval():
-    assert moment_loss_series(1.2, 1.2, 3, 2, 1.0, 0.25, 2.0) == 0.0
+def test_leading_mass_vs_quadrature_both_rank_orders():
+    configs = regime_covering_configs(14, seed=5)
+    assert {cfg.m < cfg.n for cfg in configs} == {True, False}
+    for cfg in configs:
+        unit = _unit(cfg)
+        ref = contended_terms(
+            unit, compute_constants(unit),
+            lambda lower, upper, a, b: _quad_leading_mass(unit, lower, upper, a, b))
+        got = asymptotic_pt_terms(cfg)
+        assert got.keys() == ref.keys()
+        for name, v in got.items():
+            assert math.isclose(v, ref[name], rel_tol=1e-8, abs_tol=1e-300), \
+                (cfg, name, v, ref[name])
 
 
-def test_loss_series_vs_quadrature():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        eps = float(10.0 ** rng.uniform(-0.8, 0.4))
-        beta = float(rng.uniform(0.1, 0.45))
-        eta = float(10.0 ** rng.uniform(-0.5, 1.0))
-        N = int(rng.integers(1, 5))
-        base = int(rng.integers(1, 5))
-        hi_edge = eps / beta
-        a = float(rng.uniform(0.2, 0.8)) * hi_edge
-        b = a + float(rng.uniform(0.05, 0.95)) * (hi_edge * 0.98 - a)
-        val = moment_loss_series(a, b, N, base, eps, beta, eta, tol=1e-14)
-        ref = _loss_kernel_quad(a, b, N, base, eps, beta, eta)
-        assert math.isclose(val, ref, rel_tol=1e-8, abs_tol=1e-12)
+def test_terms_match_exact_at_110_db():
+    # the leading coefficient is the rho_m -> inf limit of exact * rho_m^k
+    for cfg in regime_covering_configs(60, seed=41):
+        hi = cfg.with_snr(110.0)
+        scale = hi.rho_m ** max(cfg.m, cfg.n)
+        exact = exact_pt_terms(hi)
+        for name, v in asymptotic_pt_terms(cfg).items():
+            assert math.isclose(v, exact[name] * scale, rel_tol=1e-7,
+                                abs_tol=1e-300), (cfg, name)
 
 
-def test_loss_series_truncation_contract():
-    args = (1.0, 2.5, 3, 2, 1.0, 0.25, 2.0)
-    v_loose = moment_loss_series(*args, tol=1e-6)
-    v_tight = moment_loss_series(*args, tol=1e-10)
-    assert abs(v_loose - v_tight) < 1e-6 * max(abs(v_tight), 1.0)
-
-
-def test_loss_series_detects_divergence():
-    with pytest.raises(SeriesFailureError):
-        moment_loss_series(1.0, 5.0, 2, 2, 1.0, 0.25, 2.0)  # b >= eps/beta
-    with pytest.raises(SeriesFailureError):
-        moment_loss_series(1.0, 3.9999999, 2, 2, 1.0, 0.25, 2.0, max_terms=50)
-
-
-def test_polynomial_moments_vs_quadrature():
-    eps, beta, eta = 0.7, 0.3, 3.0
-    N, base, a, b = 3, 2, 0.9, 1.8
-    cases = {
-        moment_tie: lambda u: ((u / eps - 1.0) * (1.0 + u) / (beta * eta)) ** N,
-        moment_cap: lambda u: ((u / eps - 1.0) / (beta * eta)) ** N,
-        moment_first: lambda u: (((1.0 - beta) * u + 1.0 - 2.0 * beta)
-                                 / (beta ** 2 * eta)) ** N,
-    }
-    for fn, kernel in cases.items():
-        ref = integrate.quad(lambda u: u ** (base - 1) * kernel(u), a, b)[0]
-        assert math.isclose(fn(a, b, N, base, eps, beta, eta), ref,
-                            rel_tol=1e-12)
-    ref = integrate.quad(lambda u: u ** (base - 1 + N), a, b)[0]
-    assert math.isclose(moment_diag(a, b, N, base), ref, rel_tol=1e-12)
+def test_finite_where_the_loss_series_diverged():
+    # eps_m/beta^2 ~ 2.4e3: the capped-loss power series used to need more
+    # terms than it was allowed, so every SNR failed
+    cfg = SystemConfig.make(M=4, m=2, n=4, R_m=6.34, beta=0.185, eta=2.686,
+                            snr_db=0.0)
+    for snr in np.arange(0.0, 61.0, 5.0):
+        value = p_t_asymptotic(cfg.with_snr(snr)).value
+        assert math.isfinite(value) and 0.0 < value <= 1.0, snr
+    hi = cfg.with_snr(60.0)
+    assert math.isclose(p_t_asymptotic(hi).value, p_t_exact(hi).value,
+                        rel_tol=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from hnoma import InvalidConfigError
+import hnoma.cli
+import hnoma.sweep
+from hnoma import IntegrationFailureError, InvalidConfigError
 from hnoma.cli import EXIT_CONFIG, EXIT_OK, FIGURES, load_preset, main
 from hnoma.sweep import (CSV_COLUMNS, SweepSpec, rows_to_csv, run_sweep,
                          write_rows)
@@ -47,6 +49,22 @@ def test_run_sweep_rows_and_determinism():
     assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec))
     header = rows_to_csv(rows).splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+
+
+def test_integration_failure_is_a_row_not_an_abort(monkeypatch):
+    def fail(*args, **kwargs):
+        raise IntegrationFailureError(0.0, 1.0)
+
+    exact_rows = run_sweep(_spec(methods=("exact",)))
+    monkeypatch.setattr(hnoma.sweep, "integrate_event", fail)
+    spec = _spec(methods=("exact", "numeric-integration"))
+    rows = run_sweep(spec)
+    assert len(rows) == len(spec.snr_db) * len(spec.schemes) * len(spec.methods)
+    assert [r for r in rows if r["method"] == "exact"] == exact_rows
+    for row in rows:
+        if row["method"] != "exact":
+            assert row["value"] is None
+            assert row["regime"] == "error:IntegrationFailureError"
 
 
 def test_underperformance_sweep_covers_schemes(tmp_path):
@@ -111,6 +129,27 @@ def test_cli_config_errors(tmp_path):
         == EXIT_CONFIG
     assert main(["sweep", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "z")]) == EXIT_CONFIG
+
+
+def test_cli_program_errors_are_not_config_errors(tmp_path, monkeypatch):
+    def broken(spec):
+        raise TypeError("bug inside the sweep")
+
+    monkeypatch.setattr(hnoma.cli, "run_sweep", broken)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec().to_dict()))
+    with pytest.raises(TypeError, match="bug inside the sweep"):
+        main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "o")])
+
+
+def test_cli_malformed_fields_stay_config_errors(tmp_path):
+    # fields that would otherwise raise TypeError deep inside the sweep
+    for i, bad in enumerate((dict(snr_db=[10.0, "20"]),
+                             dict(methods=["mc"], seed="abc"))):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(dict(_spec().to_dict(), **bad)))
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / f"o{i}")]) == EXIT_CONFIG
 
 
 def test_cli_validate_passes(capsys):
