@@ -6,12 +6,12 @@ import numpy as np
 
 from .channel import (OrderPairDensity, mass_lower_interval,
                       mass_upper_interval, sample_gain_matrix)
-from .config import SystemConfig
+from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import (EventRegion, capped_branch_bucket, first_branch_bucket)
 from .schemes import (HNOMA_SCHEMES, Scheme, _B_I, _B_II2, energy_array,
-                      rate_factors, tau_threshold)
+                      loss_mask, rate_factors, tau_threshold)
 
 BLOCK_TRIALS = 1_000_000
 
@@ -25,76 +25,75 @@ def bucket_names(cfg: SystemConfig):
     return _BUCKETS_LT if cfg.m < cfg.n else _BUCKETS_GT
 
 
-def _iter_blocks(trials: int):
+def _pair_blocks(cfg: SystemConfig, trials: int, seed: int):
+    """Contiguous copies of the (g_m, g_n) gain columns of every block.
+
+    The only place gains are drawn.  Trials split into blocks of
+    ``BLOCK_TRIALS`` (the last one partial) and block b always comes from
+    ``stream(seed, b)``, so every consumer sees the same draws.  The full
+    M-column matrix is dropped before the block is handed out.
+    """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    block = 0
-    left = trials
-    while left > 0:
-        size = min(BLOCK_TRIALS, left)
-        yield block, size
-        block += 1
-        left -= size
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        size = min(BLOCK_TRIALS, trials - start)
+        g = sample_gain_matrix(cfg.M, stream(seed, block), size)
+        g_m, g_n = g[:, cfg.m - 1].copy(), g[:, cfg.n - 1].copy()
+        del g
+        yield g_m, g_n
 
 
-def _pair_gains(cfg: SystemConfig, seed: int, block: int, size: int):
-    g = sample_gain_matrix(cfg.M, stream(seed, block), size)
-    return g[:, cfg.m - 1], g[:, cfg.n - 1]
+def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
+    """Underperformance estimate plus mean power-adaptation factor / energy
+    for every ``(cfg, scheme)`` cell, all on the same draws.
 
-
-def _loss_mask(cfg, g_n, factor):
-    b = cfg.beta * cfg.rho_n * g_n
-    return factor * (1.0 + b) <= 1.0 + cfg.rho_n * g_n
-
-
-def mc_summary(cfg: SystemConfig, scheme: Scheme, trials: int, seed: int,
-               want_pt: bool = False) -> dict:
-    """Underperformance estimate plus mean power-adaptation factor / energy.
-
-    With ``want_pt`` the contended positive-cap loss event is counted in
-    the same pass (power-adaptive scheme only).
+    The cells must share ``(M, m, n)``; each gain block is drawn once and
+    fed to every cell, so memory stays at one block.  With ``want_pt`` the
+    contended positive-cap loss event is counted in the same pass
+    (power-adaptive cells only).  Returns one summary dict per cell.
     """
-    scheme = Scheme(scheme)
-    hits = 0
-    pt_hits = 0
-    gamma_sum = 0.0
-    energy_sum = 0.0
-    for block, size in _iter_blocks(trials):
-        g_m, g_n = _pair_gains(cfg, seed, block, size)
-        factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
-        lose = _loss_mask(cfg, g_n, factor)
-        hits += int(np.count_nonzero(lose))
-        gamma_sum += float(gamma.sum())
-        energy_sum += float(energy_array(cfg, scheme, gamma).sum())
+    cells = [(cfg, Scheme(scheme)) for cfg, scheme in cells]
+    if not cells:
+        return []
+    if len({(cfg.M, cfg.m, cfg.n) for cfg, _ in cells}) > 1:
+        raise InvalidConfigError("mc_summary cells must share (M, m, n)")
+    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0)
+               for _ in cells]
+    for g_m, g_n in _pair_blocks(cells[0][0], trials, seed):
+        for (cfg, scheme), tally in zip(cells, tallies):
+            factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
+            lose = loss_mask(cfg, g_n, factor)
+            tally["hits"] += int(np.count_nonzero(lose))
+            tally["gamma_sum"] += float(gamma.sum())
+            tally["energy_sum"] += float(energy_array(cfg, scheme, gamma).sum())
+            if want_pt and scheme == Scheme.HSIC_PA:
+                tau = tau_threshold(cfg, g_m)
+                tally["pt_hits"] += int(np.count_nonzero(
+                    lose & (branch != _B_I) & (tau > 0.0)))
+    out = []
+    for (_, scheme), tally in zip(cells, tallies):
+        summary = {
+            "estimate": ProbEstimate.from_counts(tally["hits"], trials),
+            "gamma_mean": tally["gamma_sum"] / trials,
+            "energy_mean": tally["energy_sum"] / trials,
+        }
         if want_pt and scheme == Scheme.HSIC_PA:
-            tau = tau_threshold(cfg, g_m)
-            pt_hits += int(np.count_nonzero(lose & (branch != _B_I) & (tau > 0.0)))
-    out = {
-        "estimate": ProbEstimate.from_counts(hits, trials),
-        "gamma_mean": gamma_sum / trials,
-        "energy_mean": energy_sum / trials,
-    }
-    if want_pt and scheme == Scheme.HSIC_PA:
-        out["pt_estimate"] = ProbEstimate.from_counts(pt_hits, trials)
+            summary["pt_estimate"] = ProbEstimate.from_counts(tally["pt_hits"], trials)
+        out.append(summary)
     return out
 
 
 def estimate_probability(cfg: SystemConfig, scheme: Scheme, trials: int,
                          seed: int) -> ProbEstimate:
     """Fraction of draws where the scheme fails to beat pure OMA."""
-    return mc_summary(cfg, scheme, trials, seed)["estimate"]
+    return mc_summary([(cfg, scheme)], trials, seed)[0]["estimate"]
 
 
 def estimate_coupled(cfg: SystemConfig, trials: int, seed: int,
                      schemes=HNOMA_SCHEMES) -> dict:
     """Per-scheme estimates on shared draws (exact count dominance)."""
-    counts = {Scheme(s): 0 for s in schemes}
-    for block, size in _iter_blocks(trials):
-        g_m, g_n = _pair_gains(cfg, seed, block, size)
-        for s in counts:
-            factor, _, _ = rate_factors(cfg, g_m, g_n, s)
-            counts[s] += int(np.count_nonzero(_loss_mask(cfg, g_n, factor)))
-    return {s: ProbEstimate.from_counts(k, trials) for s, k in counts.items()}
+    summaries = mc_summary([(cfg, s) for s in schemes], trials, seed)
+    return {Scheme(s): out["estimate"] for s, out in zip(schemes, summaries)}
 
 
 def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
@@ -106,10 +105,9 @@ def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
     names = bucket_names(cfg)
     counts = dict.fromkeys(names, 0)
     total = 0
-    for block, size in _iter_blocks(trials):
-        g_m, g_n = _pair_gains(cfg, seed, block, size)
+    for g_m, g_n in _pair_blocks(cfg, trials, seed):
         factor, branch, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
-        lose = _loss_mask(cfg, g_n, factor)
+        lose = loss_mask(cfg, g_n, factor)
         n_lose = int(np.count_nonzero(lose))
         total += n_lose
         tau = tau_threshold(cfg, g_m)
@@ -138,14 +136,8 @@ def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
 
 def estimate_pt(cfg: SystemConfig, trials: int, seed: int) -> ProbEstimate:
     """MC estimate of the contended positive-cap loss event alone."""
-    hits = 0
-    for block, size in _iter_blocks(trials):
-        g_m, g_n = _pair_gains(cfg, seed, block, size)
-        factor, branch, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
-        lose = _loss_mask(cfg, g_n, factor)
-        tau = tau_threshold(cfg, g_m)
-        hits += int(np.count_nonzero(lose & (branch != _B_I) & (tau > 0.0)))
-    return ProbEstimate.from_counts(hits, trials)
+    return mc_summary([(cfg, Scheme.HSIC_PA)], trials, seed,
+                      want_pt=True)[0]["pt_estimate"]
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,22 @@ def noma_rate(cfg: SystemConfig, g_m: float, g_n: float, scheme: Scheme) -> Rate
     )
 
 
-def underperf_mask(cfg: SystemConfig, g_m, g_n, scheme: Scheme):
+def loss_mask(cfg: SystemConfig, g_n, factor):
     """True where NOMA-slot + reduced OMA-slot rate <= full-power OMA rate.
 
+    ``factor`` is the NOMA-slot rate argument from ``rate_factors``.
     Compared in the linear domain: factor * (1 + beta rho_n g_n) vs
     1 + rho_n g_n, which is the same event as the rate-sum comparison.
     """
-    g_n = np.asarray(g_n, dtype=float)
-    factor, _, _ = rate_factors(cfg, g_m, g_n, scheme)
     b = cfg.beta * cfg.rho_n * g_n
     return factor * (1.0 + b) <= 1.0 + cfg.rho_n * g_n
+
+
+def underperf_mask(cfg: SystemConfig, g_m, g_n, scheme: Scheme):
+    """``loss_mask`` of the scheme's NOMA-slot decision at each draw."""
+    g_n = np.asarray(g_n, dtype=float)
+    factor, _, _ = rate_factors(cfg, g_m, g_n, scheme)
+    return loss_mask(cfg, g_n, factor)
 
 
 def underperformance_indicator(cfg: SystemConfig, draw: ChannelDraw, scheme: Scheme) -> bool:

@@ -117,25 +117,32 @@ def run_sweep(spec: SweepSpec) -> list:
     """One row per (snr, scheme, method), in grid order.
 
     Per-row failures are recorded in the regime column as ``error:<name>``
-    rather than aborting the sweep.
+    rather than aborting the sweep.  The MC cells of every valid SNR and
+    scheme are estimated in one ``mc_summary`` pass over shared draws.
     """
-    rows = []
+    points = []
     for snr in spec.snr_db:
         try:
             cfg = spec.config_at(snr)
-            regime = regime_label(cfg)
+            points.append((snr, cfg, regime_label(cfg)))
         except InvalidConfigError as exc:
+            points.append((snr, None, f"error:{type(exc).__name__}"))
+    summaries = iter(())
+    if MC in spec.methods:
+        cells = [(cfg, scheme) for _, cfg, _ in points if cfg is not None
+                 for scheme in spec.schemes]
+        summaries = iter(mc_summary(cells, spec.trials, spec.seed,
+                                    want_pt=spec.quantity == "contended-loss"))
+    rows = []
+    for snr, cfg, regime in points:
+        if cfg is None:
             for scheme in spec.schemes:
                 for method in spec.methods:
-                    rows.append(_row(snr, scheme, method,
-                                     regime=f"error:{type(exc).__name__}"))
+                    rows.append(_row(snr, scheme, method, regime=regime))
             continue
         pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
         for scheme in spec.schemes:
-            summary = None
-            if MC in spec.methods:
-                summary = mc_summary(cfg, scheme, spec.trials, spec.seed,
-                                     want_pt=spec.quantity == "contended-loss")
+            summary = next(summaries, None)
             for method in spec.methods:
                 try:
                     gamma_mean = energy_mean = None

@@ -46,9 +46,9 @@ def _mc_vs_exact(fig: int) -> tuple:
         for snr in (0.0, 10.0, 20.0, 30.0, 40.0):
             cfg = base.with_snr(snr)
             exact = p_t_exact(cfg).value
-            mc = mc_summary(cfg, Scheme.HSIC_PA, TRIALS_BIG,
+            mc = mc_summary([(cfg, Scheme.HSIC_PA)], TRIALS_BIG,
                             SEED + 97 * other + int(snr),
-                            want_pt=True)["pt_estimate"]
+                            want_pt=True)[0]["pt_estimate"]
             sigma = math.sqrt(exact * (1.0 - exact) / TRIALS_BIG)
             if sigma == 0.0:
                 ok = mc.value == exact

@@ -40,6 +40,17 @@ def test_trials_validation():
         estimate_probability(cfg, Scheme.HSIC_PA, 0, SEED)
 
 
+def test_mc_summary_cells_must_share_ranks():
+    from hnoma import InvalidConfigError, mc_summary
+    cells = [(make_cfg(), Scheme.HSIC_PA),
+             (make_cfg(m=3, n=1, R_m=0.5, eta=5.0), Scheme.HSIC_PA)]
+    with pytest.raises(InvalidConfigError):
+        mc_summary(cells, 1_000, SEED)
+    with pytest.raises(InvalidConfigError):
+        mc_summary([(make_cfg(), Scheme.FSIC), (make_cfg(M=6), Scheme.FSIC)],
+                   1_000, SEED)
+
+
 def test_coupled_monotonicity():
     cfg = make_cfg(snr_db=15.0)
     est = estimate_coupled(cfg, 300_000, SEED)
@@ -62,11 +73,11 @@ def test_zero_cap_draws_only_in_uncontended_or_zero_cap_buckets():
     cfg = make_cfg(snr_db=10.0)
     g = sample_gain_matrix(cfg.M, stream(SEED, 0), 100_000)
     below = g[:, cfg.m - 1] < cfg.alpha_m
-    from hnoma.schemes import rate_factors, tau_threshold
-    from hnoma.mc import _loss_mask, _B_I
+    from hnoma.schemes import loss_mask, rate_factors, tau_threshold
+    from hnoma.mc import _B_I
     g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
     factor, branch, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
-    lose = _loss_mask(cfg, g_n, factor)
+    lose = loss_mask(cfg, g_n, factor)
     contended = lose & (branch != _B_I) & (tau_threshold(cfg, g_m) > 0.0)
     assert not np.any(contended & below)
 

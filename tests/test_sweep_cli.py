@@ -170,3 +170,35 @@ def test_validation_negative_control_names_invariant():
     failed = [r.invariant for r in rows if not r.passed]
     assert "exact-vs-integration" in failed
     assert all(r.regime for r in rows)  # regime column reported per config
+
+
+def test_multi_block_sweep_matches_one_cell_summaries(monkeypatch):
+    # three blocks, the last one partial: every cell must see the same
+    # draws in the same block order as a one-cell pass would
+    import hnoma.mc
+    from hnoma.mc import estimate_coupled, estimate_pt, mc_summary
+
+    monkeypatch.setattr(hnoma.mc, "BLOCK_TRIALS", 1_000)
+    trials = 2_500
+    specs = (_spec(quantity="underperformance", schemes=("HSIC-NPA", "HSIC-PA"),
+                   methods=("mc",), snr_db=(5.0, 15.0, 25.0), trials=trials),
+             _spec(methods=("mc", "exact"), snr_db=(0.0, 10.0, 20.0),
+                   trials=trials))
+    for spec in specs:
+        contended = spec.quantity == "contended-loss"
+        mc_rows = [r for r in run_sweep(spec) if r["method"] == "mc"]
+        assert len(mc_rows) == len(spec.snr_db) * len(spec.schemes)
+        for row in mc_rows:
+            cfg = spec.config_at(row["snr_db"])
+            one = mc_summary([(cfg, row["scheme"])], trials, spec.seed,
+                             want_pt=contended)[0]
+            est = one["pt_estimate"] if contended else one["estimate"]
+            assert (row["value"], row["std_err"], row["trials"]) == \
+                (est.value, est.std_err, est.trials)
+            assert row["gamma_mean"] == one["gamma_mean"]
+            assert row["energy_mean"] == one["energy_mean"]
+            if contended:
+                assert estimate_pt(cfg, trials, spec.seed) == est
+            else:
+                coupled = estimate_coupled(cfg, trials, spec.seed, spec.schemes)
+                assert coupled[row["scheme"]] == est
