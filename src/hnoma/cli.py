@@ -50,6 +50,7 @@ def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         spec = _parsed(SweepSpec.from_dict, json.load(fh))
     spec = _apply_overrides(spec, args)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     rows = run_sweep(spec)
     write_rows(rows, args.out, args.format)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -149,8 +149,11 @@ def _curve_breakpoints(clause, t_lo, t_hi, n_scan=2049):
 
     Every support edge, kink, or gate switch of the clause integrand sits
     at a crossing between two members of {lower curves, upper curves,
-    diagonal, box bound}; locating them keeps the outer quadrature from
-    stepping over narrow features.  Scan plus bisection, no closed forms.
+    diagonal}; locating them keeps the outer quadrature from stepping over
+    narrow features.  Scan plus bisection, no closed forms: every sign
+    flip of every curve pair is bisected at once, each step evaluating
+    each curve once on the vector of midpoints, for 80 steps or until a
+    step moves no bracket.
     """
     grids = [np.linspace(t_lo, t_hi, n_scan)]
     if t_lo > 0 and t_hi / t_lo > 100.0:
@@ -162,25 +165,33 @@ def _curve_breakpoints(clause, t_lo, t_hi, n_scan=2049):
     funcs = [c if callable(c) else (lambda t, v=c: np.full_like(t, v)) for c in curves]
     funcs.append(lambda t: t)  # ordered-wedge diagonal
     vals = [np.clip(np.asarray(f(ts), dtype=float), -1e300, 1e300) for f in funcs]
-    hits = []
+    first, second, lo_idx = [], [], []
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
-            diff = vals[i] - vals[j]
-            sign_flip = np.nonzero(np.diff(np.signbit(diff)))[0]
-            for idx in sign_flip:
-                lo, hi = ts[idx], ts[idx + 1]
-                f_lo = float(vals[i][idx] - vals[j][idx])
-                fi, fj = funcs[i], funcs[j]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    f_mid = float(np.clip(fi(np.asarray(mid)) - fj(np.asarray(mid)),
-                                          -1e300, 1e300))
-                    if (f_mid < 0) == (f_lo < 0):
-                        lo, f_lo = mid, f_mid
-                    else:
-                        hi = mid
-                hits.append(0.5 * (lo + hi))
-    return hits
+            flips = np.nonzero(np.diff(np.signbit(vals[i] - vals[j])))[0]
+            first += [i] * flips.size
+            second += [j] * flips.size
+            lo_idx.append(flips)
+    if not first:
+        return []
+    first, second = np.array(first), np.array(second)
+    idx = np.concatenate(lo_idx)
+    lo, hi = ts[idx], ts[idx + 1]
+    vals = np.stack(vals)
+    # a bracket's lower end keeps the sign it starts with
+    neg_lo = vals[first, idx] - vals[second, idx] < 0
+    at_mid = np.empty((len(funcs), idx.size))
+    cols = np.arange(idx.size)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        for row, f in zip(at_mid, funcs):
+            row[:] = f(mid)
+        same = (at_mid[first, cols] - at_mid[second, cols] < 0) == neg_lo
+        if np.array_equal(mid, np.where(same, lo, hi)):
+            break  # no bracket moves again
+        np.copyto(lo, mid, where=same)
+        np.copyto(hi, mid, where=~same)
+    return list(0.5 * (lo + hi))
 
 
 def integrate_event(region: EventRegion, pair: OrderPairDensity,
@@ -191,20 +202,19 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
     The opportunistic-gain section of every clause is an interval, so its
     mass is summed in closed form from the density's exponential mixture;
     the remaining 1-D integral over the legacy gain is done by adaptive
-    bisection between the curve-crossing breakpoints.  The tail beyond
-    ``bound`` is dropped (mass < e^-bound).
+    bisection between the curve-crossing breakpoints, all segments of a
+    clause refined together.  The tail beyond ``bound`` is dropped
+    (mass < e^-bound).
     """
-    legacy_is_lower = pair.m < pair.n
+    mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
 
     def clause_mass(clause):
         def integrand(t):
+            # on the closed interval: bounds_at leaves t == t_lo out, which
+            # would put a false jump at every segment starting there
+            t = np.maximum(t, np.nextafter(clause.t_lo, np.inf))
             lo, hi, active = clause.bounds_at(t)
-            if not active:
-                return 0.0
-            hi = min(float(hi), bound)
-            if legacy_is_lower:
-                return mass_upper_interval(pair, t, float(lo), hi)
-            return mass_lower_interval(pair, t, float(lo), hi)
+            return np.where(active, mass(pair, t, lo, np.minimum(hi, bound)), 0.0)
 
         t_hi = min(clause.t_hi, bound)
         if not t_hi > clause.t_lo:
@@ -212,17 +222,16 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
         edges = [clause.t_lo, t_hi]
         edges += [x for x in _curve_breakpoints(clause, clause.t_lo, t_hi)
                   if clause.t_lo < x < t_hi]
-        edges = sorted(set(edges))
-        tol_each = abs_tol / (max(len(region.clauses), 1) * max(len(edges) - 1, 1))
-        v_sum, e_sum, good = 0.0, 0.0, True
-        for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
-            v, e, ok = adaptive_integrate(integrand, seg_lo, seg_hi,
-                                          abs_tol=tol_each, max_depth=max_depth,
-                                          initial_panels=8)
-            v_sum += v
-            e_sum += e
-            good = good and ok
-        return v_sum, e_sum, good
+        edges = np.array(sorted(set(edges)))
+        tol_each = abs_tol / (max(len(region.clauses), 1) * max(edges.size - 1, 1))
+        values, errs, oks = adaptive_integrate(integrand, edges[:-1], edges[1:],
+                                               abs_tol=tol_each, max_depth=max_depth,
+                                               initial_panels=8)
+        v_sum, e_sum = 0.0, 0.0
+        for v, e in zip(values, errs):  # segment by segment, left to right
+            v_sum += float(v)
+            e_sum += float(e)
+        return v_sum, e_sum, bool(oks.all())
 
     total = 0.0
     err = 0.0

@@ -127,41 +127,88 @@ def adaptive_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
     """Tolerance-driven bisection (adaptive Simpson) over [a, b].
 
     Handles kinks and jump discontinuities by localizing them through
-    repeated bisection.  Returns ``(value, err_estimate, converged)``;
-    ``f`` is called with scalars.
+    repeated bisection.  ``[a, b]`` is cut into ``initial_panels`` panels,
+    each with its width's share of ``abs_tol``.  An interval is accepted
+    once its error estimate ``(left + right - whole) / 15`` is within its
+    tolerance (or the roundoff floor of its value), else both halves are
+    refined with half the tolerance, down to ``max_depth`` splits.  No
+    interval is accepted at the first level, since one estimate from a
+    panel's five points is blind to a feature between them.
+
+    The refinement runs level by level: all pending intervals are split
+    at once and the level's new points go to one call of ``f``, which
+    takes and returns 1-D arrays.  Accepted values are added back up the
+    bisection tree as ``left + right``, as a depth-first recursion would.
+
+    ``a`` and ``b`` may be 1-D arrays of segment ends; each segment is
+    then integrated as if alone, with its own panels and ``abs_tol``, and
+    the results are arrays.  Returns ``(value, err_estimate, converged)``;
+    an empty interval (b <= a) gives ``(0, 0, True)``.
     """
-    if b <= a:
-        return 0.0, 0.0, True
-    span = b - a
-    total = 0.0
-    err_total = 0.0
-    edges = np.linspace(a, b, initial_panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = f(lo), f(mid), f(hi)
-        s = _simpson(lo, hi, flo, fmid, fhi)
-        v, e = _refine(f, lo, hi, flo, fmid, fhi, s,
-                       abs_tol * (hi - lo) / span, max_depth)
-        total += v
-        err_total += e
-    return total, err_total, err_total <= abs_tol
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    scalar = a.ndim == 0
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    value = np.zeros(a.shape)
+    err = np.zeros(a.shape)
+    live = b > a
+    if live.any():
+        value[live], err[live] = _integrate_panels(
+            f, a[live], b[live], abs_tol, max_depth, initial_panels)
+    converged = err <= abs_tol
+    if scalar:
+        return float(value[0]), float(err[0]), bool(converged[0])
+    return value, err, converged
 
 
-def _refine(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(a, m, fa, flm, fm)
-    right = _simpson(m, b, fm, frm, fb)
-    err = (left + right - whole) / 15.0
-    # never chase below the roundoff floor of the local value
-    floor = 5e-16 * (abs(left) + abs(right))
-    if abs(err) <= max(tol, floor) or depth <= 0:
-        return left + right + err, abs(err)
-    lv, le = _refine(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-    rv, re = _refine(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-    return lv + rv, le + re
+def _integrate_panels(f, a, b, abs_tol, max_depth, initial_panels):
+    """Per-segment (value, err) sums of the panels of segments [a_k, b_k]."""
+    edges = np.linspace(a, b, initial_panels + 1, axis=1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    mid = 0.5 * (lo + hi)
+    f_edges = f(np.concatenate([edges.ravel(), mid]))
+    f_grid = f_edges[:edges.size].reshape(edges.shape)
+    fa, fb, fm = f_grid[:, :-1].ravel(), f_grid[:, 1:].ravel(), f_edges[edges.size:]
+    whole = _simpson(lo, hi, fa, fm, fb)
+    tol = abs_tol * (hi - lo) / np.repeat(b - a, initial_panels)
+    levels = []          # (value, err, split) of every level, top first
+    depth = max_depth
+    while lo.size:
+        m = 0.5 * (lo + hi)
+        quarter = f(np.concatenate([0.5 * (lo + m), 0.5 * (m + hi)]))
+        flm, frm = quarter[:lo.size], quarter[lo.size:]
+        left = _simpson(lo, m, fa, flm, fm)
+        right = _simpson(m, hi, fm, frm, fb)
+        est = (left + right - whole) / 15.0
+        if depth <= 0:
+            done = np.ones(lo.shape, dtype=bool)
+        elif not levels:
+            done = np.zeros(lo.shape, dtype=bool)
+        else:
+            # never chase below the roundoff floor of the local value
+            floor = 5e-16 * (np.abs(left) + np.abs(right))
+            done = np.abs(est) <= np.maximum(tol, floor)
+        split = ~done
+        levels.append((np.where(done, left + right + est, 0.0),
+                       np.where(done, np.abs(est), 0.0), split))
+        # the halves of pending interval k sit at 2k (left) and 2k + 1 (right)
+        pair = lambda x, y: np.stack([x[split], y[split]], axis=1).ravel()
+        lo, hi = pair(lo, m), pair(m, hi)
+        fa, fm, fb = pair(fa, fm), pair(flm, frm), pair(fm, fb)
+        whole, tol = pair(left, right), pair(0.5 * tol, 0.5 * tol)
+        depth -= 1
+    for k in range(len(levels) - 2, -1, -1):  # the last level splits nothing
+        value, err, split = levels[k]
+        below_v, below_e, _ = levels[k + 1]
+        value[split] = below_v[0::2] + below_v[1::2]
+        err[split] = below_e[0::2] + below_e[1::2]
+    panel_v = levels[0][0].reshape(a.size, initial_panels)
+    panel_e = levels[0][1].reshape(a.size, initial_panels)
+    total = np.zeros(a.size)
+    err_total = np.zeros(a.size)
+    for k in range(initial_panels):  # panel by panel, left to right
+        total = total + panel_v[:, k]
+        err_total = err_total + panel_e[:, k]
+    return total, err_total
 
 
 # ---------------------------------------------------------------------------

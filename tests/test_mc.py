@@ -127,6 +127,110 @@ def test_integrate_contended_loss_matches_exact(fig1_cfg):
     assert est.std_err <= 1e-6
 
 
+def _quad_reference(region, pair, bound=40.0, pieces=8):
+    """Outer integral of ``region`` by scipy's quad, each segment between
+    curve crossings split into ``pieces``; quad samples interior points only."""
+    from scipy import integrate
+    from hnoma.channel import mass_lower_interval, mass_upper_interval
+    from hnoma.mc import _curve_breakpoints
+
+    mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
+    total = 0.0
+    for clause in region.clauses:
+        def inner(t):
+            lo, hi, active = clause.bounds_at(t)
+            if not active:
+                return 0.0
+            return float(mass(pair, t, float(lo), min(float(hi), bound)))
+
+        t_hi = min(clause.t_hi, bound)
+        if not t_hi > clause.t_lo:
+            continue
+        cuts = sorted({clause.t_lo, t_hi,
+                       *(x for x in _curve_breakpoints(clause, clause.t_lo, t_hi)
+                         if clause.t_lo < x < t_hi)})
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            grid = np.linspace(lo, hi, pieces + 1)
+            for a, b in zip(grid[:-1], grid[1:]):
+                total += integrate.quad(inner, a, b, epsabs=1e-16, epsrel=1e-12,
+                                        limit=200)[0]
+    return total
+
+
+def _scalar_breakpoints(clause, t_lo, t_hi, n_scan=2049):
+    """Reference: the same scan, then one 80-step bisection per crossing."""
+    grids = [np.linspace(t_lo, t_hi, n_scan)]
+    if t_lo > 0 and t_hi / t_lo > 100.0:
+        grids.append(np.geomspace(t_lo, t_hi, n_scan))
+    elif t_lo == 0 and t_hi > 100.0:
+        grids.append(np.geomspace(t_hi * 1e-9, t_hi, n_scan))
+    ts = np.unique(np.concatenate(grids))
+    curves = list(clause.lower) + list(clause.upper)
+    funcs = [c if callable(c) else (lambda t, v=c: np.full_like(t, v)) for c in curves]
+    funcs.append(lambda t: t)
+    vals = [np.clip(np.asarray(f(ts), dtype=float), -1e300, 1e300) for f in funcs]
+    hits = []
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            for idx in np.nonzero(np.diff(np.signbit(vals[i] - vals[j])))[0]:
+                lo, hi = ts[idx], ts[idx + 1]
+                f_lo = float(vals[i][idx] - vals[j][idx])
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    f_mid = float(np.clip(funcs[i](np.asarray(mid))
+                                          - funcs[j](np.asarray(mid)), -1e300, 1e300))
+                    if (f_mid < 0) == (f_lo < 0):
+                        lo, f_lo = mid, f_mid
+                    else:
+                        hi = mid
+                hits.append(0.5 * (lo + hi))
+    return hits
+
+
+def test_batched_breakpoints_match_scalar_bisection():
+    from hnoma.mc import _curve_breakpoints
+    from conftest import regime_covering_configs
+    checked = 0
+    for cfg in regime_covering_configs(14, seed=11):
+        for region in (region_contended_loss(cfg),
+                       region_underperformance(cfg, Scheme.HSIC_NPA)):
+            for clause in region.clauses:
+                t_hi = min(clause.t_hi, 40.0)
+                if not t_hi > clause.t_lo:
+                    continue
+                got = _curve_breakpoints(clause, clause.t_lo, t_hi)
+                ref = _scalar_breakpoints(clause, clause.t_lo, t_hi)
+                assert got == ref
+                checked += len(ref)
+    assert checked > 50
+
+
+def test_integration_is_closed_at_each_clause_start():
+    # fig3b_n2 at 40 dB: the integrand is large just right of a clause's
+    # t_lo, where the clause itself is inactive
+    cfg = make_cfg(M=5, m=1, n=2, R_m=1.0, beta=1.0 / 3.0, eta=7.0, snr_db=40.0)
+    pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
+    ref = _quad_reference(region_underperformance(cfg, Scheme.HSIC_PA), pair)
+    est = integrate_underperformance(cfg, Scheme.HSIC_PA)
+    assert math.isclose(est.value, ref, rel_tol=1e-6)
+    # fig5a_eta4 at 0 dB: within the oracle's absolute tolerance
+    cfg = make_cfg(M=5, m=2, n=5, R_m=1.0, beta=0.25, eta=4.0, snr_db=0.0)
+    pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
+    ref = _quad_reference(region_underperformance(cfg, Scheme.HSIC_NPA), pair)
+    assert abs(integrate_underperformance(cfg, Scheme.HSIC_NPA).value - ref) <= 1e-7
+
+
+def test_no_false_convergence_at_the_first_level():
+    # an integrand falling from 6e-3 to 1e-38 across one initial panel
+    # fooled the first-level error estimate for eta in (0.7143, 0.7146)
+    pair = OrderPairDensity(6, 2, 5)
+    for eta in np.linspace(0.7140, 0.7150, 21):
+        cfg = make_cfg(M=6, m=2, n=5, R_m=1.6, beta=0.27, eta=float(eta),
+                       snr_db=0.0)
+        integ = integrate_event(region_contended_loss(cfg), pair).value
+        assert abs(integ - p_t_exact(cfg).value) <= 1e-7, eta
+
+
 def test_underperformance_regions_match_mc():
     cfg = make_cfg(snr_db=12.0)
     for scheme in (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA):

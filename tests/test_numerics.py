@@ -100,18 +100,94 @@ def test_comp_sum_alternating_series():
 # ---------------------------------------------------------------------------
 
 def test_adaptive_integrate_smooth():
-    v, e, ok = adaptive_integrate(math.exp, 0.0, 1.0, abs_tol=1e-10)
+    v, e, ok = adaptive_integrate(np.exp, 0.0, 1.0, abs_tol=1e-10)
     assert ok and abs(v - (math.e - 1.0)) < 1e-10
 
 
 def test_adaptive_integrate_jump():
-    f = lambda x: 1.0 if x < 0.31237 else 0.0
+    f = lambda x: np.where(x < 0.31237, 1.0, 0.0)
     v, e, ok = adaptive_integrate(f, 0.0, 1.0, abs_tol=1e-9)
     assert ok and abs(v - 0.31237) < 1e-8
 
 
 def test_adaptive_integrate_empty():
     assert adaptive_integrate(math.exp, 1.0, 0.0)[0] == 0.0
+
+
+def _simpson(a, b, fa, fm, fb):
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _depth_first_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
+    """Reference: adaptive Simpson as a depth-first recursion, one point
+    per call of ``f``; an interval is never accepted at the first level."""
+    g = lambda x: float(f(np.array([x]))[0])
+
+    def refine(a, b, fa, fm, fb, whole, tol, depth, first):
+        m = 0.5 * (a + b)
+        flm, frm = g(0.5 * (a + m)), g(0.5 * (m + b))
+        left = _simpson(a, m, fa, flm, fm)
+        right = _simpson(m, b, fm, frm, fb)
+        err = (left + right - whole) / 15.0
+        floor = 5e-16 * (abs(left) + abs(right))
+        if depth <= 0 or (not first and abs(err) <= max(tol, floor)):
+            return left + right + err, abs(err)
+        lv, le = refine(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1, False)
+        rv, re = refine(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1, False)
+        return lv + rv, le + re
+
+    if b <= a:
+        return 0.0, 0.0, True
+    total, err_total = 0.0, 0.0
+    edges = np.linspace(a, b, initial_panels + 1)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        flo, fmid, fhi = g(lo), g(0.5 * (lo + hi)), g(hi)
+        v, e = refine(lo, hi, flo, fmid, fhi, _simpson(lo, hi, flo, fmid, fhi),
+                      abs_tol * (hi - lo) / (b - a), max_depth, True)
+        total += v
+        err_total += e
+    return total, err_total, err_total <= abs_tol
+
+
+_INTEGRANDS = {
+    "smooth": np.exp,
+    "kink": lambda x: np.abs(x - 0.3),
+    "jump": lambda x: np.where(x < 0.31237, 1.0, 0.0),
+    "decay": lambda x: 6.4e-3 * np.exp(-40.0 * x),
+}
+
+
+def test_adaptive_integrate_matches_depth_first_reference():
+    for name, f in _INTEGRANDS.items():
+        for a, b, kw in ((0.0, 1.0, {}),
+                         (0.0, 2.2, dict(abs_tol=1e-10, initial_panels=8)),
+                         (-0.4, 1.3, dict(abs_tol=1e-9, max_depth=6)),
+                         (0.1, 0.9, dict(max_depth=0))):
+            got = adaptive_integrate(f, a, b, **kw)
+            assert got == _depth_first_integrate(f, a, b, **kw), (name, a, b, kw)
+            assert type(got[0]) is float and type(got[2]) is bool
+
+
+def test_adaptive_integrate_segments_are_independent():
+    edges = np.array([0.0, 0.2, 0.31237, 0.5, 2.2])
+    for name, f in _INTEGRANDS.items():
+        values, errs, oks = adaptive_integrate(f, edges[:-1], edges[1:],
+                                               abs_tol=1e-9, initial_panels=8)
+        for k in range(edges.size - 1):
+            ref = _depth_first_integrate(f, edges[k], edges[k + 1],
+                                         abs_tol=1e-9, initial_panels=8)
+            assert (values[k], errs[k], oks[k]) == ref, (name, k)
+
+
+def test_adaptive_integrate_counts_one_call_per_level():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x < 0.31237, 1.0, 0.0)
+
+    adaptive_integrate(f, 0.0, 1.0, abs_tol=1e-9, max_depth=40)
+    assert len(calls) <= 42  # the panel points, then at most one per level
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,21 @@ def test_cli_sweep_and_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cli_sweep_creates_the_output_directory(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec().to_dict()))
+    out = tmp_path / "new" / "dir" / "x.csv"
+    assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def test_cli_sweep_missing_config_creates_nothing(tmp_path):
+    out = tmp_path / "new" / "x.csv"
+    assert main(["sweep", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.parent.exists()
+
+
 def test_cli_figure_writes_curve_files(tmp_path):
     out = tmp_path / "figs"
     code = main(["figure", "fig1", "--out", str(out), "--trials", "5000"])
