@@ -14,6 +14,9 @@ import numpy as np
 
 from .config import InvalidConfigError
 
+# rows per chunk of the array kernels: a chunk's working set fits in L2
+CHUNK_ROWS = 16_384
+
 
 @dataclass(frozen=True)
 class ChannelDraw:
@@ -48,10 +51,20 @@ def sample_ordered_gains(M: int, rng: np.random.Generator) -> ChannelDraw:
 
 
 def sample_gain_matrix(M: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized sampler: (size, M) array of ascending ordered gains."""
-    u = rng.random((size, M))
-    g = -np.log1p(-u)
-    g.sort(axis=1)
+    """Vectorized sampler: (size, M) array of ascending ordered gains.
+
+    Filled in place, ``CHUNK_ROWS`` rows at a time, so each chunk stays in
+    cache through draw, transform and sort.  The generator hands out its
+    doubles in order, so the result equals one ``rng.random((size, M))``.
+    """
+    g = np.empty((size, M))
+    for start in range(0, size, CHUNK_ROWS):
+        rows = g[start:start + CHUNK_ROWS]
+        rng.random(out=rows)
+        np.negative(rows, out=rows)
+        np.log1p(rows, out=rows)
+        np.negative(rows, out=rows)
+        rows.sort(axis=1)
     return g
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import (OrderPairDensity, mass_lower_interval,
+from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,
                       mass_upper_interval, sample_gain_matrix)
 from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate
@@ -25,22 +25,32 @@ def bucket_names(cfg: SystemConfig):
     return _BUCKETS_LT if cfg.m < cfg.n else _BUCKETS_GT
 
 
+# the most recent block, {(M, seed, block, size): read-only (size, M) gains};
+# a figure's curves share M, seed and trials, so they all reuse one draw
+_kept = {}
+
+
 def _pair_blocks(cfg: SystemConfig, trials: int, seed: int):
     """Contiguous copies of the (g_m, g_n) gain columns of every block.
 
     The only place gains are drawn.  Trials split into blocks of
     ``BLOCK_TRIALS`` (the last one partial) and block b always comes from
-    ``stream(seed, b)``, so every consumer sees the same draws.  The full
-    M-column matrix is dropped before the block is handed out.
+    ``stream(seed, b)``, so every consumer sees the same draws.  The
+    process keeps its last sorted block (8*M*BLOCK_TRIALS bytes) and hands
+    it out again to the next pass that asks for the same block.
     """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
         size = min(BLOCK_TRIALS, trials - start)
-        g = sample_gain_matrix(cfg.M, stream(seed, block), size)
-        g_m, g_n = g[:, cfg.m - 1].copy(), g[:, cfg.n - 1].copy()
-        del g
-        yield g_m, g_n
+        key = (cfg.M, seed, block, size)
+        g = _kept.get(key)
+        if g is None:
+            _kept.clear()  # free the old block before drawing the new one
+            g = sample_gain_matrix(cfg.M, stream(seed, block), size)
+            g.flags.writeable = False
+            _kept[key] = g
+        yield g[:, cfg.m - 1].copy(), g[:, cfg.n - 1].copy()
 
 
 def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
@@ -60,16 +70,23 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0)
                for _ in cells]
     for g_m, g_n in _pair_blocks(cells[0][0], trials, seed):
+        # per-draw factors go into one block-length buffer, so the sums
+        # below are the same pairwise sums as over a whole-block kernel
+        gamma = np.empty(g_m.size)
         for (cfg, scheme), tally in zip(cells, tallies):
-            factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
-            lose = loss_mask(cfg, g_n, factor)
-            tally["hits"] += int(np.count_nonzero(lose))
+            pt = want_pt and scheme == Scheme.HSIC_PA
+            for lo in range(0, g_m.size, CHUNK_ROWS):
+                c_m, c_n = g_m[lo:lo + CHUNK_ROWS], g_n[lo:lo + CHUNK_ROWS]
+                factor, branch, gamma[lo:lo + CHUNK_ROWS] = rate_factors(
+                    cfg, c_m, c_n, scheme)
+                lose = loss_mask(cfg, c_n, factor)
+                tally["hits"] += int(np.count_nonzero(lose))
+                if pt:
+                    tau = tau_threshold(cfg, c_m)
+                    tally["pt_hits"] += int(np.count_nonzero(
+                        lose & (branch != _B_I) & (tau > 0.0)))
             tally["gamma_sum"] += float(gamma.sum())
             tally["energy_sum"] += float(energy_array(cfg, scheme, gamma).sum())
-            if want_pt and scheme == Scheme.HSIC_PA:
-                tau = tau_threshold(cfg, g_m)
-                tally["pt_hits"] += int(np.count_nonzero(
-                    lose & (branch != _B_I) & (tau > 0.0)))
     out = []
     for (_, scheme), tally in zip(cells, tallies):
         summary = {

@@ -46,10 +46,14 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.snr_db) == 0:
             raise InvalidConfigError("empty SNR grid")
-        if not all(isinstance(s, numbers.Real) for s in self.snr_db):
+        # JSON true/false are Python bools, which pass as numbers
+        if not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
+                   for s in self.snr_db):
             raise InvalidConfigError(f"non-numeric SNR in {self.snr_db}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise InvalidConfigError(f"seed={self.seed!r} is not an integer")
+        for name in ("M", "m", "n", "trials", "n_c", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidConfigError(f"{name}={value!r} is not an integer")
         if len(self.schemes) == 0:
             raise InvalidConfigError("empty scheme list")
         if len(self.methods) == 0:

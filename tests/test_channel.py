@@ -42,6 +42,25 @@ def test_max_gain_mean_matches_harmonic_number():
     assert abs(g[:, -1].mean() - h5) < 0.01 * h5
 
 
+def _whole_array_sampler(M, rng, size):
+    # the sampler before it was chunked: one draw, transform and sort
+    u = rng.random((size, M))
+    g = -np.log1p(-u)
+    g.sort(axis=1)
+    return g
+
+
+@pytest.mark.parametrize("M", [2, 5, 8])
+def test_chunked_sampler_matches_whole_array_sampler(M):
+    from hnoma.channel import CHUNK_ROWS
+
+    for size in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 50_001):
+        chunked, whole = stream(SEED, 7), stream(SEED, 7)
+        for _ in range(2):  # the next call on the same generator too
+            assert np.array_equal(sample_gain_matrix(M, chunked, size),
+                                  _whole_array_sampler(M, whole, size))
+
+
 def test_channel_draw_validation():
     with pytest.raises(InvalidConfigError):
         ChannelDraw(np.array([1.0, -0.5]))

@@ -98,6 +98,57 @@ def test_pt_estimate_matches_decomposition():
     assert math.isclose(pt.value, pt_from_dec, rel_tol=0.0, abs_tol=1e-15)
 
 
+def _whole_block_summary(cells, trials, seed, want_pt):
+    # mc_summary before its tally was chunked: every kernel on whole blocks
+    import hnoma.mc
+    from hnoma.schemes import energy_array, loss_mask, rate_factors, tau_threshold
+
+    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0) for _ in cells]
+    M, m, n = cells[0][0].M, cells[0][0].m, cells[0][0].n
+    for block, start in enumerate(range(0, trials, hnoma.mc.BLOCK_TRIALS)):
+        size = min(hnoma.mc.BLOCK_TRIALS, trials - start)
+        g = sample_gain_matrix(M, stream(seed, block), size)
+        g_m, g_n = g[:, m - 1].copy(), g[:, n - 1].copy()
+        for (cfg, scheme), tally in zip(cells, tallies):
+            factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
+            lose = loss_mask(cfg, g_n, factor)
+            tally["hits"] += int(np.count_nonzero(lose))
+            tally["gamma_sum"] += float(gamma.sum())
+            tally["energy_sum"] += float(energy_array(cfg, scheme, gamma).sum())
+            if want_pt and scheme == Scheme.HSIC_PA:
+                tau = tau_threshold(cfg, g_m)
+                tally["pt_hits"] += int(np.count_nonzero(
+                    lose & (branch != hnoma.mc._B_I) & (tau > 0.0)))
+    out = []
+    for (_, scheme), tally in zip(cells, tallies):
+        summary = {"estimate": ProbEstimate.from_counts(tally["hits"], trials),
+                   "gamma_mean": tally["gamma_sum"] / trials,
+                   "energy_mean": tally["energy_sum"] / trials}
+        if want_pt and scheme == Scheme.HSIC_PA:
+            summary["pt_estimate"] = ProbEstimate.from_counts(tally["pt_hits"], trials)
+        out.append(summary)
+    return out
+
+
+@pytest.mark.parametrize("block_trials", [None, "partial"])
+def test_chunked_tally_matches_whole_block_loop(monkeypatch, block_trials):
+    import hnoma.mc
+    from hnoma import mc_summary
+    from hnoma.channel import CHUNK_ROWS
+
+    trials = 2 * CHUNK_ROWS + 123  # not a multiple of the chunk
+    if block_trials == "partial":
+        # three blocks, none a multiple of the chunk, the last one partial
+        monkeypatch.setattr(hnoma.mc, "BLOCK_TRIALS", CHUNK_ROWS + 1_000)
+        trials = 2 * (CHUNK_ROWS + 1_000) + 777
+    for base in (make_cfg(), make_cfg(m=3, n=1, R_m=0.5, eta=5.0)):
+        cells = [(base.with_snr(snr), scheme) for snr in (0.0, 12.0, 25.0)
+                 for scheme in (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)]
+        for want_pt in (False, True):
+            got = mc_summary(cells, trials, SEED, want_pt=want_pt)
+            assert got == _whole_block_summary(cells, trials, SEED, want_pt)
+
+
 # ---------------------------------------------------------------------------
 #  region integration
 # ---------------------------------------------------------------------------

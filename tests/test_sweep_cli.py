@@ -133,6 +133,34 @@ def test_cli_figure_writes_curve_files(tmp_path):
     assert files == ["fig1_n2.csv", "fig1_n3.csv", "fig1_n4.csv", "fig1_n5.csv"]
 
 
+def test_figure_draws_its_block_once(tmp_path, monkeypatch):
+    # a preset's curves share M, seed and trials, so one kept block feeds all
+    import hnoma.mc
+
+    monkeypatch.setattr(hnoma.mc, "_kept", {})
+    sizes = []
+    sample = hnoma.mc.sample_gain_matrix
+
+    def counted(M, rng, size):
+        sizes.append(size)
+        return sample(M, rng, size)
+
+    monkeypatch.setattr(hnoma.mc, "sample_gain_matrix", counted)
+    out = tmp_path / "fig"
+    assert main(["figure", "fig1", "--trials", "20000", "--out", str(out)]) == EXIT_OK
+    assert sizes == [20_000]
+    (kept,) = hnoma.mc._kept.values()
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0.0
+    for raw in load_preset("fig1")["sweeps"]:
+        hnoma.mc._kept.clear()  # every curve draws its own block
+        spec = replace(SweepSpec.from_dict(raw), trials=20_000)
+        fresh = rows_to_csv(run_sweep(spec))
+        assert (out / f"fig1_{spec.label}.csv").read_text() == fresh
+    assert len(sizes) == 5
+
+
 def test_cli_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"M": 5}))
@@ -159,12 +187,17 @@ def test_cli_program_errors_are_not_config_errors(tmp_path, monkeypatch):
 
 def test_cli_malformed_fields_stay_config_errors(tmp_path):
     # fields that would otherwise raise TypeError deep inside the sweep
+    # or write a row with snr_db=True: all are refused when the spec parses
     for i, bad in enumerate((dict(snr_db=[10.0, "20"]),
-                             dict(methods=["mc"], seed="abc"))):
+                             dict(methods=["mc"], seed="abc"),
+                             dict(trials=2e4), dict(M=5.0), dict(m=1.0),
+                             dict(n=2.0), dict(n_c=256.0), dict(snr_db=[True]),
+                             dict(seed=True))):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(dict(_spec().to_dict(), **bad)))
         assert main(["sweep", "--config", str(path),
                      "--out", str(tmp_path / f"o{i}")]) == EXIT_CONFIG
+        assert not (tmp_path / f"o{i}").exists()
 
 
 def test_cli_validate_passes(capsys):
