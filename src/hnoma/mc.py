@@ -10,8 +10,8 @@ from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import (EventRegion, capped_branch_bucket, first_branch_bucket)
-from .schemes import (HNOMA_SCHEMES, Scheme, _B_I, _B_II2, energy_array,
-                      loss_mask, rate_factors, tau_threshold)
+from .schemes import (HNOMA_SCHEMES, DrawKernel, Scheme, _B_I, _B_II2,
+                      energy_array, loss_mask, rate_factors, tau_threshold)
 
 BLOCK_TRIALS = 1_000_000
 
@@ -53,6 +53,17 @@ def _pair_blocks(cfg: SystemConfig, trials: int, seed: int):
         yield g[:, cfg.m - 1].copy(), g[:, cfg.n - 1].copy()
 
 
+def _tally_chunk(kernel: DrawKernel, cfg: SystemConfig, scheme: Scheme,
+                 g_m, g_n, gamma, want_pt: bool):
+    """``(hits, pt_hits)`` of one chunk of draws; γ goes into ``gamma``."""
+    kernel.run(cfg, scheme, g_m, g_n, gamma)
+    hits = int(np.count_nonzero(kernel.lose))
+    if not want_pt:
+        return hits, 0
+    # the contended positive-cap loss: losing, not type I, tau > 0
+    return hits, int(np.count_nonzero(kernel.lose & kernel.over & (kernel.tau > 0.0)))
+
+
 def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     """Underperformance estimate plus mean power-adaptation factor / energy
     for every ``(cfg, scheme)`` cell, all on the same draws.
@@ -69,6 +80,7 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
         raise InvalidConfigError("mc_summary cells must share (M, m, n)")
     tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0)
                for _ in cells]
+    kernel = DrawKernel(CHUNK_ROWS)
     for g_m, g_n in _pair_blocks(cells[0][0], trials, seed):
         # per-draw factors go into one block-length buffer, so the sums
         # below are the same pairwise sums as over a whole-block kernel
@@ -76,16 +88,14 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
         for (cfg, scheme), tally in zip(cells, tallies):
             pt = want_pt and scheme == Scheme.HSIC_PA
             for lo in range(0, g_m.size, CHUNK_ROWS):
-                c_m, c_n = g_m[lo:lo + CHUNK_ROWS], g_n[lo:lo + CHUNK_ROWS]
-                factor, branch, gamma[lo:lo + CHUNK_ROWS] = rate_factors(
-                    cfg, c_m, c_n, scheme)
-                lose = loss_mask(cfg, c_n, factor)
-                tally["hits"] += int(np.count_nonzero(lose))
-                if pt:
-                    tau = tau_threshold(cfg, c_m)
-                    tally["pt_hits"] += int(np.count_nonzero(
-                        lose & (branch != _B_I) & (tau > 0.0)))
-            tally["gamma_sum"] += float(gamma.sum())
+                hi = lo + CHUNK_ROWS
+                hits, pt_hits = _tally_chunk(kernel, cfg, scheme, g_m[lo:hi],
+                                             g_n[lo:hi], gamma[lo:hi], pt)
+                tally["hits"] += hits
+                tally["pt_hits"] += pt_hits
+            # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
+            tally["gamma_sum"] += (float(gamma.sum()) if scheme == Scheme.HSIC_PA
+                                   else float(g_m.size))
             tally["energy_sum"] += float(energy_array(cfg, scheme, gamma).sum())
     out = []
     for (_, scheme), tally in zip(cells, tallies):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 
 class IntegrationFailureError(RuntimeError):
@@ -103,6 +102,10 @@ def erf(x: float) -> float:
 
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) * erfc(x)."""
+    # imported here: scipy is most of the package's import time, and only
+    # ``exact.gamma1`` and the signed-expansion reference reach this call
+    from scipy import special
+
     return float(special.erfcx(x))
 
 

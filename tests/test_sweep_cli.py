@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -131,6 +133,30 @@ def test_cli_figure_writes_curve_files(tmp_path):
     assert code == EXIT_OK
     files = sorted(os.listdir(out))
     assert files == ["fig1_n2.csv", "fig1_n3.csv", "fig1_n4.csv", "fig1_n5.csv"]
+
+
+def test_figure_and_sweep_never_import_scipy(tmp_path):
+    # scipy is most of the import time; only ``exact.gamma1`` needs it
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec(
+        methods=("mc", "exact", "asymptotic", "numeric-integration"),
+        trials=2_000).to_dict()))
+    script = (
+        "import sys\n"
+        "from hnoma.cli import main\n"
+        f"assert main(['figure', 'fig1', '--trials', '2000', '--out', {str(tmp_path / 'fig')!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {str(spec_path)!r}, '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(hnoma.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    rows = (tmp_path / "s.csv").read_text().splitlines()
+    assert {"mc", "exact", "asymptotic", "numeric-integration"} <= {
+        r.split(",")[2] for r in rows[1:]}
 
 
 def test_figure_draws_its_block_once(tmp_path, monkeypatch):
