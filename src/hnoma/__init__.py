@@ -1,26 +1,22 @@
 """Hybrid-NOMA uplink simulator and rate-shortfall probability analysis."""
 
 from .asymptotic import asymptotic_pt_terms, p_t_asymptotic
-from .channel import (ChannelDraw, OrderPairDensity, joint_pdf,
-                      joint_pdf_near_zero, mass_lower_interval,
-                      mass_upper_interval, sample_gain_matrix,
-                      sample_ordered_gains)
+from .channel import (OrderPairDensity, mass_lower_interval,
+                      mass_upper_interval, sample_gain_matrix)
 from .config import InvalidConfigError, SystemConfig, db_to_linear, linear_to_db
 from .estimates import ProbEstimate
 from .exact import (RegimeConstants, compute_constants, eta_thresholds,
-                    exact_pt_terms, gamma1, p_t_exact, regime_label)
+                    exact_pt_terms, p_t_exact, regime_label)
 from .mc import (bucket_names, estimate_coupled, estimate_decomposition,
                  estimate_probability, estimate_pt, integrate_event,
                  integrate_underperformance, mc_summary)
-from .numerics import (IntegrationFailureError, QuadratureSpec,
-                       adaptive_integrate, comp_sum, erf, erfcx,
-                       fejer_quadrature, gauss_chebyshev, stream)
+from .numerics import (IntegrationFailureError, adaptive_integrate, comp_sum,
+                       stream)
 from .regions import (EventRegion, region_contended_bucket,
                       region_contended_loss, region_everything,
                       region_legacy_below, region_uncontended_loss,
                       region_underperformance, region_zero_cap_loss)
-from .schemes import (Branch, RateDecision, Scheme, energy, noma_rate,
-                      oma_rate, tau_threshold, underperformance_indicator)
+from .schemes import Scheme, tau_threshold
 from .sweep import SweepSpec, run_sweep, write_rows
 from .validate import run_validation
 

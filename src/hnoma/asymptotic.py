@@ -21,21 +21,21 @@ import numpy as np
 from .channel import _leggauss
 from .config import SystemConfig
 from .estimates import ASYMPTOTIC, ProbEstimate
-from .exact import _curve_values, _gc_nodes, compute_constants, contended_terms
+from .exact import _gc_nodes, compute_constants, contended_terms
 from .numerics import comp_sum
 
 _N_C = 256  # Fejer nodes along u, the exact engine's default n_c
 
 
-def _leading_mass(unit: SystemConfig, pref: float, lower: str, upper: str,
+def _leading_mass(unit: SystemConfig, pref: float, lower, upper,
                   a, b) -> float:
     """Leading-order density mass with the opportunistic gain between two
     unit-SNR curves, for legacy gain u in (a, b), clipped to the wedge."""
     if a is None or b is None or not (b > a):
         return 0.0
     u, wgt = _gc_nodes(a, b, _N_C)
-    lo = _curve_values(unit, lower, u)
-    hi = _curve_values(unit, upper, u)
+    lo = lower(unit, u)
+    hi = upper(unit, u)
     i, j = min(unit.m, unit.n), max(unit.m, unit.n)
     if unit.m < unit.n:
         # legacy gain is the smaller one: integrate (y-u)^(j-i-1) over y

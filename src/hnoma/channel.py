@@ -18,38 +18,6 @@ from .config import InvalidConfigError
 CHUNK_ROWS = 16_384
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the M ascending ordered gains."""
-
-    gains: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
-        if g.ndim != 1 or g.size < 2:
-            raise InvalidConfigError("a draw needs a vector of at least 2 gains")
-        if np.any(g < 0.0) or not np.all(np.isfinite(g)):
-            raise InvalidConfigError("gains must be finite and nonnegative")
-        g = np.sort(g)  # ties from rounding are harmless; keep order canonical
-        object.__setattr__(self, "gains", g)
-
-    @property
-    def M(self) -> int:
-        return self.gains.size
-
-    def gain(self, index: int) -> float:
-        """Gain of the user with 1-based ascending rank ``index``."""
-        return float(self.gains[index - 1])
-
-
-def sample_ordered_gains(M: int, rng: np.random.Generator) -> ChannelDraw:
-    """Draw M i.i.d. unit-mean exponentials and sort ascending."""
-    if M < 2:
-        raise InvalidConfigError(f"need at least 2 users, got M={M}")
-    u = rng.random(M)
-    return ChannelDraw(np.sort(-np.log1p(-u)))
-
-
 def sample_gain_matrix(M: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized sampler: (size, M) array of ascending ordered gains.
 
@@ -72,8 +40,8 @@ def sample_gain_matrix(M: int, rng: np.random.Generator, size: int) -> np.ndarra
 class OrderPairDensity:
     """Joint density of the (m, n)-th ascending order statistics.
 
-    ``joint_pdf`` is evaluated at (x, y) where x is the smaller of the two
-    gains: x = gain of rank min(m, n), y = gain of rank max(m, n).
+    Written in (x, y): x is the smaller of the two gains (rank min(m, n))
+    and y the larger (rank max(m, n)).
     """
 
     M: int
@@ -104,42 +72,6 @@ class OrderPairDensity:
         return math.factorial(self.M) / (
             math.factorial(i - 1) * math.factorial(j - i - 1) * math.factorial(self.M - j)
         )
-
-    @cached_property
-    def exp_mixture(self):
-        """Expansion f(x, y) = sum_k w_k exp(-a_k x - b_k y) on 0 < x < y.
-
-        Expands the CDF powers of the order-statistic density into signed
-        exponentials; a_k = l+p+1, b_k = M - lo_rank - p.
-        """
-        i, j = self.lo_rank, self.hi_rank
-        w, a, b = [], [], []
-        for p in range(j - i):
-            c_p = math.comb(j - i - 1, p) * (-1.0) ** (j - i - 1 - p)
-            for l in range(i):
-                c_l = math.comb(i - 1, l) * (-1.0) ** l
-                w.append(self.prefactor * c_p * c_l)
-                a.append(l + p + 1)
-                b.append(self.M - i - p)
-        return (np.array(w), np.array(a, dtype=float), np.array(b, dtype=float))
-
-
-def joint_pdf(pair: OrderPairDensity, x, y):
-    """Exact pair density at (x, y); zero outside the wedge 0 <= x < y.
-
-    Evaluated in the product form (CDF powers), which stays accurate for
-    small gains where the signed exponential expansion cancels.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    i, j = pair.lo_rank, pair.hi_rank
-    with np.errstate(invalid="ignore"):
-        val = (pair.prefactor
-               * (-np.expm1(-x)) ** (i - 1)
-               * (-np.expm1(-(y - x))) ** (j - i - 1)
-               * np.exp(-(j - i - 1) * x - (pair.M - j + 1) * y - x))
-    val = np.where((x >= 0) & (y > x), val, 0.0)
-    return val if val.ndim else float(val)
 
 
 @lru_cache(maxsize=64)
@@ -210,16 +142,3 @@ def mass_lower_interval(pair: OrderPairDensity, y, lo, hi):
     out = pair.prefactor * np.exp(-(M - j + 1) * y_s) * inner
     out = np.where(ok, out, 0.0)
     return out if out.ndim else float(out)
-
-
-def joint_pdf_near_zero(pair: OrderPairDensity, x, y):
-    """Leading-order polynomial form of the pair density for x, y << 1."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    i, j = pair.lo_rank, pair.hi_rank
-    val = np.zeros(np.broadcast(x, y).shape)
-    for p in range(j - i):
-        coef = pair.prefactor * math.comb(j - i - 1, p) * (-1.0) ** p
-        val = val + coef * y ** (j - i - 1 - p) * x ** (i - 1 + p)
-    val = np.where((x >= 0) & (y > x), val, 0.0)
-    return val if val.ndim else float(val)

@@ -5,8 +5,7 @@ it) decomposes into at most six sub-events whose masses reduce to 1-D
 integrals along the legacy gain between crossing points of the boundary
 curves.  The engine evaluates them by Chebyshev-node quadrature of the
 cancellation-free interval mass, which keeps full relative precision at
-any SNR; the equivalent signed-expansion antiderivatives (exponential
-segments, scaled-erfc Gaussian segments) are retained for validation.
+any SNR.
 
 The branch table that picks each sub-event's curves and limits from the
 power ratio lives in ``contended_terms`` alone; the high-SNR engine in
@@ -19,53 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import OrderPairDensity, mass_lower_interval, mass_upper_interval
 from .config import InvalidConfigError, SystemConfig
 from .estimates import EXACT, ProbEstimate
-from .numerics import comp_sum, erfcx, fejer1_weights
-from .regions import capped_loss, decode_tie, first_loss, power_cap
+from .numerics import comp_sum, fejer1_weights
+from .regions import capped_loss, decode_tie, diagonal, first_loss, power_cap
 
 _BACKSUB_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-#  Gaussian segment integral
-# ---------------------------------------------------------------------------
-
-def gamma1(a: float, b: float, c: float, d: float) -> float:
-    """Integral of exp(-c x^2 - d x) over [a, b] (c > 0).
-
-    Equals the textbook erf-difference closed form but is evaluated with
-    the scaled complementary error function so the exp(d^2/(4c)) prefactor
-    never overflows.
-    """
-    if c <= 0.0:
-        raise ValueError(f"need a positive quadratic coefficient, got c={c}")
-    return _gamma1_shifted(a, b, c, d, 0.0)
-
-
-def _gamma1_shifted(a, b, c, d, shift):
-    # exp(shift) * integral, assuming shift - c x^2 - d x stays representable
-    if b < a:
-        return -_gamma1_shifted(b, a, c, d, shift)
-    if a == b:
-        return 0.0
-    sq = math.sqrt(c)
-    za = sq * a + d / (2.0 * sq)
-    zb = sq * b + d / (2.0 * sq)
-    # erfcx only misbehaves for strongly negative arguments, so branch with
-    # slack; the peak split below can land a hair on either side of zero
-    if za >= -1e-8:
-        fa = math.exp(shift - (c * a + d) * a) * erfcx(za)
-        fb = math.exp(shift - (c * b + d) * b) * erfcx(zb)
-        return math.sqrt(math.pi) / (2.0 * sq) * (fa - fb)
-    if zb <= 1e-8:
-        return _gamma1_shifted(-b, -a, c, -d, shift)
-    x0 = -d / (2.0 * c)
-    return (_gamma1_shifted(a, x0, c, d, shift)
-            + _gamma1_shifted(x0, b, c, d, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +51,7 @@ def _positive_root(s: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class RegimeConstants:
-    """Every derived scalar and per-term constant of the closed forms.
-
-    The per-term arrays run over the signed exponential mixture of the
-    ordered-pair density; ``leg``/``opp`` are the decay rates attached to
-    the legacy and opportunistic gain respectively.
-    """
+    """Every derived scalar of the closed forms."""
 
     eps_m: float
     alpha_m: float
@@ -112,16 +66,6 @@ class RegimeConstants:
     z_2: float
     z_3: float
     pair_prefactor: float
-    coeff: np.ndarray
-    leg: np.ndarray
-    opp: np.ndarray
-    r_cap: np.ndarray       # decay along the legacy axis for the power-cap piece
-    r_first: np.ndarray     # same for the first-stage-loss piece
-    quad_c: np.ndarray      # Gaussian coefficients for the decode-tie piece
-    quad_d: np.ndarray
-    cap_shift: np.ndarray   # constant exponents pulled out of each piece
-    first_shift: np.ndarray
-    diag_rate: np.ndarray
 
 
 def compute_constants(cfg: SystemConfig) -> RegimeConstants:
@@ -166,24 +110,12 @@ def compute_constants(cfg: SystemConfig) -> RegimeConstants:
         raise InvalidConfigError("constant back-substitution failed; "
                                  "scenario is numerically degenerate")
 
-    pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
-    w, a_exp, b_exp = pair.exp_mixture
-    leg, opp = (a_exp, b_exp) if cfg.m < cfg.n else (b_exp, a_exp)
-
     return RegimeConstants(
         eps_m=eps, alpha_m=alpha,
         k_1=th["k_1"], k_2=th["k_2"], k_3=th["k_3"],
         omega_1=omega_1, omega_2=omega_2, omega_3=omega_3, omega_4=omega_4,
         z_1=z_1, z_2=z_2, z_3=z_3,
-        pair_prefactor=pair.prefactor,
-        coeff=w, leg=leg, opp=opp,
-        r_cap=leg + opp / (beta * rho_n * alpha),
-        r_first=leg + opp * (1.0 - beta) * rho_m / (beta ** 2 * rho_n),
-        quad_c=opp * rho_m / (alpha * beta * rho_n),
-        quad_d=opp * (1.0 / alpha - rho_m) / (beta * rho_n) + leg,
-        cap_shift=opp / (beta * rho_n),
-        first_shift=-opp * omega_3,
-        diag_rate=leg + opp,
+        pair_prefactor=OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor,
     )
 
 
@@ -202,35 +134,8 @@ def regime_label(cfg: SystemConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-#  Per-curve segment integrals along the legacy axis
+#  Interval masses between boundary curves
 # ---------------------------------------------------------------------------
-# Each I_<curve>(a, b) is the vector (over mixture terms) of
-#   integral_a^b exp(-opp * curve(t)) * exp(-leg * t) dt
-# computed so that every exponent is the true log-magnitude of the
-# integrand (<= 0 on the integration regions), hence overflow-free.
-
-def _exp_segment(rate, log_front, a, b):
-    return np.exp(log_front - rate * a) * (-np.expm1(-rate * (b - a))) / rate
-
-
-def _i_cap(k, a, b):
-    return _exp_segment(k.r_cap, k.cap_shift, a, b)
-
-
-def _i_first(k, a, b):
-    return _exp_segment(k.r_first, k.first_shift, a, b)
-
-
-def _i_diag(k, a, b):
-    return _exp_segment(k.diag_rate, 0.0, a, b)
-
-
-def _i_tie(k, a, b):
-    return np.array([
-        _gamma1_shifted(a, b, c, d, s)
-        for c, d, s in zip(k.quad_c, k.quad_d, k.cap_shift)
-    ])
-
 
 def _gc_nodes(a, b, n_c):
     # first-kind Chebyshev nodes with exact (Fejer) weights; the
@@ -240,78 +145,26 @@ def _gc_nodes(a, b, n_c):
     return 0.5 * (a + b) + half * t, half * wgt
 
 
-def _curve_values(cfg, kind, x):
-    if kind == "cap":
-        return power_cap(cfg, x)
-    if kind == "tie":
-        return decode_tie(cfg, x)
-    if kind == "loss":
-        return capped_loss(cfg, x)
-    if kind == "first":
-        return first_loss(cfg, x)
-    if kind == "diag":
-        return x
-    raise ValueError(kind)
-
-
-def _between(cfg, k: RegimeConstants, lower: str, upper: str,
-             a, b, n_c: int) -> float:
+def _between(cfg, lower, upper, a, b, n_c: int) -> float:
     """Mass with the opportunistic gain between two boundary curves.
 
     Gauss-Chebyshev quadrature along the legacy gain of the interval mass,
-    which is evaluated in the cancellation-free product form; the signed
-    exponential expansion (see ``_between_expansion``) is algebraically
-    identical but loses all significance at high SNR, where sub-event
-    masses sit many orders below the expansion terms.
+    which is evaluated in the cancellation-free product form; a signed
+    exponential expansion of the density is algebraically identical but
+    loses all significance at high SNR, where sub-event masses sit many
+    orders below the expansion terms.
     """
     if a is None or b is None or not (b > a):
         return 0.0
     pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
     x, wgt = _gc_nodes(a, b, n_c)
-    lo = _curve_values(cfg, lower, x)
-    hi = _curve_values(cfg, upper, x)
+    lo = lower(cfg, x)
+    hi = upper(cfg, x)
     if cfg.m < cfg.n:
         mass = mass_upper_interval(pair, x, lo, hi)
     else:
         mass = mass_lower_interval(pair, x, lo, hi)
     return float(mass @ wgt)
-
-
-# --- signed-expansion forms -------------------------------------------------
-# Per-curve antiderivatives of the expanded density; retained because they
-# make the erf/exponential structure of each sub-event explicit and are
-# asserted against the product-form path in the tests (moderate SNR only;
-# the expansion cancels catastrophically once the masses are tiny).
-
-def _gc_loss_minus_tie(cfg, k, a, b, n_c):
-    x, wgt = _gc_nodes(a, b, n_c)
-    kern = (np.exp(-np.outer(k.opp, capped_loss(cfg, x)))
-            - np.exp(-np.outer(k.opp, decode_tie(cfg, x))))
-    kern *= np.exp(-np.outer(k.leg, x))      # rows: mixture terms, cols: nodes
-    return kern @ wgt
-
-
-def _gc_loss(cfg, k, a, b, n_c):
-    x, wgt = _gc_nodes(a, b, n_c)
-    kern = np.exp(-np.outer(k.opp, capped_loss(cfg, x)) - np.outer(k.leg, x))
-    return kern @ wgt
-
-
-def _between_expansion(cfg, k: RegimeConstants, lower: str, upper: str,
-                       a, b, n_c: int) -> float:
-    """Same mass via the signed exponential expansion (test reference)."""
-    if a is None or b is None or not (b > a):
-        return 0.0
-    analytic = {"cap": _i_cap, "first": _i_first, "diag": _i_diag, "tie": _i_tie}
-    if lower == "loss":
-        # the capped-loss kernel has no elementary antiderivative
-        if upper == "tie":
-            segs = _gc_loss_minus_tie(cfg, k, a, b, n_c)
-        else:
-            segs = _gc_loss(cfg, k, a, b, n_c) - analytic[upper](k, a, b)
-    else:
-        segs = analytic[lower](k, a, b) - analytic[upper](k, a, b)
-    return comp_sum(k.coeff / k.opp * segs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +175,11 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
     """Each contended-loss sub-event in its active branch (column).
 
     ``between(lower, upper, a, b)`` is the mass with the opportunistic gain
-    between the curves ``lower`` and ``upper`` for legacy gain in (a, b);
-    it returns 0 when a limit is None or the interval is empty.  The
-    exact and the high-SNR engines share this table and differ only in
-    ``between``.
+    between the curves ``lower`` and ``upper`` (boundary-curve functions
+    of ``regions``, called as ``curve(cfg, t)``) for legacy gain in
+    (a, b); it returns 0 when a limit is None or the interval is empty.
+    The exact and the high-SNR engines share this table and differ only
+    in ``between``.
     """
     eta = cfg.eta
     alpha = k.alpha_m
@@ -341,25 +195,26 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
 
     out = {}
     if cfg.m < cfg.n:
-        out["P_T1_1"] = (between("cap", "tie", k.omega_1, k.omega_2)
+        out["P_T1_1"] = (between(power_cap, decode_tie, k.omega_1, k.omega_2)
                          if low_ratio else 0.0)
         lo = k.omega_2 if low_ratio else k.z_2
-        out["P_T1_2"] = between("loss", "tie", lo, k.z_1)
+        out["P_T1_2"] = between(capped_loss, decode_tie, lo, k.z_1)
         up = k.omega_1 if low_ratio else k.z_2
-        out["P_T1_3"] = between("diag", "tie", k.z_3, up)
-        out["P_T2_1"] = between("diag", "first", alpha, first_branch_upper())
-        out["P_T2_2"] = between("tie", "first", k.z_3, k.z_1)
+        out["P_T1_3"] = between(diagonal, decode_tie, k.z_3, up)
+        out["P_T2_1"] = between(diagonal, first_loss, alpha, first_branch_upper())
+        out["P_T2_2"] = between(decode_tie, first_loss, k.z_3, k.z_1)
     else:
         up11 = k.z_3 if eta <= k.k_3 else k.omega_2
-        out["P_T1_1"] = between("cap", "tie", alpha, up11)
+        out["P_T1_1"] = between(power_cap, decode_tie, alpha, up11)
         if low_ratio:
             up12 = k.omega_1
         elif eta <= k.k_3:
             up12 = k.omega_2
         else:
             up12 = None
-        out["P_T1_2"] = between("cap", "diag", k.z_3, up12)
-        out["P_T1_3"] = (between("loss", "tie", k.omega_2, min(k.z_1, k.z_3))
+        out["P_T1_2"] = between(power_cap, diagonal, k.z_3, up12)
+        out["P_T1_3"] = (between(capped_loss, decode_tie, k.omega_2,
+                                 min(k.z_1, k.z_3))
                          if eta > k.k_3 else 0.0)
         if low_ratio:
             lo14 = None
@@ -367,33 +222,26 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
             lo14 = k.omega_2
         else:
             lo14 = k.z_3
-        out["P_T1_4"] = between("loss", "diag", lo14, k.z_2)
-        out["P_T2_1"] = between("tie", "diag", alpha, first_branch_upper())
+        out["P_T1_4"] = between(capped_loss, diagonal, lo14, k.z_2)
+        out["P_T2_1"] = between(decode_tie, diagonal, alpha, first_branch_upper())
         if eta <= th["first_lo"]:
             lo22 = None
         elif eta <= k.k_2:
             lo22 = k.omega_4
         else:
             lo22 = alpha
-        out["P_T2_2"] = between("tie", "first", lo22, k.z_1)
+        out["P_T2_2"] = between(decode_tie, first_loss, lo22, k.z_1)
     return out
 
 
 def exact_pt_terms(cfg: SystemConfig, consts: RegimeConstants = None,
-                   n_c: int = 256, engine: str = "product") -> dict:
-    """Each contended-loss sub-event at the config's SNR.
-
-    ``engine="expansion"`` evaluates the same terms through the signed
-    exponential expansion (erf/exponential antiderivatives); it is kept
-    for validating that algebra and is only trustworthy while the masses
-    are well above its cancellation floor.
-    """
+                   n_c: int = 256) -> dict:
+    """Each contended-loss sub-event at the config's SNR."""
     if n_c < 16:
         raise InvalidConfigError(f"n_c={n_c} too small; need >= 16")
     k = consts if consts is not None else compute_constants(cfg)
-    between = {"product": _between, "expansion": _between_expansion}[engine]
     return contended_terms(
-        cfg, k, lambda lower, upper, a, b: between(cfg, k, lower, upper, a, b, n_c))
+        cfg, k, lambda lower, upper, a, b: _between(cfg, lower, upper, a, b, n_c))
 
 
 def p_t_exact(cfg: SystemConfig, consts: RegimeConstants = None,

@@ -1,9 +1,8 @@
-"""Shared numeric kernels: quadrature, erf helpers, summation, RNG streams."""
+"""Shared numeric kernels: quadrature, summation, RNG streams."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,49 +18,8 @@ class IntegrationFailureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-#  Gauss-Chebyshev quadrature
+#  Chebyshev-node quadrature
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def chebyshev_nodes(n_c: int):
-    """Nodes t_i = cos((2i-1)pi/(2 n_c)) and weights sqrt(1 - t_i^2)."""
-    if n_c < 1:
-        raise ValueError(f"n_c={n_c} must be >= 1")
-    i = np.arange(1, n_c + 1)
-    t = np.cos((2 * i - 1) * np.pi / (2 * n_c))
-    return t, np.sqrt(1.0 - t * t)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node count and interval for one Gauss-Chebyshev rule."""
-
-    n_c: int
-    a: float
-    b: float
-
-    @property
-    def nodes(self):
-        t, _ = chebyshev_nodes(self.n_c)
-        return 0.5 * (self.a + self.b) + 0.5 * (self.b - self.a) * t
-
-
-def gauss_chebyshev(f, a: float, b: float, n_c: int) -> float:
-    """Approximate the integral of ``f`` over [a, b].
-
-    Uses the sqrt(1 - t^2)-weighted node sum.  Those weights are only the
-    leading approximation of the exact (Fejer) weights for these nodes, so
-    the error decays like n_c^-2 even for analytic integrands; use
-    ``fejer_quadrature`` when more than ~5 digits are needed.
-    ``f`` must accept an ndarray of evaluation points.
-    """
-    if b <= a:
-        return 0.0
-    t, w = chebyshev_nodes(n_c)
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * t
-    return float((np.pi / n_c) * half * np.sum(np.asarray(f(x), dtype=float) * w))
-
 
 @lru_cache(maxsize=32)
 def fejer1_weights(n_c: int):
@@ -77,36 +35,6 @@ def fejer1_weights(n_c: int):
     else:
         w = np.ones_like(theta)
     return np.cos(theta), (2.0 / n_c) * w
-
-
-def fejer_quadrature(f, a: float, b: float, n_c: int) -> float:
-    """Integral of ``f`` over [a, b] at the same Chebyshev nodes as
-    ``gauss_chebyshev`` but with the exact weights; converges geometrically
-    for integrands analytic near the interval."""
-    if b <= a:
-        return 0.0
-    t, w = fejer1_weights(n_c)
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * t
-    return float(half * np.sum(np.asarray(f(x), dtype=float) * w))
-
-
-# ---------------------------------------------------------------------------
-#  erf family
-# ---------------------------------------------------------------------------
-
-def erf(x: float) -> float:
-    """Error function, <= 1e-15 relative error (C library implementation)."""
-    return math.erf(x)
-
-
-def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2) * erfc(x)."""
-    # imported here: scipy is most of the package's import time, and only
-    # ``exact.gamma1`` and the signed-expansion reference reach this call
-    from scipy import special
-
-    return float(special.erfcx(x))
 
 
 # ---------------------------------------------------------------------------

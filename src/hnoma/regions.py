@@ -16,6 +16,9 @@ by four curves of the legacy gain ``t``:
 * ``first_loss(t)``   - gain below which first-stage decoding plus the
                         reduced OMA slot lose to full-power OMA.
 
+The closed forms also bound sub-events by ``diagonal(t) = t``, the edge
+of the ordered wedge, where the two gains would swap rank order.
+
 Regions are unions of clauses ``{t in (t_lo, t_hi), gate(t),
 max(lower)(t) < g_n < min(upper)(t)}``, which keeps the opportunistic-gain
 section an interval so event masses reduce to one outer integral.
@@ -58,6 +61,10 @@ def first_loss(cfg: SystemConfig, t):
     t = np.asarray(t, dtype=float)
     return ((1.0 - cfg.beta) * (cfg.rho_m * t + 1.0) - cfg.beta) / (
         cfg.beta ** 2 * cfg.rho_n)
+
+
+def diagonal(cfg: SystemConfig, t):
+    return np.asarray(t, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +191,6 @@ def _contended_clauses(cfg: SystemConfig):
 def region_contended_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event in the contended regime with a positive cap."""
     return EventRegion(_contended_clauses(cfg), name="P_T")
-
-
-_CAPPED_BUCKETS_LT = ("P_T1_1", "P_T1_2", "P_T1_3")
-_CAPPED_BUCKETS_GT = ("P_T1_1", "P_T1_2", "P_T1_3", "P_T1_4")
-_FIRST_BUCKETS = ("P_T2_1", "P_T2_2")
-
-
-def contended_bucket_names(cfg: SystemConfig):
-    capped = _CAPPED_BUCKETS_LT if cfg.m < cfg.n else _CAPPED_BUCKETS_GT
-    return capped + _FIRST_BUCKETS
 
 
 def region_contended_bucket(cfg: SystemConfig, bucket: str) -> EventRegion:

@@ -1,18 +1,15 @@
 """Per-draw achievable rates for OMA and the three hybrid-NOMA schemes.
 
-All rate computations are exposed twice: scalar operations returning a
-``RateDecision``, and vectorized kernels on gain arrays used by the Monte
-Carlo estimators.  Both share the same linear-domain algebra.
+The rates are computed in the linear domain on arrays of gains, one
+draw per element; a single draw is a length-1 array.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelDraw
 from .config import SystemConfig
 
 
@@ -26,49 +23,14 @@ class Scheme(str, enum.Enum):
 HNOMA_SCHEMES = (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)
 
 
-class Branch(str, enum.Enum):
-    TYPE_I = "TypeI"
-    TYPE_II_CASE1 = "TypeII-case1"
-    TYPE_II_CASE2 = "TypeII-case2"
-    NOT_APPLICABLE = "not-applicable"
-
-
-# integer codes used by the vectorized kernels
+# branch codes of ``rate_factors``: not applicable (FSIC), type I, and
+# type II decoded at the first stage (case 1) or at the cap (case 2)
 _B_NA, _B_I, _B_II1, _B_II2 = 0, 1, 2, 3
-_BRANCH_FROM_CODE = {
-    _B_NA: Branch.NOT_APPLICABLE,
-    _B_I: Branch.TYPE_I,
-    _B_II1: Branch.TYPE_II_CASE1,
-    _B_II2: Branch.TYPE_II_CASE2,
-}
-
-
-@dataclass(frozen=True)
-class RateDecision:
-    """Outcome of one NOMA-slot transmission decision."""
-
-    scheme: Scheme
-    noma_slot_rate: float
-    oma_slot_rate: float
-    branch: Branch
-    gamma: float
-    tau_m: float
 
 
 def tau_threshold(cfg: SystemConfig, g_m):
     """Largest interference power the legacy user tolerates at gain g_m."""
     return np.maximum(0.0, cfg.rho_m * np.asarray(g_m, dtype=float) / cfg.eps_m - 1.0)
-
-
-def oma_rate(cfg: SystemConfig, g_n, scaled: bool = False):
-    """Rate of the opportunistic user alone in a slot.
-
-    ``scaled=False`` is the full-power benchmark; ``scaled=True`` is the
-    reduced-power slot of the hybrid scheme.
-    """
-    power = cfg.beta * cfg.rho_n if scaled else cfg.rho_n
-    val = np.log2(1.0 + power * np.asarray(g_n, dtype=float))
-    return val if val.ndim else float(val)
 
 
 def _select(mask, a, b, out):
@@ -148,8 +110,12 @@ class DrawKernel:
                 np.add(tau, 1.0, out=capped)            # power scaled down to hit the cap
                 _select(adapt_bits, capped, first_stage, out=capped)
                 contended = capped
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(tau, b, out=gamma)        # b == 0 only in type I
+                # tau / b is inf or nan only where b == 0, and overflows
+                # only where b is far below tau: type-I draws, whose lanes
+                # the select below drops
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
+                    np.divide(tau, b, out=gamma)
                 _select(adapt_bits, gamma, 1.0, out=gamma)
             # type I: U_n decoded after U_m, free of interference
             _select(over_bits, contended, one_b, out=factor)
@@ -186,20 +152,6 @@ def rate_factors(cfg: SystemConfig, g_m, g_n, scheme: Scheme):
             gamma.reshape(shape))
 
 
-def noma_rate(cfg: SystemConfig, g_m: float, g_n: float, scheme: Scheme) -> RateDecision:
-    """NOMA-slot rate decision for one draw."""
-    factor, branch, gamma = rate_factors(
-        cfg, np.asarray([g_m]), np.asarray([g_n]), Scheme(scheme))
-    return RateDecision(
-        scheme=Scheme(scheme),
-        noma_slot_rate=float(np.log2(factor[0])),
-        oma_slot_rate=float(oma_rate(cfg, g_n, scaled=True)),
-        branch=_BRANCH_FROM_CODE[int(branch[0])],
-        gamma=float(gamma[0]),
-        tau_m=float(tau_threshold(cfg, g_m)),
-    )
-
-
 def loss_mask(cfg: SystemConfig, g_n, factor):
     """True where NOMA-slot + reduced OMA-slot rate <= full-power OMA rate.
 
@@ -211,33 +163,9 @@ def loss_mask(cfg: SystemConfig, g_n, factor):
     return factor * (1.0 + b) <= 1.0 + cfg.rho_n * g_n
 
 
-def underperf_mask(cfg: SystemConfig, g_m, g_n, scheme: Scheme):
-    """``loss_mask`` of the scheme's NOMA-slot decision at each draw."""
-    g_n = np.asarray(g_n, dtype=float)
-    factor, _, _ = rate_factors(cfg, g_m, g_n, scheme)
-    return loss_mask(cfg, g_n, factor)
-
-
-def underperformance_indicator(cfg: SystemConfig, draw: ChannelDraw, scheme: Scheme) -> bool:
-    """Does the hybrid scheme fail to beat pure OMA for this draw?"""
-    g_m, g_n = draw.gain(cfg.m), draw.gain(cfg.n)
-    return bool(underperf_mask(cfg, np.asarray([g_m]), np.asarray([g_n]), Scheme(scheme))[0])
-
-
-def energy(cfg: SystemConfig, decision: RateDecision) -> float:
-    """Transmit energy of the opportunistic user over one frame (T = 1)."""
-    scheme = Scheme(decision.scheme)
-    if scheme == Scheme.OMA:
-        return cfg.rho_n
-    if scheme in (Scheme.FSIC, Scheme.HSIC_NPA):
-        return 2.0 * cfg.beta * cfg.rho_n
-    if scheme == Scheme.HSIC_PA:
-        return (1.0 + decision.gamma) * cfg.beta * cfg.rho_n
-    raise ValueError(f"unknown scheme {decision.scheme}")
-
-
 def energy_array(cfg: SystemConfig, scheme: Scheme, gamma):
-    """Vectorized energy accounting (gamma ignored except for HSIC-PA)."""
+    """Transmit energy of the opportunistic user over one frame (T = 1),
+    per draw (``gamma`` is ignored except for HSIC-PA)."""
     gamma = np.asarray(gamma, dtype=float)
     scheme = Scheme(scheme)
     if scheme == Scheme.OMA:

@@ -97,11 +97,6 @@ class SweepSpec:
         return d
 
 
-def load_spec(path: str) -> SweepSpec:
-    with open(path) as fh:
-        return SweepSpec.from_dict(json.load(fh))
-
-
 def _row(snr_db, scheme, method, est: ProbEstimate = None, regime="",
          gamma_mean=None, energy_mean=None):
     return {

@@ -5,12 +5,11 @@ import numpy as np
 from scipy import integrate
 
 from hnoma import (OrderPairDensity, SystemConfig, asymptotic_pt_terms,
-                   exact_pt_terms, joint_pdf_near_zero, p_t_asymptotic,
-                   p_t_exact)
-from hnoma.exact import (_curve_values, compute_constants, contended_terms,
-                         eta_thresholds)
+                   exact_pt_terms, p_t_asymptotic, p_t_exact)
+from hnoma.exact import compute_constants, contended_terms, eta_thresholds
 
 from conftest import make_cfg, regime_covering_configs
+from reference import joint_pdf_near_zero
 
 
 def _unit(cfg):
@@ -44,8 +43,8 @@ def _quad_leading_mass(unit, lower, upper, a, b):
     pair = OrderPairDensity(unit.M, unit.m, unit.n)
 
     def inner(u):
-        lo = float(_curve_values(unit, lower, u))
-        hi = float(_curve_values(unit, upper, u))
+        lo = float(lower(unit, u))
+        hi = float(upper(unit, u))
         if unit.m < unit.n:
             lo, hi = max(lo, u), hi
             f = lambda v: joint_pdf_near_zero(pair, u, v)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hnoma import (ChannelDraw, InvalidConfigError, OrderPairDensity,
-                   integrate_event, joint_pdf, joint_pdf_near_zero,
-                   mass_lower_interval, mass_upper_interval,
-                   region_everything, sample_gain_matrix, sample_ordered_gains)
+from hnoma import (OrderPairDensity, integrate_event, mass_lower_interval,
+                   mass_upper_interval, region_everything, sample_gain_matrix)
 from hnoma.numerics import stream
 from hnoma.regions import Clause, EventRegion
 
 from conftest import SEED
+from reference import exp_mixture, joint_pdf, joint_pdf_near_zero
 
 
 # ---------------------------------------------------------------------------
@@ -19,20 +18,15 @@ from conftest import SEED
 # ---------------------------------------------------------------------------
 
 def test_two_user_draw_sorted_and_marginally_exponential():
-    draw = sample_ordered_gains(2, stream(SEED))
-    assert draw.gains[0] < draw.gains[1]
-    assert draw.gains[0] >= 0.0
+    (gains,) = sample_gain_matrix(2, stream(SEED), 1)
+    assert gains[0] < gains[1]
+    assert gains[0] >= 0.0
 
 
 def test_sampling_determinism():
-    d1 = sample_ordered_gains(5, stream(SEED, 3))
-    d2 = sample_ordered_gains(5, stream(SEED, 3))
-    assert np.array_equal(d1.gains, d2.gains)
-
-
-def test_min_users_enforced():
-    with pytest.raises(InvalidConfigError):
-        sample_ordered_gains(1, stream(SEED))
+    d1 = sample_gain_matrix(5, stream(SEED, 3), 1)
+    d2 = sample_gain_matrix(5, stream(SEED, 3), 1)
+    assert np.array_equal(d1, d2)
 
 
 def test_max_gain_mean_matches_harmonic_number():
@@ -61,14 +55,6 @@ def test_chunked_sampler_matches_whole_array_sampler(M):
                                   _whole_array_sampler(M, whole, size))
 
 
-def test_channel_draw_validation():
-    with pytest.raises(InvalidConfigError):
-        ChannelDraw(np.array([1.0, -0.5]))
-    d = ChannelDraw(np.array([2.0, 1.0, 3.0]))
-    assert list(d.gains) == [1.0, 2.0, 3.0]
-    assert d.gain(2) == 2.0
-
-
 # ---------------------------------------------------------------------------
 #  pair densities
 # ---------------------------------------------------------------------------
@@ -89,7 +75,7 @@ def test_joint_pdf_zero_outside_wedge():
 
 def test_joint_pdf_matches_exp_mixture_form():
     pair = OrderPairDensity(6, 2, 5)
-    w, a, b = pair.exp_mixture
+    w, a, b = exp_mixture(pair)
     rng = np.random.default_rng(1)
     for _ in range(50):
         x = rng.uniform(0.05, 2.0)

@@ -1,12 +1,14 @@
 """The fused Monte Carlo tally against the step-by-step kernels it replaced.
 
-The reference below is ``rate_factors``, ``loss_mask`` and
-``tau_threshold`` as they were before the decision was fused into
-``DrawKernel``: one temporary per step, nested ``np.where`` for the
-branch.  The kernel must give the same counts and the same γ bits, also
-on draws built to sit exactly on the decision's ties, which random draws
-almost never hit.
+The reference (``ref_*`` in ``reference``) is ``rate_factors``,
+``loss_mask`` and ``tau_threshold`` as they were before the decision was
+fused into ``DrawKernel``: one temporary per step, nested ``np.where``
+for the branch.  The kernel must give the same counts and the same γ
+bits, also on draws built to sit exactly on the decision's ties, which
+random draws almost never hit.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,53 +17,21 @@ import hnoma.mc
 from hnoma import ProbEstimate, Scheme, mc_summary
 from hnoma.channel import CHUNK_ROWS
 from hnoma.mc import _tally_chunk
-from hnoma.schemes import (_B_I, _B_II1, _B_II2, _B_NA, DrawKernel,
-                           energy_array, rate_factors)
+from hnoma.schemes import _B_I, _B_II2, DrawKernel, energy_array, rate_factors
 
 from conftest import make_cfg
+from reference import ref_loss_mask, ref_rate_factors, ref_tau
 
 SCHEMES = (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)
 
 
-def _ref_tau(cfg, g_m):
-    return np.maximum(0.0, cfg.rho_m * np.asarray(g_m, dtype=float) / cfg.eps_m - 1.0)
-
-
-def _ref_rate_factors(cfg, g_m, g_n, scheme):
-    g_m = np.asarray(g_m, dtype=float)
-    g_n = np.asarray(g_n, dtype=float)
-    b = cfg.beta * cfg.rho_n * g_n
-    tau = _ref_tau(cfg, g_m)
-    denom = cfg.rho_m * g_m + 1.0
-    first_stage = 1.0 + b / denom
-    if scheme == Scheme.FSIC:
-        return first_stage, np.full(b.shape, _B_NA, dtype=np.int8), np.ones_like(first_stage)
-    type_i = b <= tau
-    if scheme == Scheme.HSIC_NPA:
-        factor = np.where(type_i, 1.0 + b, first_stage)
-        branch = np.where(type_i, _B_I, _B_II1).astype(np.int8)
-        return factor, branch, np.ones_like(factor)
-    capped = 1.0 + tau
-    case2 = tau * denom >= b
-    factor = np.where(type_i, 1.0 + b, np.where(case2, capped, first_stage))
-    branch = np.where(type_i, _B_I, np.where(case2, _B_II2, _B_II1)).astype(np.int8)
-    gamma = np.ones_like(factor)
-    np.divide(tau, b, out=gamma, where=~type_i & case2)
-    return factor, branch, gamma
-
-
-def _ref_loss_mask(cfg, g_n, factor):
-    b = cfg.beta * cfg.rho_n * g_n
-    return factor * (1.0 + b) <= 1.0 + cfg.rho_n * g_n
-
-
 def _ref_chunk(cfg, scheme, c_m, c_n, want_pt):
-    factor, branch, gamma = _ref_rate_factors(cfg, c_m, c_n, scheme)
-    lose = _ref_loss_mask(cfg, c_n, factor)
+    factor, branch, gamma = ref_rate_factors(cfg, c_m, c_n, scheme)
+    lose = ref_loss_mask(cfg, c_n, factor)
     pt_hits = 0
     if want_pt:
         pt_hits = int(np.count_nonzero(
-            lose & (branch != _B_I) & (_ref_tau(cfg, c_m) > 0.0)))
+            lose & (branch != _B_I) & (ref_tau(cfg, c_m) > 0.0)))
     return int(np.count_nonzero(lose)), pt_hits, gamma
 
 
@@ -84,7 +54,7 @@ def _tie_draws(cfg):
     on_type_i_edge = on_cap_tie = 0
     for scale in (1.5, 2.0, 3.0, 7.3, 20.0, 111.0):
         g_m = scale * cfg.alpha_m
-        tau = float(_ref_tau(cfg, g_m))
+        tau = float(ref_tau(cfg, g_m))
         denom = cfg.rho_m * g_m + 1.0
         # b == tau: the last type-I draw
         g_n = _ulp_search(lambda x: k * x == tau, tau / k)
@@ -101,9 +71,9 @@ def _tie_draws(cfg):
     assert on_type_i_edge and on_cap_tie
     # tau == 0: legacy gain below and exactly at the cap floor
     alpha = _ulp_search(lambda x: cfg.rho_m * x / cfg.eps_m - 1.0 == 0.0, cfg.alpha_m)
-    assert alpha is not None and float(_ref_tau(cfg, alpha)) == 0.0
+    assert alpha is not None and float(ref_tau(cfg, alpha)) == 0.0
     below = 0.5 * cfg.alpha_m
-    assert float(_ref_tau(cfg, below)) == 0.0 and cfg.rho_m * below / cfg.eps_m - 1.0 < 0.0
+    assert float(ref_tau(cfg, below)) == 0.0 and cfg.rho_m * below / cfg.eps_m - 1.0 < 0.0
     for g_m in (below, alpha):
         for g_n in (0.0, 1e-3, 0.4, 3.0):
             draws.append((g_m, g_n))
@@ -137,7 +107,7 @@ def _cfgs():
 def test_ties_are_on_the_branches_they_claim():
     for cfg in _cfgs():
         ties = _tie_draws(cfg)
-        _, branch, _ = _ref_rate_factors(cfg, ties[:, 0], ties[:, 1], Scheme.HSIC_PA)
+        _, branch, _ = ref_rate_factors(cfg, ties[:, 0], ties[:, 1], Scheme.HSIC_PA)
         assert set(branch.tolist()) >= {_B_I, _B_II2}
 
 
@@ -168,9 +138,25 @@ def test_rate_factors_matches_reference_on_ties(scheme):
     for k, cfg in enumerate(_cfgs()):
         g_m, g_n = _block_with_ties(cfg, k)
         factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
-        ref_factor, ref_branch, ref_gamma = _ref_rate_factors(cfg, g_m, g_n, scheme)
+        ref_factor, ref_branch, ref_gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
         assert np.array_equal(factor.view(np.int64), ref_factor.view(np.int64))
         assert branch.dtype == np.int8 and np.array_equal(branch, ref_branch)
+        assert np.array_equal(gamma.view(np.int64), ref_gamma.view(np.int64))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_subnormal_gain_raises_no_warning(scheme):
+    # tau / b overflows on type-I lanes when b is subnormal; the select
+    # drops those lanes, so the overflow must pass silently
+    g_n = np.array([0.0, 5e-324, 1e-320, 1e-310])
+    for cfg in _cfgs():
+        g_m = np.full(g_n.size, 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
+        ref_factor, ref_branch, ref_gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
+        assert np.array_equal(factor.view(np.int64), ref_factor.view(np.int64))
+        assert np.array_equal(branch, ref_branch)
         assert np.array_equal(gamma.view(np.int64), ref_gamma.view(np.int64))
 
 

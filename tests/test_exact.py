@@ -5,13 +5,14 @@ import pytest
 from scipy import integrate
 
 from hnoma import (InvalidConfigError, OrderPairDensity, SystemConfig,
-                   compute_constants, exact_pt_terms, gamma1, integrate_event,
+                   compute_constants, exact_pt_terms, integrate_event,
                    p_t_exact, region_contended_bucket, regime_label)
 from hnoma.exact import eta_thresholds
 from hnoma.mc import bucket_names
 from hnoma.regions import capped_loss, decode_tie, first_loss, power_cap
 
 from conftest import make_cfg, regime_covering_configs
+from reference import expansion_pt_terms, gamma1
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def test_expansion_engine_agrees_at_moderate_snr():
     for cfg in regime_covering_configs(10, seed=9):
         cfg = cfg.with_snr(min(cfg.snr_db, 18.0))
         t_prod = exact_pt_terms(cfg, n_c=512)
-        t_exp = exact_pt_terms(cfg, n_c=512, engine="expansion")
+        t_exp = expansion_pt_terms(cfg, n_c=512)
         for name, v in t_prod.items():
             assert abs(v - t_exp[name]) <= 1e-9 + 1e-7 * abs(v), (cfg, name)
 

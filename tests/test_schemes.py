@@ -3,12 +3,11 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hnoma import (Branch, ChannelDraw, RateDecision, Scheme, SystemConfig,
-                   energy, noma_rate, oma_rate, tau_threshold,
-                   underperformance_indicator)
+from hnoma import Scheme, SystemConfig, tau_threshold
 from hnoma.channel import sample_gain_matrix
 from hnoma.numerics import stream
-from hnoma.schemes import energy_array, rate_factors, underperf_mask
+from hnoma.schemes import (_B_I, _B_II2, _B_NA, energy_array, loss_mask,
+                           rate_factors)
 
 from conftest import SEED
 
@@ -19,6 +18,15 @@ def _cfg_example():
                              rho_n=40.0)
 
 
+def _one_draw(cfg, g_m, g_n, scheme):
+    """``rate_factors`` and ``loss_mask`` of one draw, as Python scalars:
+    (NOMA-slot rate, branch code, gamma, loses to OMA)."""
+    g_n = np.array([g_n])
+    factor, branch, gamma = rate_factors(cfg, np.array([g_m]), g_n, scheme)
+    return (float(np.log2(factor[0])), int(branch[0]), float(gamma[0]),
+            bool(loss_mask(cfg, g_n, factor)[0]))
+
+
 def test_tau_threshold_hand_values():
     cfg = SystemConfig.make(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0,
                             rho_n=10.0)
@@ -27,29 +35,19 @@ def test_tau_threshold_hand_values():
     assert float(tau_threshold(cfg, cfg.alpha_m)) == 0.0
 
 
-def test_oma_rate_hand_values():
-    cfg = SystemConfig.make(M=5, m=1, n=2, R_m=0.2, beta=0.25, eta=1.0,
-                            rho_n=15.0)
-    assert math.isclose(oma_rate(cfg, 1.0), 4.0)
-    assert oma_rate(cfg, 0.0) == 0.0
-    cfg2 = SystemConfig.make(M=5, m=1, n=2, R_m=0.2, beta=0.25, eta=1.0,
-                             rho_n=60.0)
-    assert math.isclose(oma_rate(cfg2, 1.0, scaled=True), 4.0)
-
-
 def test_power_adaptive_rate_worked_example():
     cfg = _cfg_example()
-    dec = noma_rate(cfg, g_m=1.0, g_n=2.0, scheme=Scheme.HSIC_PA)
-    assert math.isclose(dec.tau_m, 9.0)
-    assert dec.branch == Branch.TYPE_II_CASE2
-    assert math.isclose(dec.noma_slot_rate, math.log2(10.0))
-    assert abs(dec.noma_slot_rate - 3.3219) < 1e-4
-    assert math.isclose(dec.gamma, 0.45)
-    npa = noma_rate(cfg, 1.0, 2.0, Scheme.HSIC_NPA)
-    assert math.isclose(npa.noma_slot_rate, math.log2(1.0 + 20.0 / 11.0))
+    rate, branch, gamma, _ = _one_draw(cfg, 1.0, 2.0, Scheme.HSIC_PA)
+    assert math.isclose(float(tau_threshold(cfg, 1.0)), 9.0)
+    assert branch == _B_II2
+    assert math.isclose(rate, math.log2(10.0))
+    assert abs(rate - 3.3219) < 1e-4
+    assert math.isclose(gamma, 0.45)
+    npa_rate, _, npa_gamma, _ = _one_draw(cfg, 1.0, 2.0, Scheme.HSIC_NPA)
+    assert math.isclose(npa_rate, math.log2(1.0 + 20.0 / 11.0))
     # log2(31/11) = 1.49476..., i.e. the quoted 4-digit 1.4949 is a hair off
-    assert abs(npa.noma_slot_rate - 1.4949) < 2e-4
-    assert npa.gamma == 1.0
+    assert abs(npa_rate - 1.4949) < 2e-4
+    assert npa_gamma == 1.0
 
 
 def test_type_boundary_goes_to_type_i():
@@ -58,38 +56,37 @@ def test_type_boundary_goes_to_type_i():
     tau = float(tau_threshold(cfg, g_m))
     g_n = tau / (cfg.beta * cfg.rho_n)  # received power exactly at the cap
     for scheme in (Scheme.HSIC_PA, Scheme.HSIC_NPA):
-        dec = noma_rate(cfg, g_m, g_n, scheme)
-        assert dec.branch == Branch.TYPE_I
-        assert math.isclose(dec.noma_slot_rate, math.log2(1.0 + tau))
-        assert dec.gamma == 1.0
+        rate, branch, gamma, _ = _one_draw(cfg, g_m, g_n, scheme)
+        assert branch == _B_I
+        assert math.isclose(rate, math.log2(1.0 + tau))
+        assert gamma == 1.0
 
 
 def test_fsic_branch_not_applicable():
     cfg = _cfg_example()
-    dec = noma_rate(cfg, 1.0, 2.0, Scheme.FSIC)
-    assert dec.branch == Branch.NOT_APPLICABLE
-    assert math.isclose(dec.noma_slot_rate, math.log2(1.0 + 20.0 / 11.0))
+    rate, branch, _, _ = _one_draw(cfg, 1.0, 2.0, Scheme.FSIC)
+    assert branch == _B_NA
+    assert math.isclose(rate, math.log2(1.0 + 20.0 / 11.0))
 
 
 def test_energy_accounting_hand_values():
     cfg = _cfg_example()
-    oma_dec = RateDecision(Scheme.OMA, 0.0, 0.0, Branch.NOT_APPLICABLE, 1.0, 0.0)
-    assert math.isclose(energy(cfg, oma_dec), 40.0)
-    assert math.isclose(energy(cfg, noma_rate(cfg, 1.0, 2.0, Scheme.HSIC_NPA)),
+    assert math.isclose(float(energy_array(cfg, Scheme.OMA, 1.0)), 40.0)
+    _, _, npa_gamma, _ = _one_draw(cfg, 1.0, 2.0, Scheme.HSIC_NPA)
+    assert math.isclose(float(energy_array(cfg, Scheme.HSIC_NPA, npa_gamma)),
                         20.0)
-    pa = noma_rate(cfg, 1.0, 2.0, Scheme.HSIC_PA)
-    assert math.isclose(energy(cfg, pa), 14.5)
+    _, _, pa_gamma, _ = _one_draw(cfg, 1.0, 2.0, Scheme.HSIC_PA)
+    assert math.isclose(float(energy_array(cfg, Scheme.HSIC_PA, pa_gamma)), 14.5)
 
 
 def test_indicator_limits():
     cfg = _cfg_example()
-    huge = ChannelDraw(np.array([1.0, 1e6, 2e6, 3e6, 4e6]))
-    assert underperformance_indicator(cfg, huge, Scheme.HSIC_PA) is False
+    # ranked gains 1, 1e6, 2e6, 3e6, 4e6: legacy (m=1) 1, opportunistic (n=2) 1e6
+    assert _one_draw(cfg, 1.0, 1e6, Scheme.HSIC_PA)[3] is False
     cfg2 = SystemConfig.make(M=2, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0,
                              rho_n=10.0)
-    degenerate = ChannelDraw(np.array([0.0, 0.0]))
     for s in (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA):
-        assert underperformance_indicator(cfg2, degenerate, s) is True
+        assert _one_draw(cfg2, 0.0, 0.0, s)[3] is True
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +122,9 @@ def test_rate_dominance_and_energy_over_bulk_draws():
         assert np.all(e_pa <= e_npa)
         assert np.all(e_npa < cfg.rho_n)
         # loss indicators inherit the rate ordering
-        u_pa = underperf_mask(cfg, g_m, g_n, Scheme.HSIC_PA)
-        u_npa = underperf_mask(cfg, g_m, g_n, Scheme.HSIC_NPA)
-        u_fsic = underperf_mask(cfg, g_m, g_n, Scheme.FSIC)
+        u_pa = loss_mask(cfg, g_n, f_pa)
+        u_npa = loss_mask(cfg, g_n, f_npa)
+        u_fsic = loss_mask(cfg, g_n, f_fsic)
         assert not np.any(u_pa & ~u_npa)
         assert not np.any(u_npa & ~u_fsic)
         total += g.shape[0]

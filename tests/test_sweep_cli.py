@@ -136,7 +136,7 @@ def test_cli_figure_writes_curve_files(tmp_path):
 
 
 def test_figure_and_sweep_never_import_scipy(tmp_path):
-    # scipy is most of the import time; only ``exact.gamma1`` needs it
+    # scipy is a test-only dependency: the command line must run without it
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(_spec(
         methods=("mc", "exact", "asymptotic", "numeric-integration"),
@@ -146,6 +146,7 @@ def test_figure_and_sweep_never_import_scipy(tmp_path):
         "from hnoma.cli import main\n"
         f"assert main(['figure', 'fig1', '--trials', '2000', '--out', {str(tmp_path / 'fig')!r}]) == 0\n"
         f"assert main(['sweep', '--config', {str(spec_path)!r}, '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        "assert main(['validate', '--trials', '60000']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(hnoma.cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
