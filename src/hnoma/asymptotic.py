@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import _leggauss
+from .channel import OrderPairDensity, _leggauss
 from .config import SystemConfig
 from .estimates import ASYMPTOTIC, ProbEstimate
 from .exact import _gc_nodes, compute_constants, contended_terms
@@ -54,17 +54,15 @@ def _leading_mass(unit: SystemConfig, pref: float, lower, upper,
 def asymptotic_pt_terms(cfg: SystemConfig) -> dict:
     """Leading coefficients of each sub-event (multiply by rho_m^-n or ^-m)."""
     unit = replace(cfg, rho_m=1.0, rho_n=cfg.eta)
-    k = compute_constants(unit)
+    pref = OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor
     return contended_terms(
-        unit, k,
-        lambda lower, upper, a, b: _leading_mass(unit, k.pair_prefactor,
-                                                 lower, upper, a, b))
+        unit, compute_constants(unit),
+        lambda lower, upper, a, b: _leading_mass(unit, pref, lower, upper, a, b))
 
 
-def p_t_asymptotic(cfg: SystemConfig, rho_m: float = None) -> ProbEstimate:
+def p_t_asymptotic(cfg: SystemConfig) -> ProbEstimate:
     """High-SNR approximation of the contended-loss probability."""
     coef = comp_sum(asymptotic_pt_terms(cfg).values())
-    rho = cfg.rho_m if rho_m is None else rho_m
-    value = coef / rho ** max(cfg.m, cfg.n)
+    value = coef / cfg.rho_m ** max(cfg.m, cfg.n)
     return ProbEstimate(value=min(1.0, value), trials=0, std_err=0.0,
                         method=ASYMPTOTIC)

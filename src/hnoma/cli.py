@@ -39,8 +39,6 @@ def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
     updates = {}
     if args.trials is not None:
         updates["trials"] = args.trials
-    if getattr(args, "nc", None) is not None:
-        updates["n_c"] = args.nc
     if args.seed is not None:
         updates["seed"] = args.seed
     return replace(spec, **updates) if updates else spec
@@ -96,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--trials", type=int)
-    sp.add_argument("--nc", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_sweep)
@@ -105,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("name", choices=FIGURES)
     fp.add_argument("--out", required=True)
     fp.add_argument("--trials", type=int)
-    fp.add_argument("--nc", type=int)
     fp.add_argument("--seed", type=int)
     fp.add_argument("--format", choices=("csv", "json"), default="csv")
     fp.set_defaults(func=cmd_figure)

@@ -51,13 +51,8 @@ def _positive_root(s: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class RegimeConstants:
-    """Every derived scalar of the closed forms."""
+    """Legacy-gain breakpoints of the closed forms."""
 
-    eps_m: float
-    alpha_m: float
-    k_1: float
-    k_2: float
-    k_3: float
     omega_1: float          # None when the power-cap curve never crosses the diagonal
     omega_2: float
     omega_3: float
@@ -65,7 +60,6 @@ class RegimeConstants:
     z_1: float
     z_2: float
     z_3: float
-    pair_prefactor: float
 
 
 def compute_constants(cfg: SystemConfig) -> RegimeConstants:
@@ -74,7 +68,6 @@ def compute_constants(cfg: SystemConfig) -> RegimeConstants:
     rho_n, rho_m, eta = cfg.rho_n, cfg.rho_m, cfg.eta
     if not (math.isfinite(eps) and math.isfinite(alpha) and alpha > 0.0):
         raise InvalidConfigError("degenerate target rate or SNR")
-    th = eta_thresholds(beta, eps)
 
     bhe = beta * eta * eps  # = beta * rho_n * alpha_m
     omega_1 = alpha / (1.0 - bhe) if bhe < 1.0 else None
@@ -111,11 +104,8 @@ def compute_constants(cfg: SystemConfig) -> RegimeConstants:
                                  "scenario is numerically degenerate")
 
     return RegimeConstants(
-        eps_m=eps, alpha_m=alpha,
-        k_1=th["k_1"], k_2=th["k_2"], k_3=th["k_3"],
         omega_1=omega_1, omega_2=omega_2, omega_3=omega_3, omega_4=omega_4,
         z_1=z_1, z_2=z_2, z_3=z_3,
-        pair_prefactor=OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor,
     )
 
 
@@ -182,14 +172,14 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
     in ``between``.
     """
     eta = cfg.eta
-    alpha = k.alpha_m
-    th = eta_thresholds(cfg.beta, k.eps_m)
-    low_ratio = eta <= k.k_1
+    alpha = cfg.alpha_m
+    th = eta_thresholds(cfg.beta, cfg.eps_m)
+    low_ratio = eta <= th["k_1"]
 
     def first_branch_upper():
         if eta <= th["first_lo"]:
             return k.z_3
-        if eta <= k.k_2:
+        if eta <= th["k_2"]:
             return min(k.z_3, k.omega_4)
         return None
 
@@ -204,21 +194,21 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
         out["P_T2_1"] = between(diagonal, first_loss, alpha, first_branch_upper())
         out["P_T2_2"] = between(decode_tie, first_loss, k.z_3, k.z_1)
     else:
-        up11 = k.z_3 if eta <= k.k_3 else k.omega_2
+        up11 = k.z_3 if eta <= th["k_3"] else k.omega_2
         out["P_T1_1"] = between(power_cap, decode_tie, alpha, up11)
         if low_ratio:
             up12 = k.omega_1
-        elif eta <= k.k_3:
+        elif eta <= th["k_3"]:
             up12 = k.omega_2
         else:
             up12 = None
         out["P_T1_2"] = between(power_cap, diagonal, k.z_3, up12)
         out["P_T1_3"] = (between(capped_loss, decode_tie, k.omega_2,
                                  min(k.z_1, k.z_3))
-                         if eta > k.k_3 else 0.0)
+                         if eta > th["k_3"] else 0.0)
         if low_ratio:
             lo14 = None
-        elif eta <= k.k_3:
+        elif eta <= th["k_3"]:
             lo14 = k.omega_2
         else:
             lo14 = k.z_3
@@ -226,7 +216,7 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
         out["P_T2_1"] = between(decode_tie, diagonal, alpha, first_branch_upper())
         if eta <= th["first_lo"]:
             lo22 = None
-        elif eta <= k.k_2:
+        elif eta <= th["k_2"]:
             lo22 = k.omega_4
         else:
             lo22 = alpha
@@ -234,20 +224,18 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
     return out
 
 
-def exact_pt_terms(cfg: SystemConfig, consts: RegimeConstants = None,
-                   n_c: int = 256) -> dict:
+def exact_pt_terms(cfg: SystemConfig, n_c: int = 256) -> dict:
     """Each contended-loss sub-event at the config's SNR."""
     if n_c < 16:
         raise InvalidConfigError(f"n_c={n_c} too small; need >= 16")
-    k = consts if consts is not None else compute_constants(cfg)
+    k = compute_constants(cfg)
     return contended_terms(
         cfg, k, lambda lower, upper, a, b: _between(cfg, lower, upper, a, b, n_c))
 
 
-def p_t_exact(cfg: SystemConfig, consts: RegimeConstants = None,
-              n_c: int = 256) -> ProbEstimate:
+def p_t_exact(cfg: SystemConfig, n_c: int = 256) -> ProbEstimate:
     """Contended-loss probability from the closed forms."""
-    terms = exact_pt_terms(cfg, consts, n_c)
+    terms = exact_pt_terms(cfg, n_c)
     value = comp_sum(terms.values())
     value = min(1.0, max(0.0, value))
     return ProbEstimate(value=value, trials=0, std_err=0.0, method=EXACT)

@@ -9,7 +9,8 @@ from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,
 from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
-from .regions import (EventRegion, capped_branch_bucket, first_branch_bucket)
+from .regions import (EventRegion, capped_branch_bucket, first_branch_bucket,
+                      region_underperformance)
 from .schemes import (HNOMA_SCHEMES, DrawKernel, Scheme, _B_I, _B_II2,
                       energy_array, loss_mask, rate_factors, tau_threshold)
 
@@ -116,11 +117,10 @@ def estimate_probability(cfg: SystemConfig, scheme: Scheme, trials: int,
     return mc_summary([(cfg, scheme)], trials, seed)[0]["estimate"]
 
 
-def estimate_coupled(cfg: SystemConfig, trials: int, seed: int,
-                     schemes=HNOMA_SCHEMES) -> dict:
+def estimate_coupled(cfg: SystemConfig, trials: int, seed: int) -> dict:
     """Per-scheme estimates on shared draws (exact count dominance)."""
-    summaries = mc_summary([(cfg, s) for s in schemes], trials, seed)
-    return {Scheme(s): out["estimate"] for s, out in zip(schemes, summaries)}
+    summaries = mc_summary([(cfg, s) for s in HNOMA_SCHEMES], trials, seed)
+    return {s: out["estimate"] for s, out in zip(HNOMA_SCHEMES, summaries)}
 
 
 def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
@@ -171,7 +171,12 @@ def estimate_pt(cfg: SystemConfig, trials: int, seed: int) -> ProbEstimate:
 #  Direct integration of a region against the ordered-pair density
 # ---------------------------------------------------------------------------
 
-def _curve_breakpoints(clause, t_lo, t_hi, n_scan=2049):
+_TAIL = 40.0        # gains beyond it are dropped (mass < e^-40)
+_MAX_DEPTH = 40     # bisection levels of the adaptive rule
+_N_SCAN = 2049      # scan points per grid of the breakpoint search
+
+
+def _curve_breakpoints(clause, t_lo, t_hi):
     """Legacy-gain values where any two boundary curves of a clause cross.
 
     Every support edge, kink, or gate switch of the clause integrand sits
@@ -182,11 +187,11 @@ def _curve_breakpoints(clause, t_lo, t_hi, n_scan=2049):
     each curve once on the vector of midpoints, for 80 steps or until a
     step moves no bracket.
     """
-    grids = [np.linspace(t_lo, t_hi, n_scan)]
+    grids = [np.linspace(t_lo, t_hi, _N_SCAN)]
     if t_lo > 0 and t_hi / t_lo > 100.0:
-        grids.append(np.geomspace(t_lo, t_hi, n_scan))
+        grids.append(np.geomspace(t_lo, t_hi, _N_SCAN))
     elif t_lo == 0 and t_hi > 100.0:
-        grids.append(np.geomspace(t_hi * 1e-9, t_hi, n_scan))
+        grids.append(np.geomspace(t_hi * 1e-9, t_hi, _N_SCAN))
     ts = np.unique(np.concatenate(grids))
     curves = list(clause.lower) + list(clause.upper)
     funcs = [c if callable(c) else (lambda t, v=c: np.full_like(t, v)) for c in curves]
@@ -222,16 +227,14 @@ def _curve_breakpoints(clause, t_lo, t_hi, n_scan=2049):
 
 
 def integrate_event(region: EventRegion, pair: OrderPairDensity,
-                    bound: float = 40.0, abs_tol: float = 1e-7,
-                    max_depth: int = 40) -> ProbEstimate:
+                    abs_tol: float = 1e-7) -> ProbEstimate:
     """Probability mass of ``region`` under the ordered-pair density.
 
     The opportunistic-gain section of every clause is an interval, so its
     mass is summed in closed form from the density's exponential mixture;
     the remaining 1-D integral over the legacy gain is done by adaptive
     bisection between the curve-crossing breakpoints, all segments of a
-    clause refined together.  The tail beyond ``bound`` is dropped
-    (mass < e^-bound).
+    clause refined together.  Gains beyond 40 are dropped (mass < e^-40).
     """
     mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
 
@@ -241,9 +244,9 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
             # would put a false jump at every segment starting there
             t = np.maximum(t, np.nextafter(clause.t_lo, np.inf))
             lo, hi, active = clause.bounds_at(t)
-            return np.where(active, mass(pair, t, lo, np.minimum(hi, bound)), 0.0)
+            return np.where(active, mass(pair, t, lo, np.minimum(hi, _TAIL)), 0.0)
 
-        t_hi = min(clause.t_hi, bound)
+        t_hi = min(clause.t_hi, _TAIL)
         if not t_hi > clause.t_lo:
             return 0.0, 0.0, True
         edges = [clause.t_lo, t_hi]
@@ -252,7 +255,7 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
         edges = np.array(sorted(set(edges)))
         tol_each = abs_tol / (max(len(region.clauses), 1) * max(edges.size - 1, 1))
         values, errs, oks = adaptive_integrate(integrand, edges[:-1], edges[1:],
-                                               abs_tol=tol_each, max_depth=max_depth,
+                                               abs_tol=tol_each, max_depth=_MAX_DEPTH,
                                                initial_panels=8)
         v_sum, e_sum = 0.0, 0.0
         for v, e in zip(values, errs):  # segment by segment, left to right
@@ -274,12 +277,7 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
     return ProbEstimate(value=total, trials=0, std_err=err, method=NUMERIC)
 
 
-def integrate_underperformance(cfg: SystemConfig, scheme: Scheme,
-                               bound: float = 40.0,
-                               abs_tol: float = 1e-7) -> ProbEstimate:
+def integrate_underperformance(cfg: SystemConfig, scheme: Scheme) -> ProbEstimate:
     """Deterministic counterpart of ``estimate_probability``."""
-    from .regions import region_underperformance
-
     pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
-    return integrate_event(region_underperformance(cfg, scheme), pair,
-                           bound=bound, abs_tol=abs_tol)
+    return integrate_event(region_underperformance(cfg, scheme), pair)

@@ -136,7 +136,6 @@ class EventRegion:
     """Union of clauses over (legacy gain, opportunistic gain) pairs."""
 
     clauses: tuple
-    name: str = "region"
 
     def contains(self, g_m, g_n):
         g_m = np.asarray(g_m, dtype=float)
@@ -148,13 +147,13 @@ class EventRegion:
         return hit
 
 
-def region_everything(bound: float = np.inf) -> EventRegion:
-    return EventRegion((Clause(0.0, bound),), name="everything")
+def region_everything() -> EventRegion:
+    return EventRegion((Clause(0.0, np.inf),))
 
 
 def region_legacy_below(threshold: float) -> EventRegion:
     """{legacy gain < threshold} (marginal CDF event)."""
-    return EventRegion((Clause(0.0, threshold),), name="legacy-below")
+    return EventRegion((Clause(0.0, threshold),))
 
 
 def _cap_floor_const(cfg: SystemConfig) -> float:
@@ -166,15 +165,13 @@ def region_uncontended_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event while received power stays within the cap (Type I)."""
     cap = lambda t: power_cap(cfg, t)
     return EventRegion(
-        (Clause(cfg.alpha_m, np.inf, upper=(cap, _cap_floor_const(cfg))),),
-        name="P_I",
-    )
+        (Clause(cfg.alpha_m, np.inf, upper=(cap, _cap_floor_const(cfg))),))
 
 
 def region_zero_cap_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event in the contended regime with a zero interference cap."""
     psi = lambda t: first_loss(cfg, t)
-    return EventRegion((Clause(0.0, cfg.alpha_m, upper=(psi,)),), name="P_II2")
+    return EventRegion((Clause(0.0, cfg.alpha_m, upper=(psi,)),))
 
 
 def _contended_clauses(cfg: SystemConfig):
@@ -190,7 +187,7 @@ def _contended_clauses(cfg: SystemConfig):
 
 def region_contended_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event in the contended regime with a positive cap."""
-    return EventRegion(_contended_clauses(cfg), name="P_T")
+    return EventRegion(_contended_clauses(cfg))
 
 
 def region_contended_bucket(cfg: SystemConfig, bucket: str) -> EventRegion:
@@ -206,7 +203,7 @@ def region_contended_bucket(cfg: SystemConfig, bucket: str) -> EventRegion:
         cl = Clause(direct.t_lo, direct.t_hi, direct.lower, direct.upper, gate)
     else:
         raise ValueError(f"unknown bucket {bucket!r}")
-    return EventRegion((cl,), name=bucket)
+    return EventRegion((cl,))
 
 
 def region_underperformance(cfg: SystemConfig, scheme) -> EventRegion:
@@ -214,22 +211,15 @@ def region_underperformance(cfg: SystemConfig, scheme) -> EventRegion:
     from .schemes import Scheme
 
     scheme = Scheme(scheme)
-    cap = lambda t: power_cap(cfg, t)
     psi = lambda t: first_loss(cfg, t)
     if scheme == Scheme.FSIC:
-        return EventRegion((Clause(0.0, np.inf, upper=(psi,)),), name="P_FSIC")
+        return EventRegion((Clause(0.0, np.inf, upper=(psi,)),))
     if scheme == Scheme.HSIC_NPA:
-        return EventRegion(
-            (
-                Clause(cfg.alpha_m, np.inf, upper=(cap, _cap_floor_const(cfg))),
-                Clause(cfg.alpha_m, np.inf, lower=(cap,), upper=(psi,)),
-                Clause(0.0, cfg.alpha_m, upper=(psi,)),
-            ),
-            name="P_NPA",
-        )
-    if scheme == Scheme.HSIC_PA:
-        capped, direct = _contended_clauses(cfg)
-        pi = region_uncontended_loss(cfg).clauses
-        pii2 = region_zero_cap_loss(cfg).clauses
-        return EventRegion(pi + (capped, direct) + pii2, name="P_PA")
-    raise ValueError(f"no underperformance region for scheme {scheme}")
+        cap = lambda t: power_cap(cfg, t)
+        contended = (Clause(cfg.alpha_m, np.inf, lower=(cap,), upper=(psi,)),)
+    elif scheme == Scheme.HSIC_PA:
+        contended = _contended_clauses(cfg)
+    else:
+        raise ValueError(f"no underperformance region for scheme {scheme}")
+    return EventRegion(region_uncontended_loss(cfg).clauses + contended
+                       + region_zero_cap_loss(cfg).clauses)

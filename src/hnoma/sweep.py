@@ -11,12 +11,12 @@ from dataclasses import asdict, dataclass
 from .asymptotic import p_t_asymptotic
 from .channel import OrderPairDensity
 from .config import InvalidConfigError, SystemConfig
-from .estimates import ASYMPTOTIC, EXACT, MC, NUMERIC, ProbEstimate
+from .estimates import ASYMPTOTIC, EXACT, MC, METHODS, NUMERIC, ProbEstimate
 from .exact import p_t_exact, regime_label
 from .mc import integrate_event, integrate_underperformance, mc_summary
 from .numerics import IntegrationFailureError
 from .regions import region_contended_loss
-from .schemes import Scheme
+from .schemes import HNOMA_SCHEMES, Scheme
 
 QUANTITIES = ("contended-loss", "underperformance")
 
@@ -39,7 +39,6 @@ class SweepSpec:
     methods: tuple = (MC, EXACT)
     quantity: str = "contended-loss"
     trials: int = 200_000
-    n_c: int = 256
     seed: int = 20250801
     label: str = ""
 
@@ -50,7 +49,7 @@ class SweepSpec:
         if not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
                    for s in self.snr_db):
             raise InvalidConfigError(f"non-numeric SNR in {self.snr_db}")
-        for name in ("M", "m", "n", "trials", "n_c", "seed"):
+        for name in ("M", "m", "n", "trials", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidConfigError(f"{name}={value!r} is not an integer")
@@ -60,8 +59,13 @@ class SweepSpec:
             raise InvalidConfigError("empty method list")
         if self.quantity not in QUANTITIES:
             raise InvalidConfigError(f"unknown quantity {self.quantity!r}")
-        for s in self.schemes:
-            Scheme(s)
+        hybrid = tuple(s.value for s in HNOMA_SCHEMES)
+        bad = [s for s in self.schemes if s not in hybrid]
+        if bad:
+            raise InvalidConfigError(f"schemes {bad} not among {hybrid}")
+        bad = [m for m in self.methods if m not in METHODS]
+        if bad:
+            raise InvalidConfigError(f"methods {bad} not among {METHODS}")
         if self.quantity == "contended-loss":
             if tuple(self.schemes) != (Scheme.HSIC_PA.value,):
                 raise InvalidConfigError(
@@ -73,8 +77,6 @@ class SweepSpec:
                     f"underperformance supports only mc/numeric-integration, got {bad}")
         if MC in self.methods and self.trials < 1:
             raise InvalidConfigError("trials must be >= 1 when mc is requested")
-        if self.n_c < 16:
-            raise InvalidConfigError(f"n_c={self.n_c} too small; need >= 16")
         # base config validation (rates, beta, indices)
         self.config_at(self.snr_db[0])
 
@@ -152,16 +154,13 @@ def run_sweep(spec: SweepSpec) -> list:
                         gamma_mean = summary["gamma_mean"]
                         energy_mean = summary["energy_mean"]
                     elif method == EXACT:
-                        est = p_t_exact(cfg, n_c=spec.n_c)
+                        est = p_t_exact(cfg)
                     elif method == ASYMPTOTIC:
                         est = p_t_asymptotic(cfg)
-                    elif method == NUMERIC:
-                        if spec.quantity == "contended-loss":
-                            est = integrate_event(region_contended_loss(cfg), pair)
-                        else:
-                            est = integrate_underperformance(cfg, scheme)
+                    elif spec.quantity == "contended-loss":  # numeric integration
+                        est = integrate_event(region_contended_loss(cfg), pair)
                     else:
-                        raise InvalidConfigError(f"unknown method {method!r}")
+                        est = integrate_underperformance(cfg, scheme)
                     rows.append(_row(snr, scheme, method, est, regime,
                                      gamma_mean, energy_mean))
                 except (InvalidConfigError, ArithmeticError,

@@ -9,7 +9,7 @@ import numpy as np
 from .asymptotic import p_t_asymptotic
 from .channel import OrderPairDensity
 from .config import SystemConfig
-from .exact import compute_constants, p_t_exact, regime_label
+from .exact import p_t_exact, regime_label
 from .mc import (_pair_blocks, estimate_coupled, estimate_decomposition,
                  integrate_event)
 from .regions import region_contended_loss
@@ -41,13 +41,9 @@ def _dominance_violations(cfg, trials, seed):
     return viol
 
 
-def run_validation(configs=None, trials: int = 200_000, seed: int = 20250801,
-                   n_c: int = 256, mutate_constants=None) -> list:
-    """Run the invariant suite at each config; returns CheckResult rows.
-
-    ``mutate_constants`` is a test hook applied to the derived constants
-    before the closed forms are evaluated (negative-control corruption).
-    """
+def run_validation(configs=None, trials: int = 200_000,
+                   seed: int = 20250801) -> list:
+    """Run the invariant suite at each config; returns CheckResult rows."""
     rows = []
     for params in (configs or DEFAULT_CONFIGS):
         cfg = SystemConfig.make(**params)
@@ -58,10 +54,7 @@ def run_validation(configs=None, trials: int = 200_000, seed: int = 20250801,
         def add(invariant, passed, margin):
             rows.append(CheckResult(label, regime, invariant, bool(passed), margin))
 
-        consts = compute_constants(cfg)
-        if mutate_constants is not None:
-            consts = mutate_constants(consts)
-        exact = p_t_exact(cfg, consts, n_c=n_c).value
+        exact = p_t_exact(cfg).value
         pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
         integ = integrate_event(region_contended_loss(cfg), pair).value
         add("exact-vs-integration", abs(exact - integ) <= 1e-5,
@@ -89,15 +82,12 @@ def run_validation(configs=None, trials: int = 200_000, seed: int = 20250801,
         viol = _dominance_violations(cfg, min(trials, 200_000), seed)
         add("rate-dominance", viol == 0, f"violations={viol}")
 
-        doubled = p_t_exact(cfg, consts, n_c=2 * n_c).value
+        doubled = p_t_exact(cfg, n_c=512).value
         rel = abs(exact - doubled) / max(abs(exact), 1e-30)
         add("quadrature-doubling", rel <= 1e-8, f"rel-change={rel:.2e} tol=1e-08")
 
         hi = cfg.with_snr(42.0)
-        consts_hi = compute_constants(hi)
-        if mutate_constants is not None:
-            consts_hi = mutate_constants(consts_hi)
-        ex_hi = p_t_exact(hi, consts_hi, n_c=n_c).value
+        ex_hi = p_t_exact(hi).value
         asym = p_t_asymptotic(hi).value
         if ex_hi > 0:
             ratio = asym / ex_hi

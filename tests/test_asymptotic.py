@@ -128,8 +128,8 @@ def test_decay_exponent_by_construction():
     # the approximation is coefficient / rho_m^n (or ^m): doubling rho_m
     # divides it by exactly 2^n (2^m)
     for cfg in (make_cfg(n=3), make_cfg(m=3, n=1, R_m=0.35)):
-        a1 = p_t_asymptotic(cfg, rho_m=1e4).value
-        a2 = p_t_asymptotic(cfg, rho_m=2e4).value
+        a1, a2 = (p_t_asymptotic(replace(cfg, rho_m=rho, rho_n=cfg.eta * rho)).value
+                  for rho in (1e4, 2e4))
         k = cfg.n if cfg.m < cfg.n else cfg.m
         assert math.isclose(a1 / a2, 2.0 ** k, rel_tol=1e-9)
 

@@ -91,7 +91,7 @@ def test_joint_pdf_normalization(M):
             if m == n:
                 continue
             pair = OrderPairDensity(M, m, n)
-            est = integrate_event(region_everything(), pair, bound=40.0)
+            est = integrate_event(region_everything(), pair)
             assert abs(est.value - 1.0) < 1e-4, (M, m, n, est.value)
 
 
@@ -120,7 +120,7 @@ def test_histogram_matches_density():
             cell = EventRegion((Clause(edges[i], edges[i + 1],
                                        lower=(edges[j],),
                                        upper=(edges[j + 1],)),))
-            p = integrate_event(cell, pair, bound=40.0, abs_tol=1e-9).value
+            p = integrate_event(cell, pair, abs_tol=1e-9).value
             se = math.sqrt(p * (1.0 - p) / N)
             assert abs(counts[i, j] / N - p) <= 4.0 * se + 2.0 / N, (i, j)
 

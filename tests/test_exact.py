@@ -5,13 +5,14 @@ import pytest
 from scipy import integrate
 
 from hnoma import (InvalidConfigError, OrderPairDensity, SystemConfig,
-                   compute_constants, exact_pt_terms, integrate_event,
-                   p_t_exact, region_contended_bucket, regime_label)
+                   compute_constants, estimate_decomposition, exact_pt_terms,
+                   integrate_event, p_t_exact, region_contended_bucket,
+                   regime_label)
 from hnoma.exact import eta_thresholds
 from hnoma.mc import bucket_names
 from hnoma.regions import capped_loss, decode_tie, first_loss, power_cap
 
-from conftest import make_cfg, regime_covering_configs
+from conftest import SEED, make_cfg, regime_covering_configs
 from reference import expansion_pt_terms, gamma1
 
 
@@ -39,9 +40,9 @@ def test_threshold_ordering():
 def test_constants_defining_equations():
     for cfg in regime_covering_configs(12, seed=11):
         k = compute_constants(cfg)
-        assert k.z_1 > k.alpha_m > 0.0
-        assert k.z_2 > k.alpha_m
-        assert k.z_3 > k.alpha_m
+        assert k.z_1 > cfg.alpha_m > 0.0
+        assert k.z_2 > cfg.alpha_m
+        assert k.z_3 > cfg.alpha_m
         # crossing-point identities (relative 1e-10 documented contract)
         assert math.isclose(decode_tie(cfg, k.z_1), first_loss(cfg, k.z_1),
                             rel_tol=1e-10)
@@ -150,6 +151,17 @@ def test_terms_match_region_integration_everywhere():
             ref = integrate_event(region_contended_bucket(cfg, name), pair,
                                   abs_tol=1e-10).value
             assert abs(terms[name] - ref) <= 1e-8 + 1e-6 * ref, (cfg, name)
+
+
+def test_decomposition_buckets_match_terms():
+    # each sampled sub-event against its own closed form, not just the sum;
+    # the first 13 regime-covering configs are one per branch column
+    trials = 1_000_000
+    for cfg in regime_covering_configs(13, seed=5):
+        dec = estimate_decomposition(cfg, trials, SEED)
+        for name, p in exact_pt_terms(cfg).items():
+            sigma = math.sqrt(p * (1.0 - p) / trials)
+            assert abs(dec[name].value - p) <= 4.0 * sigma, (cfg, name)
 
 
 def test_expansion_engine_agrees_at_moderate_snr():

@@ -157,7 +157,7 @@ def test_chunked_tally_matches_whole_block_loop(monkeypatch, block_trials):
 
 def test_integrate_everything_is_one():
     pair = OrderPairDensity(5, 1, 2)
-    est = integrate_event(region_everything(), pair, bound=40.0)
+    est = integrate_event(region_everything(), pair)
     assert abs(est.value - 1.0) < 1e-4
     assert est.method == "numeric-integration"
     assert est.trials == 0

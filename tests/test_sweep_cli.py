@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import hnoma.cli
+import hnoma.exact
 import hnoma.sweep
 from hnoma import IntegrationFailureError, InvalidConfigError
 from hnoma.cli import EXIT_CONFIG, EXIT_OK, FIGURES, load_preset, main
@@ -219,7 +220,12 @@ def test_cli_malformed_fields_stay_config_errors(tmp_path):
                              dict(methods=["mc"], seed="abc"),
                              dict(trials=2e4), dict(M=5.0), dict(m=1.0),
                              dict(n=2.0), dict(n_c=256.0), dict(snr_db=[True]),
-                             dict(seed=True))):
+                             dict(seed=True),
+                             # specs no engine can run: no OMA slot to
+                             # compare against, unknown scheme or method
+                             dict(quantity="underperformance", schemes=["OMA"],
+                                  methods=["mc", "numeric-integration"]),
+                             dict(schemes=["foo"]), dict(methods=["foo"]))):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(dict(_spec().to_dict(), **bad)))
         assert main(["sweep", "--config", str(path),
@@ -234,14 +240,20 @@ def test_cli_validate_passes(capsys):
     assert "checks passed" in out
 
 
-def test_validation_negative_control_names_invariant():
+def test_validation_negative_control_names_invariant(monkeypatch):
     # corrupting a derived constant must trip a named check; shrink the
     # crossing point (inflating it only appends zero-mass interval, which
     # the product-form kernels clip away)
-    corrupt = lambda k: replace(k, z_1=k.z_1 * 0.7)
+    compute = hnoma.exact.compute_constants
+
+    def corrupt(cfg):
+        k = compute(cfg)
+        return replace(k, z_1=k.z_1 * 0.7)
+
+    monkeypatch.setattr(hnoma.exact, "compute_constants", corrupt)
     rows = run_validation(configs=[dict(M=5, m=1, n=2, R_m=0.2, beta=0.25,
                                         eta=1.0, snr_db=20.0)],
-                          trials=60_000, seed=SEED, mutate_constants=corrupt)
+                          trials=60_000, seed=SEED)
     failed = [r.invariant for r in rows if not r.passed]
     assert "exact-vs-integration" in failed
     assert all(r.regime for r in rows)  # regime column reported per config
@@ -275,5 +287,5 @@ def test_multi_block_sweep_matches_one_cell_summaries(monkeypatch):
             if contended:
                 assert estimate_pt(cfg, trials, spec.seed) == est
             else:
-                coupled = estimate_coupled(cfg, trials, spec.seed, spec.schemes)
+                coupled = estimate_coupled(cfg, trials, spec.seed)
                 assert coupled[row["scheme"]] == est
