@@ -57,10 +57,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_figure(args) -> int:
     preset = load_preset(args.name)
+    specs = [_apply_overrides(_parsed(SweepSpec.from_dict, raw), args)
+             for raw in preset["sweeps"]]
     os.makedirs(args.out, exist_ok=True)
     ext = "csv" if args.format == "csv" else "json"
-    for raw in preset["sweeps"]:
-        spec = _apply_overrides(_parsed(SweepSpec.from_dict, raw), args)
+    for spec in specs:
         rows = run_sweep(spec)
         path = os.path.join(args.out, f"{preset['name']}_{spec.label}.{ext}")
         write_rows(rows, path, args.format)

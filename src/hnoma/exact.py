@@ -10,7 +10,8 @@ any SNR.
 The branch table that picks each sub-event's curves and limits from the
 power ratio lives in ``contended_terms`` alone; the high-SNR engine in
 ``asymptotic`` evaluates the same table at rho_m = 1 with another
-interval mass.
+interval mass, and the Monte Carlo decomposition in ``mc`` reads its
+cells (curves and limits) to sort the sampled draws.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
     of ``regions``, called as ``curve(cfg, t)``) for legacy gain in
     (a, b); it returns 0 when a limit is None or the interval is empty.
     The exact and the high-SNR engines share this table and differ only
-    in ``between``.
+    in ``between``; the Monte Carlo decomposition passes one that returns
+    its arguments, to get each sub-event's cell.
     """
     eta = cfg.eta
     alpha = cfg.alpha_m

@@ -8,23 +8,13 @@ from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,
                       mass_upper_interval, sample_gain_matrix)
 from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate
+from .exact import compute_constants, contended_terms
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
-from .regions import (EventRegion, capped_branch_bucket, first_branch_bucket,
-                      region_underperformance)
-from .schemes import (HNOMA_SCHEMES, DrawKernel, Scheme, _B_I, _B_II2,
-                      energy_array, loss_mask, rate_factors, tau_threshold)
+from .regions import EventRegion, region_underperformance
+from .schemes import (HNOMA_SCHEMES, DrawKernel, Scheme, energy_array,
+                      rate_factors)
 
 BLOCK_TRIALS = 1_000_000
-
-# decomposition bucket order (m > n adds the fourth capped bucket)
-_BUCKETS_LT = ("P_I", "P_T1_1", "P_T1_2", "P_T1_3", "P_T2_1", "P_T2_2", "P_II2")
-_BUCKETS_GT = ("P_I", "P_T1_1", "P_T1_2", "P_T1_3", "P_T1_4", "P_T2_1", "P_T2_2",
-               "P_II2")
-
-
-def bucket_names(cfg: SystemConfig):
-    return _BUCKETS_LT if cfg.m < cfg.n else _BUCKETS_GT
-
 
 # the most recent block, {(M, seed, block, size): read-only (size, M) gains};
 # a figure's curves share M, seed and trials, so they all reuse one draw
@@ -52,6 +42,13 @@ def _pair_blocks(cfg: SystemConfig, trials: int, seed: int):
             g.flags.writeable = False
             _kept[key] = g
         yield g[:, cfg.m - 1].copy(), g[:, cfg.n - 1].copy()
+
+
+def _pair_chunks(cfg: SystemConfig, trials: int, seed: int):
+    """The draws of ``_pair_blocks`` as ``CHUNK_ROWS``-row views."""
+    for g_m, g_n in _pair_blocks(cfg, trials, seed):
+        for lo in range(0, g_m.size, CHUNK_ROWS):
+            yield g_m[lo:lo + CHUNK_ROWS], g_n[lo:lo + CHUNK_ROWS]
 
 
 def _tally_chunk(kernel: DrawKernel, cfg: SystemConfig, scheme: Scheme,
@@ -126,32 +123,33 @@ def estimate_coupled(cfg: SystemConfig, trials: int, seed: int) -> dict:
 def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
     """Split the power-adaptive loss event into its disjoint sub-events.
 
-    Every losing draw lands in exactly one bucket; the bucket counts sum
-    to the total loss count by construction, and this is asserted.
+    Type-I losses count as ``P_I`` and contended losses with a zero cap
+    as ``P_II2``.  Every other losing draw goes to the cell of
+    ``exact.contended_terms`` (read with an identity ``between``) whose
+    legacy-gain interval and boundary curves contain it.  The counts
+    must sum to the total loss count, which checks that the cells tile
+    the contended region; this is asserted.
     """
-    names = bucket_names(cfg)
-    counts = dict.fromkeys(names, 0)
+    table = contended_terms(cfg, compute_constants(cfg), lambda *cell: cell)
+    counts = {"P_I": 0, **dict.fromkeys(table, 0), "P_II2": 0}
+    # a 0.0 entry or a None limit is an empty cell
+    cells = [(name, *cell) for name, cell in table.items()
+             if cell and None not in cell]
     total = 0
-    for g_m, g_n in _pair_blocks(cfg, trials, seed):
-        factor, branch, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
-        lose = loss_mask(cfg, g_n, factor)
-        n_lose = int(np.count_nonzero(lose))
-        total += n_lose
-        tau = tau_threshold(cfg, g_m)
-        type_i = branch == _B_I
-        counts["P_I"] += int(np.count_nonzero(lose & type_i))
-        contended = lose & ~type_i
+    kernel = DrawKernel(CHUNK_ROWS)
+    gamma = np.empty(CHUNK_ROWS)
+    for g_m, g_n in _pair_chunks(cfg, trials, seed):
+        kernel.run(cfg, Scheme.HSIC_PA, g_m, g_n, gamma[:g_m.size])
+        lose, over, tau = kernel.lose, kernel.over, kernel.tau
+        total += int(np.count_nonzero(lose))
+        counts["P_I"] += int(np.count_nonzero(lose & ~over))
+        contended = lose & over
         counts["P_II2"] += int(np.count_nonzero(contended & (tau == 0.0)))
         live = contended & (tau > 0.0)
-        capped = live & (branch == _B_II2)
-        direct = live & (branch != _B_II2)
-        cb = capped_branch_bucket(cfg, g_m)
-        fb = first_branch_bucket(cfg, g_m)
-        n_cap_buckets = 3 if cfg.m < cfg.n else 4
-        for k in range(1, n_cap_buckets + 1):
-            counts[f"P_T1_{k}"] += int(np.count_nonzero(capped & (cb == k)))
-        for k in (1, 2):
-            counts[f"P_T2_{k}"] += int(np.count_nonzero(direct & (fb == k)))
+        t, y = g_m[live], g_n[live]
+        for name, lower, upper, a, b in cells:
+            inside = (a < t) & (t < b) & (lower(cfg, t) < y) & (y < upper(cfg, t))
+            counts[name] += int(np.count_nonzero(inside))
     if sum(counts.values()) != total:
         raise AssertionError(
             f"decomposition buckets sum to {sum(counts.values())}, "
@@ -159,6 +157,17 @@ def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
     out = {name: ProbEstimate.from_counts(k, trials) for name, k in counts.items()}
     out["total"] = ProbEstimate.from_counts(total, trials)
     return out
+
+
+def dominance_violations(cfg: SystemConfig, trials: int, seed: int) -> int:
+    """Draws where HSIC-PA's NOMA-slot rate is below HSIC-NPA's, or
+    HSIC-NPA's below FSIC's; the schemes' design makes this zero."""
+    viol = 0
+    for g_m, g_n in _pair_chunks(cfg, trials, seed):
+        f_fsic, f_npa, f_pa = (rate_factors(cfg, g_m, g_n, s)[0]
+                               for s in HNOMA_SCHEMES)
+        viol += int(np.count_nonzero(f_pa < f_npa) + np.count_nonzero(f_npa < f_fsic))
+    return viol
 
 
 def estimate_pt(cfg: SystemConfig, trials: int, seed: int) -> ProbEstimate:
@@ -179,10 +188,10 @@ _N_SCAN = 2049      # scan points per grid of the breakpoint search
 def _curve_breakpoints(clause, t_lo, t_hi):
     """Legacy-gain values where any two boundary curves of a clause cross.
 
-    Every support edge, kink, or gate switch of the clause integrand sits
-    at a crossing between two members of {lower curves, upper curves,
-    diagonal}; locating them keeps the outer quadrature from stepping over
-    narrow features.  Scan plus bisection, no closed forms: every sign
+    Every support edge or kink of the clause integrand sits at a crossing
+    between two members of {lower curves, upper curves, diagonal};
+    locating them keeps the outer quadrature from stepping over narrow
+    features.  Scan plus bisection, no closed forms: every sign
     flip of every curve pair is bisected at once, each step evaluating
     each curve once on the vector of midpoints, for 80 steps or until a
     step moves no bracket.

@@ -19,7 +19,7 @@ by four curves of the legacy gain ``t``:
 The closed forms also bound sub-events by ``diagonal(t) = t``, the edge
 of the ordered wedge, where the two gains would swap rank order.
 
-Regions are unions of clauses ``{t in (t_lo, t_hi), gate(t),
+Regions are unions of clauses ``{t in (t_lo, t_hi),
 max(lower)(t) < g_n < min(upper)(t)}``, which keeps the opportunistic-gain
 section an interval so event masses reduce to one outer integral.
 """
@@ -27,7 +27,6 @@ section an interval so event masses reduce to one outer integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -68,53 +67,17 @@ def diagonal(cfg: SystemConfig, t):
 
 
 # ---------------------------------------------------------------------------
-#  Sub-event classifiers (shared by the MC decomposition and region gates)
-# ---------------------------------------------------------------------------
-
-def capped_branch_bucket(cfg: SystemConfig, t):
-    """Which lower/outer bound binds the cap-limited loss event at t.
-
-    m < n: returns 1/2/3 for power_cap / capped_loss / diagonal binding
-    below.  m > n: returns 1..4 for (power_cap vs capped_loss below) x
-    (decode_tie vs diagonal above).
-    """
-    t = np.asarray(t, dtype=float)
-    cap = power_cap(cfg, t)
-    loss = capped_loss(cfg, t)
-    if cfg.m < cfg.n:
-        b1 = (cap >= loss) & (cap >= t)
-        b2 = ~b1 & (loss >= t)
-        return np.where(b1, 1, np.where(b2, 2, 3))
-    cap_binds = cap >= loss
-    tie_above = t >= decode_tie(cfg, t)
-    return np.where(cap_binds, np.where(tie_above, 1, 2),
-                    np.where(tie_above, 3, 4))
-
-
-def first_branch_bucket(cfg: SystemConfig, t):
-    """Which bound binds the first-stage loss event at t (1 or 2)."""
-    t = np.asarray(t, dtype=float)
-    if cfg.m < cfg.n:
-        return np.where(t >= decode_tie(cfg, t), 1, 2)
-    return np.where(t <= first_loss(cfg, t), 1, 2)
-
-
-# ---------------------------------------------------------------------------
 #  Regions
 # ---------------------------------------------------------------------------
 
-Curve = Callable[[np.ndarray], np.ndarray]
-
-
 @dataclass(frozen=True)
 class Clause:
-    """One conjunction: t-range, optional gate, opportunistic-gain interval."""
+    """One conjunction: t-range and opportunistic-gain interval."""
 
     t_lo: float
     t_hi: float
     lower: tuple = ()
     upper: tuple = ()
-    gate: Callable = None
 
     def bounds_at(self, t):
         """(lo(t), hi(t), active(t)) with hi = +inf when unbounded above."""
@@ -126,8 +89,6 @@ class Clause:
         for c in self.upper:
             hi = np.minimum(hi, c(t) if callable(c) else c)
         active = (t > self.t_lo) & (t <= self.t_hi)
-        if self.gate is not None:
-            active &= self.gate(t)
         return lo, hi, active
 
 
@@ -174,7 +135,9 @@ def region_zero_cap_loss(cfg: SystemConfig) -> EventRegion:
     return EventRegion((Clause(0.0, cfg.alpha_m, upper=(psi,)),))
 
 
-def _contended_clauses(cfg: SystemConfig):
+def region_contended_loss(cfg: SystemConfig) -> EventRegion:
+    """Loss event in the contended regime with a positive cap: the capped
+    clause, then the first-stage (direct) clause."""
     cap = lambda t: power_cap(cfg, t)
     tie = lambda t: decode_tie(cfg, t)
     loss = lambda t: capped_loss(cfg, t)
@@ -182,28 +145,7 @@ def _contended_clauses(cfg: SystemConfig):
     capped = Clause(cfg.alpha_m, cfg.alpha_m / cfg.beta,
                     lower=(cap, loss), upper=(tie,))
     direct = Clause(cfg.alpha_m, np.inf, lower=(tie,), upper=(psi,))
-    return capped, direct
-
-
-def region_contended_loss(cfg: SystemConfig) -> EventRegion:
-    """Loss event in the contended regime with a positive cap."""
-    return EventRegion(_contended_clauses(cfg))
-
-
-def region_contended_bucket(cfg: SystemConfig, bucket: str) -> EventRegion:
-    """One cell of the contended-loss partition (P_T1_k / P_T2_k)."""
-    capped, direct = _contended_clauses(cfg)
-    fam, idx = bucket.rsplit("_", 1)
-    k = int(idx)
-    if fam == "P_T1":
-        gate = lambda t: capped_branch_bucket(cfg, t) == k
-        cl = Clause(capped.t_lo, capped.t_hi, capped.lower, capped.upper, gate)
-    elif fam == "P_T2":
-        gate = lambda t: first_branch_bucket(cfg, t) == k
-        cl = Clause(direct.t_lo, direct.t_hi, direct.lower, direct.upper, gate)
-    else:
-        raise ValueError(f"unknown bucket {bucket!r}")
-    return EventRegion((cl,))
+    return EventRegion((capped, direct))
 
 
 def region_underperformance(cfg: SystemConfig, scheme) -> EventRegion:
@@ -218,7 +160,7 @@ def region_underperformance(cfg: SystemConfig, scheme) -> EventRegion:
         cap = lambda t: power_cap(cfg, t)
         contended = (Clause(cfg.alpha_m, np.inf, lower=(cap,), upper=(psi,)),)
     elif scheme == Scheme.HSIC_PA:
-        contended = _contended_clauses(cfg)
+        contended = region_contended_loss(cfg).clauses
     else:
         raise ValueError(f"no underperformance region for scheme {scheme}")
     return EventRegion(region_uncontended_loss(cfg).clauses + contended

@@ -28,11 +28,6 @@ HNOMA_SCHEMES = (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)
 _B_NA, _B_I, _B_II1, _B_II2 = 0, 1, 2, 3
 
 
-def tau_threshold(cfg: SystemConfig, g_m):
-    """Largest interference power the legacy user tolerates at gain g_m."""
-    return np.maximum(0.0, cfg.rho_m * np.asarray(g_m, dtype=float) / cfg.eps_m - 1.0)
-
-
 def _select(mask, a, b, out):
     """``out = where(mask, a, b)`` bit for bit, without a per-draw branch.
 
@@ -52,14 +47,18 @@ def _select(mask, a, b, out):
 class DrawKernel:
     """NOMA-slot decision and loss test for chunks of up to ``rows`` draws.
 
-    The one place the per-draw decision is written: ``rate_factors`` and
-    the Monte Carlo tally both run it.  Each per-draw quantity is formed
-    once, into buffers allocated once.  After ``run`` these attributes
-    are views onto the chunk, valid until the next ``run``:
+    The one place the per-draw decision is written: ``rate_factors``, the
+    Monte Carlo tally and the decomposition run it.  Each per-draw
+    quantity is formed once, into buffers allocated once.  After ``run``
+    these attributes are views onto the chunk, valid until the next
+    ``run``:
 
     - ``factor``: the linear NOMA-slot rate argument (rate = log2(factor));
-    - ``lose``: ``loss_mask`` of ``factor``;
-    - ``tau``: ``tau_threshold`` (not formed for FSIC);
+    - ``lose``: NOMA-slot plus reduced OMA-slot rate <= full-power OMA
+      rate, compared in the linear domain as
+      factor * (1 + beta rho_n g_n) <= 1 + rho_n g_n;
+    - ``tau``: the largest interference power the legacy user tolerates
+      at gain g_m, max(0, rho_m g_m / eps_m - 1) (not formed for FSIC);
     - ``over``: b > tau, i.e. not type I (not formed for FSIC);
     - ``adapt``: power scaled down to hit the cap (HSIC-PA only).
 
@@ -119,7 +118,7 @@ class DrawKernel:
                 _select(adapt_bits, gamma, 1.0, out=gamma)
             # type I: U_n decoded after U_m, free of interference
             _select(over_bits, contended, one_b, out=factor)
-        # loss_mask: factor * (1 + b) <= 1 + rho_n g_n
+        # loss test: factor * (1 + b) <= 1 + rho_n g_n
         np.multiply(cfg.rho_n, g_n, out=rhs)
         np.add(rhs, 1.0, out=rhs)
         np.multiply(factor, one_b, out=capped)
@@ -150,17 +149,6 @@ def rate_factors(cfg: SystemConfig, g_m, g_n, scheme: Scheme):
                           _B_I).astype(np.int8)
     return (kernel.factor.reshape(shape), branch.reshape(shape),
             gamma.reshape(shape))
-
-
-def loss_mask(cfg: SystemConfig, g_n, factor):
-    """True where NOMA-slot + reduced OMA-slot rate <= full-power OMA rate.
-
-    ``factor`` is the NOMA-slot rate argument from ``rate_factors``.
-    Compared in the linear domain: factor * (1 + beta rho_n g_n) vs
-    1 + rho_n g_n, which is the same event as the rate-sum comparison.
-    """
-    b = cfg.beta * cfg.rho_n * g_n
-    return factor * (1.0 + b) <= 1.0 + cfg.rho_n * g_n
 
 
 def energy_array(cfg: SystemConfig, scheme: Scheme, gamma):

@@ -8,12 +8,12 @@ import numpy as np
 
 from .asymptotic import p_t_asymptotic
 from .channel import OrderPairDensity
-from .config import SystemConfig
+from .config import InvalidConfigError, SystemConfig
 from .exact import p_t_exact, regime_label
-from .mc import (_pair_blocks, estimate_coupled, estimate_decomposition,
-                 integrate_event)
+from .mc import (dominance_violations, estimate_coupled,
+                 estimate_decomposition, integrate_event)
 from .regions import region_contended_loss
-from .schemes import Scheme, rate_factors
+from .schemes import Scheme
 
 DEFAULT_CONFIGS = (
     dict(M=5, m=1, n=2, R_m=0.2, beta=0.25, eta=1.0, snr_db=20.0),
@@ -31,19 +31,11 @@ class CheckResult:
     margin: str
 
 
-def _dominance_violations(cfg, trials, seed):
-    viol = 0
-    for g_m, g_n in _pair_blocks(cfg, trials, seed):
-        f_fsic, _, _ = rate_factors(cfg, g_m, g_n, Scheme.FSIC)
-        f_npa, _, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
-        f_pa, _, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
-        viol += int(np.count_nonzero(f_pa < f_npa) + np.count_nonzero(f_npa < f_fsic))
-    return viol
-
-
 def run_validation(configs=None, trials: int = 200_000,
                    seed: int = 20250801) -> list:
     """Run the invariant suite at each config; returns CheckResult rows."""
+    if trials < 1:
+        raise InvalidConfigError(f"trials={trials} must be >= 1")
     rows = []
     for params in (configs or DEFAULT_CONFIGS):
         cfg = SystemConfig.make(**params)
@@ -79,7 +71,7 @@ def run_validation(configs=None, trials: int = 200_000,
             " <= ".join(f"{coupled[s].value:.5f}" for s in
                         (Scheme.HSIC_PA, Scheme.HSIC_NPA, Scheme.FSIC)))
 
-        viol = _dominance_violations(cfg, min(trials, 200_000), seed)
+        viol = dominance_violations(cfg, min(trials, 200_000), seed)
         add("rate-dominance", viol == 0, f"violations={viol}")
 
         doubled = p_t_exact(cfg, n_c=512).value

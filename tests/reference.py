@@ -4,6 +4,10 @@ None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
 
 - the NOMA-slot decision written step by step, one temporary per step,
   which the fused ``schemes.DrawKernel`` must match bit for bit;
+- per-gain classifiers of the contended-loss sub-events (which bound
+  binds at each legacy gain) and the gated region of one sub-event,
+  written apart from the branch table of ``exact.contended_terms`` that
+  the library's closed forms and MC decomposition read;
 - the ordered-pair density in product form (``joint_pdf``), as a signed
   exponential mixture (``exp_mixture``) and as its leading polynomial
   near the origin (``joint_pdf_near_zero``);
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -27,8 +32,9 @@ from scipy import special
 from hnoma.channel import OrderPairDensity
 from hnoma.exact import _gc_nodes, compute_constants, contended_terms
 from hnoma.numerics import comp_sum, fejer1_weights
-from hnoma.regions import (capped_loss, decode_tie, diagonal, first_loss,
-                           power_cap)
+from hnoma.regions import (Clause, EventRegion, capped_loss, decode_tie,
+                           diagonal, first_loss, power_cap,
+                           region_contended_loss)
 from hnoma.schemes import _B_I, _B_II1, _B_II2, _B_NA, Scheme
 
 
@@ -66,6 +72,65 @@ def ref_rate_factors(cfg, g_m, g_n, scheme):
 def ref_loss_mask(cfg, g_n, factor):
     b = cfg.beta * cfg.rho_n * g_n
     return factor * (1.0 + b) <= 1.0 + cfg.rho_n * g_n
+
+
+# ---------------------------------------------------------------------------
+#  Sub-event classifiers and gated sub-event regions
+# ---------------------------------------------------------------------------
+
+def capped_branch_bucket(cfg, t):
+    """Which lower/outer bound binds the cap-limited loss event at t.
+
+    m < n: returns 1/2/3 for power_cap / capped_loss / diagonal binding
+    below.  m > n: returns 1..4 for (power_cap vs capped_loss below) x
+    (decode_tie vs diagonal above).
+    """
+    t = np.asarray(t, dtype=float)
+    cap = power_cap(cfg, t)
+    loss = capped_loss(cfg, t)
+    if cfg.m < cfg.n:
+        b1 = (cap >= loss) & (cap >= t)
+        b2 = ~b1 & (loss >= t)
+        return np.where(b1, 1, np.where(b2, 2, 3))
+    cap_binds = cap >= loss
+    tie_above = t >= decode_tie(cfg, t)
+    return np.where(cap_binds, np.where(tie_above, 1, 2),
+                    np.where(tie_above, 3, 4))
+
+
+def first_branch_bucket(cfg, t):
+    """Which bound binds the first-stage loss event at t (1 or 2)."""
+    t = np.asarray(t, dtype=float)
+    if cfg.m < cfg.n:
+        return np.where(t >= decode_tie(cfg, t), 1, 2)
+    return np.where(t <= first_loss(cfg, t), 1, 2)
+
+
+@dataclass(frozen=True)
+class GatedClause(Clause):
+    """A clause that is active only where ``gate(t)`` holds too."""
+
+    gate: Callable = None
+
+    def bounds_at(self, t):
+        lo, hi, active = super().bounds_at(t)
+        return lo, hi, active & self.gate(t)
+
+
+def region_contended_bucket(cfg, bucket: str) -> EventRegion:
+    """One cell of the contended-loss partition (P_T1_k / P_T2_k)."""
+    capped, direct = region_contended_loss(cfg).clauses
+    fam, idx = bucket.rsplit("_", 1)
+    k = int(idx)
+    if fam == "P_T1":
+        gate = lambda t: capped_branch_bucket(cfg, t) == k
+        cl = GatedClause(capped.t_lo, capped.t_hi, capped.lower, capped.upper, gate)
+    elif fam == "P_T2":
+        gate = lambda t: first_branch_bucket(cfg, t) == k
+        cl = GatedClause(direct.t_lo, direct.t_hi, direct.lower, direct.upper, gate)
+    else:
+        raise ValueError(f"unknown bucket {bucket!r}")
+    return EventRegion((cl,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,12 @@ from scipy import integrate
 
 from hnoma import (InvalidConfigError, OrderPairDensity, SystemConfig,
                    compute_constants, estimate_decomposition, exact_pt_terms,
-                   integrate_event, p_t_exact, region_contended_bucket,
-                   regime_label)
+                   integrate_event, p_t_exact, regime_label)
 from hnoma.exact import eta_thresholds
-from hnoma.mc import bucket_names
 from hnoma.regions import capped_loss, decode_tie, first_loss, power_cap
 
 from conftest import SEED, make_cfg, regime_covering_configs
-from reference import expansion_pt_terms, gamma1
+from reference import expansion_pt_terms, gamma1, region_contended_bucket
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,7 @@ def test_terms_match_region_integration_everywhere():
     for cfg in regime_covering_configs(14, seed=5):
         terms = exact_pt_terms(cfg)
         pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
-        for name in [b for b in bucket_names(cfg) if b.startswith("P_T")]:
+        for name in terms:
             ref = integrate_event(region_contended_bucket(cfg, name), pair,
                                   abs_tol=1e-10).value
             assert abs(terms[name] - ref) <= 1e-8 + 1e-6 * ref, (cfg, name)

@@ -9,8 +9,8 @@ from hnoma import (OrderPairDensity, ProbEstimate, Scheme, estimate_coupled,
                    region_contended_loss, region_everything,
                    region_legacy_below, region_underperformance)
 from hnoma.channel import sample_gain_matrix
-from hnoma.mc import bucket_names
 from hnoma.numerics import stream
+from hnoma.schemes import DrawKernel
 
 from conftest import SEED, make_cfg
 
@@ -62,7 +62,10 @@ def test_decomposition_partition_and_buckets():
     for cfg in (make_cfg(snr_db=15.0),
                 make_cfg(m=3, n=1, R_m=0.5, eta=5.0, snr_db=15.0)):
         dec = estimate_decomposition(cfg, 200_000, SEED)
-        names = bucket_names(cfg)
+        names = (("P_I", "P_T1_1", "P_T1_2", "P_T1_3", "P_T2_1", "P_T2_2", "P_II2")
+                 if cfg.m < cfg.n else
+                 ("P_I", "P_T1_1", "P_T1_2", "P_T1_3", "P_T1_4", "P_T2_1",
+                  "P_T2_2", "P_II2"))
         assert set(dec) == set(names) | {"total"}
         bucket_hits = round(sum(dec[k].value for k in names) * 200_000)
         assert bucket_hits == round(dec["total"].value * 200_000)
@@ -73,12 +76,10 @@ def test_zero_cap_draws_only_in_uncontended_or_zero_cap_buckets():
     cfg = make_cfg(snr_db=10.0)
     g = sample_gain_matrix(cfg.M, stream(SEED, 0), 100_000)
     below = g[:, cfg.m - 1] < cfg.alpha_m
-    from hnoma.schemes import loss_mask, rate_factors, tau_threshold
-    from hnoma.mc import _B_I
     g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
-    factor, branch, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
-    lose = loss_mask(cfg, g_n, factor)
-    contended = lose & (branch != _B_I) & (tau_threshold(cfg, g_m) > 0.0)
+    kernel = DrawKernel(g_m.size)
+    kernel.run(cfg, Scheme.HSIC_PA, g_m, g_n, np.ones(g_m.size))
+    contended = kernel.lose & kernel.over & (kernel.tau > 0.0)
     assert not np.any(contended & below)
 
 
@@ -98,11 +99,84 @@ def test_pt_estimate_matches_decomposition():
     assert math.isclose(pt.value, pt_from_dec, rel_tol=0.0, abs_tol=1e-15)
 
 
+def test_decomposition_cells_match_reference_classifiers_draw_for_draw():
+    # every live contended-loss draw sits in exactly one cell of the
+    # closed forms' table, the one the per-gain classifiers of
+    # ``reference`` name; the decomposition's counts follow draw for draw
+    from hnoma.exact import compute_constants, contended_terms
+    from hnoma.schemes import _B_I, _B_II2
+    from hnoma.validate import DEFAULT_CONFIGS
+    from conftest import regime_covering_configs
+    from reference import (capped_branch_bucket, first_branch_bucket,
+                           ref_loss_mask, ref_rate_factors, ref_tau)
+
+    trials = 1_000_000
+    configs = ([make_cfg(**p) for p in DEFAULT_CONFIGS]
+               + regime_covering_configs(13, seed=5))
+    checked = 0
+    for cfg in configs:
+        g = sample_gain_matrix(cfg.M, stream(SEED, 0), trials)
+        g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
+        factor, branch, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
+        lose = ref_loss_mask(cfg, g_n, factor)
+        tau = ref_tau(cfg, g_m)
+        contended = lose & (branch != _B_I)
+        live = contended & (tau > 0.0)
+        t, y = g_m[live], g_n[live]
+        capped = branch[live] == _B_II2
+        want = np.where(capped,
+                        np.char.add("P_T1_", capped_branch_bucket(cfg, t).astype(str)),
+                        np.char.add("P_T2_", first_branch_bucket(cfg, t).astype(str)))
+
+        table = contended_terms(cfg, compute_constants(cfg), lambda *cell: cell)
+        names = list(table)
+        inside = np.zeros((len(names), t.size), dtype=bool)
+        for row, cell in zip(inside, table.values()):
+            if cell and None not in cell:
+                lower, upper, a, b = cell
+                row[:] = (a < t) & (t < b) & (lower(cfg, t) < y) & (y < upper(cfg, t))
+        assert np.array_equal(inside.sum(axis=0), np.ones(t.size)), cfg
+        got = np.array(names)[inside.argmax(axis=0)]
+        assert np.array_equal(got, want), cfg
+        checked += t.size
+
+        counts = {"P_I": int(np.count_nonzero(lose & (branch == _B_I)))}
+        counts.update((name, int(np.count_nonzero(want == name))) for name in names)
+        counts["P_II2"] = int(np.count_nonzero(contended & (tau == 0.0)))
+        expected = {k: ProbEstimate.from_counts(v, trials) for k, v in counts.items()}
+        n_lose = int(np.count_nonzero(lose))
+        expected["total"] = ProbEstimate.from_counts(n_lose, trials)
+        assert estimate_decomposition(cfg, trials, SEED) == expected, cfg
+    assert checked > 100_000
+
+
+def test_decomposition_and_validation_run_the_kernel_in_chunks(monkeypatch):
+    # no pass of the validation suite runs the per-draw kernel on more
+    # than one chunk of rows: not the decomposition, the coupled
+    # estimates or the dominance count
+    from hnoma.channel import CHUNK_ROWS
+    from hnoma.validate import DEFAULT_CONFIGS, run_validation
+
+    rows = []
+    run = DrawKernel.run
+
+    def spy(self, cfg, scheme, g_m, g_n, gamma):
+        rows.append(g_m.size)
+        return run(self, cfg, scheme, g_m, g_n, gamma)
+
+    monkeypatch.setattr(DrawKernel, "run", spy)
+    trials = 3 * CHUNK_ROWS + 5
+    run_validation(DEFAULT_CONFIGS[:1], trials=trials, seed=SEED)
+    assert max(rows) <= CHUNK_ROWS
+    # decomposition 1 pass, coupled estimates 3, dominance count 3
+    assert sum(rows) == 7 * trials
+
+
 def _whole_block_summary(cells, trials, seed, want_pt):
     # mc_summary before its tally was chunked and fused: the step-by-step
     # kernels on whole blocks
     import hnoma.mc
-    from hnoma.schemes import energy_array
+    from hnoma.schemes import _B_I, energy_array
     from reference import ref_loss_mask, ref_rate_factors, ref_tau
 
     tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0) for _ in cells]
@@ -120,7 +194,7 @@ def _whole_block_summary(cells, trials, seed, want_pt):
             if want_pt and scheme == Scheme.HSIC_PA:
                 tau = ref_tau(cfg, g_m)
                 tally["pt_hits"] += int(np.count_nonzero(
-                    lose & (branch != hnoma.mc._B_I) & (tau > 0.0)))
+                    lose & (branch != _B_I) & (tau > 0.0)))
     out = []
     for (_, scheme), tally in zip(cells, tallies):
         summary = {"estimate": ProbEstimate.from_counts(tally["hits"], trials),
@@ -309,11 +383,11 @@ def test_hybrid_assembly_matches_mc_at_high_snr():
 
 def test_region_contains_agrees_with_rate_logic():
     cfg = make_cfg(snr_db=15.0)
-    from hnoma.schemes import loss_mask, rate_factors
     g = sample_gain_matrix(cfg.M, stream(SEED, 9), 50_000)
     g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
     region = region_underperformance(cfg, Scheme.HSIC_PA)
     mask_region = region.contains(g_m, g_n)
-    factor, _, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
-    mask_rates = loss_mask(cfg, g_n, factor)
+    kernel = DrawKernel(g_m.size)
+    kernel.run(cfg, Scheme.HSIC_PA, g_m, g_n, np.ones(g_m.size))
+    mask_rates = kernel.lose
     assert np.mean(mask_region != mask_rates) < 1e-4  # boundary ties only

@@ -3,11 +3,10 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hnoma import Scheme, SystemConfig, tau_threshold
+from hnoma import Scheme, SystemConfig
 from hnoma.channel import sample_gain_matrix
 from hnoma.numerics import stream
-from hnoma.schemes import (_B_I, _B_II2, _B_NA, energy_array, loss_mask,
-                           rate_factors)
+from hnoma.schemes import _B_I, _B_II2, _B_NA, DrawKernel, energy_array, rate_factors
 
 from conftest import SEED
 
@@ -18,27 +17,46 @@ def _cfg_example():
                              rho_n=40.0)
 
 
+def _kernel(cfg, g_m, g_n, scheme=Scheme.HSIC_PA):
+    """A ``DrawKernel`` run on the draws ``g_m``, ``g_n``."""
+    g_m, g_n = np.broadcast_arrays(np.asarray(g_m, dtype=float).reshape(-1),
+                                   np.asarray(g_n, dtype=float).reshape(-1))
+    kernel = DrawKernel(g_m.size)
+    kernel.run(cfg, scheme, g_m, g_n, np.ones(g_m.size))
+    return kernel
+
+
+def _tau(cfg, g_m):
+    """The kernel's tau at legacy gain(s) ``g_m``, in the shape of ``g_m``."""
+    return _kernel(cfg, g_m, 0.0).tau.reshape(np.shape(g_m))
+
+
+def _lose(cfg, g_m, g_n, scheme):
+    """The kernel's loss test of the draws ``g_m``, ``g_n``."""
+    return _kernel(cfg, g_m, g_n, scheme).lose
+
+
 def _one_draw(cfg, g_m, g_n, scheme):
-    """``rate_factors`` and ``loss_mask`` of one draw, as Python scalars:
-    (NOMA-slot rate, branch code, gamma, loses to OMA)."""
+    """``rate_factors`` and the kernel's loss test of one draw, as Python
+    scalars: (NOMA-slot rate, branch code, gamma, loses to OMA)."""
     g_n = np.array([g_n])
     factor, branch, gamma = rate_factors(cfg, np.array([g_m]), g_n, scheme)
     return (float(np.log2(factor[0])), int(branch[0]), float(gamma[0]),
-            bool(loss_mask(cfg, g_n, factor)[0]))
+            bool(_lose(cfg, g_m, g_n, scheme)[0]))
 
 
 def test_tau_threshold_hand_values():
     cfg = SystemConfig.make(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0,
                             rho_n=10.0)
-    assert math.isclose(float(tau_threshold(cfg, 1.0)), 9.0)
-    assert float(tau_threshold(cfg, 0.5 * cfg.alpha_m)) == 0.0
-    assert float(tau_threshold(cfg, cfg.alpha_m)) == 0.0
+    assert math.isclose(float(_tau(cfg, 1.0)), 9.0)
+    assert float(_tau(cfg, 0.5 * cfg.alpha_m)) == 0.0
+    assert float(_tau(cfg, cfg.alpha_m)) == 0.0
 
 
 def test_power_adaptive_rate_worked_example():
     cfg = _cfg_example()
     rate, branch, gamma, _ = _one_draw(cfg, 1.0, 2.0, Scheme.HSIC_PA)
-    assert math.isclose(float(tau_threshold(cfg, 1.0)), 9.0)
+    assert math.isclose(float(_tau(cfg, 1.0)), 9.0)
     assert branch == _B_II2
     assert math.isclose(rate, math.log2(10.0))
     assert abs(rate - 3.3219) < 1e-4
@@ -53,7 +71,7 @@ def test_power_adaptive_rate_worked_example():
 def test_type_boundary_goes_to_type_i():
     cfg = _cfg_example()
     g_m = 1.0
-    tau = float(tau_threshold(cfg, g_m))
+    tau = float(_tau(cfg, g_m))
     g_n = tau / (cfg.beta * cfg.rho_n)  # received power exactly at the cap
     for scheme in (Scheme.HSIC_PA, Scheme.HSIC_NPA):
         rate, branch, gamma, _ = _one_draw(cfg, g_m, g_n, scheme)
@@ -122,9 +140,9 @@ def test_rate_dominance_and_energy_over_bulk_draws():
         assert np.all(e_pa <= e_npa)
         assert np.all(e_npa < cfg.rho_n)
         # loss indicators inherit the rate ordering
-        u_pa = loss_mask(cfg, g_n, f_pa)
-        u_npa = loss_mask(cfg, g_n, f_npa)
-        u_fsic = loss_mask(cfg, g_n, f_fsic)
+        u_pa = _lose(cfg, g_m, g_n, Scheme.HSIC_PA)
+        u_npa = _lose(cfg, g_m, g_n, Scheme.HSIC_NPA)
+        u_fsic = _lose(cfg, g_m, g_n, Scheme.FSIC)
         assert not np.any(u_pa & ~u_npa)
         assert not np.any(u_npa & ~u_fsic)
         total += g.shape[0]
@@ -138,7 +156,7 @@ def test_power_adaptation_factor_identity():
     _, branch, gamma = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
     case2 = branch == 3
     assert np.any(case2)
-    tau = tau_threshold(cfg, g_m)
+    tau = _tau(cfg, g_m)
     lhs = gamma[case2] * cfg.beta * cfg.rho_n * g_n[case2]
     assert np.all(gamma > 0.0) and np.all(gamma <= 1.0)
     assert np.allclose(lhs, tau[case2], rtol=1e-12, atol=0.0)

@@ -9,6 +9,7 @@ import pytest
 import hnoma.cli
 import hnoma.exact
 import hnoma.sweep
+import hnoma.validate
 from hnoma import IntegrationFailureError, InvalidConfigError
 from hnoma.cli import EXIT_CONFIG, EXIT_OK, FIGURES, load_preset, main
 from hnoma.sweep import (CSV_COLUMNS, SweepSpec, rows_to_csv, run_sweep,
@@ -136,6 +137,16 @@ def test_cli_figure_writes_curve_files(tmp_path):
     assert files == ["fig1_n2.csv", "fig1_n3.csv", "fig1_n4.csv", "fig1_n5.csv"]
 
 
+def test_cli_figure_bad_override_creates_nothing(tmp_path):
+    # every curve's spec parses, with the overrides, before the directory
+    # is made
+    out = tmp_path / "d"
+    for trials in ("0", "-3"):
+        assert main(["figure", "fig1", "--trials", trials,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+
 def test_figure_and_sweep_never_import_scipy(tmp_path):
     # scipy is a test-only dependency: the command line must run without it
     spec_path = tmp_path / "spec.json"
@@ -238,6 +249,17 @@ def test_cli_validate_passes(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "checks passed" in out
+
+
+def test_cli_validate_rejects_nonpositive_trials(monkeypatch):
+    def no_work(cfg, *args, **kwargs):
+        raise AssertionError("validation ran before rejecting the trials")
+
+    monkeypatch.setattr(hnoma.validate, "p_t_exact", no_work)
+    for trials in ("0", "-1", "-200000"):
+        assert main(["validate", "--trials", trials]) == EXIT_CONFIG
+    with pytest.raises(InvalidConfigError):
+        run_validation(trials=0)
 
 
 def test_validation_negative_control_names_invariant(monkeypatch):
