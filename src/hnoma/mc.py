@@ -183,56 +183,122 @@ def estimate_pt(cfg: SystemConfig, trials: int, seed: int) -> ProbEstimate:
 _TAIL = 40.0        # gains beyond it are dropped (mass < e^-40)
 _MAX_DEPTH = 40     # bisection levels of the adaptive rule
 _N_SCAN = 2049      # scan points per grid of the breakpoint search
+_REL_WIDTH = 1e-13  # a breakpoint bracket closes at this width relative to |t|
+# every third step bisects; a scan bracket off t = 0 is narrower than its
+# root, so 44 halvings (132 steps) close it and the cap never binds
+_MAX_STEPS = 200
 
 
-def _curve_breakpoints(clause, t_lo, t_hi):
-    """Legacy-gain values where any two boundary curves of a clause cross.
+def _curve_values(curves, t):
+    """Every curve at ``t``, clipped to finite values, one row per curve."""
+    rows = np.empty((len(curves), t.size))
+    for row, c in zip(rows, curves):
+        row[:] = c(t) if callable(c) else c
+    return np.clip(rows, -1e300, 1e300, out=rows)
 
-    Every support edge or kink of the clause integrand sits at a crossing
+
+def _region_breakpoints(clauses) -> list:
+    """Legacy-gain values where two boundary curves of a clause cross,
+    one list per clause (empty where the clause's range below the tail
+    bound is empty).
+
+    Every support edge or kink of a clause integrand sits at a crossing
     between two members of {lower curves, upper curves, diagonal};
     locating them keeps the outer quadrature from stepping over narrow
-    features.  Scan plus bisection, no closed forms: every sign
-    flip of every curve pair is bisected at once, each step evaluating
-    each curve once on the vector of midpoints, for 80 steps or until a
-    step moves no bracket.
+    features.  Each clause's range is scanned on a linear grid (plus a
+    geometric one over wide ranges); each distinct curve of the region
+    (told apart by identity) is evaluated once, on the concatenated grids
+    of the clauses that use it.  Every sign flip of every curve pair of a
+    clause is bracketed, in pair order then by t, and all brackets are
+    closed together by Illinois steps (Dowell & Jarratt, BIT 11, 1971): a
+    secant point, with the value at an end kept twice in a row halved, and
+    a bisection every third step.  Trial points stay ``0.4 * _REL_WIDTH``
+    (relative) inside the bracket, so a root on a bracket end closes in
+    one step.  A bracket stops at a width of ``_REL_WIDTH`` relative to
+    its larger end, or at adjacent floats, and gives its midpoint.
+    Brackets evolve independently, so a region's search gives exactly
+    what searching each clause alone gives.
     """
-    grids = [np.linspace(t_lo, t_hi, _N_SCAN)]
-    if t_lo > 0 and t_hi / t_lo > 100.0:
-        grids.append(np.geomspace(t_lo, t_hi, _N_SCAN))
-    elif t_lo == 0 and t_hi > 100.0:
-        grids.append(np.geomspace(t_hi * 1e-9, t_hi, _N_SCAN))
-    ts = np.unique(np.concatenate(grids))
-    curves = list(clause.lower) + list(clause.upper)
-    funcs = [c if callable(c) else (lambda t, v=c: np.full_like(t, v)) for c in curves]
-    funcs.append(lambda t: t)  # ordered-wedge diagonal
-    vals = [np.clip(np.asarray(f(ts), dtype=float), -1e300, 1e300) for f in funcs]
-    first, second, lo_idx = [], [], []
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            flips = np.nonzero(np.diff(np.signbit(vals[i] - vals[j])))[0]
-            first += [i] * flips.size
-            second += [j] * flips.size
-            lo_idx.append(flips)
+    diagonal = lambda t: t  # edge of the ordered wedge
+    curves, slot, users = [], {}, []
+    grids, rows_of = [], []
+    for k, clause in enumerate(clauses):
+        t_hi = min(clause.t_hi, _TAIL)
+        if not t_hi > clause.t_lo:
+            grids.append(None)
+            rows_of.append(())
+            continue
+        grid = np.linspace(clause.t_lo, t_hi, _N_SCAN)
+        if clause.t_lo > 0 and t_hi / clause.t_lo > 100.0:
+            grid = np.union1d(grid, np.geomspace(clause.t_lo, t_hi, _N_SCAN))
+        grids.append(grid)
+        rows = []
+        for c in (*clause.lower, *clause.upper, diagonal):
+            if id(c) not in slot:
+                slot[id(c)] = len(curves)
+                curves.append(c)
+                users.append([])
+            users[slot[id(c)]].append(k)
+            rows.append(slot[id(c)])
+        rows_of.append(rows)
+    # each curve once, on the grids of the clauses that use it
+    scan = {}
+    for i, c in enumerate(curves):
+        sizes = [grids[k].size for k in users[i]]
+        row = _curve_values([c], np.concatenate([grids[k] for k in users[i]]))[0]
+        for k, part in zip(users[i], np.split(row, np.cumsum(sizes[:-1]))):
+            scan[i, k] = part
+    first, second, owner, lo, hi, f_lo, f_hi = [], [], [], [], [], [], []
+    for k, rows in enumerate(rows_of):
+        for a, i in enumerate(rows):
+            for j in rows[a + 1:]:
+                d = scan[i, k] - scan[j, k]
+                flips = np.flatnonzero(np.diff(np.signbit(d)))
+                first += [i] * flips.size
+                second += [j] * flips.size
+                owner += [k] * flips.size
+                lo.append(grids[k][flips])
+                hi.append(grids[k][flips + 1])
+                f_lo.append(d[flips])
+                f_hi.append(d[flips + 1])
     if not first:
-        return []
-    first, second = np.array(first), np.array(second)
-    idx = np.concatenate(lo_idx)
-    lo, hi = ts[idx], ts[idx + 1]
-    vals = np.stack(vals)
+        return [[] for _ in clauses]
+    del scan
+    first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
+    owner = np.array(owner, dtype=np.intp)
+    lo, hi, f_lo, f_hi = map(np.concatenate, (lo, hi, f_lo, f_hi))
     # a bracket's lower end keeps the sign it starts with
-    neg_lo = vals[first, idx] - vals[second, idx] < 0
-    at_mid = np.empty((len(funcs), idx.size))
-    cols = np.arange(idx.size)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        for row, f in zip(at_mid, funcs):
-            row[:] = f(mid)
-        same = (at_mid[first, cols] - at_mid[second, cols] < 0) == neg_lo
-        if np.array_equal(mid, np.where(same, lo, hi)):
-            break  # no bracket moves again
-        np.copyto(lo, mid, where=same)
-        np.copyto(hi, mid, where=~same)
-    return list(0.5 * (lo + hi))
+    neg_lo = f_lo < 0
+    last = np.zeros(lo.size, dtype=np.int8)   # +1: lo moved last, -1: hi
+    for step in range(_MAX_STEPS):
+        big = np.maximum(np.abs(lo), np.abs(hi))
+        live = np.flatnonzero((hi - lo > _REL_WIDTH * big)
+                              & (hi > np.nextafter(lo, np.inf)))
+        if not live.size:
+            break
+        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        mid = 0.5 * (a + b)
+        if step % 3 == 2:
+            x = mid
+        else:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                x = b - fb * (b - a) / (fb - fa)
+            x = np.where(np.isfinite(x), x, mid)
+        margin = 0.4 * _REL_WIDTH * big[live]
+        x = np.minimum(np.maximum(x, a + margin), b - margin)
+        at_x = _curve_values(curves, x)
+        cols = np.arange(live.size)
+        fx = at_x[first[live], cols] - at_x[second[live], cols]
+        to_lo = (fx < 0) == neg_lo[live]
+        kept = last[live]
+        # Illinois: halve the value at an end kept twice in a row
+        f_lo[live] = np.where(to_lo, fx, np.where(kept == -1, 0.5 * fa, fa))
+        f_hi[live] = np.where(to_lo, np.where(kept == 1, 0.5 * fb, fb), fx)
+        lo[live] = np.where(to_lo, x, a)
+        hi[live] = np.where(to_lo, b, x)
+        last[live] = np.where(to_lo, 1, -1)
+    found = 0.5 * (lo + hi)
+    return [list(found[owner == k]) for k in range(len(clauses))]
 
 
 def integrate_event(region: EventRegion, pair: OrderPairDensity,
@@ -240,14 +306,16 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
     """Probability mass of ``region`` under the ordered-pair density.
 
     The opportunistic-gain section of every clause is an interval, so its
-    mass is summed in closed form from the density's exponential mixture;
-    the remaining 1-D integral over the legacy gain is done by adaptive
-    bisection between the curve-crossing breakpoints, all segments of a
-    clause refined together.  Gains beyond 40 are dropped (mass < e^-40).
+    mass comes from the pair density's interval-mass functions
+    (Gauss-Legendre in v = e^-y); the remaining 1-D integral over the
+    legacy gain is done by adaptive bisection between the curve-crossing
+    breakpoints of ``_region_breakpoints`` (one search for the whole
+    region), all segments of a clause refined together.  Gains beyond 40
+    are dropped (mass < e^-40).
     """
     mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
 
-    def clause_mass(clause):
+    def clause_mass(clause, breakpoints):
         def integrand(t):
             # on the closed interval: bounds_at leaves t == t_lo out, which
             # would put a false jump at every segment starting there
@@ -259,8 +327,7 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
         if not t_hi > clause.t_lo:
             return 0.0, 0.0, True
         edges = [clause.t_lo, t_hi]
-        edges += [x for x in _curve_breakpoints(clause, clause.t_lo, t_hi)
-                  if clause.t_lo < x < t_hi]
+        edges += [x for x in breakpoints if clause.t_lo < x < t_hi]
         edges = np.array(sorted(set(edges)))
         tol_each = abs_tol / (max(len(region.clauses), 1) * max(edges.size - 1, 1))
         values, errs, oks = adaptive_integrate(integrand, edges[:-1], edges[1:],
@@ -275,8 +342,8 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
     total = 0.0
     err = 0.0
     ok = True
-    for clause in region.clauses:
-        v, e, good = clause_mass(clause)
+    for clause, breakpoints in zip(region.clauses, _region_breakpoints(region.clauses)):
+        v, e, good = clause_mass(clause, breakpoints)
         total += v
         err += e
         ok = ok and good

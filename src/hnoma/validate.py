@@ -52,17 +52,23 @@ def run_validation(configs=None, trials: int = 200_000,
         add("exact-vs-integration", abs(exact - integ) <= 1e-5,
             f"|diff|={abs(exact - integ):.2e} tol=1e-05")
 
-        dec = estimate_decomposition(cfg, trials, seed)
-        pt_names = [k for k in dec if k.startswith("P_T")]
-        mc_pt = sum(dec[k].value for k in pt_names)
-        sigma = max(np.sqrt(exact * (1.0 - exact) / trials), 1e-15)
-        add("exact-vs-mc", abs(mc_pt - exact) <= 4.0 * sigma,
-            f"|z|={abs(mc_pt - exact) / sigma:.2f} tol=4sigma")
+        try:
+            dec = estimate_decomposition(cfg, trials, seed)
+        except AssertionError as exc:
+            # the sub-event cells do not tile the loss event: no P_T sum
+            add("exact-vs-mc", False, "no decomposition")
+            add("decomposition-partition", False, str(exc))
+        else:
+            pt_names = [k for k in dec if k.startswith("P_T")]
+            mc_pt = sum(dec[k].value for k in pt_names)
+            sigma = max(np.sqrt(exact * (1.0 - exact) / trials), 1e-15)
+            add("exact-vs-mc", abs(mc_pt - exact) <= 4.0 * sigma,
+                f"|z|={abs(mc_pt - exact) / sigma:.2f} tol=4sigma")
 
-        bucket_sum = round(sum(dec[k].value for k in dec if k != "total") * trials)
-        total = round(dec["total"].value * trials)
-        add("decomposition-partition", bucket_sum == total,
-            f"buckets={bucket_sum} total={total}")
+            bucket_sum = round(sum(dec[k].value for k in dec if k != "total") * trials)
+            total = round(dec["total"].value * trials)
+            add("decomposition-partition", bucket_sum == total,
+                f"buckets={bucket_sum} total={total}")
 
         coupled = estimate_coupled(cfg, trials, seed)
         mono = (coupled[Scheme.HSIC_PA].value <= coupled[Scheme.HSIC_NPA].value

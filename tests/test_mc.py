@@ -10,7 +10,7 @@ from hnoma import (OrderPairDensity, ProbEstimate, Scheme, estimate_coupled,
                    region_legacy_below, region_underperformance)
 from hnoma.channel import sample_gain_matrix
 from hnoma.numerics import stream
-from hnoma.schemes import DrawKernel
+from hnoma.schemes import HNOMA_SCHEMES, DrawKernel
 
 from conftest import SEED, make_cfg
 
@@ -259,11 +259,12 @@ def _quad_reference(region, pair, bound=40.0, pieces=8):
     curve crossings split into ``pieces``; quad samples interior points only."""
     from scipy import integrate
     from hnoma.channel import mass_lower_interval, mass_upper_interval
-    from hnoma.mc import _curve_breakpoints
+    from hnoma.mc import _region_breakpoints
 
     mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
     total = 0.0
-    for clause in region.clauses:
+    for clause, breakpoints in zip(region.clauses,
+                                   _region_breakpoints(region.clauses)):
         def inner(t):
             lo, hi, active = clause.bounds_at(t)
             if not active:
@@ -274,8 +275,7 @@ def _quad_reference(region, pair, bound=40.0, pieces=8):
         if not t_hi > clause.t_lo:
             continue
         cuts = sorted({clause.t_lo, t_hi,
-                       *(x for x in _curve_breakpoints(clause, clause.t_lo, t_hi)
-                         if clause.t_lo < x < t_hi)})
+                       *(x for x in breakpoints if clause.t_lo < x < t_hi)})
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             grid = np.linspace(lo, hi, pieces + 1)
             for a, b in zip(grid[:-1], grid[1:]):
@@ -315,21 +315,122 @@ def _scalar_breakpoints(clause, t_lo, t_hi, n_scan=2049):
 
 
 def test_batched_breakpoints_match_scalar_bisection():
-    from hnoma.mc import _curve_breakpoints
+    # the search stops at a bracket 1e-13 wide relative to t, where the
+    # reference bisects down to adjacent floats
+    from hnoma.mc import _region_breakpoints
     from conftest import regime_covering_configs
     checked = 0
     for cfg in regime_covering_configs(14, seed=11):
         for region in (region_contended_loss(cfg),
-                       region_underperformance(cfg, Scheme.HSIC_NPA)):
-            for clause in region.clauses:
+                       region_underperformance(cfg, Scheme.HSIC_NPA),
+                       region_underperformance(cfg, Scheme.HSIC_PA)):
+            found = _region_breakpoints(region.clauses)
+            for clause, got in zip(region.clauses, found):
                 t_hi = min(clause.t_hi, 40.0)
                 if not t_hi > clause.t_lo:
                     continue
-                got = _curve_breakpoints(clause, clause.t_lo, t_hi)
                 ref = _scalar_breakpoints(clause, clause.t_lo, t_hi)
-                assert got == ref
+                assert len(got) == len(ref)
+                for x, r in zip(got, ref):
+                    assert abs(x - r) <= 1e-13 * abs(r)
                 checked += len(ref)
     assert checked > 50
+
+
+def _counted_clauses(clauses):
+    """The clauses with every curve wrapped in a call counter (shared
+    curves stay shared), and the counts by curve."""
+    from dataclasses import replace
+    wrapped, calls = {}, {}
+
+    def wrap(curve):
+        if not callable(curve):
+            return curve
+        key = id(curve)
+        if key not in wrapped:
+            calls[key] = 0
+
+            def counted(t):
+                calls[key] += 1
+                return curve(t)
+            wrapped[key] = counted
+        return wrapped[key]
+
+    clauses = tuple(replace(c, lower=tuple(map(wrap, c.lower)),
+                            upper=tuple(map(wrap, c.upper)))
+                    for c in clauses)
+    return clauses, calls
+
+
+def test_breakpoint_on_a_bracket_end_closes_in_one_step():
+    from hnoma.mc import _region_breakpoints
+    from hnoma.regions import Clause
+    # a curve that leaves 0 at the clause start t = 2
+    clauses, calls = _counted_clauses(
+        (Clause(2.0, 5.0, lower=(lambda t: 2.0 - t,), upper=(0.0,)),))
+    (found,) = _region_breakpoints(clauses)
+    assert len(found) == 1 and abs(found[0] - 2.0) <= 1e-13 * 2.0
+    assert max(calls.values()) == 2  # the scan, then one step
+    # power_cap, capped_loss and decode_tie are all 0 at t = alpha_m
+    cfg = make_cfg()
+    capped = region_contended_loss(cfg).clauses[0]
+    (found,) = _region_breakpoints((capped,))
+    at_alpha = [x for x in found if abs(x - cfg.alpha_m) <= 1e-13 * cfg.alpha_m]
+    assert len(at_alpha) == 2  # tie against cap and against loss
+
+
+def test_breakpoint_at_a_jump_closes():
+    from hnoma.mc import _region_breakpoints
+    from hnoma.regions import Clause
+    jump = 1.2345678
+    step = Clause(0.5, 4.0, upper=(lambda t: np.where(t < jump, 10.0, 0.1),))
+    (found,) = _region_breakpoints((step,))
+    assert len(found) == 1 and abs(found[0] - jump) <= 1e-13 * jump
+
+
+def test_illinois_steps_close_a_one_sided_crossing():
+    # plain regula falsi creeps up on this fourth-root crossing from one
+    # side (20 steps); halving the value at the kept end takes 13
+    from hnoma.mc import _region_breakpoints
+    from hnoma.regions import Clause
+    root = 1.0 + 0.01 ** 4
+    clauses, calls = _counted_clauses((Clause(
+        0.5, 1.5, lower=(lambda t: np.maximum(t - 1.0, 0.0) ** 0.25,),
+        upper=(0.01,)),))
+    (found,) = _region_breakpoints(clauses)
+    assert len(found) == 1 and abs(found[0] - root) <= 1e-13 * root
+    assert max(calls.values()) - 1 <= 13
+
+
+def test_breakpoint_search_takes_few_steps():
+    from hnoma.cli import load_preset
+    from hnoma.config import SystemConfig
+    from hnoma.mc import _region_breakpoints
+    from conftest import regime_covering_configs
+    configs = list(regime_covering_configs(14, seed=11))
+    for sweep in load_preset("fig5a")["sweeps"]:
+        params = {k: sweep[k] for k in ("M", "m", "n", "R_m", "beta", "eta")}
+        configs += [SystemConfig.make(**params, snr_db=float(snr))
+                    for snr in sweep["snr_db"]]
+    worst = 0
+    for cfg in configs:
+        for region in (region_contended_loss(cfg),
+                       *(region_underperformance(cfg, s) for s in HNOMA_SCHEMES)):
+            clauses, calls = _counted_clauses(region.clauses)
+            _region_breakpoints(clauses)
+            if calls:
+                worst = max(worst, max(calls.values()) - 1)  # less the scan
+    assert 0 < worst <= 12
+
+
+def test_region_search_matches_clause_by_clause():
+    from hnoma.mc import _region_breakpoints
+    from conftest import regime_covering_configs
+    for cfg in regime_covering_configs(14, seed=11):
+        region = region_underperformance(cfg, Scheme.HSIC_PA)
+        assert len(region.clauses) == 4
+        assert _region_breakpoints(region.clauses) == [
+            _region_breakpoints((c,))[0] for c in region.clauses]
 
 
 def test_integration_is_closed_at_each_clause_start():

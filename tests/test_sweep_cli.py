@@ -281,6 +281,32 @@ def test_validation_negative_control_names_invariant(monkeypatch):
     assert all(r.regime for r in rows)  # regime column reported per config
 
 
+def test_validation_reports_a_decomposition_that_stops_tiling(monkeypatch, capsys):
+    # swapping the legacy-gain limits of P_T2_1 and P_T2_2 makes the MC
+    # decomposition's cells stop tiling the loss event: validate must name
+    # that in a FAIL row and still print every other row
+    import hnoma.mc
+    table = hnoma.mc.contended_terms
+
+    def swapped(cfg, k, between):
+        out = table(cfg, k, between)
+        (lo1, up1, *lim1), (lo2, up2, *lim2) = out["P_T2_1"], out["P_T2_2"]
+        out["P_T2_1"], out["P_T2_2"] = (lo1, up1, *lim2), (lo2, up2, *lim1)
+        return out
+
+    monkeypatch.setattr(hnoma.mc, "contended_terms", swapped)
+    code = main(["validate", "--trials", "60000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert any(line.startswith("[FAIL]") and "decomposition-partition" in line
+               and "decomposition buckets sum to" in line for line in lines)
+    assert any(line.startswith("[FAIL]") and "exact-vs-mc" in line for line in lines)
+    assert sum("exact-vs-integration" in line for line in lines) == 3
+    assert "checks passed" in lines[-1]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_multi_block_sweep_matches_one_cell_summaries(monkeypatch):
     # three blocks, the last one partial: every cell must see the same
     # draws in the same block order as a one-cell pass would
