@@ -11,24 +11,25 @@ from .estimates import NUMERIC, ProbEstimate
 from .exact import compute_constants, contended_terms
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import EventRegion, region_underperformance
-from .schemes import (HNOMA_SCHEMES, DrawKernel, Scheme, energy_array,
-                      rate_factors)
+from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors
 
 BLOCK_TRIALS = 1_000_000
 
-# the most recent block, {(M, seed, block, size): read-only (size, M) gains};
-# a figure's curves share M, seed and trials, so they all reuse one draw
+# the most recent block, {(M, seed, block, size): read-only column-major
+# (size, M) gains}; a figure's curves share M, seed and trials, so they all
+# reuse one draw
 _kept = {}
 
 
 def _pair_blocks(cfg: SystemConfig, trials: int, seed: int):
-    """Contiguous copies of the (g_m, g_n) gain columns of every block.
+    """The (g_m, g_n) gain columns of every block, as read-only views.
 
     The only place gains are drawn.  Trials split into blocks of
     ``BLOCK_TRIALS`` (the last one partial) and block b always comes from
     ``stream(seed, b)``, so every consumer sees the same draws.  The
-    process keeps its last sorted block (8*M*BLOCK_TRIALS bytes) and hands
-    it out again to the next pass that asks for the same block.
+    process keeps its last sorted block (column-major, 8*M*BLOCK_TRIALS
+    bytes) and hands it out again to the next pass that asks for the same
+    block; a rank's column of it is contiguous, so nothing is copied.
     """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
@@ -41,7 +42,7 @@ def _pair_blocks(cfg: SystemConfig, trials: int, seed: int):
             g = sample_gain_matrix(cfg.M, stream(seed, block), size)
             g.flags.writeable = False
             _kept[key] = g
-        yield g[:, cfg.m - 1].copy(), g[:, cfg.n - 1].copy()
+        yield g[:, cfg.m - 1], g[:, cfg.n - 1]
 
 
 def _pair_chunks(cfg: SystemConfig, trials: int, seed: int):
@@ -94,7 +95,15 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
             # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
             tally["gamma_sum"] += (float(gamma.sum()) if scheme == Scheme.HSIC_PA
                                    else float(g_m.size))
-            tally["energy_sum"] += float(energy_array(cfg, scheme, gamma).sum())
+            # each draw's energy over one frame (T = 1), written over γ:
+            # (1 + γ) β ρ_n with power adaptation, else 2 β ρ_n
+            if scheme == Scheme.HSIC_PA:
+                gamma += 1.0
+                gamma *= cfg.beta
+                gamma *= cfg.rho_n
+            else:
+                gamma.fill(2.0 * cfg.beta * cfg.rho_n)
+            tally["energy_sum"] += float(gamma.sum())
     out = []
     for (_, scheme), tally in zip(cells, tallies):
         summary = {

@@ -150,14 +150,3 @@ def rate_factors(cfg: SystemConfig, g_m, g_n, scheme: Scheme):
     return (kernel.factor.reshape(shape), branch.reshape(shape),
             gamma.reshape(shape))
 
-
-def energy_array(cfg: SystemConfig, scheme: Scheme, gamma):
-    """Transmit energy of the opportunistic user over one frame (T = 1),
-    per draw (``gamma`` is ignored except for HSIC-PA)."""
-    gamma = np.asarray(gamma, dtype=float)
-    scheme = Scheme(scheme)
-    if scheme == Scheme.OMA:
-        return np.full(gamma.shape, cfg.rho_n)
-    if scheme in (Scheme.FSIC, Scheme.HSIC_NPA):
-        return np.full(gamma.shape, 2.0 * cfg.beta * cfg.rho_n)
-    return (1.0 + gamma) * cfg.beta * cfg.rho_n

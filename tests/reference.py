@@ -3,7 +3,8 @@
 None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
 
 - the NOMA-slot decision written step by step, one temporary per step,
-  which the fused ``schemes.DrawKernel`` must match bit for bit;
+  which the fused ``schemes.DrawKernel`` must match bit for bit, and the
+  per-draw energy array whose sums ``mc_summary`` forms in place;
 - per-gain classifiers of the contended-loss sub-events (which bound
   binds at each legacy gain) and the gated region of one sub-event,
   written apart from the branch table of ``exact.contended_terms`` that
@@ -72,6 +73,18 @@ def ref_rate_factors(cfg, g_m, g_n, scheme):
 def ref_loss_mask(cfg, g_n, factor):
     b = cfg.beta * cfg.rho_n * g_n
     return factor * (1.0 + b) <= 1.0 + cfg.rho_n * g_n
+
+
+def energy_array(cfg, scheme, gamma):
+    """Transmit energy of the opportunistic user over one frame (T = 1),
+    per draw (``gamma`` is ignored except for HSIC-PA)."""
+    gamma = np.asarray(gamma, dtype=float)
+    scheme = Scheme(scheme)
+    if scheme == Scheme.OMA:
+        return np.full(gamma.shape, cfg.rho_n)
+    if scheme in (Scheme.FSIC, Scheme.HSIC_NPA):
+        return np.full(gamma.shape, 2.0 * cfg.beta * cfg.rho_n)
+    return (1.0 + gamma) * cfg.beta * cfg.rho_n
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from hnoma.channel import sample_gain_matrix
 from hnoma.exact import eta_thresholds
 from hnoma.numerics import stream
 from hnoma.regions import capped_loss, decode_tie
-from hnoma.schemes import energy_array, rate_factors
+from hnoma.schemes import rate_factors
 
 from conftest import SEED, regime_covering_configs
-from reference import fejer_quadrature
+from reference import energy_array, fejer_quadrature
 
 TRIALS_BIG = 10_000_000
 

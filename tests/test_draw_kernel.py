@@ -17,10 +17,10 @@ import hnoma.mc
 from hnoma import ProbEstimate, Scheme, mc_summary
 from hnoma.channel import CHUNK_ROWS
 from hnoma.mc import _tally_chunk
-from hnoma.schemes import _B_I, _B_II2, DrawKernel, energy_array, rate_factors
+from hnoma.schemes import _B_I, _B_II2, DrawKernel, rate_factors
 
 from conftest import make_cfg
-from reference import ref_loss_mask, ref_rate_factors, ref_tau
+from reference import energy_array, ref_loss_mask, ref_rate_factors, ref_tau
 
 SCHEMES = (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)
 

@@ -176,8 +176,8 @@ def _whole_block_summary(cells, trials, seed, want_pt):
     # mc_summary before its tally was chunked and fused: the step-by-step
     # kernels on whole blocks
     import hnoma.mc
-    from hnoma.schemes import _B_I, energy_array
-    from reference import ref_loss_mask, ref_rate_factors, ref_tau
+    from hnoma.schemes import _B_I
+    from reference import energy_array, ref_loss_mask, ref_rate_factors, ref_tau
 
     tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0) for _ in cells]
     M, m, n = cells[0][0].M, cells[0][0].m, cells[0][0].n
@@ -223,6 +223,37 @@ def test_chunked_tally_matches_whole_block_loop(monkeypatch, block_trials):
         for want_pt in (False, True):
             got = mc_summary(cells, trials, SEED, want_pt=want_pt)
             assert got == _whole_block_summary(cells, trials, SEED, want_pt)
+
+
+def test_pair_blocks_are_views_of_the_kept_block():
+    import hnoma.mc
+
+    cfg = make_cfg()
+    for g_m, g_n in hnoma.mc._pair_blocks(cfg, 50_000, SEED):
+        (kept,) = hnoma.mc._kept.values()
+        for col in (g_m, g_n):
+            assert col.flags.c_contiguous and not col.flags.writeable
+            assert np.shares_memory(col, kept)
+
+
+def test_mc_summary_over_a_kept_block_allocates_one_gamma_buffer():
+    # the gains are read in place and the energy sum reuses the γ buffer:
+    # one 8 MB buffer per 10^6-draw block plus the chunk kernel, where
+    # column copies and an energy array took 32 MB
+    import tracemalloc
+
+    from hnoma import mc_summary
+
+    cfg = make_cfg()
+    cells = [(cfg, scheme) for scheme in HNOMA_SCHEMES]
+    mc_summary(cells[:1], 1_000_000, SEED)  # draws and keeps the block
+    tracemalloc.start()
+    try:
+        mc_summary(cells, 1_000_000, SEED, want_pt=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hnoma import Scheme, SystemConfig
 from hnoma.channel import sample_gain_matrix
 from hnoma.numerics import stream
-from hnoma.schemes import _B_I, _B_II2, _B_NA, DrawKernel, energy_array, rate_factors
+from hnoma.schemes import _B_I, _B_II2, _B_NA, DrawKernel, rate_factors
 
 from conftest import SEED
+from reference import energy_array
 
 
 def _cfg_example():
