@@ -7,8 +7,6 @@ unit-mean exponentials, indexed 1..M in ascending order.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -18,9 +16,6 @@ from .config import InvalidConfigError
 
 # rows per chunk of the array kernels: a chunk's working set fits in L2
 CHUNK_ROWS = 16_384
-# sampler threads: a second one only where the process may use two CPUs
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
 
 
 @lru_cache(maxsize=None)
@@ -52,18 +47,19 @@ def _sort_columns(cols: np.ndarray, low: np.ndarray) -> None:
         np.copyto(cols[i], low)
 
 
-def _fill(g: np.ndarray, rng: np.random.Generator, first: int, step: int) -> None:
-    """Draw chunks ``first, first + step, ...`` of the (M, size) gains ``g``.
+def sample_gain_matrix(M: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Vectorized sampler: (size, M) array of ascending ordered gains.
 
-    Each chunk is ``CHUNK_ROWS`` draws of M doubles in the generator's
-    order, transformed and sorted while it is in cache.  With ``step`` > 1
-    the Philox counters of the chunks left to other workers are skipped
-    (4 doubles per counter).
+    The array is column-major (the transpose of an (M, size) array), so
+    the gains of one rank are contiguous.  It is filled ``CHUNK_ROWS``
+    draws at a time in the generator's order, each chunk kept in cache
+    through draw, transform and a sorting network.  The result equals one ``rng.random((size, M))``,
+    transformed and row-sorted, and leaves ``rng`` where that call would.
     """
-    M, size = g.shape
+    g = np.empty((M, size))
     buf = np.empty((CHUNK_ROWS, M))
     low = np.empty(CHUNK_ROWS)
-    for start in range(first * CHUNK_ROWS, size, step * CHUNK_ROWS):
+    for start in range(0, size, CHUNK_ROWS):
         rows = buf[:size - start]
         rng.random(out=rows)
         np.negative(rows, out=rows)
@@ -72,55 +68,6 @@ def _fill(g: np.ndarray, rng: np.random.Generator, first: int, step: int) -> Non
         cols = g[:, start:start + CHUNK_ROWS]
         np.copyto(cols, rows.T)
         _sort_columns(cols, low)
-        if step > 1:
-            rng.bit_generator.advance((step - 1) * CHUNK_ROWS * M // 4)
-
-
-def sample_gain_matrix(M: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized sampler: (size, M) array of ascending ordered gains.
-
-    The array is column-major (the transpose of an (M, size) array), so
-    the gains of one rank are contiguous.  It is filled ``CHUNK_ROWS``
-    draws at a time, each chunk kept in cache through draw, transform and
-    a sorting network.  The result equals one ``rng.random((size, M))``,
-    transformed and row-sorted, and leaves ``rng`` where that call would.
-
-    With two CPUs in the process's affinity, a Philox generator at a
-    counter boundary and more than one chunk (size * M a multiple of 4),
-    a second thread fills the odd chunks from a copy of the generator
-    advanced past the even ones; any other input is filled serially.
-    """
-    g = np.empty((M, size))
-    bits = rng.bit_generator
-    state = bits.state
-    if (_WORKERS < 2 or size <= CHUNK_ROWS or size * M % 4
-            or state["bit_generator"] != "Philox"
-            or state["buffer_pos"] != 4 or state["has_uint32"]):
-        _fill(g, rng, 0, 1)
-        return g.T
-
-    def twin(chunks):
-        copy = np.random.Philox(**state["state"])
-        copy.advance(chunks * CHUNK_ROWS * M // 4)
-        return np.random.Generator(copy)
-
-    errors = []
-
-    def odd_chunks():
-        try:
-            _fill(g, twin(1), 1, 2)
-        except BaseException as exc:  # re-raised in the caller's thread
-            errors.append(exc)
-
-    worker = threading.Thread(target=odd_chunks)
-    worker.start()
-    try:
-        _fill(g, twin(0), 0, 2)
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
-    bits.advance(size * M // 4)
     return g.T
 
 

@@ -45,26 +45,16 @@ def _whole_array_sampler(M, rng, size):
 
 
 @pytest.mark.parametrize("M", range(2, 17))
-def test_chunked_sampler_matches_whole_array_sampler(M, monkeypatch):
-    import hnoma.channel
+def test_chunked_sampler_matches_whole_array_sampler(M):
     from hnoma.channel import CHUNK_ROWS
 
-    steps = []
-    fill = hnoma.channel._fill
-    monkeypatch.setattr(hnoma.channel, "_WORKERS", 2)
-    monkeypatch.setattr(hnoma.channel, "_fill", lambda g, rng, first, step: (
-        steps.append(step), fill(g, rng, first, step)))
-    # serial: one chunk or less, size * M not a multiple of 4, and a second
-    # call on a generator left mid-counter; two workers: the rest
-    for size in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
-                 4 * CHUNK_ROWS + 4, 3 * CHUNK_ROWS + 1, 50_001):
+    for size in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 50_001):
         chunked, whole = stream(SEED, 7), stream(SEED, 7)
         for _ in range(2):  # the next call on the same generator too
             g = sample_gain_matrix(M, chunked, size)
             assert g.shape == (size, M) and g.flags.f_contiguous
             assert np.array_equal(g, _whole_array_sampler(M, whole, size))
         assert np.array_equal(chunked.random(3), whole.random(3))
-    assert {1, 2} <= set(steps)
 
 
 def test_sampler_network_sorts_every_zero_one_column():
@@ -85,42 +75,6 @@ def test_sampler_network_sorts_every_zero_one_column():
         _sort_columns(cols, np.empty(cols.shape[1]))
         assert np.array_equal(cols, want), M
         assert not np.signbit(cols).any()
-
-
-def test_one_worker_sampler_matches_two_workers(monkeypatch):
-    import hnoma.channel
-    from hnoma.channel import CHUNK_ROWS
-
-    for M in (2, 5, 8):
-        for size in (4 * CHUNK_ROWS, 5 * CHUNK_ROWS + 12):  # full and partial
-            draws = {}
-            for workers in (1, 2):
-                monkeypatch.setattr(hnoma.channel, "_WORKERS", workers)
-                rng = stream(SEED, 5)
-                draws[workers] = sample_gain_matrix(M, rng, size), rng.random(3)
-            assert np.array_equal(draws[1][0], draws[2][0])
-            assert np.array_equal(draws[1][1], draws[2][1])
-
-
-def test_sampler_worker_error_reaches_the_caller(monkeypatch):
-    import threading
-
-    import hnoma.channel
-    from hnoma.channel import CHUNK_ROWS
-
-    fill = hnoma.channel._fill
-
-    def odd_chunks_fail(g, rng, first, step):
-        if first == 1:
-            raise MemoryError("odd chunks")
-        fill(g, rng, first, step)
-
-    monkeypatch.setattr(hnoma.channel, "_WORKERS", 2)
-    monkeypatch.setattr(hnoma.channel, "_fill", odd_chunks_fail)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="odd chunks"):
-        sample_gain_matrix(5, stream(SEED, 5), 4 * CHUNK_ROWS)
-    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -182,3 +182,27 @@ def test_mc_summary_matches_reference_on_ties(monkeypatch):
             if scheme == Scheme.HSIC_PA:
                 want["pt_estimate"] = ProbEstimate.from_counts(pt_hits, g_m.size)
             assert summary == want
+
+
+def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
+    """With one trial, ``energy_mean`` is one draw's energy, bit for bit, so
+    the in-place energy is checked per draw, which block sums cannot do.
+    β = 0.3 is not a power of two, so folding β ρ_n into one factor shows."""
+    rng = np.random.default_rng(11)
+    for base in (make_cfg(beta=0.3), make_cfg(m=3, n=1, R_m=0.5, beta=0.45, eta=5.0)):
+        for snr in (0.0, 12.0, 25.0):
+            cfg = base.with_snr(snr)
+            ordered = np.sort(rng.exponential(size=(60, 2)), axis=1)
+            if cfg.m > cfg.n:  # g_m is the larger gain
+                ordered = ordered[:, ::-1]
+            draws = np.concatenate([_tie_draws(cfg), ordered])
+            cells = [(cfg, scheme) for scheme in SCHEMES]
+            for g_m, g_n in draws:
+                g_m, g_n = np.array([g_m]), np.array([g_n])
+                monkeypatch.setattr(hnoma.mc, "_pair_blocks",
+                                    lambda cfg, trials, seed: iter([(g_m, g_n)]))
+                got = mc_summary(cells, 1, 0)
+                for (_, scheme), summary in zip(cells, got):
+                    _, _, gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
+                    want = energy_array(cfg, scheme, gamma)[0]
+                    assert summary["energy_mean"] == want, (cfg, scheme, g_m, g_n)
