@@ -7,14 +7,12 @@ from .config import InvalidConfigError, SystemConfig, db_to_linear, linear_to_db
 from .estimates import ProbEstimate
 from .exact import (RegimeConstants, compute_constants, eta_thresholds,
                     exact_pt_terms, p_t_exact, regime_label)
-from .mc import (estimate_coupled, estimate_decomposition,
-                 estimate_probability, estimate_pt, integrate_event,
+from .mc import (estimate_coupled, estimate_decomposition, integrate_event,
                  integrate_underperformance, mc_summary)
-from .numerics import (IntegrationFailureError, adaptive_integrate, comp_sum,
-                       stream)
-from .regions import (EventRegion, region_contended_loss, region_everything,
-                      region_legacy_below, region_uncontended_loss,
-                      region_underperformance, region_zero_cap_loss)
+from .numerics import IntegrationFailureError, adaptive_integrate, stream
+from .regions import (EventRegion, region_contended_loss,
+                      region_uncontended_loss, region_underperformance,
+                      region_zero_cap_loss)
 from .schemes import Scheme
 from .sweep import SweepSpec, run_sweep, write_rows
 from .validate import run_validation

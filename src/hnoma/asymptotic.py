@@ -14,6 +14,7 @@ rho_m^-m (above).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from .channel import OrderPairDensity, _leggauss
 from .config import SystemConfig
 from .estimates import ASYMPTOTIC, ProbEstimate
 from .exact import _gc_nodes, compute_constants, contended_terms
-from .numerics import comp_sum
 
 _N_C = 256  # Fejer nodes along u, the exact engine's default n_c
 
@@ -62,7 +62,7 @@ def asymptotic_pt_terms(cfg: SystemConfig) -> dict:
 
 def p_t_asymptotic(cfg: SystemConfig) -> ProbEstimate:
     """High-SNR approximation of the contended-loss probability."""
-    coef = comp_sum(asymptotic_pt_terms(cfg).values())
+    coef = math.fsum(asymptotic_pt_terms(cfg).values())
     value = coef / cfg.rho_m ** max(cfg.m, cfg.n)
     return ProbEstimate(value=min(1.0, value), trials=0, std_err=0.0,
                         method=ASYMPTOTIC)

@@ -49,10 +49,11 @@ class SystemConfig:
             raise InvalidConfigError("legacy and opportunistic user must differ")
         if not 0.0 < self.beta < 0.5:
             raise InvalidConfigError(f"beta={self.beta} outside (0, 1/2)")
-        if self.R_m <= 0.0:
-            raise InvalidConfigError(f"R_m={self.R_m} must be positive")
-        if self.rho_n <= 0.0 or self.rho_m <= 0.0:
-            raise InvalidConfigError("transmit SNRs must be positive")
+        # written so that NaN fails too
+        if not 0.0 < self.R_m < math.inf:
+            raise InvalidConfigError(f"R_m={self.R_m} must be positive and finite")
+        if not (0.0 < self.rho_n < math.inf and 0.0 < self.rho_m < math.inf):
+            raise InvalidConfigError("transmit SNRs must be positive and finite")
         if self.eta is None:
             object.__setattr__(self, "eta", self.rho_n / self.rho_m)
         elif abs(self.eta * self.rho_m - self.rho_n) > 1e-12 * self.rho_n:

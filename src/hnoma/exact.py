@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .channel import OrderPairDensity, mass_lower_interval, mass_upper_interval
 from .config import InvalidConfigError, SystemConfig
 from .estimates import EXACT, ProbEstimate
-from .numerics import comp_sum, fejer1_weights
+from .numerics import fejer1_weights
 from .regions import capped_loss, decode_tie, diagonal, first_loss, power_cap
 
 _BACKSUB_TOL = 1e-10
@@ -238,6 +238,6 @@ def exact_pt_terms(cfg: SystemConfig, n_c: int = 256) -> dict:
 def p_t_exact(cfg: SystemConfig, n_c: int = 256) -> ProbEstimate:
     """Contended-loss probability from the closed forms."""
     terms = exact_pt_terms(cfg, n_c)
-    value = comp_sum(terms.values())
+    value = math.fsum(terms.values())
     value = min(1.0, max(0.0, value))
     return ProbEstimate(value=value, trials=0, std_err=0.0, method=EXACT)

@@ -70,15 +70,16 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     The cells must share ``(M, m, n)``; each gain block is drawn once and
     fed to every cell, so memory stays at one block.  With ``want_pt`` the
     contended positive-cap loss event is counted in the same pass
-    (power-adaptive cells only).  Returns one summary dict per cell.
+    (power-adaptive cells only).  Each draw spends (1 + γ) β ρ_n over one
+    frame (T = 1), so ``energy_mean`` is formed from ``gamma_mean``; it is
+    exactly 2 β ρ_n off HSIC-PA.  Returns one summary dict per cell.
     """
     cells = [(cfg, Scheme(scheme)) for cfg, scheme in cells]
     if not cells:
         return []
     if len({(cfg.M, cfg.m, cfg.n) for cfg, _ in cells}) > 1:
         raise InvalidConfigError("mc_summary cells must share (M, m, n)")
-    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0)
-               for _ in cells]
+    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0) for _ in cells]
     kernel = DrawKernel(CHUNK_ROWS)
     for g_m, g_n in _pair_blocks(cells[0][0], trials, seed):
         # per-draw factors go into one block-length buffer, so the sums
@@ -95,32 +96,18 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
             # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
             tally["gamma_sum"] += (float(gamma.sum()) if scheme == Scheme.HSIC_PA
                                    else float(g_m.size))
-            # each draw's energy over one frame (T = 1), written over γ:
-            # (1 + γ) β ρ_n with power adaptation, else 2 β ρ_n
-            if scheme == Scheme.HSIC_PA:
-                gamma += 1.0
-                gamma *= cfg.beta
-                gamma *= cfg.rho_n
-            else:
-                gamma.fill(2.0 * cfg.beta * cfg.rho_n)
-            tally["energy_sum"] += float(gamma.sum())
     out = []
-    for (_, scheme), tally in zip(cells, tallies):
+    for (cfg, scheme), tally in zip(cells, tallies):
+        gamma_mean = tally["gamma_sum"] / trials
         summary = {
             "estimate": ProbEstimate.from_counts(tally["hits"], trials),
-            "gamma_mean": tally["gamma_sum"] / trials,
-            "energy_mean": tally["energy_sum"] / trials,
+            "gamma_mean": gamma_mean,
+            "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n,
         }
         if want_pt and scheme == Scheme.HSIC_PA:
             summary["pt_estimate"] = ProbEstimate.from_counts(tally["pt_hits"], trials)
         out.append(summary)
     return out
-
-
-def estimate_probability(cfg: SystemConfig, scheme: Scheme, trials: int,
-                         seed: int) -> ProbEstimate:
-    """Fraction of draws where the scheme fails to beat pure OMA."""
-    return mc_summary([(cfg, scheme)], trials, seed)[0]["estimate"]
 
 
 def estimate_coupled(cfg: SystemConfig, trials: int, seed: int) -> dict:
@@ -177,12 +164,6 @@ def dominance_violations(cfg: SystemConfig, trials: int, seed: int) -> int:
                                for s in HNOMA_SCHEMES)
         viol += int(np.count_nonzero(f_pa < f_npa) + np.count_nonzero(f_npa < f_fsic))
     return viol
-
-
-def estimate_pt(cfg: SystemConfig, trials: int, seed: int) -> ProbEstimate:
-    """MC estimate of the contended positive-cap loss event alone."""
-    return mc_summary([(cfg, Scheme.HSIC_PA)], trials, seed,
-                      want_pt=True)[0]["pt_estimate"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +338,14 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
         err += e
         ok = ok and good
     if not ok:
-        raise IntegrationFailureError(total, err)
+        raise IntegrationFailureError(
+            f"integration did not converge: value={total!r}, err={err!r}")
     total = min(1.0, max(0.0, total))
     return ProbEstimate(value=total, trials=0, std_err=err, method=NUMERIC)
 
 
 def integrate_underperformance(cfg: SystemConfig, scheme: Scheme) -> ProbEstimate:
-    """Deterministic counterpart of ``estimate_probability``."""
+    """Deterministic counterpart of the underperformance estimate of
+    ``mc_summary``; raises ``IntegrationFailureError`` if it does not converge."""
     pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
     return integrate_event(region_underperformance(cfg, scheme), pair)

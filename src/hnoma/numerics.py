@@ -1,20 +1,15 @@
-"""Shared numeric kernels: quadrature, summation, RNG streams."""
+"""Shared numeric kernels: quadrature and RNG streams."""
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 
 class IntegrationFailureError(RuntimeError):
-    """Adaptive integration did not converge; carries the partial value."""
-
-    def __init__(self, value, err_estimate, message="integration did not converge"):
-        super().__init__(f"{message}: value={value!r}, err={err_estimate!r}")
-        self.value = value
-        self.err_estimate = err_estimate
+    """Adaptive integration did not converge; the message gives the partial
+    value and its error estimate."""
 
 
 # ---------------------------------------------------------------------------
@@ -35,15 +30,6 @@ def fejer1_weights(n_c: int):
     else:
         w = np.ones_like(theta)
     return np.cos(theta), (2.0 / n_c) * w
-
-
-# ---------------------------------------------------------------------------
-#  Compensated summation
-# ---------------------------------------------------------------------------
-
-def comp_sum(values) -> float:
-    """Exactly rounded sum of floats (Shewchuk compensation)."""
-    return math.fsum(values)
 
 
 # ---------------------------------------------------------------------------

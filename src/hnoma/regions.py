@@ -98,24 +98,6 @@ class EventRegion:
 
     clauses: tuple
 
-    def contains(self, g_m, g_n):
-        g_m = np.asarray(g_m, dtype=float)
-        g_n = np.asarray(g_n, dtype=float)
-        hit = np.zeros(np.broadcast(g_m, g_n).shape, dtype=bool)
-        for cl in self.clauses:
-            lo, hi, active = cl.bounds_at(g_m)
-            hit |= active & (g_n > lo) & (g_n <= hi)
-        return hit
-
-
-def region_everything() -> EventRegion:
-    return EventRegion((Clause(0.0, np.inf),))
-
-
-def region_legacy_below(threshold: float) -> EventRegion:
-    """{legacy gain < threshold} (marginal CDF event)."""
-    return EventRegion((Clause(0.0, threshold),))
-
 
 def _cap_floor_const(cfg: SystemConfig) -> float:
     # largest reduced-power gain for which the uncontended slot pair loses

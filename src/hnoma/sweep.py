@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .asymptotic import p_t_asymptotic
 from .channel import OrderPairDensity
@@ -91,12 +91,6 @@ class SweepSpec:
             if key in d:
                 d[key] = tuple(d[key])
         return cls(**d)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("snr_db", "schemes", "methods"):
-            d[key] = list(d[key])
-        return d
 
 
 def _row(snr_db, scheme, method, est: ProbEstimate = None, regime="",

@@ -36,8 +36,10 @@ def run_validation(configs=None, trials: int = 200_000,
     """Run the invariant suite at each config; returns CheckResult rows."""
     if trials < 1:
         raise InvalidConfigError(f"trials={trials} must be >= 1")
+    if configs is not None and len(configs) == 0:
+        raise InvalidConfigError("empty config list")
     rows = []
-    for params in (configs or DEFAULT_CONFIGS):
+    for params in (DEFAULT_CONFIGS if configs is None else configs):
         cfg = SystemConfig.make(**params)
         label = (f"M{cfg.M}m{cfg.m}n{cfg.n}R{cfg.R_m:g}b{cfg.beta:g}"
                  f"eta{cfg.eta:g}snr{cfg.snr_db:g}")

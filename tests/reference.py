@@ -4,11 +4,15 @@ None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
 
 - the NOMA-slot decision written step by step, one temporary per step,
   which the fused ``schemes.DrawKernel`` must match bit for bit, and the
-  per-draw energy array whose sums ``mc_summary`` forms in place;
+  per-draw energy array, whose mean ``mc_summary`` forms from that of γ;
+- one-cell wrappers of ``mc_summary`` (``estimate_probability``,
+  ``estimate_pt``);
 - per-gain classifiers of the contended-loss sub-events (which bound
   binds at each legacy gain) and the gated region of one sub-event,
   written apart from the branch table of ``exact.contended_terms`` that
   the library's closed forms and MC decomposition read;
+- the whole plane, a marginal-CDF region and a membership test of a
+  region (``region_contains``);
 - the ordered-pair density in product form (``joint_pdf``), as a signed
   exponential mixture (``exp_mixture``) and as its leading polynomial
   near the origin (``joint_pdf_near_zero``);
@@ -32,7 +36,8 @@ from scipy import special
 
 from hnoma.channel import OrderPairDensity
 from hnoma.exact import _gc_nodes, compute_constants, contended_terms
-from hnoma.numerics import comp_sum, fejer1_weights
+from hnoma.mc import mc_summary
+from hnoma.numerics import fejer1_weights
 from hnoma.regions import (Clause, EventRegion, capped_loss, decode_tie,
                            diagonal, first_loss, power_cap,
                            region_contended_loss)
@@ -85,6 +90,17 @@ def energy_array(cfg, scheme, gamma):
     if scheme in (Scheme.FSIC, Scheme.HSIC_NPA):
         return np.full(gamma.shape, 2.0 * cfg.beta * cfg.rho_n)
     return (1.0 + gamma) * cfg.beta * cfg.rho_n
+
+
+def estimate_probability(cfg, scheme, trials: int, seed: int):
+    """Fraction of draws where the scheme fails to beat pure OMA."""
+    return mc_summary([(cfg, scheme)], trials, seed)[0]["estimate"]
+
+
+def estimate_pt(cfg, trials: int, seed: int):
+    """MC estimate of the contended positive-cap loss event alone."""
+    return mc_summary([(cfg, Scheme.HSIC_PA)], trials, seed,
+                      want_pt=True)[0]["pt_estimate"]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +160,26 @@ def region_contended_bucket(cfg, bucket: str) -> EventRegion:
     else:
         raise ValueError(f"unknown bucket {bucket!r}")
     return EventRegion((cl,))
+
+
+def region_everything() -> EventRegion:
+    return EventRegion((Clause(0.0, np.inf),))
+
+
+def region_legacy_below(threshold: float) -> EventRegion:
+    """{legacy gain < threshold} (marginal CDF event)."""
+    return EventRegion((Clause(0.0, threshold),))
+
+
+def region_contains(region: EventRegion, g_m, g_n):
+    """Which (g_m, g_n) pairs lie in ``region``."""
+    g_m = np.asarray(g_m, dtype=float)
+    g_n = np.asarray(g_n, dtype=float)
+    hit = np.zeros(np.broadcast(g_m, g_n).shape, dtype=bool)
+    for cl in region.clauses:
+        lo, hi, active = cl.bounds_at(g_m)
+        hit |= active & (g_n > lo) & (g_n <= hi)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +376,7 @@ def _between_expansion(cfg, k: _TermConstants, lower, upper, a, b,
             segs = _gc_loss(cfg, k, a, b, n_c) - _ANTIDERIVATIVE[upper](k, a, b)
     else:
         segs = _ANTIDERIVATIVE[lower](k, a, b) - _ANTIDERIVATIVE[upper](k, a, b)
-    return comp_sum(k.coeff / k.opp * segs)
+    return math.fsum(k.coeff / k.opp * segs)
 
 
 def expansion_pt_terms(cfg, n_c: int = 256) -> dict:

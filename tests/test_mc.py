@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from hnoma import (OrderPairDensity, ProbEstimate, Scheme, estimate_coupled,
-                   estimate_decomposition, estimate_probability, estimate_pt,
-                   integrate_event, integrate_underperformance, p_t_exact,
-                   region_contended_loss, region_everything,
-                   region_legacy_below, region_underperformance)
+                   estimate_decomposition, integrate_event,
+                   integrate_underperformance, p_t_exact,
+                   region_contended_loss, region_underperformance)
 from hnoma.channel import sample_gain_matrix
 from hnoma.numerics import stream
 from hnoma.schemes import HNOMA_SCHEMES, DrawKernel
 
 from conftest import SEED, make_cfg
+from reference import (estimate_probability, estimate_pt, region_contains,
+                       region_everything, region_legacy_below)
 
 
 def test_prob_estimate_invariants():
@@ -177,9 +178,9 @@ def _whole_block_summary(cells, trials, seed, want_pt):
     # kernels on whole blocks
     import hnoma.mc
     from hnoma.schemes import _B_I
-    from reference import energy_array, ref_loss_mask, ref_rate_factors, ref_tau
+    from reference import ref_loss_mask, ref_rate_factors, ref_tau
 
-    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, energy_sum=0.0) for _ in cells]
+    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0) for _ in cells]
     M, m, n = cells[0][0].M, cells[0][0].m, cells[0][0].n
     for block, start in enumerate(range(0, trials, hnoma.mc.BLOCK_TRIALS)):
         size = min(hnoma.mc.BLOCK_TRIALS, trials - start)
@@ -190,16 +191,16 @@ def _whole_block_summary(cells, trials, seed, want_pt):
             lose = ref_loss_mask(cfg, g_n, factor)
             tally["hits"] += int(np.count_nonzero(lose))
             tally["gamma_sum"] += float(gamma.sum())
-            tally["energy_sum"] += float(energy_array(cfg, scheme, gamma).sum())
             if want_pt and scheme == Scheme.HSIC_PA:
                 tau = ref_tau(cfg, g_m)
                 tally["pt_hits"] += int(np.count_nonzero(
                     lose & (branch != _B_I) & (tau > 0.0)))
     out = []
-    for (_, scheme), tally in zip(cells, tallies):
+    for (cfg, scheme), tally in zip(cells, tallies):
+        gamma_mean = tally["gamma_sum"] / trials
         summary = {"estimate": ProbEstimate.from_counts(tally["hits"], trials),
-                   "gamma_mean": tally["gamma_sum"] / trials,
-                   "energy_mean": tally["energy_sum"] / trials}
+                   "gamma_mean": gamma_mean,
+                   "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n}
         if want_pt and scheme == Scheme.HSIC_PA:
             summary["pt_estimate"] = ProbEstimate.from_counts(tally["pt_hits"], trials)
         out.append(summary)
@@ -237,8 +238,8 @@ def test_pair_blocks_are_views_of_the_kept_block():
 
 
 def test_mc_summary_over_a_kept_block_allocates_one_gamma_buffer():
-    # the gains are read in place and the energy sum reuses the γ buffer:
-    # one 8 MB buffer per 10^6-draw block plus the chunk kernel, where
+    # the gains are read in place and the energy mean comes from γ's mean:
+    # one 8 MB γ buffer per 10^6-draw block plus the chunk kernel, where
     # column copies and an energy array took 32 MB
     import tracemalloc
 
@@ -254,6 +255,18 @@ def test_mc_summary_over_a_kept_block_allocates_one_gamma_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
+
+
+def test_fixed_power_energy_mean_is_exact():
+    # FSIC and HSIC-NPA spend 2 β ρ_n on every draw, so their mean over
+    # 10^6 draws is that value to the last bit, not a rounded block sum
+    from hnoma import mc_summary
+
+    cells = [(make_cfg(beta=beta, snr_db=snr), scheme)
+             for beta in (0.1, 0.25, 0.3) for snr in (0.0, 7.0, 15.0, 22.0, 30.0)
+             for scheme in (Scheme.FSIC, Scheme.HSIC_NPA)]
+    for (cfg, _), summary in zip(cells, mc_summary(cells, 1_000_000, 7)):
+        assert summary["energy_mean"] == 2.0 * cfg.beta * cfg.rho_n, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +531,7 @@ def test_region_contains_agrees_with_rate_logic():
     g = sample_gain_matrix(cfg.M, stream(SEED, 9), 50_000)
     g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
     region = region_underperformance(cfg, Scheme.HSIC_PA)
-    mask_region = region.contains(g_m, g_n)
+    mask_region = region_contains(region, g_m, g_n)
     kernel = DrawKernel(g_m.size)
     kernel.run(cfg, Scheme.HSIC_PA, g_m, g_n, np.ones(g_m.size))
     mask_rates = kernel.lose

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -26,6 +26,14 @@ def _spec(**kw):
                 trials=20_000, seed=SEED, label="t")
     base.update(kw)
     return SweepSpec.from_dict(base)
+
+
+def _to_dict(spec):
+    """``spec`` as the JSON a sweep file holds."""
+    d = asdict(spec)
+    for key in ("snr_db", "schemes", "methods"):
+        d[key] = list(d[key])
+    return d
 
 
 def test_spec_validation():
@@ -57,7 +65,7 @@ def test_run_sweep_rows_and_determinism():
 
 def test_integration_failure_is_a_row_not_an_abort(monkeypatch):
     def fail(*args, **kwargs):
-        raise IntegrationFailureError(0.0, 1.0)
+        raise IntegrationFailureError("value=0.0, err=1.0")
 
     exact_rows = run_sweep(_spec(methods=("exact",)))
     monkeypatch.setattr(hnoma.sweep, "integrate_event", fail)
@@ -106,7 +114,7 @@ def test_presets_exist_and_cover_all_table_columns():
 
 def test_cli_sweep_and_rerun_byte_identical(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(_spec().to_dict()))
+    spec_path.write_text(json.dumps(_to_dict(_spec())))
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert main(["sweep", "--config", str(spec_path), "--out", str(out1)]) == EXIT_OK
@@ -116,7 +124,7 @@ def test_cli_sweep_and_rerun_byte_identical(tmp_path):
 
 def test_cli_sweep_creates_the_output_directory(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(_spec().to_dict()))
+    spec_path.write_text(json.dumps(_to_dict(_spec())))
     out = tmp_path / "new" / "dir" / "x.csv"
     assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == EXIT_OK
     assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
@@ -150,9 +158,9 @@ def test_cli_figure_bad_override_creates_nothing(tmp_path):
 def test_figure_and_sweep_never_import_scipy(tmp_path):
     # scipy is a test-only dependency: the command line must run without it
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(_spec(
+    spec_path.write_text(json.dumps(_to_dict(_spec(
         methods=("mc", "exact", "asymptotic", "numeric-integration"),
-        trials=2_000).to_dict()))
+        trials=2_000))))
     script = (
         "import sys\n"
         "from hnoma.cli import main\n"
@@ -206,7 +214,7 @@ def test_cli_config_errors(tmp_path):
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x")]) \
         == EXIT_CONFIG
     empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps(dict(_spec().to_dict(), schemes=[])))
+    empty.write_text(json.dumps(dict(_to_dict(_spec()), schemes=[])))
     assert main(["sweep", "--config", str(empty), "--out", str(tmp_path / "y")]) \
         == EXIT_CONFIG
     assert main(["sweep", "--config", str(tmp_path / "missing.json"),
@@ -219,7 +227,7 @@ def test_cli_program_errors_are_not_config_errors(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hnoma.cli, "run_sweep", broken)
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(_spec().to_dict()))
+    spec_path.write_text(json.dumps(_to_dict(_spec())))
     with pytest.raises(TypeError, match="bug inside the sweep"):
         main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "o")])
 
@@ -238,10 +246,44 @@ def test_cli_malformed_fields_stay_config_errors(tmp_path):
                                   methods=["mc", "numeric-integration"]),
                              dict(schemes=["foo"]), dict(methods=["foo"]))):
         path = tmp_path / f"bad{i}.json"
-        path.write_text(json.dumps(dict(_spec().to_dict(), **bad)))
+        path.write_text(json.dumps(dict(_to_dict(_spec()), **bad)))
         assert main(["sweep", "--config", str(path),
                      "--out", str(tmp_path / f"o{i}")]) == EXIT_CONFIG
         assert not (tmp_path / f"o{i}").exists()
+
+
+def test_cli_non_finite_inputs_are_config_errors(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    for i, bad in enumerate((dict(snr_db=[nan, 10.0]), dict(R_m=nan),
+                             dict(eta=inf))):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(dict(_to_dict(_spec()), **bad)))
+        out = tmp_path / f"o{i}.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+    # a later SNR is checked per row, like any other invalid point
+    rows = run_sweep(_spec(snr_db=(10.0, nan)))
+    assert rows[0]["regime"] == "m<n:T1c1:T2c1"
+    assert all(r["regime"] == "error:InvalidConfigError" and r["value"] is None
+               for r in rows[2:])
+
+
+def test_cli_sweep_to_a_directory_is_a_config_error(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_to_dict(_spec(methods=("exact",)))))
+    assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path)]) \
+        == EXIT_CONFIG
+
+
+def test_cli_validate_rejects_an_empty_config_list(tmp_path, monkeypatch):
+    def no_work(cfg, *args, **kwargs):
+        raise AssertionError("validation ran on an empty config list")
+
+    monkeypatch.setattr(hnoma.validate, "p_t_exact", no_work)
+    path = tmp_path / "none.json"
+    path.write_text("[]")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
 
 def test_cli_validate_passes(capsys):
@@ -311,7 +353,8 @@ def test_multi_block_sweep_matches_one_cell_summaries(monkeypatch):
     # three blocks, the last one partial: every cell must see the same
     # draws in the same block order as a one-cell pass would
     import hnoma.mc
-    from hnoma.mc import estimate_coupled, estimate_pt, mc_summary
+    from hnoma.mc import estimate_coupled, mc_summary
+    from reference import estimate_pt
 
     monkeypatch.setattr(hnoma.mc, "BLOCK_TRIALS", 1_000)
     trials = 2_500
