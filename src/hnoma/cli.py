@@ -35,19 +35,16 @@ def _parsed(build, raw):
         raise InvalidConfigError(f"malformed spec: {exc}") from exc
 
 
-def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
-    updates = {}
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return replace(spec, **updates) if updates else spec
+def _overrides(args) -> dict:
+    """The ``--trials`` and ``--seed`` values given on the command line."""
+    return {k: getattr(args, k) for k in ("trials", "seed")
+            if getattr(args, k) is not None}
 
 
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         spec = _parsed(SweepSpec.from_dict, json.load(fh))
-    spec = _apply_overrides(spec, args)
+    spec = replace(spec, **_overrides(args))
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     rows = run_sweep(spec)
     write_rows(rows, args.out, args.format)
@@ -57,7 +54,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_figure(args) -> int:
     preset = load_preset(args.name)
-    specs = [_apply_overrides(_parsed(SweepSpec.from_dict, raw), args)
+    specs = [replace(_parsed(SweepSpec.from_dict, raw), **_overrides(args))
              for raw in preset["sweeps"]]
     os.makedirs(args.out, exist_ok=True)
     ext = "csv" if args.format == "csv" else "json"
@@ -75,12 +72,7 @@ def cmd_validate(args) -> int:
         with open(args.config) as fh:
             configs = json.load(fh)
         _parsed(lambda cs: [SystemConfig.make(**p) for p in cs], configs)
-    kwargs = {}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    rows = run_validation(configs, **kwargs)
+    rows = run_validation(configs, **_overrides(args))
     print(report_text(rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VALIDATION
 

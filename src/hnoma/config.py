@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 
@@ -11,7 +12,10 @@ class InvalidConfigError(ValueError):
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:  # past the float range; SystemConfig rejects it
+        return math.inf
 
 
 def linear_to_db(x: float) -> float:
@@ -49,9 +53,9 @@ class SystemConfig:
             raise InvalidConfigError("legacy and opportunistic user must differ")
         if not 0.0 < self.beta < 0.5:
             raise InvalidConfigError(f"beta={self.beta} outside (0, 1/2)")
-        # written so that NaN fails too
-        if not 0.0 < self.R_m < math.inf:
-            raise InvalidConfigError(f"R_m={self.R_m} must be positive and finite")
+        # written so that NaN fails too; 2^R_m overflows from max_exp on
+        if not 0.0 < self.R_m < sys.float_info.max_exp:
+            raise InvalidConfigError(f"R_m={self.R_m} must be positive, with 2^R_m finite")
         if not (0.0 < self.rho_n < math.inf and 0.0 < self.rho_m < math.inf):
             raise InvalidConfigError("transmit SNRs must be positive and finite")
         if self.eta is None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,
@@ -196,64 +198,43 @@ def _region_breakpoints(clauses) -> list:
     between two members of {lower curves, upper curves, diagonal};
     locating them keeps the outer quadrature from stepping over narrow
     features.  Each clause's range is scanned on a linear grid (plus a
-    geometric one over wide ranges); each distinct curve of the region
-    (told apart by identity) is evaluated once, on the concatenated grids
-    of the clauses that use it.  Every sign flip of every curve pair of a
-    clause is bracketed, in pair order then by t, and all brackets are
-    closed together by Illinois steps (Dowell & Jarratt, BIT 11, 1971): a
-    secant point, with the value at an end kept twice in a row halved, and
-    a bisection every third step.  Trial points stay ``0.4 * _REL_WIDTH``
-    (relative) inside the bracket, so a root on a bracket end closes in
-    one step.  A bracket stops at a width of ``_REL_WIDTH`` relative to
-    its larger end, or at adjacent floats, and gives its midpoint.
-    Brackets evolve independently, so a region's search gives exactly
-    what searching each clause alone gives.
+    geometric one over wide ranges), each clause's curves on its own grid.
+    Every sign flip of every curve pair of a clause is bracketed, in pair
+    order then by t, and all brackets are closed together by Illinois
+    steps (Dowell & Jarratt, BIT 11, 1971): a secant point, with the value
+    at an end kept twice in a row halved, and a bisection every third
+    step.  Trial points stay ``0.4 * _REL_WIDTH`` (relative) inside the
+    bracket, so a root on a bracket end closes in one step.  A bracket
+    stops at a width of ``_REL_WIDTH`` relative to its larger end, or at
+    adjacent floats, and gives its midpoint.  Brackets evolve
+    independently, so a region's search gives exactly what searching each
+    clause alone gives.
     """
     diagonal = lambda t: t  # edge of the ordered wedge
-    curves, slot, users = [], {}, []
-    grids, rows_of = [], []
+    curves = []
+    first, second, owner, lo, hi, f_lo, f_hi = [], [], [], [], [], [], []
     for k, clause in enumerate(clauses):
         t_hi = min(clause.t_hi, _TAIL)
         if not t_hi > clause.t_lo:
-            grids.append(None)
-            rows_of.append(())
             continue
         grid = np.linspace(clause.t_lo, t_hi, _N_SCAN)
         if clause.t_lo > 0 and t_hi / clause.t_lo > 100.0:
             grid = np.union1d(grid, np.geomspace(clause.t_lo, t_hi, _N_SCAN))
-        grids.append(grid)
-        rows = []
-        for c in (*clause.lower, *clause.upper, diagonal):
-            if id(c) not in slot:
-                slot[id(c)] = len(curves)
-                curves.append(c)
-                users.append([])
-            users[slot[id(c)]].append(k)
-            rows.append(slot[id(c)])
-        rows_of.append(rows)
-    # each curve once, on the grids of the clauses that use it
-    scan = {}
-    for i, c in enumerate(curves):
-        sizes = [grids[k].size for k in users[i]]
-        row = _curve_values([c], np.concatenate([grids[k] for k in users[i]]))[0]
-        for k, part in zip(users[i], np.split(row, np.cumsum(sizes[:-1]))):
-            scan[i, k] = part
-    first, second, owner, lo, hi, f_lo, f_hi = [], [], [], [], [], [], []
-    for k, rows in enumerate(rows_of):
-        for a, i in enumerate(rows):
-            for j in rows[a + 1:]:
-                d = scan[i, k] - scan[j, k]
-                flips = np.flatnonzero(np.diff(np.signbit(d)))
-                first += [i] * flips.size
-                second += [j] * flips.size
-                owner += [k] * flips.size
-                lo.append(grids[k][flips])
-                hi.append(grids[k][flips + 1])
-                f_lo.append(d[flips])
-                f_hi.append(d[flips + 1])
+        own = (*clause.lower, *clause.upper, diagonal)
+        scan = _curve_values(own, grid)
+        for i, j in combinations(range(len(own)), 2):
+            d = scan[i] - scan[j]
+            flips = np.flatnonzero(np.diff(np.signbit(d)))
+            first += [len(curves) + i] * flips.size
+            second += [len(curves) + j] * flips.size
+            owner += [k] * flips.size
+            lo.append(grid[flips])
+            hi.append(grid[flips + 1])
+            f_lo.append(d[flips])
+            f_hi.append(d[flips + 1])
+        curves += own
     if not first:
         return [[] for _ in clauses]
-    del scan
     first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
     owner = np.array(owner, dtype=np.intp)
     lo, hi, f_lo, f_hi = map(np.concatenate, (lo, hi, f_lo, f_hi))
@@ -319,7 +300,7 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
         edges = [clause.t_lo, t_hi]
         edges += [x for x in breakpoints if clause.t_lo < x < t_hi]
         edges = np.array(sorted(set(edges)))
-        tol_each = abs_tol / (max(len(region.clauses), 1) * max(edges.size - 1, 1))
+        tol_each = abs_tol / (len(region.clauses) * (edges.size - 1))
         values, errs, oks = adaptive_integrate(integrand, edges[:-1], edges[1:],
                                                abs_tol=tol_each, max_depth=_MAX_DEPTH,
                                                initial_panels=8)

@@ -382,15 +382,16 @@ def test_batched_breakpoints_match_scalar_bisection():
 
 
 def _counted_clauses(clauses):
-    """The clauses with every curve wrapped in a call counter (shared
-    curves stay shared), and the counts by curve."""
+    """The clauses with every curve wrapped in a call counter of its
+    clause (a curve two clauses share gets one counter in each), and the
+    counts by (clause index, curve id)."""
     from dataclasses import replace
     wrapped, calls = {}, {}
 
-    def wrap(curve):
+    def wrap(k, curve):
         if not callable(curve):
             return curve
-        key = id(curve)
+        key = (k, id(curve))
         if key not in wrapped:
             calls[key] = 0
 
@@ -400,9 +401,9 @@ def _counted_clauses(clauses):
             wrapped[key] = counted
         return wrapped[key]
 
-    clauses = tuple(replace(c, lower=tuple(map(wrap, c.lower)),
-                            upper=tuple(map(wrap, c.upper)))
-                    for c in clauses)
+    clauses = tuple(replace(c, lower=tuple(wrap(k, f) for f in c.lower),
+                            upper=tuple(wrap(k, f) for f in c.upper))
+                    for k, c in enumerate(clauses))
     return clauses, calls
 
 

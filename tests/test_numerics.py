@@ -64,15 +64,6 @@ def test_erf_odd_symmetry(x):
 
 
 # ---------------------------------------------------------------------------
-#  compensated summation
-# ---------------------------------------------------------------------------
-
-def test_comp_sum_alternating_series():
-    terms = [(-1.0) ** k / math.factorial(k) for k in range(60)]
-    assert abs(math.fsum(terms) - math.exp(-1.0)) < 1e-15
-
-
-# ---------------------------------------------------------------------------
 #  adaptive integration
 # ---------------------------------------------------------------------------
 

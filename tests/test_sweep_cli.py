@@ -254,8 +254,9 @@ def test_cli_malformed_fields_stay_config_errors(tmp_path):
 
 def test_cli_non_finite_inputs_are_config_errors(tmp_path):
     nan, inf = float("nan"), float("inf")
+    # 4000 dB and R_m = 1100 overflow a float once made linear
     for i, bad in enumerate((dict(snr_db=[nan, 10.0]), dict(R_m=nan),
-                             dict(eta=inf))):
+                             dict(eta=inf), dict(snr_db=[4000]), dict(R_m=1100))):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(dict(_to_dict(_spec()), **bad)))
         out = tmp_path / f"o{i}.csv"
@@ -267,6 +268,10 @@ def test_cli_non_finite_inputs_are_config_errors(tmp_path):
     assert rows[0]["regime"] == "m<n:T1c1:T2c1"
     assert all(r["regime"] == "error:InvalidConfigError" and r["value"] is None
                for r in rows[2:])
+    rows = run_sweep(_spec(snr_db=(10.0, 4000.0)))
+    assert rows[0]["regime"] == "m<n:T1c1:T2c1"
+    assert all(r["snr_db"] == 4000.0 and r["regime"] == "error:InvalidConfigError"
+               and r["value"] is None for r in rows[2:])
 
 
 def test_cli_sweep_to_a_directory_is_a_config_error(tmp_path):
