@@ -94,6 +94,14 @@ class SystemConfig:
         return 2.0 ** self.R_m - 1.0
 
     @property
+    def beta_sq(self) -> float:
+        """beta^2 by Python's ``**`` (C ``pow``).  The boundary curves read
+        it, so that on per-point arrays of many configs' attributes they
+        keep each config's bits: numpy's array ``** 2`` is one multiply,
+        which can differ from ``pow`` in the last bit."""
+        return self.beta ** 2
+
+    @property
     def alpha_m(self) -> float:
         """Legacy gain below which the interference cap is zero."""
         return self.eps_m / self.rho_m

@@ -87,6 +87,10 @@ def compute_constants(cfg: SystemConfig) -> RegimeConstants:
     z_3 = _positive_root(alpha + beta * eta * alpha - 1.0 / rho_m, alpha / rho_m)
 
     def _close(u, v, scale):
+        # two curve values that overflowed alike are not close; inf - inf
+        # would say so too, as a NaN, but with an invalid-value warning
+        if math.isinf(u) and u == v:
+            return False
         return abs(u - v) <= _BACKSUB_TOL * max(abs(u), abs(v), scale)
 
     checks = [

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -181,12 +181,91 @@ _REL_WIDTH = 1e-13  # a breakpoint bracket closes at this width relative to |t|
 _MAX_STEPS = 200
 
 
-def _curve_values(curves, t):
-    """Every curve at ``t``, clipped to finite values, one row per curve."""
-    rows = np.empty((len(curves), t.size))
-    for row, c in zip(rows, curves):
-        row[:] = c(t) if callable(c) else c
-    return np.clip(rows, -1e300, 1e300, out=rows)
+def _wedge(t):
+    """The edge of the ordered wedge, g_n = t."""
+    return t
+
+
+class _Gathered:
+    """Config attributes per point: ``view.name[p]`` is ``name`` of the
+    config of curve ``ids[p]``."""
+
+    def __init__(self, curves, ids):
+        self._curves, self._ids = curves, ids
+
+    def __getattr__(self, name):
+        value = self._curves.column(name)[self._ids]
+        setattr(self, name, value)  # later reads skip the gather
+        return value
+
+
+class _ClauseCurves:
+    """The bounds of many clauses, evaluated a batch of points at a time.
+
+    Clause k's curves ``(*lower, *upper, wedge edge)`` are numbered from
+    ``start[k]`` on; numbers 0 and 1 are the constants -inf and +inf.
+    ``on(ids)`` is the function that gives curve ``ids[p]`` at ``t[p]``
+    with one call per formula, however many clauses there are: a curve
+    ``partial(f, cfg)`` runs ``f`` on its configs' attributes gathered per
+    point, which are the configs' own floats, so each value has the bits
+    of ``f(cfg, t)``; any other callable runs on its own points;
+    constants are gathered.
+    """
+
+    def __init__(self, clauses):
+        own = [(-np.inf, np.inf)] + [(*c.lower, *c.upper, _wedge) for c in clauses]
+        self.start = np.cumsum([len(curves) for curves in own])[:-1]
+        self._formulas, self._cfgs = [], []
+        kind, const = [], []
+        formulas = {}  # formula -> its number
+        for curve in (c for curves in own for c in curves):
+            gathered = isinstance(curve, partial)
+            formula = curve.func if gathered else curve if callable(curve) else None
+            if formula not in formulas:
+                formulas[formula] = len(self._formulas)
+                self._formulas.append((formula, gathered))
+            kind.append(formulas[formula])
+            self._cfgs.append(curve.args[0] if gathered else None)
+            const.append(np.nan if callable(curve) else curve)
+        self._kind = np.array(kind, dtype=np.intp)
+        self._const = np.array(const, dtype=float)
+        self._columns = {}
+
+    def column(self, name):
+        """Attribute ``name`` of every curve's config (0 for other curves)."""
+        if name not in self._columns:
+            self._columns[name] = np.array(
+                [0.0 if cfg is None else getattr(cfg, name) for cfg in self._cfgs])
+        return self._columns[name]
+
+    def on(self, ids):
+        """``t -> [curve ids[p] at t[p]]``; the grouping by formula and the
+        gathered attributes are worked out once, for every call."""
+        kind = self._kind[ids]
+        groups = []
+        for k, (formula, gathered) in enumerate(self._formulas):
+            sel = np.flatnonzero(kind == k)
+            if not sel.size:
+                continue
+            if formula is None:
+                groups.append((sel, lambda t, c=self._const[ids[sel]]: c))
+            elif gathered:
+                groups.append((sel, partial(formula, _Gathered(self, ids[sel]))))
+            else:
+                groups.append((sel, formula))
+
+        def values(t):
+            out = np.empty(t.size)
+            for sel, curve in groups:
+                out[sel] = curve(t[sel])
+            return out
+        return values
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int):
+    """Index arrays ``(i, j)`` of every pair i < j of n curves, in order."""
+    return np.triu_indices(n, 1)
 
 
 def _region_breakpoints(clauses) -> list:
@@ -198,20 +277,21 @@ def _region_breakpoints(clauses) -> list:
     between two members of {lower curves, upper curves, diagonal};
     locating them keeps the outer quadrature from stepping over narrow
     features.  Each clause's range is scanned on a linear grid (plus a
-    geometric one over wide ranges), each clause's curves on its own grid.
-    Every sign flip of every curve pair of a clause is bracketed, in pair
-    order then by t, and all brackets are closed together by Illinois
-    steps (Dowell & Jarratt, BIT 11, 1971): a secant point, with the value
-    at an end kept twice in a row halved, and a bisection every third
-    step.  Trial points stay ``0.4 * _REL_WIDTH`` (relative) inside the
-    bracket, so a root on a bracket end closes in one step.  A bracket
-    stops at a width of ``_REL_WIDTH`` relative to its larger end, or at
-    adjacent floats, and gives its midpoint.  Brackets evolve
-    independently, so a region's search gives exactly what searching each
-    clause alone gives.
+    geometric one over wide ranges), each clause's curves on its own
+    grid.  Every sign flip of every curve pair of a clause is bracketed,
+    in pair order then by t, and all brackets of all clauses are closed
+    together by Illinois steps (Dowell & Jarratt, BIT 11, 1971): a secant
+    point, with the value at an end kept twice in a row halved, and a
+    bisection every third step, each step one evaluation of every curve
+    formula at once for all brackets.  Trial points stay
+    ``0.4 * _REL_WIDTH`` (relative) inside the bracket, so a root on a
+    bracket end closes in one step.  A bracket stops at a width of
+    ``_REL_WIDTH`` relative to its larger end, or at adjacent floats, and
+    gives its midpoint.  Brackets evolve independently, so one search over
+    the clauses of a whole sweep gives exactly what searching each clause
+    alone gives.
     """
-    diagonal = lambda t: t  # edge of the ordered wedge
-    curves = []
+    curves = _ClauseCurves(clauses)
     first, second, owner, lo, hi, f_lo, f_hi = [], [], [], [], [], [], []
     for k, clause in enumerate(clauses):
         t_hi = min(clause.t_hi, _TAIL)
@@ -220,109 +300,166 @@ def _region_breakpoints(clauses) -> list:
         grid = np.linspace(clause.t_lo, t_hi, _N_SCAN)
         if clause.t_lo > 0 and t_hi / clause.t_lo > 100.0:
             grid = np.union1d(grid, np.geomspace(clause.t_lo, t_hi, _N_SCAN))
-        own = (*clause.lower, *clause.upper, diagonal)
-        scan = _curve_values(own, grid)
-        for i, j in combinations(range(len(own)), 2):
-            d = scan[i] - scan[j]
-            flips = np.flatnonzero(np.diff(np.signbit(d)))
-            first += [len(curves) + i] * flips.size
-            second += [len(curves) + j] * flips.size
-            owner += [k] * flips.size
-            lo.append(grid[flips])
-            hi.append(grid[flips + 1])
-            f_lo.append(d[flips])
-            f_hi.append(d[flips + 1])
-        curves += own
+        own = (*clause.lower, *clause.upper, _wedge)
+        scan = np.empty((len(own), grid.size))
+        for row, c in zip(scan, own):
+            row[:] = c(grid) if callable(c) else c
+        np.clip(scan, -1e300, 1e300, out=scan)  # finite values only
+        # every curve pair at once, in pair order
+        i, j = _pairs(len(own))
+        d = scan[i] - scan[j]
+        pair, at = np.divmod(np.flatnonzero(np.diff(np.signbit(d), axis=1)),
+                             grid.size - 1)
+        first.append(curves.start[k] + i[pair])
+        second.append(curves.start[k] + j[pair])
+        owner.append(np.full(pair.size, k))
+        lo.append(grid[at])
+        hi.append(grid[at + 1])
+        f_lo.append(d[pair, at])
+        f_hi.append(d[pair, at + 1])
     if not first:
         return [[] for _ in clauses]
-    first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
-    owner = np.array(owner, dtype=np.intp)
-    lo, hi, f_lo, f_hi = map(np.concatenate, (lo, hi, f_lo, f_hi))
+    first, second, owner, lo, hi, f_lo, f_hi = map(
+        np.concatenate, (first, second, owner, lo, hi, f_lo, f_hi))
     # a bracket's lower end keeps the sign it starts with
     neg_lo = f_lo < 0
     last = np.zeros(lo.size, dtype=np.int8)   # +1: lo moved last, -1: hi
+    values = curves.on(np.concatenate([first, second]))
     for step in range(_MAX_STEPS):
         big = np.maximum(np.abs(lo), np.abs(hi))
-        live = np.flatnonzero((hi - lo > _REL_WIDTH * big)
-                              & (hi > np.nextafter(lo, np.inf)))
-        if not live.size:
+        live = (hi - lo > _REL_WIDTH * big) & (hi > np.nextafter(lo, np.inf))
+        if not live.any():
             break
-        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
-        mid = 0.5 * (a + b)
+        # every bracket takes a step and a closed one keeps its old state,
+        # so the curves are grouped and gathered once for the whole search
+        mid = 0.5 * (lo + hi)
         if step % 3 == 2:
             x = mid
         else:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x = b - fb * (b - a) / (fb - fa)
+                x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             x = np.where(np.isfinite(x), x, mid)
-        margin = 0.4 * _REL_WIDTH * big[live]
-        x = np.minimum(np.maximum(x, a + margin), b - margin)
-        at_x = _curve_values(curves, x)
-        cols = np.arange(live.size)
-        fx = at_x[first[live], cols] - at_x[second[live], cols]
-        to_lo = (fx < 0) == neg_lo[live]
-        kept = last[live]
+        margin = 0.4 * _REL_WIDTH * big
+        x = np.minimum(np.maximum(x, lo + margin), hi - margin)
+        at_x = np.clip(values(np.concatenate([x, x])), -1e300, 1e300)
+        fx = at_x[:lo.size] - at_x[lo.size:]
+        to_lo = (fx < 0) == neg_lo
+        move_lo, move_hi = live & to_lo, live & ~to_lo
         # Illinois: halve the value at an end kept twice in a row
-        f_lo[live] = np.where(to_lo, fx, np.where(kept == -1, 0.5 * fa, fa))
-        f_hi[live] = np.where(to_lo, np.where(kept == 1, 0.5 * fb, fb), fx)
-        lo[live] = np.where(to_lo, x, a)
-        hi[live] = np.where(to_lo, b, x)
-        last[live] = np.where(to_lo, 1, -1)
+        f_lo = np.where(move_lo, fx, np.where(move_hi & (last == -1), 0.5 * f_lo, f_lo))
+        f_hi = np.where(move_hi, fx, np.where(move_lo & (last == 1), 0.5 * f_hi, f_hi))
+        lo = np.where(move_lo, x, lo)
+        hi = np.where(move_hi, x, hi)
+        last = np.where(move_lo, 1, np.where(move_hi, -1, last))
     found = 0.5 * (lo + hi)
-    return [list(found[owner == k]) for k in range(len(clauses))]
+    order = np.argsort(owner, kind="stable")
+    cuts = np.cumsum(np.bincount(owner, minlength=len(clauses)))[:-1]
+    return [list(x) for x in np.split(found[order], cuts)]
 
 
-def integrate_event(region: EventRegion, pair: OrderPairDensity,
-                    abs_tol: float = 1e-7) -> ProbEstimate:
-    """Probability mass of ``region`` under the ordered-pair density.
+def integrate_events(regions, pair: OrderPairDensity, abs_tol: float = 1e-7) -> list:
+    """Probability mass of each region under one ordered-pair density: a
+    ``ProbEstimate``, or the ``IntegrationFailureError`` of a region whose
+    integral did not converge.
 
     The opportunistic-gain section of every clause is an interval, so its
     mass comes from the pair density's interval-mass functions
     (Gauss-Legendre in v = e^-y); the remaining 1-D integral over the
     legacy gain is done by adaptive bisection between the curve-crossing
-    breakpoints of ``_region_breakpoints`` (one search for the whole
-    region), all segments of a clause refined together.  Gains beyond 40
-    are dropped (mass < e^-40).
+    breakpoints.  All regions share one ``_region_breakpoints`` search
+    and one ``adaptive_integrate`` pass over every segment of every
+    clause; a segment is integrated as if alone, to the tolerance
+    ``abs_tol`` shared out over its region's clauses and its clause's
+    segments, so each result is that of its region integrated alone.
+    Gains beyond 40 are dropped (mass < e^-40).
     """
     mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
+    clauses = [clause for region in regions for clause in region.clauses]
+    breakpoints = iter(_region_breakpoints(clauses))
+    a, b, tol, seg_clause, n_segs = [], [], [], [], []
+    for region in regions:
+        for clause in region.clauses:
+            points = next(breakpoints)
+            t_hi = min(clause.t_hi, _TAIL)
+            n_segs.append(0)
+            if not t_hi > clause.t_lo:
+                continue
+            edges = [clause.t_lo, t_hi]
+            edges += [x for x in points if clause.t_lo < x < t_hi]
+            edges = sorted(set(edges))
+            n_segs[-1] = len(edges) - 1
+            a += edges[:-1]
+            b += edges[1:]
+            tol += [abs_tol / (len(region.clauses) * n_segs[-1])] * n_segs[-1]
+            seg_clause += [len(n_segs) - 1] * n_segs[-1]
+    seg_clause = np.array(seg_clause, dtype=np.intp)
 
-    def clause_mass(clause, breakpoints):
-        def integrand(t):
-            # on the closed interval: bounds_at leaves t == t_lo out, which
-            # would put a false jump at every segment starting there
-            t = np.maximum(t, np.nextafter(clause.t_lo, np.inf))
-            lo, hi, active = clause.bounds_at(t)
-            return np.where(active, mass(pair, t, lo, np.minimum(hi, _TAIL)), 0.0)
+    # row r of bound_ids holds every clause's r-th lower bound (-inf where
+    # it has fewer), then come the rows of its upper ones (+inf)
+    curves = _ClauseCurves(clauses)
+    n_lower = np.array([len(clause.lower) for clause in clauses], dtype=np.intp)
+    n_upper = np.array([len(clause.upper) for clause in clauses], dtype=np.intp)
+    r = np.arange(n_lower.max(initial=0))[:, None]
+    lower_ids = np.where(r < n_lower, curves.start + r, 0)
+    r = np.arange(n_upper.max(initial=0))[:, None]
+    bound_ids = np.vstack([lower_ids, np.where(r < n_upper, curves.start + n_lower + r, 1)])
+    t_lo = np.array([clause.t_lo for clause in clauses])
+    t_top = np.array([clause.t_hi for clause in clauses])
+    # on the closed interval: the clause is inactive at t == t_lo, which
+    # would put a false jump at every segment starting there
+    t_start = np.nextafter(t_lo, np.inf)
 
-        t_hi = min(clause.t_hi, _TAIL)
-        if not t_hi > clause.t_lo:
-            return 0.0, 0.0, True
-        edges = [clause.t_lo, t_hi]
-        edges += [x for x in breakpoints if clause.t_lo < x < t_hi]
-        edges = np.array(sorted(set(edges)))
-        tol_each = abs_tol / (len(region.clauses) * (edges.size - 1))
-        values, errs, oks = adaptive_integrate(integrand, edges[:-1], edges[1:],
-                                               abs_tol=tol_each, max_depth=_MAX_DEPTH,
-                                               initial_panels=8)
-        v_sum, e_sum = 0.0, 0.0
-        for v, e in zip(values, errs):  # segment by segment, left to right
-            v_sum += float(v)
-            e_sum += float(e)
-        return v_sum, e_sum, bool(oks.all())
+    def integrand(x, s):
+        k = seg_clause[s]
+        t = np.maximum(x, t_start[k])
+        bounds = curves.on(bound_ids[:, k].ravel())(np.tile(t, len(bound_ids)))
+        bounds = bounds.reshape(len(bound_ids), t.size)
+        lo = np.zeros(t.size)
+        for row in bounds[:len(lower_ids)]:
+            lo = np.maximum(lo, row)
+        hi = np.full(t.size, np.inf)
+        for row in bounds[len(lower_ids):]:
+            hi = np.minimum(hi, row)
+        active = (t > t_lo[k]) & (t <= t_top[k])
+        return np.where(active, mass(pair, t, lo, np.minimum(hi, _TAIL)), 0.0)
 
-    total = 0.0
-    err = 0.0
-    ok = True
-    for clause, breakpoints in zip(region.clauses, _region_breakpoints(region.clauses)):
-        v, e, good = clause_mass(clause, breakpoints)
-        total += v
-        err += e
-        ok = ok and good
-    if not ok:
-        raise IntegrationFailureError(
-            f"integration did not converge: value={total!r}, err={err!r}")
-    total = min(1.0, max(0.0, total))
-    return ProbEstimate(value=total, trials=0, std_err=err, method=NUMERIC)
+    values, errs, oks = adaptive_integrate(integrand, np.array(a), np.array(b),
+                                           abs_tol=np.array(tol), max_depth=_MAX_DEPTH,
+                                           initial_panels=8)
+    values, errs, oks = values.tolist(), errs.tolist(), oks.tolist()
+    out = []
+    counts = iter(n_segs)
+    seg = 0
+    for region in regions:
+        total, err, ok = 0.0, 0.0, True
+        for _ in region.clauses:
+            n = next(counts)
+            v_sum, e_sum = 0.0, 0.0
+            for v, e in zip(values[seg:seg + n], errs[seg:seg + n]):  # left to right
+                v_sum += v
+                e_sum += e
+            total += v_sum
+            err += e_sum
+            ok = ok and all(oks[seg:seg + n])
+            seg += n
+        if ok:
+            out.append(ProbEstimate(value=min(1.0, max(0.0, total)), trials=0,
+                                    std_err=err, method=NUMERIC))
+        else:
+            out.append(IntegrationFailureError(
+                f"integration did not converge: value={total!r}, err={err!r}"))
+    return out
+
+
+def integrate_event(region: EventRegion, pair: OrderPairDensity,
+                    abs_tol: float = 1e-7) -> ProbEstimate:
+    """Probability mass of ``region`` under the ordered-pair density: the
+    one-region case of ``integrate_events``, raising its
+    ``IntegrationFailureError``."""
+    (out,) = integrate_events([region], pair, abs_tol)
+    if isinstance(out, IntegrationFailureError):
+        raise out
+    return out
 
 
 def integrate_underperformance(cfg: SystemConfig, scheme: Scheme) -> ProbEstimate:

@@ -53,24 +53,30 @@ def adaptive_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
     panel's five points is blind to a feature between them.
 
     The refinement runs level by level: all pending intervals are split
-    at once and the level's new points go to one call of ``f``, which
-    takes and returns 1-D arrays.  Accepted values are added back up the
-    bisection tree as ``left + right``, as a depth-first recursion would.
+    at once and the level's new points go to one call ``f(x, k)``, which
+    takes the 1-D array of points and the index of the segment each one
+    belongs to, and returns the values.  Accepted values are added back
+    up the bisection tree as ``left + right``, as a depth-first recursion
+    would.
 
-    ``a`` and ``b`` may be 1-D arrays of segment ends; each segment is
-    then integrated as if alone, with its own panels and ``abs_tol``, and
-    the results are arrays.  Returns ``(value, err_estimate, converged)``;
-    an empty interval (b <= a) gives ``(0, 0, True)``.
+    ``a``, ``b`` and ``abs_tol`` may be 1-D arrays, one entry per segment;
+    each segment is then integrated as if alone, with its own panels and
+    tolerance, and the results are arrays.  Returns ``(value,
+    err_estimate, converged)``; an empty interval (b <= a) gives
+    ``(0, 0, True)``.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b, abs_tol = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                        np.asarray(b, dtype=float),
+                                        np.asarray(abs_tol, dtype=float))
     scalar = a.ndim == 0
-    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    a, b, abs_tol = np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(abs_tol)
     value = np.zeros(a.shape)
     err = np.zeros(a.shape)
-    live = b > a
-    if live.any():
+    live = np.flatnonzero(b > a)
+    if live.size:
         value[live], err[live] = _integrate_panels(
-            f, a[live], b[live], abs_tol, max_depth, initial_panels)
+            lambda x, k: f(x, live[k]), a[live], b[live], abs_tol[live],
+            max_depth, initial_panels)
     converged = err <= abs_tol
     if scalar:
         return float(value[0]), float(err[0]), bool(converged[0])
@@ -82,16 +88,20 @@ def _integrate_panels(f, a, b, abs_tol, max_depth, initial_panels):
     edges = np.linspace(a, b, initial_panels + 1, axis=1)
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     mid = 0.5 * (lo + hi)
-    f_edges = f(np.concatenate([edges.ravel(), mid]))
+    seg = np.repeat(np.arange(a.size), initial_panels)  # segment of each interval
+    f_edges = f(np.concatenate([edges.ravel(), mid]),
+                np.concatenate([np.repeat(np.arange(a.size), initial_panels + 1), seg]))
     f_grid = f_edges[:edges.size].reshape(edges.shape)
     fa, fb, fm = f_grid[:, :-1].ravel(), f_grid[:, 1:].ravel(), f_edges[edges.size:]
     whole = _simpson(lo, hi, fa, fm, fb)
-    tol = abs_tol * (hi - lo) / np.repeat(b - a, initial_panels)
+    tol = (np.repeat(abs_tol, initial_panels) * (hi - lo)
+           / np.repeat(b - a, initial_panels))
     levels = []          # (value, err, split) of every level, top first
     depth = max_depth
     while lo.size:
         m = 0.5 * (lo + hi)
-        quarter = f(np.concatenate([0.5 * (lo + m), 0.5 * (m + hi)]))
+        quarter = f(np.concatenate([0.5 * (lo + m), 0.5 * (m + hi)]),
+                    np.concatenate([seg, seg]))
         flm, frm = quarter[:lo.size], quarter[lo.size:]
         left = _simpson(lo, m, fa, flm, fm)
         right = _simpson(m, hi, fm, frm, fb)
@@ -108,10 +118,17 @@ def _integrate_panels(f, a, b, abs_tol, max_depth, initial_panels):
         levels.append((np.where(done, left + right + est, 0.0),
                        np.where(done, np.abs(est), 0.0), split))
         # the halves of pending interval k sit at 2k (left) and 2k + 1 (right)
-        pair = lambda x, y: np.stack([x[split], y[split]], axis=1).ravel()
+        pending = np.flatnonzero(split)
+
+        def pair(x, y):
+            out = np.empty(2 * pending.size, dtype=x.dtype)
+            out[0::2] = x[pending]
+            out[1::2] = y[pending]
+            return out
         lo, hi = pair(lo, m), pair(m, hi)
         fa, fm, fb = pair(fa, fm), pair(flm, frm), pair(fm, fb)
         whole, tol = pair(left, right), pair(0.5 * tol, 0.5 * tol)
+        seg = pair(seg, seg)
         depth -= 1
     for k in range(len(levels) - 2, -1, -1):  # the last level splits nothing
         value, err, split = levels[k]

@@ -27,6 +27,7 @@ section an interval so event masses reduce to one outer integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def capped_loss(cfg: SystemConfig, t):
 def first_loss(cfg: SystemConfig, t):
     t = np.asarray(t, dtype=float)
     return ((1.0 - cfg.beta) * (cfg.rho_m * t + 1.0) - cfg.beta) / (
-        cfg.beta ** 2 * cfg.rho_n)
+        cfg.beta_sq * cfg.rho_n)
 
 
 def diagonal(cfg: SystemConfig, t):
@@ -72,24 +73,18 @@ def diagonal(cfg: SystemConfig, t):
 
 @dataclass(frozen=True)
 class Clause:
-    """One conjunction: t-range and opportunistic-gain interval."""
+    """One conjunction: t-range and opportunistic-gain interval.
+
+    A bound is a constant, a boundary curve of one config written
+    ``partial(curve, cfg)`` (integration evaluates many configs' curves
+    together from their attributes, gathered per point), or any other
+    callable of t.
+    """
 
     t_lo: float
     t_hi: float
     lower: tuple = ()
     upper: tuple = ()
-
-    def bounds_at(self, t):
-        """(lo(t), hi(t), active(t)) with hi = +inf when unbounded above."""
-        t = np.asarray(t, dtype=float)
-        lo = np.zeros_like(t)
-        for c in self.lower:
-            lo = np.maximum(lo, c(t) if callable(c) else c)
-        hi = np.full_like(t, np.inf)
-        for c in self.upper:
-            hi = np.minimum(hi, c(t) if callable(c) else c)
-        active = (t > self.t_lo) & (t <= self.t_hi)
-        return lo, hi, active
 
 
 @dataclass(frozen=True)
@@ -106,24 +101,21 @@ def _cap_floor_const(cfg: SystemConfig) -> float:
 
 def region_uncontended_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event while received power stays within the cap (Type I)."""
-    cap = lambda t: power_cap(cfg, t)
+    cap = partial(power_cap, cfg)
     return EventRegion(
         (Clause(cfg.alpha_m, np.inf, upper=(cap, _cap_floor_const(cfg))),))
 
 
 def region_zero_cap_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event in the contended regime with a zero interference cap."""
-    psi = lambda t: first_loss(cfg, t)
-    return EventRegion((Clause(0.0, cfg.alpha_m, upper=(psi,)),))
+    return EventRegion((Clause(0.0, cfg.alpha_m, upper=(partial(first_loss, cfg),)),))
 
 
 def region_contended_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event in the contended regime with a positive cap: the capped
     clause, then the first-stage (direct) clause."""
-    cap = lambda t: power_cap(cfg, t)
-    tie = lambda t: decode_tie(cfg, t)
-    loss = lambda t: capped_loss(cfg, t)
-    psi = lambda t: first_loss(cfg, t)
+    cap, tie, loss, psi = (partial(curve, cfg) for curve in
+                           (power_cap, decode_tie, capped_loss, first_loss))
     capped = Clause(cfg.alpha_m, cfg.alpha_m / cfg.beta,
                     lower=(cap, loss), upper=(tie,))
     direct = Clause(cfg.alpha_m, np.inf, lower=(tie,), upper=(psi,))
@@ -135,12 +127,12 @@ def region_underperformance(cfg: SystemConfig, scheme) -> EventRegion:
     from .schemes import Scheme
 
     scheme = Scheme(scheme)
-    psi = lambda t: first_loss(cfg, t)
+    psi = partial(first_loss, cfg)
     if scheme == Scheme.FSIC:
         return EventRegion((Clause(0.0, np.inf, upper=(psi,)),))
     if scheme == Scheme.HSIC_NPA:
-        cap = lambda t: power_cap(cfg, t)
-        contended = (Clause(cfg.alpha_m, np.inf, lower=(cap,), upper=(psi,)),)
+        contended = (Clause(cfg.alpha_m, np.inf, lower=(partial(power_cap, cfg),),
+                            upper=(psi,)),)
     elif scheme == Scheme.HSIC_PA:
         contended = region_contended_loss(cfg).clauses
     else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import numbers
 from dataclasses import dataclass
@@ -13,15 +14,21 @@ from .channel import OrderPairDensity
 from .config import InvalidConfigError, SystemConfig
 from .estimates import ASYMPTOTIC, EXACT, MC, METHODS, NUMERIC, ProbEstimate
 from .exact import p_t_exact, regime_label
-from .mc import integrate_event, integrate_underperformance, mc_summary
+# integrate_event and integrate_underperformance are not called here;
+# bench/tracing.py looks them up in this module
+from .mc import (integrate_event, integrate_events,  # noqa: F401
+                 integrate_underperformance, mc_summary)
 from .numerics import IntegrationFailureError
-from .regions import region_contended_loss
+from .regions import EventRegion, region_contended_loss, region_underperformance
 from .schemes import HNOMA_SCHEMES, Scheme
 
 QUANTITIES = ("contended-loss", "underperformance")
 
 CSV_COLUMNS = ("snr_db", "scheme", "method", "value", "std_err", "trials",
                "regime", "gamma_mean", "energy_mean")
+
+# what fails one row, as error:<name>, rather than the sweep
+_ROW_ERRORS = (InvalidConfigError, ArithmeticError, IntegrationFailureError)
 
 
 @dataclass(frozen=True)
@@ -108,12 +115,36 @@ def _row(snr_db, scheme, method, est: ProbEstimate = None, regime="",
     }
 
 
+def _integrals(spec: SweepSpec, points) -> list:
+    """The numeric-integration estimate, or the error, of every valid
+    (SNR, scheme) cell in grid order, all from one ``integrate_events``
+    call; a cell whose region cannot be built fails alone."""
+    cells = []
+    for _, cfg, _ in points:
+        if cfg is None:
+            continue
+        for scheme in spec.schemes:
+            try:
+                cells.append(region_contended_loss(cfg)
+                             if spec.quantity == "contended-loss"
+                             else region_underperformance(cfg, scheme))
+            except _ROW_ERRORS as exc:
+                cells.append(exc)
+    regions = [c for c in cells if isinstance(c, EventRegion)]
+    try:
+        results = iter(integrate_events(regions, OrderPairDensity(spec.M, spec.m, spec.n)))
+    except _ROW_ERRORS as exc:
+        results = itertools.repeat(exc)
+    return [next(results) if isinstance(c, EventRegion) else c for c in cells]
+
+
 def run_sweep(spec: SweepSpec) -> list:
     """One row per (snr, scheme, method), in grid order.
 
     Per-row failures are recorded in the regime column as ``error:<name>``
     rather than aborting the sweep.  The MC cells of every valid SNR and
-    scheme are estimated in one ``mc_summary`` pass over shared draws.
+    scheme are estimated in one ``mc_summary`` pass over shared draws,
+    and their numeric-integration cells in one ``integrate_events`` pass.
     """
     points = []
     for snr in spec.snr_db:
@@ -128,6 +159,7 @@ def run_sweep(spec: SweepSpec) -> list:
                  for scheme in spec.schemes]
         summaries = iter(mc_summary(cells, spec.trials, spec.seed,
                                     want_pt=spec.quantity == "contended-loss"))
+    integrals = iter(_integrals(spec, points) if NUMERIC in spec.methods else ())
     rows = []
     for snr, cfg, regime in points:
         if cfg is None:
@@ -135,9 +167,9 @@ def run_sweep(spec: SweepSpec) -> list:
                 for method in spec.methods:
                     rows.append(_row(snr, scheme, method, regime=regime))
             continue
-        pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
         for scheme in spec.schemes:
             summary = next(summaries, None)
+            integral = next(integrals, None)
             for method in spec.methods:
                 try:
                     gamma_mean = energy_mean = None
@@ -151,14 +183,13 @@ def run_sweep(spec: SweepSpec) -> list:
                         est = p_t_exact(cfg)
                     elif method == ASYMPTOTIC:
                         est = p_t_asymptotic(cfg)
-                    elif spec.quantity == "contended-loss":  # numeric integration
-                        est = integrate_event(region_contended_loss(cfg), pair)
-                    else:
-                        est = integrate_underperformance(cfg, scheme)
+                    else:  # numeric integration
+                        est = integral
+                        if isinstance(est, Exception):
+                            raise est
                     rows.append(_row(snr, scheme, method, est, regime,
                                      gamma_mean, energy_mean))
-                except (InvalidConfigError, ArithmeticError,
-                        IntegrationFailureError) as exc:
+                except _ROW_ERRORS as exc:
                     rows.append(_row(snr, scheme, method,
                                      regime=f"error:{type(exc).__name__}"))
     return rows

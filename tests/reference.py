@@ -11,8 +11,9 @@ None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
   binds at each legacy gain) and the gated region of one sub-event,
   written apart from the branch table of ``exact.contended_terms`` that
   the library's closed forms and MC decomposition read;
-- the whole plane, a marginal-CDF region and a membership test of a
-  region (``region_contains``);
+- the whole plane, a marginal-CDF region, a clause's bounds at given
+  legacy gains (``clause_bounds``) and a membership test of a region
+  (``region_contains``);
 - the ordered-pair density in product form (``joint_pdf``), as a signed
   exponential mixture (``exp_mixture``) and as its leading polynomial
   near the origin (``joint_pdf_near_zero``);
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -135,31 +135,22 @@ def first_branch_bucket(cfg, t):
     return np.where(t <= first_loss(cfg, t), 1, 2)
 
 
-@dataclass(frozen=True)
-class GatedClause(Clause):
-    """A clause that is active only where ``gate(t)`` holds too."""
-
-    gate: Callable = None
-
-    def bounds_at(self, t):
-        lo, hi, active = super().bounds_at(t)
-        return lo, hi, active & self.gate(t)
-
-
 def region_contended_bucket(cfg, bucket: str) -> EventRegion:
-    """One cell of the contended-loss partition (P_T1_k / P_T2_k)."""
+    """One cell of the contended-loss partition (P_T1_k / P_T2_k): its
+    clause with one more lower bound, +inf where the cell's classifier
+    says another bucket."""
     capped, direct = region_contended_loss(cfg).clauses
     fam, idx = bucket.rsplit("_", 1)
     k = int(idx)
     if fam == "P_T1":
-        gate = lambda t: capped_branch_bucket(cfg, t) == k
-        cl = GatedClause(capped.t_lo, capped.t_hi, capped.lower, capped.upper, gate)
+        clause, bucket_at = capped, capped_branch_bucket
     elif fam == "P_T2":
-        gate = lambda t: first_branch_bucket(cfg, t) == k
-        cl = GatedClause(direct.t_lo, direct.t_hi, direct.lower, direct.upper, gate)
+        clause, bucket_at = direct, first_branch_bucket
     else:
         raise ValueError(f"unknown bucket {bucket!r}")
-    return EventRegion((cl,))
+    gate = lambda t: np.where(bucket_at(cfg, t) == k, 0.0, np.inf)
+    return EventRegion((Clause(clause.t_lo, clause.t_hi, clause.lower + (gate,),
+                               clause.upper),))
 
 
 def region_everything() -> EventRegion:
@@ -171,13 +162,26 @@ def region_legacy_below(threshold: float) -> EventRegion:
     return EventRegion((Clause(0.0, threshold),))
 
 
+def clause_bounds(clause: Clause, t):
+    """(lo(t), hi(t), active(t)) with hi = +inf when unbounded above."""
+    t = np.asarray(t, dtype=float)
+    lo = np.zeros_like(t)
+    for c in clause.lower:
+        lo = np.maximum(lo, c(t) if callable(c) else c)
+    hi = np.full_like(t, np.inf)
+    for c in clause.upper:
+        hi = np.minimum(hi, c(t) if callable(c) else c)
+    active = (t > clause.t_lo) & (t <= clause.t_hi)
+    return lo, hi, active
+
+
 def region_contains(region: EventRegion, g_m, g_n):
     """Which (g_m, g_n) pairs lie in ``region``."""
     g_m = np.asarray(g_m, dtype=float)
     g_n = np.asarray(g_n, dtype=float)
     hit = np.zeros(np.broadcast(g_m, g_n).shape, dtype=bool)
     for cl in region.clauses:
-        lo, hi, active = cl.bounds_at(g_m)
+        lo, hi, active = clause_bounds(cl, g_m)
         hit |= active & (g_n > lo) & (g_n <= hi)
     return hit
 

@@ -12,8 +12,8 @@ from hnoma.numerics import stream
 from hnoma.schemes import HNOMA_SCHEMES, DrawKernel
 
 from conftest import SEED, make_cfg
-from reference import (estimate_probability, estimate_pt, region_contains,
-                       region_everything, region_legacy_below)
+from reference import (clause_bounds, estimate_probability, estimate_pt,
+                       region_contains, region_everything, region_legacy_below)
 
 
 def test_prob_estimate_invariants():
@@ -310,7 +310,7 @@ def _quad_reference(region, pair, bound=40.0, pieces=8):
     for clause, breakpoints in zip(region.clauses,
                                    _region_breakpoints(region.clauses)):
         def inner(t):
-            lo, hi, active = clause.bounds_at(t)
+            lo, hi, active = clause_bounds(clause, t)
             if not active:
                 return 0.0
             return float(mass(pair, t, float(lo), min(float(hi), bound)))
@@ -476,6 +476,38 @@ def test_region_search_matches_clause_by_clause():
         assert len(region.clauses) == 4
         assert _region_breakpoints(region.clauses) == [
             _region_breakpoints((c,))[0] for c in region.clauses]
+
+
+def test_batched_integrals_equal_one_region_calls():
+    # regions of many configs and both quantities, in one search and one
+    # pass, against each region alone
+    from hnoma import IntegrationFailureError
+    from hnoma.mc import integrate_events
+    from conftest import regime_covering_configs
+
+    def bits(result):
+        if isinstance(result, IntegrationFailureError):
+            return "fail", str(result)
+        return result.value.hex(), result.std_err.hex(), result.method
+
+    groups = {}
+    for cfg in regime_covering_configs():
+        groups.setdefault((cfg.M, cfg.m, cfg.n), []).append(cfg)
+    checked = 0
+    for ranks, cfgs in groups.items():
+        pair = OrderPairDensity(*ranks)
+        regions = [region for cfg in cfgs for region in (
+            region_contended_loss(cfg),
+            *(region_underperformance(cfg, s) for s in HNOMA_SCHEMES))]
+        for region, got in zip(regions, integrate_events(regions, pair),
+                               strict=True):
+            try:
+                alone = integrate_event(region, pair)
+            except IntegrationFailureError as exc:
+                alone = exc
+            assert bits(got) == bits(alone)
+            checked += 1
+    assert checked == 4 * 30 and len(groups) < 30
 
 
 def test_integration_is_closed_at_each_clause_start():

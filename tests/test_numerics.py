@@ -2,7 +2,6 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
 
 from hnoma import adaptive_integrate
 from hnoma.exact import _gc_nodes
@@ -33,22 +32,8 @@ def test_fejer_quadrature_is_spectrally_accurate():
 
 
 # ---------------------------------------------------------------------------
-#  erf
+#  erfcx (reference code)
 # ---------------------------------------------------------------------------
-
-def test_erf_reference_points():
-    assert math.erf(0.0) == 0.0
-    assert abs(math.erf(1.0) - 0.8427007929497149) < 1e-15
-
-
-def test_erf_accuracy_vs_mpmath():
-    mpmath.mp.dps = 40
-    xs = np.concatenate([np.geomspace(1e-8, 6.0, 200),
-                         -np.geomspace(1e-8, 6.0, 200)])
-    for x in xs:
-        ref = float(mpmath.erf(mpmath.mpf(float(x))))
-        assert abs(math.erf(float(x)) - ref) <= 1e-15 * abs(ref)
-
 
 def test_erfcx_matches_mpmath():
     mpmath.mp.dps = 40
@@ -57,23 +42,17 @@ def test_erfcx_matches_mpmath():
         assert math.isclose(erfcx(x), ref, rel_tol=1e-13)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-10.0, 10.0, allow_nan=False))
-def test_erf_odd_symmetry(x):
-    assert math.erf(-x) == -math.erf(x)
-
-
 # ---------------------------------------------------------------------------
 #  adaptive integration
 # ---------------------------------------------------------------------------
 
 def test_adaptive_integrate_smooth():
-    v, e, ok = adaptive_integrate(np.exp, 0.0, 1.0, abs_tol=1e-10)
+    v, e, ok = adaptive_integrate(lambda x, k: np.exp(x), 0.0, 1.0, abs_tol=1e-10)
     assert ok and abs(v - (math.e - 1.0)) < 1e-10
 
 
 def test_adaptive_integrate_jump():
-    f = lambda x: np.where(x < 0.31237, 1.0, 0.0)
+    f = lambda x, k: np.where(x < 0.31237, 1.0, 0.0)
     v, e, ok = adaptive_integrate(f, 0.0, 1.0, abs_tol=1e-9)
     assert ok and abs(v - 0.31237) < 1e-8
 
@@ -89,7 +68,7 @@ def _simpson(a, b, fa, fm, fb):
 def _depth_first_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
     """Reference: adaptive Simpson as a depth-first recursion, one point
     per call of ``f``; an interval is never accepted at the first level."""
-    g = lambda x: float(f(np.array([x]))[0])
+    g = lambda x: float(f(np.array([x]), np.zeros(1, dtype=np.intp))[0])
 
     def refine(a, b, fa, fm, fb, whole, tol, depth, first):
         m = 0.5 * (a + b)
@@ -117,11 +96,12 @@ def _depth_first_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=1
     return total, err_total, err_total <= abs_tol
 
 
+# f(x, k) gets the points and the segment of each point
 _INTEGRANDS = {
-    "smooth": np.exp,
-    "kink": lambda x: np.abs(x - 0.3),
-    "jump": lambda x: np.where(x < 0.31237, 1.0, 0.0),
-    "decay": lambda x: 6.4e-3 * np.exp(-40.0 * x),
+    "smooth": lambda x, k: np.exp(x),
+    "kink": lambda x, k: np.abs(x - 0.3),
+    "jump": lambda x, k: np.where(x < 0.31237, 1.0, 0.0),
+    "decay": lambda x, k: 6.4e-3 * np.exp(-40.0 * x),
 }
 
 
@@ -145,12 +125,38 @@ def test_adaptive_integrate_segments_are_independent():
             ref = _depth_first_integrate(f, edges[k], edges[k + 1],
                                          abs_tol=1e-9, initial_panels=8)
             assert (values[k], errs[k], oks[k]) == ref, (name, k)
+    # a tolerance per segment, one of them out of reach at this depth
+    tols = np.array([1e-9, 3e-12, 1e-30, 2e-7])
+    for name, f in _INTEGRANDS.items():
+        values, errs, oks = adaptive_integrate(f, edges[:-1], edges[1:], abs_tol=tols,
+                                               max_depth=12, initial_panels=8)
+        for k in range(edges.size - 1):
+            ref = adaptive_integrate(f, edges[k], edges[k + 1], abs_tol=tols[k],
+                                     max_depth=12, initial_panels=8)
+            assert (values[k], errs[k], oks[k]) == ref, (name, k)
+            assert ref == _depth_first_integrate(f, edges[k], edges[k + 1],
+                                                 abs_tol=tols[k], max_depth=12,
+                                                 initial_panels=8), (name, k)
+
+
+def test_adaptive_integrate_tells_f_the_segment_of_each_point():
+    edges = np.array([0.0, 0.2, 0.2, 0.5, 2.2])  # the second segment is empty
+    seen = []
+
+    def f(x, k):
+        seen.append((x, k))
+        return np.exp(x)
+
+    adaptive_integrate(f, edges[:-1], edges[1:], abs_tol=1e-9, initial_panels=8)
+    x, k = map(np.concatenate, zip(*seen))
+    assert set(k.tolist()) == {0, 2, 3}
+    assert np.all((edges[k] <= x) & (x <= edges[k + 1]))
 
 
 def test_adaptive_integrate_counts_one_call_per_level():
     calls = []
 
-    def f(x):
+    def f(x, k):
         calls.append(x.size)
         return np.where(x < 0.31237, 1.0, 0.0)
 

@@ -68,7 +68,7 @@ def test_integration_failure_is_a_row_not_an_abort(monkeypatch):
         raise IntegrationFailureError("value=0.0, err=1.0")
 
     exact_rows = run_sweep(_spec(methods=("exact",)))
-    monkeypatch.setattr(hnoma.sweep, "integrate_event", fail)
+    monkeypatch.setattr(hnoma.sweep, "integrate_events", fail)
     spec = _spec(methods=("exact", "numeric-integration"))
     rows = run_sweep(spec)
     assert len(rows) == len(spec.snr_db) * len(spec.schemes) * len(spec.methods)
@@ -77,6 +77,59 @@ def test_integration_failure_is_a_row_not_an_abort(monkeypatch):
         if row["method"] != "exact":
             assert row["value"] is None
             assert row["regime"] == "error:IntegrationFailureError"
+
+
+def test_a_cell_that_does_not_converge_fails_alone(monkeypatch):
+    # segments run cell by cell, so the last one belongs to the last cell
+    import hnoma.mc
+    real = hnoma.mc.adaptive_integrate
+
+    def last_segment_fails(*args, **kwargs):
+        values, errs, oks = real(*args, **kwargs)
+        oks[-1] = False
+        return values, errs, oks
+
+    spec = _spec(methods=("exact", "numeric-integration"), snr_db=(0.0, 10.0, 20.0))
+    good = run_sweep(spec)
+    monkeypatch.setattr(hnoma.mc, "adaptive_integrate", last_segment_fails)
+    rows = run_sweep(spec)
+    assert rows[:-1] == good[:-1]
+    assert all(r["value"] is not None for r in rows[:-1])
+    assert rows[-1]["method"] == "numeric-integration" and rows[-1]["snr_db"] == 20.0
+    assert rows[-1]["value"] is None
+    assert rows[-1]["regime"] == "error:IntegrationFailureError"
+    # a cell whose region cannot be built fails alone too
+    monkeypatch.setattr(hnoma.mc, "adaptive_integrate", real)
+    build = hnoma.sweep.region_contended_loss
+
+    def no_region_at_10_db(cfg):
+        if cfg.rho_n == 10.0:
+            raise ZeroDivisionError("float division by zero")
+        return build(cfg)
+
+    monkeypatch.setattr(hnoma.sweep, "region_contended_loss", no_region_at_10_db)
+    rows = run_sweep(spec)
+    assert rows[:3] + rows[4:] == good[:3] + good[4:]
+    assert rows[3]["snr_db"] == 10.0 and rows[3]["method"] == "numeric-integration"
+    assert rows[3]["value"] is None and rows[3]["regime"] == "error:ZeroDivisionError"
+
+
+def test_a_sweep_integrates_in_one_search_and_one_pass(monkeypatch):
+    import hnoma.mc
+    calls = {"_region_breakpoints": 0, "adaptive_integrate": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(hnoma.mc, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(hnoma.mc, name, counted)
+    for spec in (_spec(methods=("exact", "numeric-integration"),
+                       snr_db=(0.0, 10.0, 20.0, 30.0)),
+                 _spec(quantity="underperformance", methods=("numeric-integration",),
+                       schemes=("FSIC", "HSIC-NPA", "HSIC-PA"), snr_db=(5.0, 15.0))):
+        rows = run_sweep(spec)
+        assert all(r["value"] is not None for r in rows)
+        assert calls == {"_region_breakpoints": 1, "adaptive_integrate": 1}
+        calls.update(dict.fromkeys(calls, 0))
 
 
 def test_underperformance_sweep_covers_schemes(tmp_path):
@@ -272,6 +325,23 @@ def test_cli_non_finite_inputs_are_config_errors(tmp_path):
     assert rows[0]["regime"] == "m<n:T1c1:T2c1"
     assert all(r["snr_db"] == 4000.0 and r["regime"] == "error:InvalidConfigError"
                and r["value"] is None for r in rows[2:])
+
+
+def test_overflowing_curves_fail_their_row_without_a_warning(tmp_path):
+    # at R_m = 1000 two back-substitution curves overflow to inf, and
+    # inf - inf is NaN; that fails the row, silently, not the run
+    import warnings
+    spec = _spec(R_m=1000, snr_db=(10, 3000),
+                 methods=("mc", "exact", "asymptotic", "numeric-integration"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_to_dict(spec)))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 8
+    assert lines[2].startswith("10,HSIC-PA,exact,,,,error:InvalidConfigError")
 
 
 def test_cli_sweep_to_a_directory_is_a_config_error(tmp_path):
