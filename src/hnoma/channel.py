@@ -111,7 +111,7 @@ class OrderPairDensity:
 
 @lru_cache(maxsize=64)
 def _leggauss(n_pts: int):
-    return np.polynomial.legendre.leggauss(max(n_pts, 1))
+    return np.polynomial.legendre.leggauss(n_pts)
 
 
 def mass_upper_interval(pair: OrderPairDensity, x, lo, hi):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate
 from .exact import compute_constants, contended_terms
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
-from .regions import EventRegion, region_underperformance
+from .regions import EventRegion, diagonal, region_underperformance
 from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors
 
 BLOCK_TRIALS = 1_000_000
@@ -181,11 +181,6 @@ _REL_WIDTH = 1e-13  # a breakpoint bracket closes at this width relative to |t|
 _MAX_STEPS = 200
 
 
-def _wedge(t):
-    """The edge of the ordered wedge, g_n = t."""
-    return t
-
-
 class _Gathered:
     """Config attributes per point: ``view.name[p]`` is ``name`` of the
     config of curve ``ids[p]``."""
@@ -202,37 +197,38 @@ class _Gathered:
 class _ClauseCurves:
     """The bounds of many clauses, evaluated a batch of points at a time.
 
-    Clause k's curves ``(*lower, *upper, wedge edge)`` are numbered from
+    Clause k's curves ``(*lower, *upper, diagonal)`` are numbered from
     ``start[k]`` on; numbers 0 and 1 are the constants -inf and +inf.
-    ``on(ids)`` is the function that gives curve ``ids[p]`` at ``t[p]``
-    with one call per formula, however many clauses there are: a curve
-    ``partial(f, cfg)`` runs ``f`` on its configs' attributes gathered per
-    point, which are the configs' own floats, so each value has the bits
-    of ``f(cfg, t)``; any other callable runs on its own points;
-    constants are gathered.
+    A curve is a constant or a formula ``f(cfg, t)`` of its clause's
+    config.  ``on(ids)`` is the function that gives curve ``ids[p]`` at
+    ``t[p]`` with one call per formula, however many clauses there are:
+    the formula runs on its configs' attributes gathered per point, which
+    are the configs' own floats, so each value has the bits of
+    ``f(clause.cfg, t)``; constants are gathered.
     """
 
     def __init__(self, clauses):
-        own = [(-np.inf, np.inf)] + [(*c.lower, *c.upper, _wedge) for c in clauses]
-        self.start = np.cumsum([len(curves) for curves in own])[:-1]
+        own = [(None, (-np.inf, np.inf))] + [
+            (c.cfg, (*c.lower, *c.upper, diagonal)) for c in clauses]
+        self.start = np.cumsum([len(curves) for _, curves in own])[:-1]
         self._formulas, self._cfgs = [], []
         kind, const = [], []
         formulas = {}  # formula -> its number
-        for curve in (c for curves in own for c in curves):
-            gathered = isinstance(curve, partial)
-            formula = curve.func if gathered else curve if callable(curve) else None
-            if formula not in formulas:
-                formulas[formula] = len(self._formulas)
-                self._formulas.append((formula, gathered))
-            kind.append(formulas[formula])
-            self._cfgs.append(curve.args[0] if gathered else None)
-            const.append(np.nan if callable(curve) else curve)
+        for cfg, curves in own:
+            for curve in curves:
+                formula = curve if callable(curve) else None
+                if formula not in formulas:
+                    formulas[formula] = len(self._formulas)
+                    self._formulas.append(formula)
+                kind.append(formulas[formula])
+                self._cfgs.append(cfg)
+                const.append(np.nan if callable(curve) else curve)
         self._kind = np.array(kind, dtype=np.intp)
         self._const = np.array(const, dtype=float)
         self._columns = {}
 
     def column(self, name):
-        """Attribute ``name`` of every curve's config (0 for other curves)."""
+        """Attribute ``name`` of every curve's config (0 without one)."""
         if name not in self._columns:
             self._columns[name] = np.array(
                 [0.0 if cfg is None else getattr(cfg, name) for cfg in self._cfgs])
@@ -243,21 +239,16 @@ class _ClauseCurves:
         gathered attributes are worked out once, for every call."""
         kind = self._kind[ids]
         groups = []
-        for k, (formula, gathered) in enumerate(self._formulas):
+        for k, formula in enumerate(self._formulas):
             sel = np.flatnonzero(kind == k)
-            if not sel.size:
-                continue
-            if formula is None:
-                groups.append((sel, lambda t, c=self._const[ids[sel]]: c))
-            elif gathered:
-                groups.append((sel, partial(formula, _Gathered(self, ids[sel]))))
-            else:
-                groups.append((sel, formula))
+            if sel.size:
+                groups.append((sel, formula, self._const[ids[sel]] if formula is None
+                               else _Gathered(self, ids[sel])))
 
         def values(t):
             out = np.empty(t.size)
-            for sel, curve in groups:
-                out[sel] = curve(t[sel])
+            for sel, formula, arg in groups:
+                out[sel] = arg if formula is None else formula(arg, t[sel])
             return out
         return values
 
@@ -299,11 +290,13 @@ def _region_breakpoints(clauses) -> list:
             continue
         grid = np.linspace(clause.t_lo, t_hi, _N_SCAN)
         if clause.t_lo > 0 and t_hi / clause.t_lo > 100.0:
-            grid = np.union1d(grid, np.geomspace(clause.t_lo, t_hi, _N_SCAN))
-        own = (*clause.lower, *clause.upper, _wedge)
+            # repeats add no sign flip, and np.union1d would import numpy.ma
+            grid = np.sort(np.concatenate(
+                [grid, np.geomspace(clause.t_lo, t_hi, _N_SCAN)]))
+        own = (*clause.lower, *clause.upper, diagonal)
         scan = np.empty((len(own), grid.size))
         for row, c in zip(scan, own):
-            row[:] = c(grid) if callable(c) else c
+            row[:] = c(clause.cfg, grid) if callable(c) else c
         np.clip(scan, -1e300, 1e300, out=scan)  # finite values only
         # every curve pair at once, in pair order
         i, j = _pairs(len(own))

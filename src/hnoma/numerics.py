@@ -19,16 +19,11 @@ class IntegrationFailureError(RuntimeError):
 @lru_cache(maxsize=32)
 def fejer1_weights(n_c: int):
     """Exact interpolatory weights for the first-kind Chebyshev nodes."""
-    if n_c < 1:
-        raise ValueError(f"n_c={n_c} must be >= 1")
     i = np.arange(1, n_c + 1)
     theta = (2 * i - 1) * np.pi / (2 * n_c)
     k = np.arange(1, n_c // 2 + 1)
-    if k.size:
-        w = 1.0 - 2.0 * np.sum(np.cos(2.0 * np.outer(theta, k))
-                               / (4.0 * k * k - 1.0), axis=1)
-    else:
-        w = np.ones_like(theta)
+    w = 1.0 - 2.0 * np.sum(np.cos(2.0 * np.outer(theta, k))
+                           / (4.0 * k * k - 1.0), axis=1)
     return np.cos(theta), (2.0 / n_c) * w
 
 
@@ -59,17 +54,15 @@ def adaptive_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
     up the bisection tree as ``left + right``, as a depth-first recursion
     would.
 
-    ``a``, ``b`` and ``abs_tol`` may be 1-D arrays, one entry per segment;
-    each segment is then integrated as if alone, with its own panels and
-    tolerance, and the results are arrays.  Returns ``(value,
-    err_estimate, converged)``; an empty interval (b <= a) gives
+    ``a`` and ``b`` are 1-D arrays, one entry per segment, and
+    ``abs_tol`` is one such array or a scalar; each segment is integrated
+    as if alone, with its own panels and tolerance.  Returns arrays
+    ``(value, err_estimate, converged)``; an empty segment (b <= a) gives
     ``(0, 0, True)``.
     """
     a, b, abs_tol = np.broadcast_arrays(np.asarray(a, dtype=float),
                                         np.asarray(b, dtype=float),
                                         np.asarray(abs_tol, dtype=float))
-    scalar = a.ndim == 0
-    a, b, abs_tol = np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(abs_tol)
     value = np.zeros(a.shape)
     err = np.zeros(a.shape)
     live = np.flatnonzero(b > a)
@@ -77,10 +70,7 @@ def adaptive_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
         value[live], err[live] = _integrate_panels(
             lambda x, k: f(x, live[k]), a[live], b[live], abs_tol[live],
             max_depth, initial_panels)
-    converged = err <= abs_tol
-    if scalar:
-        return float(value[0]), float(err[0]), bool(converged[0])
-    return value, err, converged
+    return value, err, err <= abs_tol
 
 
 def _integrate_panels(f, a, b, abs_tol, max_depth, initial_panels):

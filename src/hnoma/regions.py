@@ -17,7 +17,8 @@ by four curves of the legacy gain ``t``:
                         reduced OMA slot lose to full-power OMA.
 
 The closed forms also bound sub-events by ``diagonal(t) = t``, the edge
-of the ordered wedge, where the two gains would swap rank order.
+of the ordered wedge, where the two gains would swap rank order; the
+integration's breakpoint search adds it to every clause.
 
 Regions are unions of clauses ``{t in (t_lo, t_hi),
 max(lower)(t) < g_n < min(upper)(t)}``, which keeps the opportunistic-gain
@@ -27,7 +28,6 @@ section an interval so event masses reduce to one outer integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -75,16 +75,15 @@ def diagonal(cfg: SystemConfig, t):
 class Clause:
     """One conjunction: t-range and opportunistic-gain interval.
 
-    A bound is a constant, a boundary curve of one config written
-    ``partial(curve, cfg)`` (integration evaluates many configs' curves
-    together from their attributes, gathered per point), or any other
-    callable of t.
+    A bound is a constant or a boundary formula ``f(cfg, t)`` of the
+    clause's config ``cfg`` (None when every bound is a constant).
     """
 
     t_lo: float
     t_hi: float
     lower: tuple = ()
     upper: tuple = ()
+    cfg: SystemConfig | None = None
 
 
 @dataclass(frozen=True)
@@ -101,24 +100,21 @@ def _cap_floor_const(cfg: SystemConfig) -> float:
 
 def region_uncontended_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event while received power stays within the cap (Type I)."""
-    cap = partial(power_cap, cfg)
-    return EventRegion(
-        (Clause(cfg.alpha_m, np.inf, upper=(cap, _cap_floor_const(cfg))),))
+    return EventRegion((Clause(cfg.alpha_m, np.inf,
+                               upper=(power_cap, _cap_floor_const(cfg)), cfg=cfg),))
 
 
 def region_zero_cap_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event in the contended regime with a zero interference cap."""
-    return EventRegion((Clause(0.0, cfg.alpha_m, upper=(partial(first_loss, cfg),)),))
+    return EventRegion((Clause(0.0, cfg.alpha_m, upper=(first_loss,), cfg=cfg),))
 
 
 def region_contended_loss(cfg: SystemConfig) -> EventRegion:
     """Loss event in the contended regime with a positive cap: the capped
     clause, then the first-stage (direct) clause."""
-    cap, tie, loss, psi = (partial(curve, cfg) for curve in
-                           (power_cap, decode_tie, capped_loss, first_loss))
-    capped = Clause(cfg.alpha_m, cfg.alpha_m / cfg.beta,
-                    lower=(cap, loss), upper=(tie,))
-    direct = Clause(cfg.alpha_m, np.inf, lower=(tie,), upper=(psi,))
+    capped = Clause(cfg.alpha_m, cfg.alpha_m / cfg.beta, lower=(power_cap, capped_loss),
+                    upper=(decode_tie,), cfg=cfg)
+    direct = Clause(cfg.alpha_m, np.inf, lower=(decode_tie,), upper=(first_loss,), cfg=cfg)
     return EventRegion((capped, direct))
 
 
@@ -127,12 +123,11 @@ def region_underperformance(cfg: SystemConfig, scheme) -> EventRegion:
     from .schemes import Scheme
 
     scheme = Scheme(scheme)
-    psi = partial(first_loss, cfg)
     if scheme == Scheme.FSIC:
-        return EventRegion((Clause(0.0, np.inf, upper=(psi,)),))
+        return EventRegion((Clause(0.0, np.inf, upper=(first_loss,), cfg=cfg),))
     if scheme == Scheme.HSIC_NPA:
-        contended = (Clause(cfg.alpha_m, np.inf, lower=(partial(power_cap, cfg),),
-                            upper=(psi,)),)
+        contended = (Clause(cfg.alpha_m, np.inf, lower=(power_cap,), upper=(first_loss,),
+                            cfg=cfg),)
     elif scheme == Scheme.HSIC_PA:
         contended = region_contended_loss(cfg).clauses
     else:

@@ -148,9 +148,11 @@ def region_contended_bucket(cfg, bucket: str) -> EventRegion:
         clause, bucket_at = direct, first_branch_bucket
     else:
         raise ValueError(f"unknown bucket {bucket!r}")
-    gate = lambda t: np.where(bucket_at(cfg, t) == k, 0.0, np.inf)
+    # the classifiers branch on the ranks, so the gate reads cfg itself
+    # rather than the per-point attributes integration hands a formula
+    gate = lambda _, t: np.where(bucket_at(cfg, t) == k, 0.0, np.inf)
     return EventRegion((Clause(clause.t_lo, clause.t_hi, clause.lower + (gate,),
-                               clause.upper),))
+                               clause.upper, cfg=clause.cfg),))
 
 
 def region_everything() -> EventRegion:
@@ -167,10 +169,10 @@ def clause_bounds(clause: Clause, t):
     t = np.asarray(t, dtype=float)
     lo = np.zeros_like(t)
     for c in clause.lower:
-        lo = np.maximum(lo, c(t) if callable(c) else c)
+        lo = np.maximum(lo, c(clause.cfg, t) if callable(c) else c)
     hi = np.full_like(t, np.inf)
     for c in clause.upper:
-        hi = np.minimum(hi, c(t) if callable(c) else c)
+        hi = np.minimum(hi, c(clause.cfg, t) if callable(c) else c)
     active = (t > clause.t_lo) & (t <= clause.t_hi)
     return lo, hi, active
 

@@ -337,7 +337,8 @@ def _scalar_breakpoints(clause, t_lo, t_hi, n_scan=2049):
         grids.append(np.geomspace(t_hi * 1e-9, t_hi, n_scan))
     ts = np.unique(np.concatenate(grids))
     curves = list(clause.lower) + list(clause.upper)
-    funcs = [c if callable(c) else (lambda t, v=c: np.full_like(t, v)) for c in curves]
+    funcs = [(lambda t, c=c: c(clause.cfg, t)) if callable(c)
+             else (lambda t, v=c: np.full_like(t, v)) for c in curves]
     funcs.append(lambda t: t)
     vals = [np.clip(np.asarray(f(ts), dtype=float), -1e300, 1e300) for f in funcs]
     hits = []
@@ -395,9 +396,9 @@ def _counted_clauses(clauses):
         if key not in wrapped:
             calls[key] = 0
 
-            def counted(t):
+            def counted(cfg, t):
                 calls[key] += 1
-                return curve(t)
+                return curve(cfg, t)
             wrapped[key] = counted
         return wrapped[key]
 
@@ -412,7 +413,7 @@ def test_breakpoint_on_a_bracket_end_closes_in_one_step():
     from hnoma.regions import Clause
     # a curve that leaves 0 at the clause start t = 2
     clauses, calls = _counted_clauses(
-        (Clause(2.0, 5.0, lower=(lambda t: 2.0 - t,), upper=(0.0,)),))
+        (Clause(2.0, 5.0, lower=(lambda cfg, t: 2.0 - t,), upper=(0.0,)),))
     (found,) = _region_breakpoints(clauses)
     assert len(found) == 1 and abs(found[0] - 2.0) <= 1e-13 * 2.0
     assert max(calls.values()) == 2  # the scan, then one step
@@ -428,7 +429,7 @@ def test_breakpoint_at_a_jump_closes():
     from hnoma.mc import _region_breakpoints
     from hnoma.regions import Clause
     jump = 1.2345678
-    step = Clause(0.5, 4.0, upper=(lambda t: np.where(t < jump, 10.0, 0.1),))
+    step = Clause(0.5, 4.0, upper=(lambda cfg, t: np.where(t < jump, 10.0, 0.1),))
     (found,) = _region_breakpoints((step,))
     assert len(found) == 1 and abs(found[0] - jump) <= 1e-13 * jump
 
@@ -440,7 +441,7 @@ def test_illinois_steps_close_a_one_sided_crossing():
     from hnoma.regions import Clause
     root = 1.0 + 0.01 ** 4
     clauses, calls = _counted_clauses((Clause(
-        0.5, 1.5, lower=(lambda t: np.maximum(t - 1.0, 0.0) ** 0.25,),
+        0.5, 1.5, lower=(lambda cfg, t: np.maximum(t - 1.0, 0.0) ** 0.25,),
         upper=(0.01,)),))
     (found,) = _region_breakpoints(clauses)
     assert len(found) == 1 and abs(found[0] - root) <= 1e-13 * root

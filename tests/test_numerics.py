@@ -46,19 +46,26 @@ def test_erfcx_matches_mpmath():
 #  adaptive integration
 # ---------------------------------------------------------------------------
 
+def _one(f, a, b, **kw):
+    """``adaptive_integrate`` over the one segment [a, b], as Python scalars."""
+    v, e, ok = adaptive_integrate(f, np.array([a]), np.array([b]), **kw)
+    assert v.shape == e.shape == ok.shape == (1,)
+    return v.item(), e.item(), ok.item()
+
+
 def test_adaptive_integrate_smooth():
-    v, e, ok = adaptive_integrate(lambda x, k: np.exp(x), 0.0, 1.0, abs_tol=1e-10)
+    v, e, ok = _one(lambda x, k: np.exp(x), 0.0, 1.0, abs_tol=1e-10)
     assert ok and abs(v - (math.e - 1.0)) < 1e-10
 
 
 def test_adaptive_integrate_jump():
     f = lambda x, k: np.where(x < 0.31237, 1.0, 0.0)
-    v, e, ok = adaptive_integrate(f, 0.0, 1.0, abs_tol=1e-9)
+    v, e, ok = _one(f, 0.0, 1.0, abs_tol=1e-9)
     assert ok and abs(v - 0.31237) < 1e-8
 
 
 def test_adaptive_integrate_empty():
-    assert adaptive_integrate(math.exp, 1.0, 0.0)[0] == 0.0
+    assert _one(math.exp, 1.0, 0.0)[0] == 0.0
 
 
 def _simpson(a, b, fa, fm, fb):
@@ -111,7 +118,7 @@ def test_adaptive_integrate_matches_depth_first_reference():
                          (0.0, 2.2, dict(abs_tol=1e-10, initial_panels=8)),
                          (-0.4, 1.3, dict(abs_tol=1e-9, max_depth=6)),
                          (0.1, 0.9, dict(max_depth=0))):
-            got = adaptive_integrate(f, a, b, **kw)
+            got = _one(f, a, b, **kw)
             assert got == _depth_first_integrate(f, a, b, **kw), (name, a, b, kw)
             assert type(got[0]) is float and type(got[2]) is bool
 
@@ -131,8 +138,8 @@ def test_adaptive_integrate_segments_are_independent():
         values, errs, oks = adaptive_integrate(f, edges[:-1], edges[1:], abs_tol=tols,
                                                max_depth=12, initial_panels=8)
         for k in range(edges.size - 1):
-            ref = adaptive_integrate(f, edges[k], edges[k + 1], abs_tol=tols[k],
-                                     max_depth=12, initial_panels=8)
+            ref = _one(f, edges[k], edges[k + 1], abs_tol=tols[k],
+                       max_depth=12, initial_panels=8)
             assert (values[k], errs[k], oks[k]) == ref, (name, k)
             assert ref == _depth_first_integrate(f, edges[k], edges[k + 1],
                                                  abs_tol=tols[k], max_depth=12,
@@ -160,7 +167,7 @@ def test_adaptive_integrate_counts_one_call_per_level():
         calls.append(x.size)
         return np.where(x < 0.31237, 1.0, 0.0)
 
-    adaptive_integrate(f, 0.0, 1.0, abs_tol=1e-9, max_depth=40)
+    _one(f, 0.0, 1.0, abs_tol=1e-9, max_depth=40)
     assert len(calls) <= 42  # the panel points, then at most one per level
 
 

@@ -221,16 +221,38 @@ def test_figure_and_sweep_never_import_scipy(tmp_path):
         f"assert main(['sweep', '--config', {str(spec_path)!r}, '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
         "assert main(['validate', '--trials', '60000']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _fresh_process_output(script) == "[]"
+    rows = (tmp_path / "s.csv").read_text().splitlines()
+    assert {"mc", "exact", "asymptotic", "numeric-integration"} <= {
+        r.split(",")[2] for r in rows[1:]}
+
+
+def _fresh_process_output(script):
+    """The last line ``script`` prints in a new interpreter that imports
+    hnoma from this source tree."""
     src = os.path.dirname(os.path.dirname(hnoma.cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
-    rows = (tmp_path / "s.csv").read_text().splitlines()
-    assert {"mc", "exact", "asymptotic", "numeric-integration"} <= {
-        r.split(",")[2] for r in rows[1:]}
+    return done.stdout.splitlines()[-1]
+
+
+def test_oracle_never_imports_numpy_ma(tmp_path):
+    # at 40 dB the clauses span a ratio above 100, so the breakpoint scan
+    # merges its linear and geometric grids
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_to_dict(_spec(
+        methods=("numeric-integration",), snr_db=(0.0, 40.0),
+        quantity="underperformance", schemes=("FSIC", "HSIC-NPA", "HSIC-PA")))))
+    script = (
+        "import sys\n"
+        "from hnoma.cli import main\n"
+        f"assert main(['sweep', '--config', {str(spec_path)!r}, '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    assert _fresh_process_output(script) == "False"
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 6
 
 
 def test_figure_draws_its_block_once(tmp_path, monkeypatch):
@@ -328,8 +350,8 @@ def test_cli_non_finite_inputs_are_config_errors(tmp_path):
 
 
 def test_overflowing_curves_fail_their_row_without_a_warning(tmp_path):
-    # at R_m = 1000 two back-substitution curves overflow to inf, and
-    # inf - inf is NaN; that fails the row, silently, not the run
+    # at R_m = 1000 back-substitution curves overflow to inf, which checks
+    # nothing; that fails the row, silently, not the run
     import warnings
     spec = _spec(R_m=1000, snr_db=(10, 3000),
                  methods=("mc", "exact", "asymptotic", "numeric-integration"))
@@ -342,6 +364,7 @@ def test_overflowing_curves_fail_their_row_without_a_warning(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 8
     assert lines[2].startswith("10,HSIC-PA,exact,,,,error:InvalidConfigError")
+    assert lines[6].startswith("3000,HSIC-PA,exact,,,,error:InvalidConfigError")
 
 
 def test_cli_sweep_to_a_directory_is_a_config_error(tmp_path):
