@@ -60,9 +60,17 @@ def asymptotic_pt_terms(cfg: SystemConfig) -> dict:
         lambda lower, upper, a, b: _leading_mass(unit, pref, lower, upper, a, b))
 
 
+def asymptotic_coefficient(cfg: SystemConfig) -> float:
+    """The SNR-free coefficient c of P_T ~ c * rho_m^-max(m, n)."""
+    return math.fsum(asymptotic_pt_terms(cfg).values())
+
+
+def scaled_asymptotic(cfg: SystemConfig, coef: float) -> ProbEstimate:
+    """The high-SNR approximation at the config's SNR, from its coefficient."""
+    return ProbEstimate(value=min(1.0, coef / cfg.rho_m ** max(cfg.m, cfg.n)),
+                        trials=0, std_err=0.0, method=ASYMPTOTIC)
+
+
 def p_t_asymptotic(cfg: SystemConfig) -> ProbEstimate:
     """High-SNR approximation of the contended-loss probability."""
-    coef = math.fsum(asymptotic_pt_terms(cfg).values())
-    value = coef / cfg.rho_m ** max(cfg.m, cfg.n)
-    return ProbEstimate(value=min(1.0, value), trials=0, std_err=0.0,
-                        method=ASYMPTOTIC)
+    return scaled_asymptotic(cfg, asymptotic_coefficient(cfg))

@@ -46,3 +46,10 @@ class ProbEstimate:
             note = f"0 events in {trials} trials; one-sided 95% bound {3.0 / trials:.3g}"
         return cls(value=p, trials=trials,
                    std_err=math.sqrt(p * (1.0 - p) / trials), method=MC, note=note)
+
+
+def raised(result):
+    """A cell's estimate, raised if it is the cell's error."""
+    if isinstance(result, Exception):
+        raise result
+    return result

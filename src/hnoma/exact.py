@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 from .channel import OrderPairDensity, mass_lower_interval, mass_upper_interval
 from .config import InvalidConfigError, SystemConfig
-from .estimates import EXACT, ProbEstimate
+from .estimates import EXACT, ProbEstimate, raised
 from .numerics import fejer1_weights
-from .regions import capped_loss, decode_tie, diagonal, first_loss, power_cap
+from .regions import (_Gathered, capped_loss, decode_tie, diagonal, first_loss,
+                      power_cap)
 
 _BACKSUB_TOL = 1e-10
 
@@ -106,10 +110,7 @@ def compute_constants(cfg: SystemConfig) -> RegimeConstants:
         raise InvalidConfigError("constant back-substitution failed; "
                                  "scenario is numerically degenerate")
 
-    return RegimeConstants(
-        omega_1=omega_1, omega_2=omega_2, omega_3=omega_3, omega_4=omega_4,
-        z_1=z_1, z_2=z_2, z_3=z_3,
-    )
+    return RegimeConstants(omega_1, omega_2, omega_3, omega_4, z_1, z_2, z_3)
 
 
 def regime_label(cfg: SystemConfig) -> str:
@@ -136,28 +137,6 @@ def _gc_nodes(a, b, n_c):
     t, wgt = fejer1_weights(n_c)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * t, half * wgt
-
-
-def _between(cfg, lower, upper, a, b, n_c: int) -> float:
-    """Mass with the opportunistic gain between two boundary curves.
-
-    Gauss-Chebyshev quadrature along the legacy gain of the interval mass,
-    which is evaluated in the cancellation-free product form; a signed
-    exponential expansion of the density is algebraically identical but
-    loses all significance at high SNR, where sub-event masses sit many
-    orders below the expansion terms.
-    """
-    if a is None or b is None or not (b > a):
-        return 0.0
-    pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
-    x, wgt = _gc_nodes(a, b, n_c)
-    lo = lower(cfg, x)
-    hi = upper(cfg, x)
-    if cfg.m < cfg.n:
-        mass = mass_upper_interval(pair, x, lo, hi)
-    else:
-        mass = mass_lower_interval(pair, x, lo, hi)
-    return float(mass @ wgt)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +207,53 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
     return out
 
 
-def exact_pt_terms(cfg: SystemConfig, n_c: int = 256) -> dict:
-    """Each contended-loss sub-event at the config's SNR."""
+def exact_pt_terms_batch(cfgs, n_c: int = 256) -> list:
+    """``exact_pt_terms`` of configs that differ only in SNR, each a dict
+    or the error of a config whose constants fail.  The branch table, and
+    so each sub-event's curves, is the same at every SNR: a sub-event is
+    one interval-mass call at every config's nodes, the curves run on the
+    configs' attributes as columns, each row dotted with its own weights."""
     if n_c < 16:
         raise InvalidConfigError(f"n_c={n_c} too small; need >= 16")
-    k = compute_constants(cfg)
-    return contended_terms(
-        cfg, k, lambda lower, upper, a, b: _between(cfg, lower, upper, a, b, n_c))
+    if len({(c.M, c.m, c.n, c.beta, c.R_m, c.eta) for c in cfgs}) > 1:
+        raise InvalidConfigError("batched configs must differ only in SNR")
+    out = []
+    for cfg in cfgs:
+        try:
+            out.append(contended_terms(cfg, compute_constants(cfg), lambda *cell: cell))
+        except (InvalidConfigError, ArithmeticError) as exc:
+            out.append(exc)
+    tables = [t for t in out if isinstance(t, dict)]  # each cell becomes its mass
+    column = cache(lambda name: np.array(
+        [getattr(cfg, name) for cfg, t in zip(cfgs, out) if isinstance(t, dict)]))
+    for name, cell in (tables[0].items() if tables else ()):
+        values = np.zeros(len(tables))
+        a, b = (np.array([cell and t[name][i] for t in tables], dtype=float) for i in (2, 3))
+        rows = np.flatnonzero(b > a)  # an empty cell is 0.0, a None limit NaN
+        if rows.size:
+            pair = OrderPairDensity(cfgs[0].M, cfgs[0].m, cfgs[0].n)
+            mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
+            x, wgt = _gc_nodes(a[rows, None], b[rows, None], n_c)
+            at = _Gathered(column, rows[:, None])
+            per_node = mass(pair, x, cell[0](at, x), cell[1](at, x))
+            values[rows] = [m @ w for m, w in zip(per_node, wgt)]
+        for t, v in zip(tables, values.tolist()):
+            t[name] = v
+    return out
+
+
+def exact_pt_terms(cfg: SystemConfig, n_c: int = 256) -> dict:
+    """Each contended-loss sub-event at the config's SNR."""
+    return raised(*exact_pt_terms_batch([cfg], n_c))
+
+
+def p_t_exact_batch(cfgs, n_c: int = 256) -> list:
+    """``p_t_exact`` of configs that differ only in SNR, each an estimate or an error."""
+    return [t if isinstance(t, Exception) else ProbEstimate(
+        value=min(1.0, max(0.0, math.fsum(t.values()))), trials=0, std_err=0.0,
+        method=EXACT) for t in exact_pt_terms_batch(cfgs, n_c)]
 
 
 def p_t_exact(cfg: SystemConfig, n_c: int = 256) -> ProbEstimate:
     """Contended-loss probability from the closed forms."""
-    terms = exact_pt_terms(cfg, n_c)
-    value = math.fsum(terms.values())
-    value = min(1.0, max(0.0, value))
-    return ProbEstimate(value=value, trials=0, std_err=0.0, method=EXACT)
+    return raised(*p_t_exact_batch([cfg], n_c))

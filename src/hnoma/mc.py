@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,
                       mass_upper_interval, sample_gain_matrix)
 from .config import InvalidConfigError, SystemConfig
-from .estimates import NUMERIC, ProbEstimate
+from .estimates import NUMERIC, ProbEstimate, raised
 from .exact import compute_constants, contended_terms
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
-from .regions import EventRegion, diagonal, region_underperformance
+from .regions import EventRegion, _Gathered, diagonal, region_underperformance
 from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors
 
 BLOCK_TRIALS = 1_000_000
@@ -181,19 +181,6 @@ _REL_WIDTH = 1e-13  # a breakpoint bracket closes at this width relative to |t|
 _MAX_STEPS = 200
 
 
-class _Gathered:
-    """Config attributes per point: ``view.name[p]`` is ``name`` of the
-    config of curve ``ids[p]``."""
-
-    def __init__(self, curves, ids):
-        self._curves, self._ids = curves, ids
-
-    def __getattr__(self, name):
-        value = self._curves.column(name)[self._ids]
-        setattr(self, name, value)  # later reads skip the gather
-        return value
-
-
 class _ClauseCurves:
     """The bounds of many clauses, evaluated a batch of points at a time.
 
@@ -211,28 +198,20 @@ class _ClauseCurves:
         own = [(None, (-np.inf, np.inf))] + [
             (c.cfg, (*c.lower, *c.upper, diagonal)) for c in clauses]
         self.start = np.cumsum([len(curves) for _, curves in own])[:-1]
-        self._formulas, self._cfgs = [], []
-        kind, const = [], []
+        kind, const, cfgs = [], [], []
         formulas = {}  # formula -> its number
         for cfg, curves in own:
             for curve in curves:
                 formula = curve if callable(curve) else None
-                if formula not in formulas:
-                    formulas[formula] = len(self._formulas)
-                    self._formulas.append(formula)
-                kind.append(formulas[formula])
-                self._cfgs.append(cfg)
+                kind.append(formulas.setdefault(formula, len(formulas)))
+                cfgs.append(cfg)
                 const.append(np.nan if callable(curve) else curve)
+        self._formulas = list(formulas)
         self._kind = np.array(kind, dtype=np.intp)
         self._const = np.array(const, dtype=float)
-        self._columns = {}
-
-    def column(self, name):
-        """Attribute ``name`` of every curve's config (0 without one)."""
-        if name not in self._columns:
-            self._columns[name] = np.array(
-                [0.0 if cfg is None else getattr(cfg, name) for cfg in self._cfgs])
-        return self._columns[name]
+        # attribute ``name`` of every curve's config (0 without one)
+        self._column = cache(lambda name: np.array(
+            [0.0 if cfg is None else getattr(cfg, name) for cfg in cfgs]))
 
     def on(self, ids):
         """``t -> [curve ids[p] at t[p]]``; the grouping by formula and the
@@ -243,7 +222,7 @@ class _ClauseCurves:
             sel = np.flatnonzero(kind == k)
             if sel.size:
                 groups.append((sel, formula, self._const[ids[sel]] if formula is None
-                               else _Gathered(self, ids[sel])))
+                               else _Gathered(self._column, ids[sel])))
 
         def values(t):
             out = np.empty(t.size)
@@ -253,7 +232,7 @@ class _ClauseCurves:
         return values
 
 
-@lru_cache(maxsize=None)
+@cache
 def _pairs(n: int):
     """Index arrays ``(i, j)`` of every pair i < j of n curves, in order."""
     return np.triu_indices(n, 1)
@@ -449,10 +428,7 @@ def integrate_event(region: EventRegion, pair: OrderPairDensity,
     """Probability mass of ``region`` under the ordered-pair density: the
     one-region case of ``integrate_events``, raising its
     ``IntegrationFailureError``."""
-    (out,) = integrate_events([region], pair, abs_tol)
-    if isinstance(out, IntegrationFailureError):
-        raise out
-    return out
+    return raised(*integrate_events([region], pair, abs_tol))
 
 
 def integrate_underperformance(cfg: SystemConfig, scheme: Scheme) -> ProbEstimate:

@@ -67,6 +67,19 @@ def diagonal(cfg: SystemConfig, t):
     return np.asarray(t, dtype=float)
 
 
+class _Gathered:
+    """Config attributes per point: ``view.name[p]`` is ``column(name)[ids[p]]``.
+    A curve run on the view gives each point the bits of its own config."""
+
+    def __init__(self, column, ids):
+        self._column, self._ids = column, ids
+
+    def __getattr__(self, name):
+        value = self._column(name)[self._ids]
+        setattr(self, name, value)  # later reads skip the gather
+        return value
+
+
 # ---------------------------------------------------------------------------
 #  Regions
 # ---------------------------------------------------------------------------

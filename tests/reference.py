@@ -19,6 +19,9 @@ None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
   near the origin (``joint_pdf_near_zero``);
 - Fejer quadrature of a function, and the scaled complementary error
   function;
+- the closed-form sub-event masses of one config at a time
+  (``config_pt_terms``), which the SNR-batched
+  ``exact.exact_pt_terms_batch`` must match bit for bit;
 - the signed-expansion engine for the contended-loss sub-events
   (``expansion_pt_terms``): exponential and Gaussian antiderivatives of
   the expanded density, fed through the branch table of ``exact``.  It
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from hnoma.channel import OrderPairDensity
+from hnoma.channel import (OrderPairDensity, mass_lower_interval,
+                           mass_upper_interval)
 from hnoma.exact import _gc_nodes, compute_constants, contended_terms
 from hnoma.mc import mc_summary
 from hnoma.numerics import fejer1_weights
@@ -101,6 +105,29 @@ def estimate_pt(cfg, trials: int, seed: int):
     """MC estimate of the contended positive-cap loss event alone."""
     return mc_summary([(cfg, Scheme.HSIC_PA)], trials, seed,
                       want_pt=True)[0]["pt_estimate"]
+
+
+# ---------------------------------------------------------------------------
+#  Closed-form sub-event masses, one config at a time
+# ---------------------------------------------------------------------------
+
+def _between(cfg, lower, upper, a, b, n_c: int) -> float:
+    """Mass with the opportunistic gain between two boundary curves, for
+    legacy gain in (a, b): Fejer quadrature of the product-form interval
+    mass at this config's nodes."""
+    if a is None or b is None or not (b > a):
+        return 0.0
+    pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
+    x, wgt = _gc_nodes(a, b, n_c)
+    mass = mass_upper_interval if cfg.m < cfg.n else mass_lower_interval
+    return float(mass(pair, x, lower(cfg, x), upper(cfg, x)) @ wgt)
+
+
+def config_pt_terms(cfg, n_c: int = 256) -> dict:
+    """``exact.exact_pt_terms`` evaluated for this config alone."""
+    return contended_terms(
+        cfg, compute_constants(cfg),
+        lambda lower, upper, a, b: _between(cfg, lower, upper, a, b, n_c))
 
 
 # ---------------------------------------------------------------------------

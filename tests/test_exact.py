@@ -7,11 +7,12 @@ from scipy import integrate
 from hnoma import (InvalidConfigError, OrderPairDensity, SystemConfig,
                    compute_constants, estimate_decomposition, exact_pt_terms,
                    integrate_event, p_t_exact, regime_label)
-from hnoma.exact import eta_thresholds
+from hnoma.exact import eta_thresholds, exact_pt_terms_batch
 from hnoma.regions import capped_loss, decode_tie, first_loss, power_cap
 
 from conftest import SEED, make_cfg, regime_covering_configs
-from reference import expansion_pt_terms, gamma1, region_contended_bucket
+from reference import (config_pt_terms, expansion_pt_terms, gamma1,
+                       region_contended_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,21 @@ def test_gamma1_vs_quadrature_including_extremes():
 def test_nc_minimum_enforced():
     with pytest.raises(InvalidConfigError):
         exact_pt_terms(make_cfg(), n_c=8)
+
+
+def test_batched_terms_are_the_per_config_terms_bit_for_bit():
+    configs = regime_covering_configs(30)
+    assert {cfg.m < cfg.n for cfg in configs} == {True, False}
+    for cfg in configs:
+        sweep = [cfg.with_snr(snr) for snr in range(0, 65, 5)]
+        for one, terms in zip(sweep, exact_pt_terms_batch(sweep)):
+            assert terms == config_pt_terms(one), one
+
+
+def test_batch_rejects_configs_that_differ_in_more_than_snr():
+    with pytest.raises(InvalidConfigError):
+        exact_pt_terms_batch([make_cfg(), make_cfg(eta=2.0)])
+    assert exact_pt_terms_batch([]) == []
 
 
 def test_terms_match_region_integration_everywhere():

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+import hnoma.asymptotic
 import hnoma.cli
 import hnoma.exact
 import hnoma.sweep
@@ -365,6 +366,40 @@ def test_overflowing_curves_fail_their_row_without_a_warning(tmp_path):
     assert len(lines) == 1 + 8
     assert lines[2].startswith("10,HSIC-PA,exact,,,,error:InvalidConfigError")
     assert lines[6].startswith("3000,HSIC-PA,exact,,,,error:InvalidConfigError")
+
+
+def test_an_snr_whose_constants_fail_fails_only_its_own_row():
+    # 10 and 3000 dB are evaluated in one batch; only 3000 dB fails
+    # back-substitution, and only its asymptotic scaling overflows
+    rows = run_sweep(_spec(snr_db=(10, 3000), methods=("exact", "asymptotic")))
+    assert [r["regime"] for r in rows] == ["m<n:T1c1:T2c1", "m<n:T1c1:T2c1",
+                                           "error:InvalidConfigError",
+                                           "error:OverflowError"]
+    assert rows[0]["value"] == hnoma.exact.p_t_exact(_spec().config_at(10)).value
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (3, 1)])
+def test_a_sweep_evaluates_each_sub_event_once_for_all_its_snrs(monkeypatch, m, n):
+    spec = _spec(m=m, n=n, snr_db=tuple(range(0, 61, 5)), methods=("exact", "asymptotic"))
+    sub_events = len(hnoma.exact.exact_pt_terms(spec.config_at(10)))
+    calls = {"mass": 0, "coefficient": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(hnoma.exact, "mass_upper_interval", "mass")
+    counted(hnoma.exact, "mass_lower_interval", "mass")
+    counted(hnoma.asymptotic, "asymptotic_pt_terms", "coefficient")
+    rows = run_sweep(spec)
+    assert len(rows) == 26
+    assert not any(r["regime"].startswith("error") for r in rows)
+    assert 1 <= calls["mass"] <= sub_events
+    assert calls["coefficient"] == 1
 
 
 def test_cli_sweep_to_a_directory_is_a_config_error(tmp_path):
