@@ -2,14 +2,14 @@
 
 Every boundary curve scales exactly with rho_m: with u = rho_m * t, each
 curve at (rho_m, rho_n = eta * rho_m) is 1/rho_m times the same curve at
-(rho_m = 1, rho_n = eta).  The crossing points and the whole branch table
-are therefore those of ``exact`` at that unit-SNR config, in the rescaled
-gains.  As rho_m grows the rescaled region shrinks onto the origin of the
-original gains, where the ordered-pair density tends to its leading
-polynomial pref * x^(i-1) * (y-x)^(j-i-1) (i, j the smaller and larger
-rank); integrating it over the unit-SNR sub-events gives a coefficient
-that decays as rho_m^-n (legacy rank below the opportunistic one) or
-rho_m^-m (above).
+(rho_m = 1, rho_n = eta).  The crossing points and the cells of
+``exact.contended_terms`` are therefore those at that unit-SNR config,
+in the rescaled gains.  As rho_m grows the rescaled region shrinks onto
+the origin of the original gains, where the ordered-pair density tends
+to its leading polynomial pref * x^(i-1) * (y-x)^(j-i-1) (i, j the
+smaller and larger rank); integrating it over each unit-SNR cell gives a
+coefficient that decays as rho_m^-n (legacy rank below the opportunistic
+one) or rho_m^-m (above).
 """
 
 from __future__ import annotations
@@ -22,18 +22,17 @@ import numpy as np
 from .channel import OrderPairDensity, _leggauss
 from .config import SystemConfig
 from .estimates import ASYMPTOTIC, ProbEstimate
-from .exact import _gc_nodes, compute_constants, contended_terms
-
-_N_C = 256  # Fejer nodes along u, the exact engine's default n_c
+from .exact import N_C, _gc_nodes, contended_terms
 
 
-def _leading_mass(unit: SystemConfig, pref: float, lower, upper,
-                  a, b) -> float:
-    """Leading-order density mass with the opportunistic gain between two
-    unit-SNR curves, for legacy gain u in (a, b), clipped to the wedge."""
-    if a is None or b is None or not (b > a):
+def _leading_mass(unit: SystemConfig, pref: float, cell) -> float:
+    """Leading-order density mass of a unit-SNR cell ``(lower, upper, a,
+    b)``: the opportunistic gain between the curves, for legacy gain u in
+    (a, b), clipped to the wedge."""
+    if cell is None or None in cell or not cell[3] > cell[2]:
         return 0.0
-    u, wgt = _gc_nodes(a, b, _N_C)
+    lower, upper, a, b = cell
+    u, wgt = _gc_nodes(a, b, N_C)
     lo = lower(unit, u)
     hi = upper(unit, u)
     i, j = min(unit.m, unit.n), max(unit.m, unit.n)
@@ -55,9 +54,8 @@ def asymptotic_pt_terms(cfg: SystemConfig) -> dict:
     """Leading coefficients of each sub-event (multiply by rho_m^-n or ^-m)."""
     unit = replace(cfg, rho_m=1.0, rho_n=cfg.eta)
     pref = OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor
-    return contended_terms(
-        unit, compute_constants(unit),
-        lambda lower, upper, a, b: _leading_mass(unit, pref, lower, upper, a, b))
+    return {name: _leading_mass(unit, pref, cell)
+            for name, cell in contended_terms(unit).items()}
 
 
 def asymptotic_coefficient(cfg: SystemConfig) -> float:

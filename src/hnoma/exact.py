@@ -8,10 +8,12 @@ cancellation-free interval mass, which keeps full relative precision at
 any SNR.
 
 The branch table that picks each sub-event's curves and limits from the
-power ratio lives in ``contended_terms`` alone; the high-SNR engine in
-``asymptotic`` evaluates the same table at rho_m = 1 with another
-interval mass, and the Monte Carlo decomposition in ``mc`` reads its
-cells (curves and limits) to sort the sampled draws.
+power ratio lives in ``contended_terms`` alone, which returns it as data:
+one cell (lower curve, upper curve, legacy-gain limits) per sub-event.
+This engine integrates the cells at the config's SNR; the high-SNR engine
+in ``asymptotic`` integrates the cells of the rho_m = 1 config with the
+leading-order density, and the Monte Carlo decomposition in ``mc`` sorts
+the sampled draws into them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .regions import (_Gathered, capped_loss, decode_tie, diagonal, first_loss,
                       power_cap)
 
 _BACKSUB_TOL = 1e-10
+N_C = 256  # Fejer nodes per sub-event interval
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +63,6 @@ class RegimeConstants:
 
     omega_1: float          # None when the power-cap curve never crosses the diagonal
     omega_2: float
-    omega_3: float
     omega_4: float          # None when the first-stage-loss line never crosses it
     z_1: float
     z_2: float
@@ -77,7 +79,6 @@ def compute_constants(cfg: SystemConfig) -> RegimeConstants:
     bhe = beta * eta * eps  # = beta * rho_n * alpha_m
     omega_1 = alpha / (1.0 - bhe) if bhe < 1.0 else None
     omega_2 = (1.0 - beta) * alpha / beta
-    omega_3 = (1.0 - 2.0 * beta) / (beta ** 2 * rho_n)
     den4 = beta ** 2 * rho_n - (1.0 - beta) * rho_m
     omega_4 = (1.0 - 2.0 * beta) / den4 if den4 > 0.0 else None
 
@@ -110,7 +111,7 @@ def compute_constants(cfg: SystemConfig) -> RegimeConstants:
         raise InvalidConfigError("constant back-substitution failed; "
                                  "scenario is numerically degenerate")
 
-    return RegimeConstants(omega_1, omega_2, omega_3, omega_4, z_1, z_2, z_3)
+    return RegimeConstants(omega_1, omega_2, omega_4, z_1, z_2, z_3)
 
 
 def regime_label(cfg: SystemConfig) -> str:
@@ -143,17 +144,18 @@ def _gc_nodes(a, b, n_c):
 #  Sub-event terms and their branch dispatch
 # ---------------------------------------------------------------------------
 
-def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
-    """Each contended-loss sub-event in its active branch (column).
+def contended_terms(cfg: SystemConfig) -> dict:
+    """The cell of each contended-loss sub-event in the config's branch
+    (column): ``(lower, upper, a, b)``, the opportunistic gain between the
+    curves ``lower`` and ``upper`` (boundary-curve functions of
+    ``regions``, called as ``curve(cfg, t)``) for legacy gain in (a, b).
 
-    ``between(lower, upper, a, b)`` is the mass with the opportunistic gain
-    between the curves ``lower`` and ``upper`` (boundary-curve functions
-    of ``regions``, called as ``curve(cfg, t)``) for legacy gain in
-    (a, b); it returns 0 when a limit is None or the interval is empty.
-    The exact and the high-SNR engines share this table and differ only
-    in ``between``; the Monte Carlo decomposition passes one that returns
-    its arguments, to get each sub-event's cell.
+    None marks a sub-event that the branch lacks; a cell with a None
+    limit or an empty interval has no mass either.  Which curves and
+    which None marks a cell has depends on beta, eps_m and eta, never on
+    the SNR, and every limit scales as 1/rho_m.
     """
+    k = compute_constants(cfg)
     eta = cfg.eta
     alpha = cfg.alpha_m
     th = eta_thresholds(cfg.beta, cfg.eps_m)
@@ -168,46 +170,44 @@ def contended_terms(cfg: SystemConfig, k: RegimeConstants, between) -> dict:
 
     out = {}
     if cfg.m < cfg.n:
-        out["P_T1_1"] = (between(power_cap, decode_tie, k.omega_1, k.omega_2)
-                         if low_ratio else 0.0)
+        out["P_T1_1"] = (power_cap, decode_tie, k.omega_1, k.omega_2) if low_ratio else None
         lo = k.omega_2 if low_ratio else k.z_2
-        out["P_T1_2"] = between(capped_loss, decode_tie, lo, k.z_1)
+        out["P_T1_2"] = (capped_loss, decode_tie, lo, k.z_1)
         up = k.omega_1 if low_ratio else k.z_2
-        out["P_T1_3"] = between(diagonal, decode_tie, k.z_3, up)
-        out["P_T2_1"] = between(diagonal, first_loss, alpha, first_branch_upper())
-        out["P_T2_2"] = between(decode_tie, first_loss, k.z_3, k.z_1)
+        out["P_T1_3"] = (diagonal, decode_tie, k.z_3, up)
+        out["P_T2_1"] = (diagonal, first_loss, alpha, first_branch_upper())
+        out["P_T2_2"] = (decode_tie, first_loss, k.z_3, k.z_1)
     else:
         up11 = k.z_3 if eta <= th["k_3"] else k.omega_2
-        out["P_T1_1"] = between(power_cap, decode_tie, alpha, up11)
+        out["P_T1_1"] = (power_cap, decode_tie, alpha, up11)
         if low_ratio:
             up12 = k.omega_1
         elif eta <= th["k_3"]:
             up12 = k.omega_2
         else:
             up12 = None
-        out["P_T1_2"] = between(power_cap, diagonal, k.z_3, up12)
-        out["P_T1_3"] = (between(capped_loss, decode_tie, k.omega_2,
-                                 min(k.z_1, k.z_3))
-                         if eta > th["k_3"] else 0.0)
+        out["P_T1_2"] = (power_cap, diagonal, k.z_3, up12)
+        out["P_T1_3"] = ((capped_loss, decode_tie, k.omega_2, min(k.z_1, k.z_3))
+                         if eta > th["k_3"] else None)
         if low_ratio:
             lo14 = None
         elif eta <= th["k_3"]:
             lo14 = k.omega_2
         else:
             lo14 = k.z_3
-        out["P_T1_4"] = between(capped_loss, diagonal, lo14, k.z_2)
-        out["P_T2_1"] = between(decode_tie, diagonal, alpha, first_branch_upper())
+        out["P_T1_4"] = (capped_loss, diagonal, lo14, k.z_2)
+        out["P_T2_1"] = (decode_tie, diagonal, alpha, first_branch_upper())
         if eta <= th["first_lo"]:
             lo22 = None
         elif eta <= th["k_2"]:
             lo22 = k.omega_4
         else:
             lo22 = alpha
-        out["P_T2_2"] = between(decode_tie, first_loss, lo22, k.z_1)
+        out["P_T2_2"] = (decode_tie, first_loss, lo22, k.z_1)
     return out
 
 
-def exact_pt_terms_batch(cfgs, n_c: int = 256) -> list:
+def exact_pt_terms_batch(cfgs, n_c: int = N_C) -> list:
     """``exact_pt_terms`` of configs that differ only in SNR, each a dict
     or the error of a config whose constants fail.  The branch table, and
     so each sub-event's curves, is the same at every SNR: a sub-event is
@@ -220,7 +220,7 @@ def exact_pt_terms_batch(cfgs, n_c: int = 256) -> list:
     out = []
     for cfg in cfgs:
         try:
-            out.append(contended_terms(cfg, compute_constants(cfg), lambda *cell: cell))
+            out.append(contended_terms(cfg))
         except (InvalidConfigError, ArithmeticError) as exc:
             out.append(exc)
     tables = [t for t in out if isinstance(t, dict)]  # each cell becomes its mass
@@ -229,7 +229,7 @@ def exact_pt_terms_batch(cfgs, n_c: int = 256) -> list:
     for name, cell in (tables[0].items() if tables else ()):
         values = np.zeros(len(tables))
         a, b = (np.array([cell and t[name][i] for t in tables], dtype=float) for i in (2, 3))
-        rows = np.flatnonzero(b > a)  # an empty cell is 0.0, a None limit NaN
+        rows = np.flatnonzero(b > a)  # a None cell or limit is NaN
         if rows.size:
             pair = OrderPairDensity(cfgs[0].M, cfgs[0].m, cfgs[0].n)
             mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
@@ -242,18 +242,18 @@ def exact_pt_terms_batch(cfgs, n_c: int = 256) -> list:
     return out
 
 
-def exact_pt_terms(cfg: SystemConfig, n_c: int = 256) -> dict:
+def exact_pt_terms(cfg: SystemConfig, n_c: int = N_C) -> dict:
     """Each contended-loss sub-event at the config's SNR."""
     return raised(*exact_pt_terms_batch([cfg], n_c))
 
 
-def p_t_exact_batch(cfgs, n_c: int = 256) -> list:
+def p_t_exact_batch(cfgs, n_c: int = N_C) -> list:
     """``p_t_exact`` of configs that differ only in SNR, each an estimate or an error."""
     return [t if isinstance(t, Exception) else ProbEstimate(
         value=min(1.0, max(0.0, math.fsum(t.values()))), trials=0, std_err=0.0,
         method=EXACT) for t in exact_pt_terms_batch(cfgs, n_c)]
 
 
-def p_t_exact(cfg: SystemConfig, n_c: int = 256) -> ProbEstimate:
+def p_t_exact(cfg: SystemConfig, n_c: int = N_C) -> ProbEstimate:
     """Contended-loss probability from the closed forms."""
     return raised(*p_t_exact_batch([cfg], n_c))

@@ -10,7 +10,7 @@ from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,
                       mass_upper_interval, sample_gain_matrix)
 from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate, raised
-from .exact import compute_constants, contended_terms
+from .exact import contended_terms
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import EventRegion, _Gathered, diagonal, region_underperformance
 from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors
@@ -123,14 +123,14 @@ def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
 
     Type-I losses count as ``P_I`` and contended losses with a zero cap
     as ``P_II2``.  Every other losing draw goes to the cell of
-    ``exact.contended_terms`` (read with an identity ``between``) whose
-    legacy-gain interval and boundary curves contain it.  The counts
-    must sum to the total loss count, which checks that the cells tile
-    the contended region; this is asserted.
+    ``exact.contended_terms`` whose legacy-gain interval and boundary
+    curves contain it.  The counts must sum to the total loss count,
+    which checks that the cells tile the contended region; this is
+    asserted.
     """
-    table = contended_terms(cfg, compute_constants(cfg), lambda *cell: cell)
+    table = contended_terms(cfg)
     counts = {"P_I": 0, **dict.fromkeys(table, 0), "P_II2": 0}
-    # a 0.0 entry or a None limit is an empty cell
+    # a None cell or a cell with a None limit holds no draw
     cells = [(name, *cell) for name, cell in table.items()
              if cell and None not in cell]
     total = 0
@@ -176,8 +176,8 @@ _TAIL = 40.0        # gains beyond it are dropped (mass < e^-40)
 _MAX_DEPTH = 40     # bisection levels of the adaptive rule
 _N_SCAN = 2049      # scan points per grid of the breakpoint search
 _REL_WIDTH = 1e-13  # a breakpoint bracket closes at this width relative to |t|
-# every third step bisects; a scan bracket off t = 0 is narrower than its
-# root, so 44 halvings (132 steps) close it and the cap never binds
+# every third step bisects; a scan bracket is narrower than its root or,
+# on t = 0, than its range, so 44 halvings (132 steps) close it first
 _MAX_STEPS = 200
 
 
@@ -256,13 +256,14 @@ def _region_breakpoints(clauses) -> list:
     formula at once for all brackets.  Trial points stay
     ``0.4 * _REL_WIDTH`` (relative) inside the bracket, so a root on a
     bracket end closes in one step.  A bracket stops at a width of
-    ``_REL_WIDTH`` relative to its larger end, or at adjacent floats, and
-    gives its midpoint.  Brackets evolve independently, so one search over
-    the clauses of a whole sweep gives exactly what searching each clause
-    alone gives.
+    ``_REL_WIDTH`` relative to its larger end (to its clause's scan range
+    if it starts at t = 0, where a root may be 0), or at adjacent floats,
+    and gives its midpoint.  Brackets evolve independently, so one search
+    over the clauses of a whole sweep gives exactly what searching each
+    clause alone gives.
     """
     curves = _ClauseCurves(clauses)
-    first, second, owner, lo, hi, f_lo, f_hi = [], [], [], [], [], [], []
+    first, second, owner, lo, hi, f_lo, f_hi, span = [], [], [], [], [], [], [], []
     for k, clause in enumerate(clauses):
         t_hi = min(clause.t_hi, _TAIL)
         if not t_hi > clause.t_lo:
@@ -289,17 +290,18 @@ def _region_breakpoints(clauses) -> list:
         hi.append(grid[at + 1])
         f_lo.append(d[pair, at])
         f_hi.append(d[pair, at + 1])
+        span.append(np.where(grid[at] == 0.0, t_hi - clause.t_lo, 0.0))
     if not first:
         return [[] for _ in clauses]
-    first, second, owner, lo, hi, f_lo, f_hi = map(
-        np.concatenate, (first, second, owner, lo, hi, f_lo, f_hi))
+    first, second, owner, lo, hi, f_lo, f_hi, span = map(
+        np.concatenate, (first, second, owner, lo, hi, f_lo, f_hi, span))
     # a bracket's lower end keeps the sign it starts with
     neg_lo = f_lo < 0
     last = np.zeros(lo.size, dtype=np.int8)   # +1: lo moved last, -1: hi
     values = curves.on(np.concatenate([first, second]))
     for step in range(_MAX_STEPS):
         big = np.maximum(np.abs(lo), np.abs(hi))
-        live = (hi - lo > _REL_WIDTH * big) & (hi > np.nextafter(lo, np.inf))
+        live = (hi - lo > _REL_WIDTH * np.maximum(big, span)) & (hi > np.nextafter(lo, np.inf))
         if not live.any():
             break
         # every bracket takes a step and a closed one keeps its old state,

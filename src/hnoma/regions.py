@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
+from .schemes import Scheme
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +134,6 @@ def region_contended_loss(cfg: SystemConfig) -> EventRegion:
 
 def region_underperformance(cfg: SystemConfig, scheme) -> EventRegion:
     """Full loss-vs-OMA event for one hybrid scheme."""
-    from .schemes import Scheme
-
     scheme = Scheme(scheme)
     if scheme == Scheme.FSIC:
         return EventRegion((Clause(0.0, np.inf, upper=(first_loss,), cfg=cfg),))

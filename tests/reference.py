@@ -24,7 +24,7 @@ None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
   ``exact.exact_pt_terms_batch`` must match bit for bit;
 - the signed-expansion engine for the contended-loss sub-events
   (``expansion_pt_terms``): exponential and Gaussian antiderivatives of
-  the expanded density, fed through the branch table of ``exact``.  It
+  the expanded density, over the cells of ``exact.contended_terms``.  It
   cancels catastrophically once the masses are tiny, so it is only
   trusted at moderate SNR.
 """
@@ -39,11 +39,11 @@ from scipy import special
 
 from hnoma.channel import (OrderPairDensity, mass_lower_interval,
                            mass_upper_interval)
-from hnoma.exact import _gc_nodes, compute_constants, contended_terms
+from hnoma.exact import N_C, _gc_nodes, contended_terms
 from hnoma.mc import mc_summary
 from hnoma.numerics import fejer1_weights
-from hnoma.regions import (Clause, EventRegion, capped_loss, decode_tie,
-                           diagonal, first_loss, power_cap,
+from hnoma.regions import (Clause, EventRegion, _cap_floor_const, capped_loss,
+                           decode_tie, diagonal, first_loss, power_cap,
                            region_contended_loss)
 from hnoma.schemes import _B_I, _B_II1, _B_II2, _B_NA, Scheme
 
@@ -111,23 +111,23 @@ def estimate_pt(cfg, trials: int, seed: int):
 #  Closed-form sub-event masses, one config at a time
 # ---------------------------------------------------------------------------
 
-def _between(cfg, lower, upper, a, b, n_c: int) -> float:
-    """Mass with the opportunistic gain between two boundary curves, for
-    legacy gain in (a, b): Fejer quadrature of the product-form interval
-    mass at this config's nodes."""
-    if a is None or b is None or not (b > a):
+def _cell_mass(cfg, cell, n_c: int) -> float:
+    """Mass of a cell ``(lower, upper, a, b)``, the opportunistic gain
+    between two boundary curves for legacy gain in (a, b): Fejer
+    quadrature of the product-form interval mass at this config's nodes."""
+    if cell is None or None in cell or not cell[3] > cell[2]:
         return 0.0
+    lower, upper, a, b = cell
     pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
     x, wgt = _gc_nodes(a, b, n_c)
     mass = mass_upper_interval if cfg.m < cfg.n else mass_lower_interval
     return float(mass(pair, x, lower(cfg, x), upper(cfg, x)) @ wgt)
 
 
-def config_pt_terms(cfg, n_c: int = 256) -> dict:
+def config_pt_terms(cfg, n_c: int = N_C) -> dict:
     """``exact.exact_pt_terms`` evaluated for this config alone."""
-    return contended_terms(
-        cfg, compute_constants(cfg),
-        lambda lower, upper, a, b: _between(cfg, lower, upper, a, b, n_c))
+    return {name: _cell_mass(cfg, cell, n_c)
+            for name, cell in contended_terms(cfg).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ class _TermConstants:
     diag_rate: np.ndarray
 
 
-def _term_constants(cfg, omega_3: float) -> _TermConstants:
+def _term_constants(cfg) -> _TermConstants:
     beta, rho_n, rho_m, alpha = cfg.beta, cfg.rho_n, cfg.rho_m, cfg.alpha_m
     w, a_exp, b_exp = exp_mixture(OrderPairDensity(cfg.M, cfg.m, cfg.n))
     leg, opp = (a_exp, b_exp) if cfg.m < cfg.n else (b_exp, a_exp)
@@ -360,7 +360,7 @@ def _term_constants(cfg, omega_3: float) -> _TermConstants:
         quad_c=opp * rho_m / (alpha * beta * rho_n),
         quad_d=opp * (1.0 / alpha - rho_m) / (beta * rho_n) + leg,
         cap_shift=opp / (beta * rho_n),
-        first_shift=-opp * omega_3,
+        first_shift=-opp * _cap_floor_const(cfg),
         diag_rate=leg + opp,
     )
 
@@ -397,10 +397,10 @@ def _gc_loss(cfg, k, a, b, n_c):
     return kern @ wgt
 
 
-def _between_expansion(cfg, k: _TermConstants, lower, upper, a, b,
-                       n_c: int) -> float:
-    if a is None or b is None or not (b > a):
+def _cell_mass_expansion(cfg, k: _TermConstants, cell, n_c: int) -> float:
+    if cell is None or None in cell or not cell[3] > cell[2]:
         return 0.0
+    lower, upper, a, b = cell
     if lower is capped_loss:
         # the capped-loss kernel has no elementary antiderivative
         if upper is decode_tie:
@@ -412,10 +412,8 @@ def _between_expansion(cfg, k: _TermConstants, lower, upper, a, b,
     return math.fsum(k.coeff / k.opp * segs)
 
 
-def expansion_pt_terms(cfg, n_c: int = 256) -> dict:
+def expansion_pt_terms(cfg, n_c: int = N_C) -> dict:
     """``exact.exact_pt_terms`` through the signed exponential expansion."""
-    consts = compute_constants(cfg)
-    k = _term_constants(cfg, consts.omega_3)
-    return contended_terms(
-        cfg, consts,
-        lambda lower, upper, a, b: _between_expansion(cfg, k, lower, upper, a, b, n_c))
+    k = _term_constants(cfg)
+    return {name: _cell_mass_expansion(cfg, k, cell, n_c)
+            for name, cell in contended_terms(cfg).items()}

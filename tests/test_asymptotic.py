@@ -35,11 +35,13 @@ def test_limit_constants_satisfy_their_quadratics():
         assert math.isclose(kk.omega_2 * hi.rho_m, k.omega_2, rel_tol=1e-12)
 
 
-def _quad_leading_mass(unit, lower, upper, a, b):
-    # nested adaptive quadrature of the leading-order pair density; the
-    # density vanishes off the ordered wedge, which does the clipping
-    if a is None or b is None or not (b > a):
+def _quad_leading_mass(unit, cell):
+    # nested adaptive quadrature of the leading-order pair density over a
+    # cell; the density vanishes off the ordered wedge, which does the
+    # clipping
+    if cell is None or None in cell or not cell[3] > cell[2]:
         return 0.0
+    lower, upper, a, b = cell
     pair = OrderPairDensity(unit.M, unit.m, unit.n)
 
     def inner(u):
@@ -61,9 +63,8 @@ def test_leading_mass_vs_quadrature_both_rank_orders():
     assert {cfg.m < cfg.n for cfg in configs} == {True, False}
     for cfg in configs:
         unit = _unit(cfg)
-        ref = contended_terms(
-            unit, compute_constants(unit),
-            lambda lower, upper, a, b: _quad_leading_mass(unit, lower, upper, a, b))
+        ref = {name: _quad_leading_mass(unit, cell)
+               for name, cell in contended_terms(unit).items()}
         got = asymptotic_pt_terms(cfg)
         assert got.keys() == ref.keys()
         for name, v in got.items():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from scipy import integrate
 from hnoma import (InvalidConfigError, OrderPairDensity, SystemConfig,
                    compute_constants, estimate_decomposition, exact_pt_terms,
                    integrate_event, p_t_exact, regime_label)
-from hnoma.exact import eta_thresholds, exact_pt_terms_batch
-from hnoma.regions import capped_loss, decode_tie, first_loss, power_cap
+from hnoma.exact import contended_terms, eta_thresholds, exact_pt_terms_batch
+from hnoma.regions import (_cap_floor_const, capped_loss, decode_tie, first_loss,
+                           power_cap)
 
 from conftest import SEED, make_cfg, regime_covering_configs
 from reference import (config_pt_terms, expansion_pt_terms, gamma1,
@@ -24,7 +26,7 @@ def test_threshold_hand_values():
     assert math.isclose(th["k_1"], 8.0 / 3.0)
     cfg = SystemConfig.make(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0,
                             rho_n=16.0)
-    assert math.isclose(compute_constants(cfg).omega_3, 0.5)
+    assert math.isclose(_cap_floor_const(cfg), 0.5)
 
 
 def test_threshold_ordering():
@@ -149,6 +151,34 @@ def test_batched_terms_are_the_per_config_terms_bit_for_bit():
         sweep = [cfg.with_snr(snr) for snr in range(0, 65, 5)]
         for one, terms in zip(sweep, exact_pt_terms_batch(sweep)):
             assert terms == config_pt_terms(one), one
+
+
+def test_cells_do_not_depend_on_snr():
+    # the SNR-batched exact engine reads one config's curves for every SNR
+    # of a sweep, and the asymptotic one integrates the unit-SNR cells:
+    # every SNR has the unit-SNR table's curves and None marks, and each
+    # limit is the unit-SNR one over rho_m
+    configs = regime_covering_configs(60)
+    assert {cfg.m < cfg.n for cfg in configs} == {True, False}
+    checked = 0
+    for cfg in configs:
+        unit = contended_terms(replace(cfg, rho_m=1.0, rho_n=cfg.eta))
+        for snr in range(0, 61, 5):
+            at = cfg.with_snr(snr)
+            table = contended_terms(at)
+            assert table.keys() == unit.keys()
+            for name, cell in table.items():
+                ref = unit[name]
+                assert (cell is None) == (ref is None), (at, name)
+                if cell is None:
+                    continue
+                assert cell[:2] == ref[:2], (at, name)
+                for x, r in zip(cell[2:], ref[2:]):
+                    assert (x is None) == (r is None), (at, name)
+                    if x is not None:
+                        assert math.isclose(x * at.rho_m, r, rel_tol=1e-12), (at, name)
+                        checked += 1
+    assert checked > 6000
 
 
 def test_batch_rejects_configs_that_differ_in_more_than_snr():

@@ -104,7 +104,7 @@ def test_decomposition_cells_match_reference_classifiers_draw_for_draw():
     # every live contended-loss draw sits in exactly one cell of the
     # closed forms' table, the one the per-gain classifiers of
     # ``reference`` name; the decomposition's counts follow draw for draw
-    from hnoma.exact import compute_constants, contended_terms
+    from hnoma.exact import contended_terms
     from hnoma.schemes import _B_I, _B_II2
     from hnoma.validate import DEFAULT_CONFIGS
     from conftest import regime_covering_configs
@@ -129,7 +129,7 @@ def test_decomposition_cells_match_reference_classifiers_draw_for_draw():
                         np.char.add("P_T1_", capped_branch_bucket(cfg, t).astype(str)),
                         np.char.add("P_T2_", first_branch_bucket(cfg, t).astype(str)))
 
-        table = contended_terms(cfg, compute_constants(cfg), lambda *cell: cell)
+        table = contended_terms(cfg)
         names = list(table)
         inside = np.zeros((len(names), t.size), dtype=bool)
         for row, cell in zip(inside, table.values()):
@@ -446,6 +446,20 @@ def test_illinois_steps_close_a_one_sided_crossing():
     (found,) = _region_breakpoints(clauses)
     assert len(found) == 1 and abs(found[0] - root) <= 1e-13 * root
     assert max(calls.values()) - 1 <= 13
+
+
+def test_breakpoint_near_zero_closes_at_a_width_of_the_scan_range():
+    # a root at 2.6e-261 on the scan bracket that starts at t = 0: a width
+    # relative to the bracket's end would never be reached
+    from hnoma.mc import _region_breakpoints
+    from hnoma.regions import Clause
+    root = math.exp(-600.0)
+    clauses, calls = _counted_clauses(
+        (Clause(0.0, 2.0, lower=(lambda cfg, t: np.exp(600.0 * (t - 1.0)),)),))
+    (found,) = _region_breakpoints(clauses)
+    assert len(found) == 2 and abs(found[0] - root) <= 1e-13 * 2.0
+    assert abs(found[1] - 1.0) <= 1e-13
+    assert max(calls.values()) - 1 < 12  # less the scan
 
 
 def test_breakpoint_search_takes_few_steps():

@@ -463,8 +463,8 @@ def test_validation_reports_a_decomposition_that_stops_tiling(monkeypatch, capsy
     import hnoma.mc
     table = hnoma.mc.contended_terms
 
-    def swapped(cfg, k, between):
-        out = table(cfg, k, between)
+    def swapped(cfg):
+        out = table(cfg)
         (lo1, up1, *lim1), (lo2, up2, *lim2) = out["P_T2_1"], out["P_T2_2"]
         out["P_T2_1"], out["P_T2_2"] = (lo1, up1, *lim2), (lo2, up2, *lim1)
         return out
