@@ -14,6 +14,7 @@ from .exact import contended_terms
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import EventRegion, _Gathered, diagonal, region_underperformance
 from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors
+from .tally import sweeps, tally_sweep
 
 BLOCK_TRIALS = 1_000_000
 
@@ -54,17 +55,6 @@ def _pair_chunks(cfg: SystemConfig, trials: int, seed: int):
             yield g_m[lo:lo + CHUNK_ROWS], g_n[lo:lo + CHUNK_ROWS]
 
 
-def _tally_chunk(kernel: DrawKernel, cfg: SystemConfig, scheme: Scheme,
-                 g_m, g_n, gamma, want_pt: bool):
-    """``(hits, pt_hits)`` of one chunk of draws; γ goes into ``gamma``."""
-    kernel.run(cfg, scheme, g_m, g_n, gamma)
-    hits = int(np.count_nonzero(kernel.lose))
-    if not want_pt:
-        return hits, 0
-    # the contended positive-cap loss: losing, not type I, tau > 0
-    return hits, int(np.count_nonzero(kernel.lose & kernel.over & (kernel.tau > 0.0)))
-
-
 def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     """Underperformance estimate plus mean power-adaptation factor / energy
     for every ``(cfg, scheme)`` cell, all on the same draws.
@@ -75,6 +65,25 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     (power-adaptive cells only).  Each draw spends (1 + γ) β ρ_n over one
     frame (T = 1), so ``energy_mean`` is formed from ``gamma_mean``; it is
     exactly 2 β ρ_n off HSIC-PA.  Returns one summary dict per cell.
+
+    Draws settle along a sweep.  The HSIC-NPA and HSIC-PA cells that share
+    (β, R_m, η, scheme) are visited in ascending ρ_n, and
+    ``SettleCertificate`` shows a draw type I and winning at this SNR and
+    at every higher one: with a ≈ g_m/(ηε_m), c = a - βg_n and
+    d = β²g_n/(1 - 2β), it asks c >= (1 + δ)/ρ_n + δa and
+    ρ_n d >= 1 + δ with δ = 1e-6.  The kernel's τ - b then clears its
+    rounding (about 1e-15 of the operands) by a factor near 10^9, and
+    the type-I win gap, δ(1 - 2β)² relative, by 10^3 while
+    1 - 2β >= 1e-3; nearer ½ nothing settles.  A settled draw has no
+    loss, no contended loss and γ = 1 at every later cell of the sweep,
+    and the kernel no longer runs on it.  Once at most half of a block's
+    first 4,096 draws are live, at an SNR with more to follow, a
+    counting pass sizes an int32 index of the live draws
+    (4 bytes each, at most 2 MB per 10^6-draw block), which is compacted
+    in place at each later SNR, and the kernel runs on ``CHUNK_ROWS``
+    gathers of it.  Settled draws keep γ = 1.0 in the block-length γ
+    buffer and the live ones are scattered into it, so every count and
+    every pairwise γ sum is that of the kernel over the whole block.
     """
     cells = [(cfg, Scheme(scheme)) for cfg, scheme in cells]
     if not cells:
@@ -82,22 +91,14 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     if len({(cfg.M, cfg.m, cfg.n) for cfg, _ in cells}) > 1:
         raise InvalidConfigError("mc_summary cells must share (M, m, n)")
     tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0) for _ in cells]
+    groups = sweeps([(*cell, tally) for cell, tally in zip(cells, tallies)])
     kernel = DrawKernel(CHUNK_ROWS)
     for g_m, g_n in _pair_blocks(cells[0][0], trials, seed):
         # per-draw factors go into one block-length buffer, so the sums
-        # below are the same pairwise sums as over a whole-block kernel
+        # are the same pairwise sums as over a whole-block kernel
         gamma = np.empty(g_m.size)
-        for (cfg, scheme), tally in zip(cells, tallies):
-            pt = want_pt and scheme == Scheme.HSIC_PA
-            for lo in range(0, g_m.size, CHUNK_ROWS):
-                hi = lo + CHUNK_ROWS
-                hits, pt_hits = _tally_chunk(kernel, cfg, scheme, g_m[lo:hi],
-                                             g_n[lo:hi], gamma[lo:hi], pt)
-                tally["hits"] += hits
-                tally["pt_hits"] += pt_hits
-            # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
-            tally["gamma_sum"] += (float(gamma.sum()) if scheme == Scheme.HSIC_PA
-                                   else float(g_m.size))
+        for sweep in groups:
+            tally_sweep(kernel, sweep, g_m, g_n, gamma, want_pt)
     out = []
     for (cfg, scheme), tally in zip(cells, tallies):
         gamma_mean = tally["gamma_sum"] / trials

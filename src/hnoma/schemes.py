@@ -7,6 +7,7 @@ draw per element; a single draw is a length-1 array.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,13 +71,16 @@ class DrawKernel:
     def __init__(self, rows: int):
         self._reals = [np.empty(rows) for _ in range(8)]
         self._words = [np.empty(rows, dtype=np.int64) for _ in range(2)]
-        self._masks = [np.empty(rows, dtype=bool) for _ in range(3)]
+        self._masks = [np.empty(rows, dtype=bool) for _ in range(4)]
 
     def run(self, cfg: SystemConfig, scheme: Scheme, g_m, g_n, gamma) -> None:
         """Evaluate the 1-D float gain arrays ``g_m``, ``g_n``.
 
         For HSIC-PA the per-draw power-adaptation factor is written into
         ``gamma``; the other schemes leave it alone (their factor is 1).
+        ``run_at`` passes the kernel's own tau, rhs and denom buffers as
+        ``g_m``, ``g_n`` and ``gamma``: each gain's first product goes in
+        place, and denom is read for the last time before γ is formed.
         """
         if scheme not in HNOMA_SCHEMES:
             raise ValueError(f"no NOMA slot for scheme {scheme}")
@@ -84,7 +88,7 @@ class DrawKernel:
         tau, denom, b, one_b, first_stage, capped, factor, rhs = (
             a[:n] for a in self._reals)
         over_bits, adapt_bits = (a[:n] for a in self._words)
-        over, adapt, lose = (a[:n] for a in self._masks)
+        over, adapt, lose = (a[:n] for a in self._masks[:3])
         np.multiply(cfg.rho_m, g_m, out=tau)
         np.add(tau, 1.0, out=denom)
         np.multiply(cfg.beta * cfg.rho_n, g_n, out=b)   # received NOMA power of U_n
@@ -125,6 +129,118 @@ class DrawKernel:
         np.less_equal(capped, rhs, out=lose)
         self.tau, self.factor, self.over, self.adapt, self.lose = (
             tau, factor, over, adapt, lose)
+
+    def run_at(self, cfg: SystemConfig, scheme: Scheme, g_m, g_n, gamma, at) -> None:
+        """``run`` on the draws ``g_m[at]``, ``g_n[at]`` (at most ``rows``
+        of them), with HSIC-PA's γ scattered into ``gamma[at]``.
+
+        The draws are gathered into the kernel's own buffers, so a gather
+        needs no memory of its own.
+        """
+        n = at.size
+        tau, denom, rhs = (self._reals[k][:n] for k in (0, 1, 7))
+        # the positions are in range; "wrap" skips a buffered bounds check
+        np.take(g_m, at, out=tau, mode="wrap")
+        np.take(g_n, at, out=rhs, mode="wrap")
+        self.run(cfg, scheme, tau, rhs, denom)
+        if scheme == Scheme.HSIC_PA:
+            gamma[at] = denom
+
+    def contended_losses(self) -> int:
+        """Draws of the last ``run`` (power-adaptive) that lose while not
+        type I and with a positive cap: ``lose & over & (tau > 0)``."""
+        hit = self._masks[3][:self.lose.size]
+        np.greater(self.tau, 0.0, out=hit)
+        np.logical_and(hit, self.over, out=hit)
+        np.logical_and(hit, self.lose, out=hit)
+        return int(np.count_nonzero(hit))
+
+    def settled(self, cert: SettleCertificate, rho_n: float, g_m, g_n, at=None):
+        """Mask of the draws (of ``g_m[at]``, ``g_n[at]`` with ``at``) that
+        ``cert`` shows to be type I and winning at ``rho_n`` and at every
+        higher SNR of its sweep: ``run`` would find no loss, no contended
+        loss and γ = 1 there.
+
+        The mask is a view onto the kernel's buffers, like the results of
+        ``run``, and valid until the next ``run`` or ``settled``, which
+        both reuse them.  See ``SettleCertificate`` for the test and its
+        floating-point argument.
+        """
+        n = g_m.size if at is None else at.size
+        c, bg = self._reals[0][:n], self._reals[1][:n]
+        out, wins = self._masks[0][:n], self._masks[1][:n]
+        if at is not None:
+            g_m = np.take(g_m, at, out=c, mode="wrap")
+            g_n = np.take(g_n, at, out=bg, mode="wrap")
+        # the win test first: g_n may be bg, which the type-I test overwrites
+        np.greater_equal(g_n, (1.0 + _SETTLE_MARGIN) / (rho_n * cert.k_d), out=wins)
+        np.multiply(g_m, cert.k_a, out=c)
+        np.multiply(g_n, cert.beta, out=bg)
+        np.subtract(c, bg, out=c)                       # (1 - δ)a - βg_n
+        np.greater_equal(c, (1.0 + _SETTLE_MARGIN) / rho_n, out=out)
+        np.logical_and(out, wins, out=out)
+        return out
+
+
+# δ of the settled-draw certificate
+_SETTLE_MARGIN = 1e-6
+# the smallest 1 - 2β at which the certificate's win test is used
+_SETTLE_MIN_GAP = 1e-3
+# the largest ρ_n it is used at: with gains below 1e50 no product overflows
+_SETTLE_MAX_RHO = 1e100
+
+
+class SettleCertificate(NamedTuple):
+    """When a draw is settled for the rest of a sweep: type I and winning
+    at this SNR and at every higher one.
+
+    The sweep is cells of one scheme with a type-I branch (HSIC-NPA or
+    HSIC-PA) that share β and ε_m, visited at rising ρ_n.  Write
+    a = r g_m/ε_m, c = a - βg_n and d = β²g_n/(1 - 2β), where
+    r <= ρ_m/ρ_n at every SNR of the sweep.  In exact arithmetic a draw
+    is type I when ρ_n c >= 1, since τ >= ρ_n a - 1 >= b then, and a
+    type-I draw wins when ρ_n d > 1, since for g_n > 0
+    (1 + b)² > 1 + ρ_n g_n ⇔ β²ρ_n g_n > 1 - 2β.  Both only strengthen
+    as ρ_n grows.  ``DrawKernel.settled`` asks, with δ = ``_SETTLE_MARGIN``,
+
+        (1 - δ)a - βg_n >= (1 + δ)/ρ_n   and   g_n >= (1 + δ)/(ρ_n k_d),
+
+    that is c >= (1 + δ)/ρ_n + δa, which bounds the cancellation in c,
+    and ρ_n d >= 1 + δ.
+
+    Floats, u = 2^-53: the left side of the first test is within 6ua of
+    its exact value and the right sides within 6u of theirs, so a draw
+    that passes at ρ_n has ρ c - 1 >= 0.99δ(1 + ρa) and ρ d >= 1 + 0.99δ
+    at every ρ >= ρ_n of the sweep.  There the kernel's τ is at least
+    T - 1 - 3uT, with T = ρ_m g_m/ε_m >= ρa, and its b at most
+    βρg_n(1 + 2u) < ρa(1 + 2u), so τ - b >= 0.99δ(1 + ρa) - 5uρa > 0:
+    a gap of δ = 1e-6 relative to the operands, against rounding of
+    about 1e-15.  The type-I win gap (1 + b)² - (1 + ρg_n) is at least
+    0.99δ(1 - 2β)² relative to (1 + b)² (at least 1e-12 with
+    1 - 2β >= 1e-3), while the kernel's (1 + b)² and 1 + ρg_n are off
+    by at most 9u of it.  The gap shrinks like δ(1 - 2β)² as β nears
+    ½, so there the certificate is off.  The bounds assume that nothing
+    overflows or underflows, which holds for ρ_n <= 1e100 and gains
+    below 1e50 (sampled gains stay below 40).
+    """
+
+    k_a: float      # (1 - δ) r / ε_m
+    beta: float
+    k_d: float      # β² / (1 - 2β)
+
+    @classmethod
+    def of(cls, cfgs, scheme: Scheme):
+        """The certificate of a sweep over ``cfgs``, which share β and
+        ε_m, or None: FSIC has no type-I branch, near β = ½ the win gap
+        is too small, and past ``_SETTLE_MAX_RHO`` products may overflow."""
+        beta = cfgs[0].beta
+        if (scheme == Scheme.FSIC or not 1.0 - 2.0 * beta >= _SETTLE_MIN_GAP
+                or max(cfg.rho_n for cfg in cfgs) > _SETTLE_MAX_RHO):
+            return None
+        # a lower bound on every rho_m / rho_n: 8u below the least quotient
+        r = min(cfg.rho_m / cfg.rho_n for cfg in cfgs) * (1.0 - 2.0 ** -50)
+        return cls(k_a=(1.0 - _SETTLE_MARGIN) * r / cfgs[0].eps_m, beta=beta,
+                   k_d=beta ** 2 / (1.0 - 2.0 * beta))
 
 
 def rate_factors(cfg: SystemConfig, g_m, g_n, scheme: Scheme):

@@ -1,0 +1,103 @@
+"""The Monte Carlo tally of one gain block: the per-draw kernel over the
+cells of a sweep, run only on the draws that have not yet settled (see
+``mc.mc_summary`` and ``schemes.SettleCertificate``)."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .channel import CHUNK_ROWS
+from .config import SystemConfig
+from .schemes import DrawKernel, Scheme, SettleCertificate
+
+# draws whose settled share decides whether a sweep builds its live index
+_PROBE_ROWS = 4096
+
+
+def tally_chunk(kernel: DrawKernel, cfg: SystemConfig, scheme: Scheme,
+                g_m, g_n, gamma, want_pt: bool, at=None):
+    """``(hits, pt_hits)`` of one chunk of draws, or of the draws ``at``;
+    γ goes into ``gamma``."""
+    if at is None:
+        kernel.run(cfg, scheme, g_m, g_n, gamma)
+    else:
+        kernel.run_at(cfg, scheme, g_m, g_n, gamma, at)
+    hits = int(np.count_nonzero(kernel.lose))
+    # the contended positive-cap loss: losing, not type I, tau > 0
+    return hits, kernel.contended_losses() if want_pt else 0
+
+
+def sweeps(cells) -> list:
+    """The cells ``(cfg, scheme, tally)`` grouped by (β, R_m, η, scheme),
+    each group in ascending ρ_n: the sweeps along which draws settle."""
+    groups = {}
+    for cell in cells:
+        cfg, scheme, _ = cell
+        groups.setdefault((cfg.beta, cfg.R_m, cfg.eta, scheme), []).append(cell)
+    return [sorted(group, key=lambda cell: cell[0].rho_n) for group in groups.values()]
+
+
+def _live_index(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n):
+    """Positions (int32, exactly sized by a counting pass) of the block's
+    draws that are not settled at ``rho_n``."""
+    starts = range(0, g_m.size, CHUNK_ROWS)
+    n_live = g_m.size
+    for lo in starts:
+        hi = lo + CHUNK_ROWS
+        n_live -= int(np.count_nonzero(kernel.settled(cert, rho_n, g_m[lo:hi], g_n[lo:hi])))
+    live = np.empty(n_live, dtype=np.int32)
+    end = 0
+    for lo in starts:
+        hi = lo + CHUNK_ROWS
+        settled = kernel.settled(cert, rho_n, g_m[lo:hi], g_n[lo:hi])
+        at = np.flatnonzero(np.logical_not(settled, out=settled))
+        np.add(at, lo, out=live[end:end + at.size], casting="unsafe")
+        end += at.size
+    return live
+
+
+def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
+            live, gamma):
+    """Drop the draws settled at ``rho_n`` from ``live``, in place, and
+    give them γ = 1 in ``gamma`` (unless None); returns the live prefix."""
+    end = 0
+    for lo in range(0, live.size, CHUNK_ROWS):
+        at = live[lo:lo + CHUNK_ROWS]
+        settled = kernel.settled(cert, rho_n, g_m, g_n, at)
+        if gamma is not None:
+            gamma[at[settled]] = 1.0
+        kept = np.compress(np.logical_not(settled, out=settled), at)
+        live[end:end + kept.size] = kept   # after the copy: the two may overlap
+        end += kept.size
+    return live[:end]
+
+
+def tally_sweep(kernel: DrawKernel, sweep, g_m, g_n, gamma, want_pt: bool):
+    """Tally one block for the cells of one sweep, ``(cfg, scheme, tally)``
+    in ascending ρ_n, running the kernel only on draws not yet settled."""
+    scheme = sweep[0][1]
+    pa = scheme == Scheme.HSIC_PA
+    pt = want_pt and pa
+    cert = SettleCertificate.of([cfg for cfg, _, _ in sweep], scheme)
+    live = None
+    for k, (cfg, _, tally) in enumerate(sweep):
+        if live is not None:
+            live = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, gamma if pa else None)
+        elif cert is not None and k + 1 < len(sweep):
+            # an index pays for itself only over the SNRs that follow; it
+            # is built once at most half of the block's first draws are live
+            probe = kernel.settled(cert, cfg.rho_n, g_m[:_PROBE_ROWS], g_n[:_PROBE_ROWS])
+            if 2 * np.count_nonzero(probe) >= probe.size:
+                live = _live_index(kernel, cert, cfg.rho_n, g_m, g_n)
+                if pa:
+                    gamma.fill(1.0)
+        for lo in range(0, g_m.size if live is None else live.size, CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            hits, pt_hits = (
+                tally_chunk(kernel, cfg, scheme, g_m[lo:hi], g_n[lo:hi], gamma[lo:hi], pt)
+                if live is None else
+                tally_chunk(kernel, cfg, scheme, g_m, g_n, gamma, pt, live[lo:hi]))
+            tally["hits"] += hits
+            tally["pt_hits"] += pt_hits
+        # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
+        tally["gamma_sum"] += float(gamma.sum()) if pa else float(g_m.size)

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import hnoma.mc
-from hnoma import ProbEstimate, Scheme, mc_summary
+from hnoma import ProbEstimate, Scheme, SystemConfig, mc_summary
 from hnoma.channel import CHUNK_ROWS
-from hnoma.mc import _tally_chunk
-from hnoma.schemes import _B_I, _B_II2, DrawKernel, rate_factors
+from hnoma.cli import load_preset
+from hnoma.schemes import _B_I, _B_II2, DrawKernel, SettleCertificate, rate_factors
+from hnoma.sweep import SweepSpec
+from hnoma.tally import tally_chunk
 
 from conftest import make_cfg
 from reference import energy_array, ref_loss_mask, ref_rate_factors, ref_tau
@@ -121,8 +123,8 @@ def test_tally_kernel_matches_reference_on_ties():
                 gamma = np.full(g_m.size, np.nan)
                 for lo in range(0, g_m.size, CHUNK_ROWS):
                     hi = lo + CHUNK_ROWS
-                    got = _tally_chunk(kernel, cfg, scheme, g_m[lo:hi], g_n[lo:hi],
-                                       gamma[lo:hi], want_pt)
+                    got = tally_chunk(kernel, cfg, scheme, g_m[lo:hi], g_n[lo:hi],
+                                      gamma[lo:hi], want_pt)
                     hits, pt_hits, ref_gamma = _ref_chunk(cfg, scheme, g_m[lo:hi],
                                                           g_n[lo:hi], want_pt)
                     assert got == (hits, pt_hits)
@@ -160,6 +162,29 @@ def test_subnormal_gain_raises_no_warning(scheme):
         assert np.array_equal(gamma.view(np.int64), ref_gamma.view(np.int64))
 
 
+def _ref_summary(cfg, scheme, blocks, want_pt):
+    """The summary dict of one cell from the step-by-step reference, over
+    the (g_m, g_n) blocks, each summed over one block-length γ buffer."""
+    hits = pt_hits = trials = 0
+    gamma_sum = 0.0
+    pt = want_pt and scheme == Scheme.HSIC_PA
+    for g_m, g_n in blocks:
+        gamma = np.empty(g_m.size)
+        for lo in range(0, g_m.size, CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            h, p, gamma[lo:hi] = _ref_chunk(cfg, scheme, g_m[lo:hi], g_n[lo:hi], pt)
+            hits, pt_hits = hits + h, pt_hits + p
+        gamma_sum += float(gamma.sum()) if scheme == Scheme.HSIC_PA else float(g_m.size)
+        trials += g_m.size
+    gamma_mean = gamma_sum / trials
+    out = {"estimate": ProbEstimate.from_counts(hits, trials),
+           "gamma_mean": gamma_mean,
+           "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n}
+    if pt:
+        out["pt_estimate"] = ProbEstimate.from_counts(pt_hits, trials)
+    return out
+
+
 def test_mc_summary_matches_reference_on_ties(monkeypatch):
     """Whole-pass sums too: the γ shortcut off HSIC-PA and the energy mean."""
     for k, cfg in enumerate(_cfgs()):
@@ -168,21 +193,8 @@ def test_mc_summary_matches_reference_on_ties(monkeypatch):
                             lambda cfg, trials, seed: iter([(g_m, g_n)]))
         cells = [(cfg, scheme) for scheme in SCHEMES]
         got = mc_summary(cells, g_m.size, 0, want_pt=True)
-        for (_, scheme), summary in zip(cells, got):
-            hits = pt_hits = 0
-            gamma = np.empty(g_m.size)
-            for lo in range(0, g_m.size, CHUNK_ROWS):
-                hi = lo + CHUNK_ROWS
-                h, p, gamma[lo:hi] = _ref_chunk(cfg, scheme, g_m[lo:hi], g_n[lo:hi],
-                                                scheme == Scheme.HSIC_PA)
-                hits, pt_hits = hits + h, pt_hits + p
-            gamma_mean = float(gamma.sum()) / g_m.size
-            want = {"estimate": ProbEstimate.from_counts(hits, g_m.size),
-                    "gamma_mean": gamma_mean,
-                    "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n}
-            if scheme == Scheme.HSIC_PA:
-                want["pt_estimate"] = ProbEstimate.from_counts(pt_hits, g_m.size)
-            assert summary == want
+        for cell, summary in zip(cells, got):
+            assert summary == _ref_summary(*cell, [(g_m, g_n)], True)
 
 
 def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
@@ -207,3 +219,186 @@ def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
                     _, _, gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
                     want = energy_array(cfg, scheme, gamma)[0]
                     assert summary["energy_mean"] == want, (cfg, scheme, g_m, g_n)
+
+
+# ---------------------------------------------------------------------------
+#  Settled draws: a sweep runs the kernel only on draws that can still lose
+# ---------------------------------------------------------------------------
+
+def _kernel_rows(monkeypatch):
+    """A list that collects the row count of every ``DrawKernel.run``."""
+    rows = []
+    run = DrawKernel.run
+
+    def spy(self, cfg, scheme, g_m, g_n, gamma):
+        rows.append(g_m.size)
+        return run(self, cfg, scheme, g_m, g_n, gamma)
+
+    monkeypatch.setattr(DrawKernel, "run", spy)
+    return rows
+
+
+def _random_sweep(rng):
+    """A random config with 4-6 SNRs; both rank orders, β up to ½ - 1e-9
+    and η from 0.03 to 30."""
+    M = int(rng.integers(2, 7))
+    m, n = (int(x) for x in rng.choice(np.arange(1, M + 1), size=2, replace=False))
+    beta = (0.5 - 10.0 ** -rng.uniform(3, 9) if rng.random() < 0.2
+            else rng.uniform(0.05, 0.45))
+    eta = float(np.exp(rng.uniform(np.log(0.03), np.log(30.0))))
+    cfg = SystemConfig.make(M=M, m=m, n=n, R_m=float(rng.uniform(0.1, 3.0)),
+                            beta=beta, eta=eta, snr_db=0.0)
+    snrs = np.sort(rng.uniform(0.0, 55.0, size=int(rng.integers(4, 7))))
+    return [cfg.with_snr(float(s)) for s in snrs]
+
+
+@pytest.mark.parametrize("sweep_seed", range(6))
+def test_sweep_matches_one_cell_calls_over_several_blocks(monkeypatch, sweep_seed):
+    """Retiring draws along a sweep changes no count and no γ sum: every
+    cell equals its own one-cell ``mc_summary`` call (which has no later
+    SNR, so it retires nothing), over blocks that each settle draws."""
+    monkeypatch.setattr(hnoma.mc, "BLOCK_TRIALS", CHUNK_ROWS + 1_000)
+    trials = 2 * (CHUNK_ROWS + 1_000) + 777   # three blocks, the last partial
+    rng = np.random.default_rng(sweep_seed)
+    rows = _kernel_rows(monkeypatch)
+    retired = 0
+    for _ in range(3):
+        cfgs = _random_sweep(rng)
+        cells = [(cfg, scheme) for cfg in cfgs for scheme in SCHEMES]
+        cells = [cells[k] for k in rng.permutation(len(cells))]  # any order
+        for want_pt in (False, True):
+            rows.clear()
+            got = mc_summary(cells, trials, sweep_seed, want_pt=want_pt)
+            retired += len(cells) * trials - sum(rows)
+            want = [mc_summary([cell], trials, sweep_seed, want_pt=want_pt)[0]
+                    for cell in cells]
+            assert got == want, cfgs[0]
+    # a seed whose sweeps retire nothing would check nothing here
+    assert retired > 0
+
+
+def _sweep_block(cfgs, seed):
+    """Random ordered draws with the tie draws of every SNR of the sweep,
+    zero gains and all-zero draws spread through two chunks."""
+    cfg = cfgs[0]
+    rng = np.random.default_rng(seed)
+    size = 2 * CHUNK_ROWS + 321
+    g = np.sort(rng.exponential(size=(size, 2)), axis=1)
+    i_m, i_n = (0, 1) if cfg.m < cfg.n else (1, 0)
+    g_m, g_n = g[:, i_m].copy(), g[:, i_n].copy()
+    special = np.concatenate([_tie_draws(c) for c in cfgs]
+                             + [[[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]]])
+    for at in (5, CHUNK_ROWS - len(special), CHUNK_ROWS + 77, size - len(special)):
+        g_m[at:at + len(special)] = special[:, 0]
+        g_n[at:at + len(special)] = special[:, 1]
+    return g_m, g_n
+
+
+@pytest.mark.parametrize("base", [
+    make_cfg(),
+    make_cfg(m=3, n=1, R_m=0.5, eta=5.0),
+    make_cfg(M=4, m=1, n=4, R_m=1.5, beta=0.4, eta=0.2),
+    make_cfg(m=2, n=1, R_m=0.35, beta=0.5 - 1e-12),
+])
+def test_sweep_matches_reference_on_ties_at_every_snr(monkeypatch, base):
+    """The tie draws of every SNR of the sweep sit in every block, so a
+    draw on a decision edge at one SNR is also fed at all the others;
+    each cell must equal the step-by-step reference and its own one-cell
+    call.  β = ½ - 1e-12 is past the certificate's β range."""
+    cfgs = [base.with_snr(s) for s in (0.0, 8.0, 15.0, 25.0, 40.0)]
+    g_m, g_n = _sweep_block(cfgs, 3)
+    monkeypatch.setattr(hnoma.mc, "_pair_blocks",
+                        lambda cfg, trials, seed: iter([(g_m, g_n)]))
+    cells = [(cfg, scheme) for cfg in cfgs for scheme in SCHEMES]
+    rows = _kernel_rows(monkeypatch)
+    got = mc_summary(cells, g_m.size, 0, want_pt=True)
+    settles = SettleCertificate.of(cfgs, Scheme.HSIC_PA) is not None
+    assert (sum(rows) < len(cells) * g_m.size) == settles
+    for cell, summary in zip(cells, got):
+        assert summary == _ref_summary(*cell, [(g_m, g_n)], True), cell
+        assert summary == mc_summary([cell], g_m.size, 0, want_pt=True)[0], cell
+
+
+def _edge_draws(cfg, rng, size=600):
+    """Draws about the kernel's own decision edges at ``cfg``: on the win
+    edge (1 + b)² = 1 + ρ_n g_n, on the type-I edge tau = b, and on the
+    type-I edge where tau and b are 10^12, so that c = a - βg_n cancels."""
+    beta, rho = cfg.beta, cfg.rho_n
+    win_g_n = (1.0 - 2.0 * beta) / (beta ** 2 * rho)   # exact win edge
+    type_i_g_m = lambda g_n: cfg.eps_m * (1.0 + beta * rho * g_n) / cfg.rho_m
+    near = lambda x: x * (1.0 + rng.uniform(-3e-15, 3e-15, size))
+    on_win = near(np.full(size, win_g_n))
+    on_type_i = win_g_n * np.exp(rng.uniform(0.0, 4.0, size))
+    big = 1e12                                            # tau and b
+    g_m_big = np.full(size, cfg.eps_m * (big + 1.0) / cfg.rho_m)
+    g_n_big = (big + rng.uniform(-1e-3, 1e-3, size)) / (beta * rho)
+    g_m = np.concatenate([100.0 * type_i_g_m(on_win), near(type_i_g_m(on_type_i)), g_m_big])
+    g_n = np.concatenate([on_win, on_type_i, g_n_big])
+    return g_m, g_n
+
+
+@pytest.mark.parametrize("base, snrs", [
+    (make_cfg(), (10.0, 20.0, 30.0)),
+    (make_cfg(m=3, n=1, R_m=0.5, eta=5.0), (15.0, 25.0, 45.0)),
+    (make_cfg(M=4, m=1, n=4, R_m=1.5, beta=0.4994, eta=0.2), (20.0, 40.0)),
+    (make_cfg(R_m=0.2, eta=0.7), (100.0, 110.0, 125.0)),
+])
+def test_settled_draws_lose_nowhere_later_in_the_sweep(base, snrs):
+    """Draws a few ulps about the kernel's decision edges: each one the
+    certificate marks settled at an SNR is type I, wins and has γ = 1 in
+    the reference kernel's floats there and at every higher SNR."""
+    rng = np.random.default_rng(5)
+    kernel = DrawKernel(CHUNK_ROWS)
+    cfgs = [base.with_snr(s) for s in snrs]
+    cert = SettleCertificate.of(cfgs, Scheme.HSIC_PA)
+    marked = 0
+    for k, cfg in enumerate(cfgs):
+        for edges_at in cfgs:
+            g_m, g_n = _edge_draws(edges_at, rng)
+            settled = kernel.settled(cert, cfg.rho_n, g_m, g_n).copy()
+            marked += int(np.count_nonzero(settled))
+            for later in cfgs[k:]:
+                factor, branch, gamma = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_PA)
+                lose = ref_loss_mask(later, g_n, factor)
+                assert np.all(branch[settled] == _B_I), (cfg, later)
+                assert not np.any(lose[settled]), (cfg, later)
+                assert np.all(gamma[settled] == 1.0), (cfg, later)
+    assert marked > 500
+
+
+def test_certificate_is_off_where_it_cannot_hold():
+    cfgs = [make_cfg(snr_db=s) for s in (10.0, 20.0)]
+    assert SettleCertificate.of(cfgs, Scheme.HSIC_PA) is not None
+    assert SettleCertificate.of(cfgs, Scheme.HSIC_NPA) is not None
+    assert SettleCertificate.of(cfgs, Scheme.FSIC) is None
+    near_half = [make_cfg(beta=0.4996, snr_db=s) for s in (10.0, 20.0)]
+    assert SettleCertificate.of(near_half, Scheme.HSIC_PA) is None
+    huge = [make_cfg(snr_db=s) for s in (10.0, 1001.0)]
+    assert SettleCertificate.of(huge, Scheme.HSIC_PA) is None
+
+
+def _preset_cells(figure, label):
+    raw = next(s for s in load_preset(figure)["sweeps"] if s["label"] == label)
+    spec = SweepSpec.from_dict(raw)
+    return [(spec.config_at(s), scheme) for s in spec.snr_db for scheme in spec.schemes], spec
+
+
+def test_fig1_sweep_runs_the_kernel_on_few_draws(monkeypatch):
+    """fig1's n2 curve: most draws settle by 15-20 dB, so the kernel sees
+    at most 45% of cells x trials, in chunks of at most ``CHUNK_ROWS``."""
+    trials = 200_000
+    cells, spec = _preset_cells("fig1", "n2")
+    rows = _kernel_rows(monkeypatch)
+    mc_summary(cells, trials, spec.seed, want_pt=True)
+    assert max(rows) <= CHUNK_ROWS
+    assert sum(rows) <= 0.45 * len(cells) * trials
+
+
+def test_fig3a_sweep_settles_nothing(monkeypatch):
+    """fig3a's m1 curve (η = 7): almost no draw is type I and winning, so
+    no index is built and the kernel sees every draw of every cell."""
+    trials = 200_000
+    cells, spec = _preset_cells("fig3a", "m1")
+    rows = _kernel_rows(monkeypatch)
+    mc_summary(cells, trials, spec.seed)
+    assert sum(rows) == len(cells) * trials
