@@ -16,45 +16,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .channel import OrderPairDensity, _leggauss
 from .config import SystemConfig
 from .estimates import ASYMPTOTIC, ProbEstimate
-from .exact import N_C, _gc_nodes, contended_terms
+from .exact import _cell_quadrature, contended_terms
 
 
-def _leading_mass(unit: SystemConfig, pref: float, cell) -> float:
-    """Leading-order density mass of a unit-SNR cell ``(lower, upper, a,
-    b)``: the opportunistic gain between the curves, for legacy gain u in
-    (a, b), clipped to the wedge."""
-    if cell is None or None in cell or not cell[3] > cell[2]:
-        return 0.0
-    lower, upper, a, b = cell
-    u, wgt = _gc_nodes(a, b, N_C)
-    lo = lower(unit, u)
-    hi = upper(unit, u)
-    i, j = min(unit.m, unit.n), max(unit.m, unit.n)
-    if unit.m < unit.n:
+def _leading_mass(m: int, n: int, u, lo, hi):
+    """Leading-order density mass, over its prefactor, of the opportunistic
+    gain in (lo, hi) at legacy gain u, clipped to the wedge."""
+    i, j = min(m, n), max(m, n)
+    if m < n:
         # legacy gain is the smaller one: integrate (y-u)^(j-i-1) over y
         lo = np.minimum(np.maximum(lo, u), hi)
-        inner = u ** (i - 1) * ((hi - u) ** (j - i) - (lo - u) ** (j - i)) / (j - i)
-    else:
-        # legacy gain is the larger one: polynomial of degree j-2 in x
-        hi = np.minimum(hi, u)
-        lo = np.minimum(np.maximum(lo, 0.0), hi)
-        nodes, wts = _leggauss(j // 2 + 1)
-        x = lo + 0.5 * (hi - lo) * (1.0 + nodes[:, None])
-        inner = 0.5 * (hi - lo) * (wts @ (x ** (i - 1) * (u - x) ** (j - i - 1)))
-    return pref * float(inner @ wgt)
+        return u ** (i - 1) * ((hi - u) ** (j - i) - (lo - u) ** (j - i)) / (j - i)
+    # legacy gain is the larger one: polynomial of degree j-2 in x, with
+    # the Gauss nodes on the second-last axis
+    hi = np.minimum(hi, u)
+    lo = np.minimum(np.maximum(lo, 0.0), hi)
+    nodes, wts = _leggauss(j // 2 + 1)
+    lo_, hi_, u_ = lo[..., None, :], hi[..., None, :], u[..., None, :]
+    x = lo_ + 0.5 * (hi_ - lo_) * (1.0 + nodes[:, None])
+    return 0.5 * (hi - lo) * (wts @ (x ** (i - 1) * (u_ - x) ** (j - i - 1)))
 
 
 def asymptotic_pt_terms(cfg: SystemConfig) -> dict:
     """Leading coefficients of each sub-event (multiply by rho_m^-n or ^-m)."""
     unit = replace(cfg, rho_m=1.0, rho_n=cfg.eta)
     pref = OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor
-    return {name: _leading_mass(unit, pref, cell)
+    mass = partial(_leading_mass, cfg.m, cfg.n)
+    return {name: 0.0 if cell is None or None in cell or not cell[3] > cell[2]
+            else pref * float(_cell_quadrature(unit, cell, mass)[0])
             for name, cell in contended_terms(unit).items()}
 
 

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import InvalidConfigError
+from .config import check_ranks
 
 # rows per chunk of the array kernels: a chunk's working set fits in L2
 CHUNK_ROWS = 16_384
@@ -84,14 +84,7 @@ class OrderPairDensity:
     n: int
 
     def __post_init__(self):
-        if self.M < 2:
-            raise InvalidConfigError(f"need at least 2 users, got M={self.M}")
-        for name in ("m", "n"):
-            idx = getattr(self, name)
-            if not 1 <= idx <= self.M:
-                raise InvalidConfigError(f"{name}={idx} outside 1..{self.M}")
-        if self.m == self.n:
-            raise InvalidConfigError("order-statistic pair needs m != n")
+        check_ranks(self.M, self.m, self.n)
 
     @property
     def lo_rank(self) -> int:

@@ -41,28 +41,33 @@ def _overrides(args) -> dict:
             if getattr(args, k) is not None}
 
 
+def _run_and_write(args, raws, path):
+    """Run the sweep of each raw spec, with the command line's ``--trials``
+    and ``--seed``, and write its rows to ``path(spec)``; yields each path
+    and row count.  Every spec parses before a directory is made."""
+    specs = [replace(_parsed(SweepSpec.from_dict, raw), **_overrides(args))
+             for raw in raws]
+    for spec in specs:
+        out = path(spec)
+        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+        rows = run_sweep(spec)
+        write_rows(rows, out, args.format)
+        yield out, len(rows)
+
+
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        spec = _parsed(SweepSpec.from_dict, json.load(fh))
-    spec = replace(spec, **_overrides(args))
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    rows = run_sweep(spec)
-    write_rows(rows, args.out, args.format)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        raw = json.load(fh)
+    for out, n_rows in _run_and_write(args, [raw], lambda spec: args.out):
+        print(f"wrote {n_rows} rows to {out}")
     return EXIT_OK
 
 
 def cmd_figure(args) -> int:
     preset = load_preset(args.name)
-    specs = [replace(_parsed(SweepSpec.from_dict, raw), **_overrides(args))
-             for raw in preset["sweeps"]]
-    os.makedirs(args.out, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "json"
-    for spec in specs:
-        rows = run_sweep(spec)
-        path = os.path.join(args.out, f"{preset['name']}_{spec.label}.{ext}")
-        write_rows(rows, path, args.format)
-        print(f"wrote {path}")
+    name = lambda spec: os.path.join(args.out, f"{preset['name']}_{spec.label}.{args.format}")
+    for out, _ in _run_and_write(args, preset["sweeps"], name):
+        print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -77,38 +82,37 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VALIDATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--trials", type=int)
+    runs.add_argument("--seed", type=int)
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", required=True)
+    writes.add_argument("--format", choices=("csv", "json"), default="csv")
     p = argparse.ArgumentParser(
         prog="hnoma",
         description="Hybrid-NOMA uplink sweeps, figure reproduction, validation")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sweep", help="run one sweep from a JSON spec")
+    sp = sub.add_parser("sweep", parents=[runs, writes], help="run one sweep from a JSON spec")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_sweep)
 
-    fp = sub.add_parser("figure", help="reproduce a figure preset")
+    fp = sub.add_parser("figure", parents=[runs, writes], help="reproduce a figure preset")
     fp.add_argument("name", choices=FIGURES)
-    fp.add_argument("--out", required=True)
-    fp.add_argument("--trials", type=int)
-    fp.add_argument("--seed", type=int)
-    fp.add_argument("--format", choices=("csv", "json"), default="csv")
     fp.set_defaults(func=cmd_figure)
 
-    vp = sub.add_parser("validate", help="run the cross-validation suite")
+    vp = sub.add_parser("validate", parents=[runs], help="run the cross-validation suite")
     vp.add_argument("--config", help="JSON list of scenario dicts")
-    vp.add_argument("--trials", type=int)
-    vp.add_argument("--seed", type=int)
     vp.set_defaults(func=cmd_validate)
     return p
 
 
+_PARSER = _build_parser()  # parse_args leaves it unchanged, so every call shares it
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InvalidConfigError, OSError, json.JSONDecodeError) as exc:

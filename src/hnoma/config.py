@@ -22,6 +22,17 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
+def check_ranks(M: int, m: int, n: int) -> None:
+    """Raise unless m and n are two different ranks among M >= 2 users."""
+    if M < 2:
+        raise InvalidConfigError(f"need at least 2 users, got M={M}")
+    for name, idx in (("m", m), ("n", n)):
+        if not 1 <= idx <= M:
+            raise InvalidConfigError(f"{name}={idx} outside 1..{M}")
+    if m == n:
+        raise InvalidConfigError("legacy and opportunistic user must differ")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Uplink scenario with M ordered users.
@@ -43,14 +54,7 @@ class SystemConfig:
     eta: float = None   # rho_n / rho_m, stored for sweeps
 
     def __post_init__(self):
-        if self.M < 2:
-            raise InvalidConfigError(f"need at least 2 users, got M={self.M}")
-        for name in ("m", "n"):
-            idx = getattr(self, name)
-            if not 1 <= idx <= self.M:
-                raise InvalidConfigError(f"{name}={idx} outside 1..{self.M}")
-        if self.m == self.n:
-            raise InvalidConfigError("legacy and opportunistic user must differ")
+        check_ranks(self.M, self.m, self.n)
         if not 0.0 < self.beta < 0.5:
             raise InvalidConfigError(f"beta={self.beta} outside (0, 1/2)")
         # written so that NaN fails too; 2^R_m overflows from max_exp on
@@ -74,6 +78,8 @@ class SystemConfig:
         """
         if (snr_db is None) == (rho_n is None):
             raise InvalidConfigError("give exactly one of snr_db / rho_n")
+        if not eta:  # rho_n / eta would raise ZeroDivisionError
+            raise InvalidConfigError(f"power ratio eta={eta} must be positive")
         if rho_n is None:
             rho_n = db_to_linear(snr_db)
         return cls(M=M, m=m, n=n, R_m=R_m, beta=beta,

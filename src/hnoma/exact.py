@@ -10,17 +10,17 @@ any SNR.
 The branch table that picks each sub-event's curves and limits from the
 power ratio lives in ``contended_terms`` alone, which returns it as data:
 one cell (lower curve, upper curve, legacy-gain limits) per sub-event.
-This engine integrates the cells at the config's SNR; the high-SNR engine
-in ``asymptotic`` integrates the cells of the rho_m = 1 config with the
-leading-order density, and the Monte Carlo decomposition in ``mc`` sorts
-the sampled draws into them.
+``_cell_quadrature`` integrates a mass over a cell for both closed forms:
+this engine's at the config's SNR, and the leading-order density of the
+high-SNR engine in ``asymptotic`` over the rho_m = 1 config's cells.  The
+Monte Carlo decomposition in ``mc`` sorts the sampled draws into cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -132,12 +132,17 @@ def regime_label(cfg: SystemConfig) -> str:
 #  Interval masses between boundary curves
 # ---------------------------------------------------------------------------
 
-def _gc_nodes(a, b, n_c):
-    # first-kind Chebyshev nodes with exact (Fejer) weights; the
-    # sqrt-weighted approximation would cap the whole engine at ~5 digits
+def _cell_quadrature(cfg, cell, mass, n_c: int = N_C) -> list:
+    """``mass(t, lo, hi)`` between a cell's curves, run on ``cfg`` (a config
+    or one per row), integrated over legacy gain t in (a, b): one value per
+    row of the limits.  The nodes are first-kind Chebyshev ones with exact
+    (Fejer) weights; sqrt-weighted ones would cap the engine at ~5 digits."""
+    lower, upper, a, b = cell
+    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
     t, wgt = fejer1_weights(n_c)
     half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * t, half * wgt
+    x = 0.5 * (a + b) + half * t
+    return [m @ w for m, w in zip(mass(x, lower(cfg, x), upper(cfg, x)), half * wgt)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +216,8 @@ def exact_pt_terms_batch(cfgs, n_c: int = N_C) -> list:
     """``exact_pt_terms`` of configs that differ only in SNR, each a dict
     or the error of a config whose constants fail.  The branch table, and
     so each sub-event's curves, is the same at every SNR: a sub-event is
-    one interval-mass call at every config's nodes, the curves run on the
-    configs' attributes as columns, each row dotted with its own weights."""
+    one ``_cell_quadrature`` over every config's limits, with the curves
+    run on the configs' attributes as columns."""
     if n_c < 16:
         raise InvalidConfigError(f"n_c={n_c} too small; need >= 16")
     if len({(c.M, c.m, c.n, c.beta, c.R_m, c.eta) for c in cfgs}) > 1:
@@ -233,10 +238,9 @@ def exact_pt_terms_batch(cfgs, n_c: int = N_C) -> list:
         if rows.size:
             pair = OrderPairDensity(cfgs[0].M, cfgs[0].m, cfgs[0].n)
             mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval
-            x, wgt = _gc_nodes(a[rows, None], b[rows, None], n_c)
-            at = _Gathered(column, rows[:, None])
-            per_node = mass(pair, x, cell[0](at, x), cell[1](at, x))
-            values[rows] = [m @ w for m, w in zip(per_node, wgt)]
+            values[rows] = _cell_quadrature(
+                _Gathered(column, rows[:, None]), (*cell[:2], a[rows], b[rows]),
+                partial(mass, pair), n_c)
         for t, v in zip(tables, values.tolist()):
             t[name] = v
     return out

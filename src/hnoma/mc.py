@@ -67,16 +67,11 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     exactly 2 β ρ_n off HSIC-PA.  Returns one summary dict per cell.
 
     Draws settle along a sweep.  The HSIC-NPA and HSIC-PA cells that share
-    (β, R_m, η, scheme) are visited in ascending ρ_n, and
-    ``SettleCertificate`` shows a draw type I and winning at this SNR and
-    at every higher one: with a ≈ g_m/(ηε_m), c = a - βg_n and
-    d = β²g_n/(1 - 2β), it asks c >= (1 + δ)/ρ_n + δa and
-    ρ_n d >= 1 + δ with δ = 1e-6.  The kernel's τ - b then clears its
-    rounding (about 1e-15 of the operands) by a factor near 10^9, and
-    the type-I win gap, δ(1 - 2β)² relative, by 10^3 while
-    1 - 2β >= 1e-3; nearer ½ nothing settles.  A settled draw has no
-    loss, no contended loss and γ = 1 at every later cell of the sweep,
-    and the kernel no longer runs on it.  Once at most half of a block's
+    (β, R_m, η, scheme) are visited in ascending ρ_n, and once
+    ``schemes.SettleCertificate`` (which gives the floating-point
+    argument) shows a draw type I and winning, it has no loss, no
+    contended loss and γ = 1 at every later cell of the sweep, and the
+    kernel no longer runs on it.  Once at most half of a block's
     first 4,096 draws are live, at an SNR with more to follow, a
     counting pass sizes an int32 index of the live draws
     (4 bytes each, at most 2 MB per 10^6-draw block), which is compacted

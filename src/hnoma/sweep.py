@@ -94,6 +94,8 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
+        if not isinstance(d, dict):
+            raise InvalidConfigError(f"spec is a {type(d).__name__}, not a JSON object")
         d = dict(d)
         for key in ("snr_db", "schemes", "methods"):
             if key in d:

@@ -21,7 +21,10 @@ None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
   function;
 - the closed-form sub-event masses of one config at a time
   (``config_pt_terms``), which the SNR-batched
-  ``exact.exact_pt_terms_batch`` must match bit for bit;
+  ``exact.exact_pt_terms_batch`` must match bit for bit, and the
+  high-SNR coefficients one unit-SNR cell at a time
+  (``cell_leading_terms``), which ``asymptotic.asymptotic_pt_terms``
+  must match bit for bit;
 - the signed-expansion engine for the contended-loss sub-events
   (``expansion_pt_terms``): exponential and Gaussian antiderivatives of
   the expanded density, over the cells of ``exact.contended_terms``.  It
@@ -32,14 +35,14 @@ None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from hnoma.channel import (OrderPairDensity, mass_lower_interval,
+from hnoma.channel import (OrderPairDensity, _leggauss, mass_lower_interval,
                            mass_upper_interval)
-from hnoma.exact import N_C, _gc_nodes, contended_terms
+from hnoma.exact import N_C, contended_terms
 from hnoma.mc import mc_summary
 from hnoma.numerics import fejer1_weights
 from hnoma.regions import (Clause, EventRegion, _cap_floor_const, capped_loss,
@@ -111,6 +114,13 @@ def estimate_pt(cfg, trials: int, seed: int):
 #  Closed-form sub-event masses, one config at a time
 # ---------------------------------------------------------------------------
 
+def _gc_nodes(a, b, n_c):
+    # first-kind Chebyshev nodes of (a, b) with their exact (Fejer) weights
+    t, wgt = fejer1_weights(n_c)
+    half = 0.5 * (b - a)
+    return 0.5 * (a + b) + half * t, half * wgt
+
+
 def _cell_mass(cfg, cell, n_c: int) -> float:
     """Mass of a cell ``(lower, upper, a, b)``, the opportunistic gain
     between two boundary curves for legacy gain in (a, b): Fejer
@@ -128,6 +138,37 @@ def config_pt_terms(cfg, n_c: int = N_C) -> dict:
     """``exact.exact_pt_terms`` evaluated for this config alone."""
     return {name: _cell_mass(cfg, cell, n_c)
             for name, cell in contended_terms(cfg).items()}
+
+
+def _leading_mass(unit, pref: float, cell) -> float:
+    """Leading-order density mass of a unit-SNR cell ``(lower, upper, a,
+    b)``, the opportunistic gain between the curves for legacy gain u in
+    (a, b), clipped to the wedge: Fejer quadrature at one cell's nodes."""
+    if cell is None or None in cell or not cell[3] > cell[2]:
+        return 0.0
+    lower, upper, a, b = cell
+    u, wgt = _gc_nodes(a, b, N_C)
+    lo = lower(unit, u)
+    hi = upper(unit, u)
+    i, j = min(unit.m, unit.n), max(unit.m, unit.n)
+    if unit.m < unit.n:
+        lo = np.minimum(np.maximum(lo, u), hi)
+        inner = u ** (i - 1) * ((hi - u) ** (j - i) - (lo - u) ** (j - i)) / (j - i)
+    else:
+        hi = np.minimum(hi, u)
+        lo = np.minimum(np.maximum(lo, 0.0), hi)
+        nodes, wts = _leggauss(j // 2 + 1)
+        x = lo + 0.5 * (hi - lo) * (1.0 + nodes[:, None])
+        inner = 0.5 * (hi - lo) * (wts @ (x ** (i - 1) * (u - x) ** (j - i - 1)))
+    return pref * float(inner @ wgt)
+
+
+def cell_leading_terms(cfg) -> dict:
+    """``asymptotic.asymptotic_pt_terms`` one unit-SNR cell at a time."""
+    unit = replace(cfg, rho_m=1.0, rho_n=cfg.eta)
+    pref = OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor
+    return {name: _leading_mass(unit, pref, cell)
+            for name, cell in contended_terms(unit).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hnoma import (OrderPairDensity, SystemConfig, asymptotic_pt_terms,
 from hnoma.exact import compute_constants, contended_terms, eta_thresholds
 
 from conftest import make_cfg, regime_covering_configs
-from reference import joint_pdf_near_zero
+from reference import cell_leading_terms, joint_pdf_near_zero
 
 
 def _unit(cfg):
@@ -70,6 +70,13 @@ def test_leading_mass_vs_quadrature_both_rank_orders():
         for name, v in got.items():
             assert math.isclose(v, ref[name], rel_tol=1e-8, abs_tol=1e-300), \
                 (cfg, name, v, ref[name])
+
+
+def test_terms_are_the_per_cell_terms_bit_for_bit():
+    configs = regime_covering_configs(60, seed=9)
+    assert {cfg.m < cfg.n for cfg in configs} == {True, False}
+    for cfg in configs:
+        assert asymptotic_pt_terms(cfg) == cell_leading_terms(cfg), cfg
 
 
 def test_terms_match_exact_at_110_db():

@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 
 from hnoma import adaptive_integrate
-from hnoma.exact import _gc_nodes
+from hnoma.exact import _cell_quadrature
 from hnoma.numerics import fejer1_weights, stream
+from hnoma.regions import diagonal
 
 from conftest import SEED
 from reference import erfcx, fejer_quadrature
@@ -19,8 +20,13 @@ def test_nodes_symmetric_open():
     t, w = fejer1_weights(64)
     assert np.all((t > -1.0) & (t < 1.0))
     assert np.allclose(t, -t[::-1])
-    nodes, _ = _gc_nodes(0.0, 2.0, 16)
-    assert np.all((nodes > 0.0) & (nodes < 2.0))
+    # a cell's nodes lie inside its legacy-gain limits; the integral of t
+    # over (0, 2) is 2
+    nodes = []
+    (value,) = _cell_quadrature(None, (diagonal, diagonal, 0.0, 2.0),
+                                lambda t, lo, hi: nodes.append(t) or t, 16)
+    assert np.all((nodes[0] > 0.0) & (nodes[0] < 2.0))
+    assert math.isclose(value, 2.0, rel_tol=1e-14)
 
 
 def test_fejer_quadrature_is_spectrally_accurate():

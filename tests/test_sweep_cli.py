@@ -297,6 +297,44 @@ def test_cli_config_errors(tmp_path):
                  "--out", str(tmp_path / "z")]) == EXIT_CONFIG
 
 
+def test_cli_spec_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    for i, raw in enumerate(("ab", ["abc"])):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"o{i}.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_zero_power_ratio_is_a_config_error(tmp_path, capsys):
+    for i, eta in enumerate((0, -0.0)):
+        spec_path = tmp_path / f"spec{i}.json"
+        spec_path.write_text(json.dumps(dict(_to_dict(_spec()), eta=eta)))
+        assert main(["sweep", "--config", str(spec_path),
+                     "--out", str(tmp_path / f"o{i}.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        scenarios = tmp_path / f"scenarios{i}.json"
+        scenarios.write_text(json.dumps([dict(M=5, m=1, n=2, R_m=0.2, beta=0.25,
+                                              eta=eta, snr_db=20.0)]))
+        assert main(["validate", "--config", str(scenarios)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_flags_do_not_carry_over_between_calls(tmp_path, monkeypatch):
+    # main() parses every call afresh with the one parser built at import
+    monkeypatch.setattr(hnoma.cli.argparse, "ArgumentParser", None)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["figure", "fig1", "--trials", "2000", "--seed", "5",
+                 "--out", str(first)]) == EXIT_OK
+    assert main(["figure", "fig1", "--trials", "2000", "--out", str(second)]) == EXIT_OK
+    for raw in load_preset("fig1")["sweeps"]:
+        spec = replace(SweepSpec.from_dict(raw), trials=2000)
+        path = f"fig1_{spec.label}.csv"
+        assert (first / path).read_text() == rows_to_csv(run_sweep(replace(spec, seed=5)))
+        assert (second / path).read_text() == rows_to_csv(run_sweep(spec))
+
+
 def test_cli_program_errors_are_not_config_errors(tmp_path, monkeypatch):
     def broken(spec):
         raise TypeError("bug inside the sweep")
