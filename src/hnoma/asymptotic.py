@@ -49,7 +49,7 @@ def asymptotic_pt_terms(cfg: SystemConfig) -> dict:
     unit = replace(cfg, rho_m=1.0, rho_n=cfg.eta)
     pref = OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor
     mass = partial(_leading_mass, cfg.m, cfg.n)
-    return {name: 0.0 if cell is None or None in cell or not cell[3] > cell[2]
+    return {name: 0.0 if cell is None or not cell[3] > cell[2]
             else pref * float(_cell_quadrature(unit, cell, mass)[0])
             for name, cell in contended_terms(unit).items()}
 

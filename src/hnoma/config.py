@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -20,6 +21,17 @@ def db_to_linear(x_db: float) -> float:
 
 def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
+
+
+def check_number(name: str, value, kind=float) -> None:
+    """Raise unless ``value`` is an integer or, with ``kind=float``, any real
+    number.  JSON true/false are Python bools, which would pass as numbers."""
+    if type(value) is int or type(value) is kind:
+        return  # JSON's own types, without the ABC check (0.4 us a call)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Real if kind is float else numbers.Integral):
+        what = "a number" if kind is float else "an integer"
+        raise InvalidConfigError(f"{name}={value!r} is not {what}")
 
 
 def check_ranks(M: int, m: int, n: int) -> None:
@@ -54,6 +66,11 @@ class SystemConfig:
     eta: float = None   # rho_n / rho_m, stored for sweeps
 
     def __post_init__(self):
+        for name in ("M", "m", "n"):
+            check_number(name, getattr(self, name), int)
+        for name in ("R_m", "beta", "rho_n", "rho_m", "eta"):
+            if getattr(self, name) is not None:  # eta defaults to rho_n / rho_m
+                check_number(name, getattr(self, name))
         check_ranks(self.M, self.m, self.n)
         if not 0.0 < self.beta < 0.5:
             raise InvalidConfigError(f"beta={self.beta} outside (0, 1/2)")
@@ -81,6 +98,7 @@ class SystemConfig:
         if not eta:  # rho_n / eta would raise ZeroDivisionError
             raise InvalidConfigError(f"power ratio eta={eta} must be positive")
         if rho_n is None:
+            check_number("snr_db", snr_db)
             rho_n = db_to_linear(snr_db)
         return cls(M=M, m=m, n=n, R_m=R_m, beta=beta,
                    rho_n=rho_n, rho_m=rho_n / eta, eta=eta)

@@ -10,6 +10,7 @@ any SNR.
 The branch table that picks each sub-event's curves and limits from the
 power ratio lives in ``contended_terms`` alone, which returns it as data:
 one cell (lower curve, upper curve, legacy-gain limits) per sub-event.
+Its columns come from ``_columns``, which ``regime_label`` reads too.
 ``_cell_quadrature`` integrates a mass over a cell for both closed forms:
 this engine's at the config's SNR, and the leading-order density of the
 high-SNR engine in ``asymptotic`` over the rho_m = 1 config's cells.  The
@@ -27,7 +28,7 @@ import numpy as np
 from .channel import OrderPairDensity, mass_lower_interval, mass_upper_interval
 from .config import InvalidConfigError, SystemConfig
 from .estimates import EXACT, ProbEstimate, raised
-from .numerics import fejer1_weights
+from .numerics import ROW_ERRORS, fejer1_weights
 from .regions import (_Gathered, capped_loss, decode_tie, diagonal, first_loss,
                       power_cap)
 
@@ -114,18 +115,19 @@ def compute_constants(cfg: SystemConfig) -> RegimeConstants:
     return RegimeConstants(omega_1, omega_2, omega_4, z_1, z_2, z_3)
 
 
+def _columns(cfg: SystemConfig) -> tuple:
+    """The columns (T1, T2) of the branch tables that the power ratio falls
+    in.  They depend on beta, eps_m and eta, never on the SNR."""
+    eta, th = cfg.eta, eta_thresholds(cfg.beta, cfg.eps_m)
+    t1 = ("k_1", "cap_mid", "cap_hi") if cfg.m < cfg.n else ("k_1", "k_3")
+    return (1 + sum([eta > th[k] for k in t1]),
+            1 + (eta > th["first_lo"]) + (eta > th["k_2"]))
+
+
 def regime_label(cfg: SystemConfig) -> str:
-    """Which column of the branch tables the power ratio falls in."""
-    th = eta_thresholds(cfg.beta, cfg.eps_m)
-    eta = cfg.eta
-    if cfg.m < cfg.n:
-        c1 = 1 + (eta > th["k_1"]) + (eta > th["cap_mid"]) + (eta > th["cap_hi"])
-        side = "m<n"
-    else:
-        c1 = 1 + (eta > th["k_1"]) + (eta > th["k_3"])
-        side = "m>n"
-    c2 = 1 + (eta > th["first_lo"]) + (eta > th["k_2"])
-    return f"{side}:T1c{c1}:T2c{c2}"
+    """The columns of the branch tables that ``contended_terms`` dispatches on."""
+    c1, c2 = _columns(cfg)
+    return f"{'m<n' if cfg.m < cfg.n else 'm>n'}:T1c{c1}:T2c{c2}"
 
 
 # ---------------------------------------------------------------------------
@@ -150,66 +152,44 @@ def _cell_quadrature(cfg, cell, mass, n_c: int = N_C) -> list:
 # ---------------------------------------------------------------------------
 
 def contended_terms(cfg: SystemConfig) -> dict:
-    """The cell of each contended-loss sub-event in the config's branch
-    (column): ``(lower, upper, a, b)``, the opportunistic gain between the
-    curves ``lower`` and ``upper`` (boundary-curve functions of
-    ``regions``, called as ``curve(cfg, t)``) for legacy gain in (a, b).
+    """The cell of each contended-loss sub-event in the config's columns
+    (``_columns``): ``(lower, upper, a, b)``, the opportunistic gain
+    between the curves ``lower`` and ``upper`` (boundary-curve functions
+    of ``regions``, called as ``curve(cfg, t)``) for legacy gain in (a, b).
 
-    None marks a sub-event that the branch lacks; a cell with a None
-    limit or an empty interval has no mass either.  Which curves and
-    which None marks a cell has depends on beta, eps_m and eta, never on
-    the SNR, and every limit scales as 1/rho_m.
+    None marks a sub-event that the columns lack, and only the columns
+    place it, so which curves and which None marks a table has depends on
+    beta, eps_m and eta, never on the SNR.  A cell has no None limit: a
+    crossing that does not exist (omega_4, where the first-stage-loss line
+    never meets the diagonal) bounds nothing and is +inf here.  An empty
+    interval has no mass, and every limit scales as 1/rho_m.
     """
+    c1, c2 = _columns(cfg)
     k = compute_constants(cfg)
-    eta = cfg.eta
     alpha = cfg.alpha_m
-    th = eta_thresholds(cfg.beta, cfg.eps_m)
-    low_ratio = eta <= th["k_1"]
-
-    def first_branch_upper():
-        if eta <= th["first_lo"]:
-            return k.z_3
-        if eta <= th["k_2"]:
-            return min(k.z_3, k.omega_4)
-        return None
-
-    out = {}
+    omega_4 = math.inf if k.omega_4 is None else k.omega_4
+    first_up = k.z_3 if c2 == 1 else min(k.z_3, omega_4)
     if cfg.m < cfg.n:
-        out["P_T1_1"] = (power_cap, decode_tie, k.omega_1, k.omega_2) if low_ratio else None
-        lo = k.omega_2 if low_ratio else k.z_2
-        out["P_T1_2"] = (capped_loss, decode_tie, lo, k.z_1)
-        up = k.omega_1 if low_ratio else k.z_2
-        out["P_T1_3"] = (diagonal, decode_tie, k.z_3, up)
-        out["P_T2_1"] = (diagonal, first_loss, alpha, first_branch_upper())
-        out["P_T2_2"] = (decode_tie, first_loss, k.z_3, k.z_1)
-    else:
-        up11 = k.z_3 if eta <= th["k_3"] else k.omega_2
-        out["P_T1_1"] = (power_cap, decode_tie, alpha, up11)
-        if low_ratio:
-            up12 = k.omega_1
-        elif eta <= th["k_3"]:
-            up12 = k.omega_2
-        else:
-            up12 = None
-        out["P_T1_2"] = (power_cap, diagonal, k.z_3, up12)
-        out["P_T1_3"] = ((capped_loss, decode_tie, k.omega_2, min(k.z_1, k.z_3))
-                         if eta > th["k_3"] else None)
-        if low_ratio:
-            lo14 = None
-        elif eta <= th["k_3"]:
-            lo14 = k.omega_2
-        else:
-            lo14 = k.z_3
-        out["P_T1_4"] = (capped_loss, diagonal, lo14, k.z_2)
-        out["P_T2_1"] = (decode_tie, diagonal, alpha, first_branch_upper())
-        if eta <= th["first_lo"]:
-            lo22 = None
-        elif eta <= th["k_2"]:
-            lo22 = k.omega_4
-        else:
-            lo22 = alpha
-        out["P_T2_2"] = (decode_tie, first_loss, lo22, k.z_1)
-    return out
+        low = c1 == 1
+        return {
+            "P_T1_1": (power_cap, decode_tie, k.omega_1, k.omega_2) if low else None,
+            "P_T1_2": (capped_loss, decode_tie, k.omega_2 if low else k.z_2, k.z_1),
+            "P_T1_3": (diagonal, decode_tie, k.z_3, k.omega_1 if low else k.z_2),
+            "P_T2_1": (diagonal, first_loss, alpha, first_up) if c2 < 3 else None,
+            "P_T2_2": (decode_tie, first_loss, k.z_3, k.z_1),
+        }
+    return {
+        "P_T1_1": (power_cap, decode_tie, alpha, k.z_3 if c1 < 3 else k.omega_2),
+        "P_T1_2": ((power_cap, diagonal, k.z_3, k.omega_1 if c1 == 1 else k.omega_2)
+                   if c1 < 3 else None),
+        "P_T1_3": ((capped_loss, decode_tie, k.omega_2, min(k.z_1, k.z_3))
+                   if c1 == 3 else None),
+        "P_T1_4": ((capped_loss, diagonal, k.omega_2 if c1 == 2 else k.z_3, k.z_2)
+                   if c1 > 1 else None),
+        "P_T2_1": (decode_tie, diagonal, alpha, first_up) if c2 < 3 else None,
+        "P_T2_2": ((decode_tie, first_loss, omega_4 if c2 == 2 else alpha, k.z_1)
+                   if c2 > 1 else None),
+    }
 
 
 def exact_pt_terms_batch(cfgs, n_c: int = N_C) -> list:
@@ -226,15 +206,16 @@ def exact_pt_terms_batch(cfgs, n_c: int = N_C) -> list:
     for cfg in cfgs:
         try:
             out.append(contended_terms(cfg))
-        except (InvalidConfigError, ArithmeticError) as exc:
+        except ROW_ERRORS as exc:
             out.append(exc)
     tables = [t for t in out if isinstance(t, dict)]  # each cell becomes its mass
     column = cache(lambda name: np.array(
         [getattr(cfg, name) for cfg, t in zip(cfgs, out) if isinstance(t, dict)]))
     for name, cell in (tables[0].items() if tables else ()):
         values = np.zeros(len(tables))
+        # a cell that is None is None at every SNR, and its limits are NaN
         a, b = (np.array([cell and t[name][i] for t in tables], dtype=float) for i in (2, 3))
-        rows = np.flatnonzero(b > a)  # a None cell or limit is NaN
+        rows = np.flatnonzero(b > a)
         if rows.size:
             pair = OrderPairDensity(cfgs[0].M, cfgs[0].m, cfgs[0].n)
             mass = mass_upper_interval if pair.m < pair.n else mass_lower_interval

@@ -126,9 +126,7 @@ def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
     """
     table = contended_terms(cfg)
     counts = {"P_I": 0, **dict.fromkeys(table, 0), "P_II2": 0}
-    # a None cell or a cell with a None limit holds no draw
-    cells = [(name, *cell) for name, cell in table.items()
-             if cell and None not in cell]
+    cells = [(name, *cell) for name, cell in table.items() if cell]
     total = 0
     kernel = DrawKernel(CHUNK_ROWS)
     gamma = np.empty(CHUNK_ROWS)

@@ -6,10 +6,16 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import InvalidConfigError
+
 
 class IntegrationFailureError(RuntimeError):
     """Adaptive integration did not converge; the message gives the partial
     value and its error estimate."""
+
+
+# what fails one row of a sweep, as error:<name>, rather than the sweep
+ROW_ERRORS = (InvalidConfigError, ArithmeticError, IntegrationFailureError)
 
 
 # ---------------------------------------------------------------------------

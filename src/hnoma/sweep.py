@@ -6,7 +6,6 @@ import csv
 import io
 import itertools
 import json
-import numbers
 from dataclasses import dataclass
 
 # p_t_asymptotic, p_t_exact, integrate_event and integrate_underperformance
@@ -14,12 +13,12 @@ from dataclasses import dataclass
 from .asymptotic import (asymptotic_coefficient, p_t_asymptotic,  # noqa: F401
                          scaled_asymptotic)
 from .channel import OrderPairDensity
-from .config import InvalidConfigError, SystemConfig
+from .config import InvalidConfigError, SystemConfig, check_number
 from .estimates import ASYMPTOTIC, EXACT, MC, METHODS, NUMERIC, ProbEstimate, raised
 from .exact import p_t_exact, p_t_exact_batch, regime_label  # noqa: F401
 from .mc import (integrate_event, integrate_events,  # noqa: F401
                  integrate_underperformance, mc_summary)
-from .numerics import IntegrationFailureError
+from .numerics import ROW_ERRORS
 from .regions import EventRegion, region_contended_loss, region_underperformance
 from .schemes import HNOMA_SCHEMES, Scheme
 
@@ -27,9 +26,6 @@ QUANTITIES = ("contended-loss", "underperformance")
 
 CSV_COLUMNS = ("snr_db", "scheme", "method", "value", "std_err", "trials",
                "regime", "gamma_mean", "energy_mean")
-
-# what fails one row, as error:<name>, rather than the sweep
-_ROW_ERRORS = (InvalidConfigError, ArithmeticError, IntegrationFailureError)
 
 
 @dataclass(frozen=True)
@@ -53,14 +49,10 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.snr_db) == 0:
             raise InvalidConfigError("empty SNR grid")
-        # JSON true/false are Python bools, which pass as numbers
-        if not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
-                   for s in self.snr_db):
-            raise InvalidConfigError(f"non-numeric SNR in {self.snr_db}")
-        for name in ("M", "m", "n", "trials", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidConfigError(f"{name}={value!r} is not an integer")
+        for snr in self.snr_db:
+            check_number("snr_db", snr)
+        for name in ("trials", "seed"):
+            check_number(name, getattr(self, name), int)
         if len(self.schemes) == 0:
             raise InvalidConfigError("empty scheme list")
         if len(self.methods) == 0:
@@ -85,7 +77,7 @@ class SweepSpec:
                     f"underperformance supports only mc/numeric-integration, got {bad}")
         if MC in self.methods and self.trials < 1:
             raise InvalidConfigError("trials must be >= 1 when mc is requested")
-        # base config validation (rates, beta, indices)
+        # base config validation (field types, ranks, rates, beta)
         self.config_at(self.snr_db[0])
 
     def config_at(self, snr_db: float) -> SystemConfig:
@@ -131,12 +123,12 @@ def _integrals(spec: SweepSpec, points) -> list:
                 cells.append(region_contended_loss(cfg)
                              if spec.quantity == "contended-loss"
                              else region_underperformance(cfg, scheme))
-            except _ROW_ERRORS as exc:
+            except ROW_ERRORS as exc:
                 cells.append(exc)
     regions = [c for c in cells if isinstance(c, EventRegion)]
     try:
         results = iter(integrate_events(regions, OrderPairDensity(spec.M, spec.m, spec.n)))
-    except _ROW_ERRORS as exc:
+    except ROW_ERRORS as exc:
         results = itertools.repeat(exc)
     return [next(results) if isinstance(c, EventRegion) else c for c in cells]
 
@@ -169,7 +161,7 @@ def run_sweep(spec: SweepSpec) -> list:
     if ASYMPTOTIC in spec.methods:  # valid[0] exists: the spec checks its first SNR
         try:
             coef = asymptotic_coefficient(valid[0])
-        except _ROW_ERRORS as exc:
+        except ROW_ERRORS as exc:
             coef = exc
     rows = []
     for snr, cfg, regime in points:
@@ -199,7 +191,7 @@ def run_sweep(spec: SweepSpec) -> list:
                         est = raised(integral)
                     rows.append(_row(snr, scheme, method, est, regime,
                                      gamma_mean, energy_mean))
-                except _ROW_ERRORS as exc:
+                except ROW_ERRORS as exc:
                     rows.append(_row(snr, scheme, method,
                                      regime=f"error:{type(exc).__name__}"))
     return rows

@@ -181,6 +181,49 @@ def test_cells_do_not_depend_on_snr():
     assert checked > 6000
 
 
+def _ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (3, 1)])
+def test_cells_at_column_seams_do_not_depend_on_snr(m, n):
+    # one and two ulps either side of every column threshold: the None
+    # marks, and so every cell's curves, come from the power ratio alone,
+    # so no SNR of a sweep fails and each still agrees with the integration
+    from hnoma.mc import integrate_events
+    from hnoma.regions import region_contended_loss
+
+    names = (("k_1", "cap_mid", "cap_hi") if m < n else ("k_1", "k_3")) + ("first_lo", "k_2")
+    checked = 0
+    for beta, R_m in ((0.25, 0.2), (0.35, 1.0)):
+        th = eta_thresholds(beta, 2.0 ** R_m - 1.0)
+        configs, exacts = [], []
+        for name in names:
+            for steps in (-2, -1, 1, 2):
+                eta = _ulps_from(th[name], steps)
+                base = SystemConfig.make(M=5, m=m, n=n, R_m=R_m, beta=beta, eta=eta,
+                                         rho_n=eta)
+                unit = contended_terms(base)
+                sweep = [base.with_snr(snr) for snr in range(0, 61, 5)]
+                for at in sweep:
+                    table = contended_terms(at)
+                    assert {k for k, c in table.items() if c is None} == \
+                        {k for k, c in unit.items() if c is None}, (at, name, steps)
+                    assert not any(None in c for c in table.values() if c), (at, name)
+                terms = exact_pt_terms_batch(sweep)
+                assert not any(isinstance(t, Exception) for t in terms), (name, steps)
+                configs += sweep
+                exacts += [math.fsum(t.values()) for t in terms]
+        pair = OrderPairDensity(5, m, n)
+        integrals = integrate_events([region_contended_loss(c) for c in configs], pair)
+        for cfg, exact, integral in zip(configs, exacts, integrals):
+            assert abs(exact - integral.value) <= 1e-8, cfg
+            checked += 1
+    assert checked == 2 * len(names) * 4 * 13
+
+
 def test_batch_rejects_configs_that_differ_in_more_than_snr():
     with pytest.raises(InvalidConfigError):
         exact_pt_terms_batch([make_cfg(), make_cfg(eta=2.0)])

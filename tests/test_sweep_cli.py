@@ -321,6 +321,45 @@ def test_cli_zero_power_ratio_is_a_config_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_cli_validate_malformed_fields_are_config_errors(tmp_path, monkeypatch, capsys):
+    # the scenario fields are checked where the config is built, so
+    # validate --config refuses what sweep refuses, before any report
+    def no_work(cfg, *args, **kwargs):
+        raise AssertionError("validation ran on a malformed scenario")
+
+    monkeypatch.setattr(hnoma.validate, "p_t_exact", no_work)
+    base = dict(M=5, m=1, n=2, R_m=0.2, beta=0.25, eta=1.0, snr_db=20.0)
+    for i, bad in enumerate((dict(m=True), dict(snr_db=True), dict(M=5.0),
+                             dict(n=2.0), dict(R_m=True), dict(eta=True),
+                             dict(beta="0.25"))):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps([dict(base, **bad)]))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (3, 1)])
+def test_cli_sweep_one_ulp_above_a_column_threshold(tmp_path, m, n):
+    # eta one ulp above first_lo = (1 - beta) / beta^2 = 12, where the
+    # first-stage-loss line meets the diagonal at some SNRs and not others
+    spec = dict(M=5, m=m, n=n, R_m=0.2, beta=0.25, eta=12.000000000000002,
+                snr_db=[0, 10, 20], methods=["exact", "asymptotic", "numeric-integration"],
+                label="seam")
+    path = tmp_path / "seam.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "seam.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    rows = run_sweep(SweepSpec.from_dict(spec))
+    assert out.read_text() == rows_to_csv(rows)
+    assert len(rows) == 9
+    assert not any(r["regime"].startswith("error:") for r in rows)
+    value = {(r["snr_db"], r["method"]): r["value"] for r in rows}
+    for snr in spec["snr_db"]:
+        assert abs(value[snr, "exact"] - value[snr, "numeric-integration"]) <= 1e-8
+
+
 def test_cli_flags_do_not_carry_over_between_calls(tmp_path, monkeypatch):
     # main() parses every call afresh with the one parser built at import
     monkeypatch.setattr(hnoma.cli.argparse, "ArgumentParser", None)
@@ -353,7 +392,8 @@ def test_cli_malformed_fields_stay_config_errors(tmp_path):
                              dict(methods=["mc"], seed="abc"),
                              dict(trials=2e4), dict(M=5.0), dict(m=1.0),
                              dict(n=2.0), dict(n_c=256.0), dict(snr_db=[True]),
-                             dict(seed=True),
+                             dict(seed=True), dict(M=True), dict(R_m=True),
+                             dict(eta=True), dict(R_m=True, eta=True),
                              # specs no engine can run: no OMA slot to
                              # compare against, unknown scheme or method
                              dict(quantity="underperformance", schemes=["OMA"],
@@ -503,6 +543,8 @@ def test_validation_reports_a_decomposition_that_stops_tiling(monkeypatch, capsy
 
     def swapped(cfg):
         out = table(cfg)
+        if out["P_T2_1"] is None or out["P_T2_2"] is None:
+            return out
         (lo1, up1, *lim1), (lo2, up2, *lim2) = out["P_T2_1"], out["P_T2_2"]
         out["P_T2_1"], out["P_T2_2"] = (lo1, up1, *lim2), (lo2, up2, *lim1)
         return out
