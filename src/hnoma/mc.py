@@ -19,8 +19,8 @@ from .tally import sweeps, tally_sweep
 BLOCK_TRIALS = 1_000_000
 
 # the most recent block, {(M, seed, block, size): read-only column-major
-# (size, M) gains}; a figure's curves share M, seed and trials, so they all
-# reuse one draw
+# (size, M) gains}; a figure's curves share M, seed and trials, so they
+# reuse one draw when the trials fit in one block
 _kept = {}
 
 
@@ -69,9 +69,12 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     Draws settle along a sweep.  The HSIC-NPA and HSIC-PA cells that share
     (β, R_m, η, scheme) are visited in ascending ρ_n, and once
     ``schemes.SettleCertificate`` (which gives the floating-point
-    argument) shows a draw type I and winning, it has no loss, no
-    contended loss and γ = 1 at every later cell of the sweep, and the
-    kernel no longer runs on it.  Once at most half of a block's
+    argument) shows a draw's outcome fixed for every later cell of the
+    sweep, the kernel no longer runs on it.  A draw that is type I and
+    winning has no loss, no contended loss and γ = 1 there; an HSIC-NPA
+    draw that has won for good has no loss; and an HSIC-NPA draw in the
+    floor cone loses, so the count of those retired so far is added to
+    each later cell's hits.  Once at most half of a block's
     first 4,096 draws are live, at an SNR with more to follow, a
     counting pass sizes an int32 index of the live draws
     (4 bytes each, at most 2 MB per 10^6-draw block), which is compacted

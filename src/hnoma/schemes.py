@@ -156,15 +156,18 @@ class DrawKernel:
         return int(np.count_nonzero(hit))
 
     def settled(self, cert: SettleCertificate, rho_n: float, g_m, g_n, at=None):
-        """Mask of the draws (of ``g_m[at]``, ``g_n[at]`` with ``at``) that
-        ``cert`` shows to be type I and winning at ``rho_n`` and at every
-        higher SNR of its sweep: ``run`` would find no loss, no contended
-        loss and γ = 1 there.
+        """Mask of the draws (of ``g_m[at]``, ``g_n[at]`` with ``at``) whose
+        outcome ``cert`` shows fixed at ``rho_n`` and at every higher SNR
+        of its sweep.  Such a draw is type I and winning, where ``run``
+        would find no loss, no contended loss and γ = 1; or, for HSIC-NPA,
+        won for good in either branch, or in the floor cone, where ``run``
+        would find a loss.  ``floor_draws`` is set to the number of
+        floor-cone draws in the mask.
 
         The mask is a view onto the kernel's buffers, like the results of
         ``run``, and valid until the next ``run`` or ``settled``, which
-        both reuse them.  See ``SettleCertificate`` for the test and its
-        floating-point argument.
+        both reuse them.  See ``SettleCertificate`` for the tests and
+        their floating-point argument.
         """
         n = g_m.size if at is None else at.size
         c, bg = self._reals[0][:n], self._reals[1][:n]
@@ -172,6 +175,24 @@ class DrawKernel:
         if at is not None:
             g_m = np.take(g_m, at, out=c, mode="wrap")
             g_n = np.take(g_n, at, out=bg, mode="wrap")
+        self.floor_draws = 0
+        npa = cert.k_w is not None
+        if npa:
+            # before the type-I test, which overwrites the gathered gains
+            s, q = self._reals[2][:n], self._reals[3][:n]
+            won, cone = self._masks[2][:n], self._masks[3][:n]
+            np.multiply(g_m, cert.k_o, out=s)
+            np.less_equal(s, g_n, out=cone)             # over at every SNR
+            np.multiply(g_n, cert.k_q, out=s)
+            np.less_equal(s, g_m, out=won)              # and losing there
+            np.logical_and(cone, won, out=cone)
+            np.greater_equal(g_n, _SETTLE_MARGIN / rho_n, out=won)
+            np.logical_and(cone, won, out=cone)
+            self.floor_draws = int(np.count_nonzero(cone))
+            np.multiply(g_n, cert.k_w, out=s)
+            np.multiply(g_m, cert.k_l, out=q)
+            np.subtract(s, q, out=s)
+            np.greater_equal(s, (1.0 + _SETTLE_MARGIN) / rho_n, out=won)  # a type-II win
         # the win test first: g_n may be bg, which the type-I test overwrites
         np.greater_equal(g_n, (1.0 + _SETTLE_MARGIN) / (rho_n * cert.k_d), out=wins)
         np.multiply(g_m, cert.k_a, out=c)
@@ -179,6 +200,9 @@ class DrawKernel:
         np.subtract(c, bg, out=c)                       # (1 - δ)a - βg_n
         np.greater_equal(c, (1.0 + _SETTLE_MARGIN) / rho_n, out=out)
         np.logical_and(out, wins, out=out)
+        if npa:
+            np.logical_or(out, won, out=out)
+            np.logical_or(out, cone, out=out)
         return out
 
 
@@ -191,8 +215,9 @@ _SETTLE_MAX_RHO = 1e100
 
 
 class SettleCertificate(NamedTuple):
-    """When a draw is settled for the rest of a sweep: type I and winning
-    at this SNR and at every higher one.
+    """When a draw's outcome is fixed for the rest of a sweep: type I and
+    winning at this SNR and at every higher one, or, for HSIC-NPA, won
+    for good or in the floor cone.
 
     The sweep is cells of one scheme with a type-I branch (HSIC-NPA or
     HSIC-PA) that share β and ε_m, visited at rising ρ_n.  Write
@@ -222,11 +247,48 @@ class SettleCertificate(NamedTuple):
     ½, so there the certificate is off.  The bounds assume that nothing
     overflows or underflows, which holds for ρ_n <= 1e100 and gains
     below 1e50 (sampled gains stay below 40).
+
+    HSIC-NPA has two more fates; the fields from ``k_w`` on are None
+    for HSIC-PA, whose γ still moves on draws that have won.  Write
+    x = ρ_m g_m, y = ρ_n g_n, S = 1 - 2β + β²y + (1 - β)x and
+    W = β²y - (1 - β)x - (1 - 2β), and r⁺ >= ρ_m/ρ_n >= r⁻ at every
+    SNR of the sweep (r⁻ is r).  For y > 0 a type-II draw loses iff
+    W <= 0, since (1 + b/(1 + x))(1 + b) - (1 + y) = yW/(1 + x), and
+    W > 0 implies the type-I win β²y > 1 - 2β.
+
+    - Won for good: k_w g_n - k_l g_m >= (1 + δ)/ρ_n, that is
+      ρ_n((1 - δ)β²g_n - (1 + δ)(1 - β)r⁺g_m) >= (1 + δ)(1 - 2β).  As
+      above, in floats a draw that passes has W >= 0.99δS at ρ_n, and
+      at every later ρ too, since the left side grows with ρ_n and
+      x <= ρ_n r⁺g_m.  There y > 4(1 - 2β), and the kernel's loss test
+      finds a win in either branch: the type-II gap yW/(1 + x) and the
+      type-I gap y(β²y - 1 + 2β) >= yW are both at least
+      0.99δ(1 - 2β)y/(1 + y) relative to the test's sides (at least
+      3e-12 with 1 - 2β >= 1e-3), against rounding of at most 12u.
+    - The floor cone: k_o g_m <= g_n, k_q g_n <= g_m and g_n >= δ/ρ_n.
+      The first gives x/ε_m <= b/(1 + δ), so at every SNR the kernel's
+      τ is at most x/ε_m(1 + 3u) - 1 + u and its b at least b(1 - 2u):
+      b - τ >= 0.99δb + 1 - 5ub - u > 0, and b > 0, so the draw is
+      over.  The δ keeps b > τ where b is so large that the 1 is lost
+      to rounding.  The second gives β²y <= (1 - β)x/(1 + δ), so
+      -W >= 1 - 2β + 0.99δ(1 - β)x and the loss gap is at least
+      min(1 - 2β, 0.99δ(1 - β))·y/(1 + y) >= 0.49δy/(1 + y) relative to
+      1 + y.  The third, y >= δ, makes that at least 4.9e-13, against
+      12u: with y a few ulps, 1 + b and 1 + y round to neighbouring
+      floats and a draw of the cone can win.  No test depends on ρ_n
+      but the third, which only strengthens as ρ_n grows.
+    - Zero gains: g_n = 0 fails the third test and g_m = 0 < g_n the
+      second, so those draws stay live; the kernel finds the all-zero
+      draw type I and losing (1·1 <= 1).
     """
 
     k_a: float      # (1 - δ) r / ε_m
     beta: float
     k_d: float      # β² / (1 - 2β)
+    k_w: float = None   # (1 - δ) β² / (1 - 2β)
+    k_l: float = None   # (1 + δ)(1 - β) r⁺ / (1 - 2β)
+    k_o: float = None   # (1 + δ) r⁺ / (β ε_m)
+    k_q: float = None   # (1 + δ) β² / ((1 - β) r⁻)
 
     @classmethod
     def of(cls, cfgs, scheme: Scheme):
@@ -237,10 +299,18 @@ class SettleCertificate(NamedTuple):
         if (scheme == Scheme.FSIC or not 1.0 - 2.0 * beta >= _SETTLE_MIN_GAP
                 or max(cfg.rho_n for cfg in cfgs) > _SETTLE_MAX_RHO):
             return None
-        # a lower bound on every rho_m / rho_n: 8u below the least quotient
-        r = min(cfg.rho_m / cfg.rho_n for cfg in cfgs) * (1.0 - 2.0 ** -50)
-        return cls(k_a=(1.0 - _SETTLE_MARGIN) * r / cfgs[0].eps_m, beta=beta,
+        # bounds on every rho_m / rho_n: 8u beyond the least and greatest quotient
+        quotients = [cfg.rho_m / cfg.rho_n for cfg in cfgs]
+        r = min(quotients) * (1.0 - 2.0 ** -50)
+        cert = cls(k_a=(1.0 - _SETTLE_MARGIN) * r / cfgs[0].eps_m, beta=beta,
                    k_d=beta ** 2 / (1.0 - 2.0 * beta))
+        if scheme == Scheme.HSIC_PA:
+            return cert
+        r_hi = max(quotients) * (1.0 + 2.0 ** -50)
+        up, down = 1.0 + _SETTLE_MARGIN, 1.0 - _SETTLE_MARGIN
+        return cert._replace(
+            k_w=down * cert.k_d, k_l=up * (1.0 - beta) * r_hi / (1.0 - 2.0 * beta),
+            k_o=up * r_hi / (beta * cfgs[0].eps_m), k_q=up * beta ** 2 / ((1.0 - beta) * r))
 
 
 def rate_factors(cfg: SystemConfig, g_m, g_n, scheme: Scheme):

@@ -1,6 +1,6 @@
 """The Monte Carlo tally of one gain block: the per-draw kernel over the
-cells of a sweep, run only on the draws that have not yet settled (see
-``mc.mc_summary`` and ``schemes.SettleCertificate``)."""
+cells of a sweep, run only on the draws whose outcome is not yet fixed
+(see ``mc.mc_summary`` and ``schemes.SettleCertificate``)."""
 
 from __future__ import annotations
 
@@ -39,56 +39,64 @@ def sweeps(cells) -> list:
 
 def _live_index(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n):
     """Positions (int32, exactly sized by a counting pass) of the block's
-    draws that are not settled at ``rho_n``."""
+    draws that are not settled at ``rho_n``, and how many of the settled
+    ones lose for good (the floor cone)."""
     starts = range(0, g_m.size, CHUNK_ROWS)
     n_live = g_m.size
     for lo in starts:
         hi = lo + CHUNK_ROWS
         n_live -= int(np.count_nonzero(kernel.settled(cert, rho_n, g_m[lo:hi], g_n[lo:hi])))
     live = np.empty(n_live, dtype=np.int32)
-    end = 0
+    end = floor = 0
     for lo in starts:
         hi = lo + CHUNK_ROWS
         settled = kernel.settled(cert, rho_n, g_m[lo:hi], g_n[lo:hi])
+        floor += kernel.floor_draws
         at = np.flatnonzero(np.logical_not(settled, out=settled))
         np.add(at, lo, out=live[end:end + at.size], casting="unsafe")
         end += at.size
-    return live
+    return live, floor
 
 
 def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
             live, gamma):
     """Drop the draws settled at ``rho_n`` from ``live``, in place, and
-    give them γ = 1 in ``gamma`` (unless None); returns the live prefix."""
-    end = 0
+    give them γ = 1 in ``gamma`` (unless None); returns the live prefix
+    and how many of the dropped draws lose for good."""
+    end = floor = 0
     for lo in range(0, live.size, CHUNK_ROWS):
         at = live[lo:lo + CHUNK_ROWS]
         settled = kernel.settled(cert, rho_n, g_m, g_n, at)
+        floor += kernel.floor_draws
         if gamma is not None:
             gamma[at[settled]] = 1.0
         kept = np.compress(np.logical_not(settled, out=settled), at)
         live[end:end + kept.size] = kept   # after the copy: the two may overlap
         end += kept.size
-    return live[:end]
+    return live[:end], floor
 
 
 def tally_sweep(kernel: DrawKernel, sweep, g_m, g_n, gamma, want_pt: bool):
     """Tally one block for the cells of one sweep, ``(cfg, scheme, tally)``
-    in ascending ρ_n, running the kernel only on draws not yet settled."""
+    in ascending ρ_n, running the kernel only on draws not yet settled.
+    Draws retired in the floor cone count as a loss at every later cell."""
     scheme = sweep[0][1]
     pa = scheme == Scheme.HSIC_PA
     pt = want_pt and pa
     cert = SettleCertificate.of([cfg for cfg, _, _ in sweep], scheme)
     live = None
+    floor = 0   # draws retired so far that lose at every SNR
     for k, (cfg, _, tally) in enumerate(sweep):
         if live is not None:
-            live = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, gamma if pa else None)
+            live, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live,
+                                 gamma if pa else None)
+            floor += lost
         elif cert is not None and k + 1 < len(sweep):
             # an index pays for itself only over the SNRs that follow; it
             # is built once at most half of the block's first draws are live
             probe = kernel.settled(cert, cfg.rho_n, g_m[:_PROBE_ROWS], g_n[:_PROBE_ROWS])
             if 2 * np.count_nonzero(probe) >= probe.size:
-                live = _live_index(kernel, cert, cfg.rho_n, g_m, g_n)
+                live, floor = _live_index(kernel, cert, cfg.rho_n, g_m, g_n)
                 if pa:
                     gamma.fill(1.0)
         for lo in range(0, g_m.size if live is None else live.size, CHUNK_ROWS):
@@ -99,5 +107,6 @@ def tally_sweep(kernel: DrawKernel, sweep, g_m, g_n, gamma, want_pt: bool):
                 tally_chunk(kernel, cfg, scheme, g_m, g_n, gamma, pt, live[lo:hi]))
             tally["hits"] += hits
             tally["pt_hits"] += pt_hits
+        tally["hits"] += floor
         # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
         tally["gamma_sum"] += float(gamma.sum()) if pa else float(g_m.size)

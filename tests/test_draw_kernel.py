@@ -16,9 +16,9 @@ import pytest
 import hnoma.mc
 from hnoma import ProbEstimate, Scheme, SystemConfig, mc_summary
 from hnoma.channel import CHUNK_ROWS
-from hnoma.cli import load_preset
-from hnoma.schemes import _B_I, _B_II2, DrawKernel, SettleCertificate, rate_factors
-from hnoma.sweep import SweepSpec
+from hnoma.cli import FIGURES, load_preset
+from hnoma.schemes import _B_I, _B_II1, _B_II2, DrawKernel, SettleCertificate, rate_factors
+from hnoma.sweep import SweepSpec, run_sweep
 from hnoma.tally import tally_chunk
 
 from conftest import make_cfg
@@ -71,6 +71,26 @@ def _tie_draws(cfg):
             draws.append((g_m, g_n))
             on_cap_tie += 1
     assert on_type_i_edge and on_cap_tie
+    # the last HSIC-NPA type-II loss before a type-II win, at the exact
+    # edge β²ρ_n g_n - (1 - β)ρ_m g_m = 1 - 2β
+    def npa(g_m, g_n):
+        factor, branch, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
+        return bool(ref_loss_mask(cfg, g_n, factor)), branch == _B_II1
+
+    def last_loss(g_m, x):
+        (lose, over), (lose_up, over_up) = npa(g_m, x), npa(g_m, np.nextafter(x, np.inf))
+        return lose and over and over_up and not lose_up
+
+    on_win_edge = 0
+    for g_m in (0.0, 0.5 * cfg.alpha_m, 2.0 * cfg.alpha_m, 20.0 * cfg.alpha_m):
+        edge = ((1.0 - 2.0 * cfg.beta + (1.0 - cfg.beta) * cfg.rho_m * g_m)
+                / (cfg.beta ** 2 * cfg.rho_n))
+        g_n = _ulp_search(lambda x: last_loss(g_m, x), edge)
+        if g_n is not None:
+            draws.append((g_m, g_n))
+            on_win_edge += 1
+    # with 1 - 2β ~ 1e-12 the loss test blurs the edge over many ulps
+    assert on_win_edge or 1.0 - 2.0 * cfg.beta < 1e-9
     # tau == 0: legacy gain below and exactly at the cap floor
     alpha = _ulp_search(lambda x: cfg.rho_m * x / cfg.eps_m - 1.0 == 0.0, cfg.alpha_m)
     assert alpha is not None and float(ref_tau(cfg, alpha)) == 0.0
@@ -222,16 +242,18 @@ def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-#  Settled draws: a sweep runs the kernel only on draws that can still lose
+#  Settled draws: a sweep runs the kernel only on draws whose outcome can change
 # ---------------------------------------------------------------------------
 
-def _kernel_rows(monkeypatch):
-    """A list that collects the row count of every ``DrawKernel.run``."""
+def _kernel_rows(monkeypatch, schemes=SCHEMES):
+    """A list that collects the row count of every ``DrawKernel.run`` on
+    one of ``schemes``."""
     rows = []
     run = DrawKernel.run
 
     def spy(self, cfg, scheme, g_m, g_n, gamma):
-        rows.append(g_m.size)
+        if scheme in schemes:
+            rows.append(g_m.size)
         return run(self, cfg, scheme, g_m, g_n, gamma)
 
     monkeypatch.setattr(DrawKernel, "run", spy)
@@ -261,20 +283,24 @@ def test_sweep_matches_one_cell_calls_over_several_blocks(monkeypatch, sweep_see
     trials = 2 * (CHUNK_ROWS + 1_000) + 777   # three blocks, the last partial
     rng = np.random.default_rng(sweep_seed)
     rows = _kernel_rows(monkeypatch)
-    retired = 0
+    npa_rows = _kernel_rows(monkeypatch, (Scheme.HSIC_NPA,))
+    retired = npa_retired = 0
     for _ in range(3):
         cfgs = _random_sweep(rng)
         cells = [(cfg, scheme) for cfg in cfgs for scheme in SCHEMES]
         cells = [cells[k] for k in rng.permutation(len(cells))]  # any order
         for want_pt in (False, True):
             rows.clear()
+            npa_rows.clear()
             got = mc_summary(cells, trials, sweep_seed, want_pt=want_pt)
             retired += len(cells) * trials - sum(rows)
+            npa_retired += len(cfgs) * trials - sum(npa_rows)
             want = [mc_summary([cell], trials, sweep_seed, want_pt=want_pt)[0]
                     for cell in cells]
             assert got == want, cfgs[0]
     # a seed whose sweeps retire nothing would check nothing here
     assert retired > 0
+    assert npa_retired > 0
 
 
 def _sweep_block(cfgs, seed):
@@ -366,6 +392,62 @@ def test_settled_draws_lose_nowhere_later_in_the_sweep(base, snrs):
     assert marked > 500
 
 
+def _npa_edge_draws(cfg, rng, size=300):
+    """Draws about the HSIC-NPA fates' edges at ``cfg``, a few ulps off
+    each: the type-II win edge β²y - (1 - β)x = 1 - 2β and the floor
+    cone's edges x/ε_m = βy and β²y = (1 - β)x (x = ρ_m g_m and
+    y = ρ_n g_n), at x from 1 to 1e18; draws inside the cone, some with y
+    a few ulps; zero gains; and a log-uniform cloud over the (x, y) plane."""
+    beta, rho, rho_m = cfg.beta, cfg.rho_n, cfg.rho_m
+    near = lambda v, ulps: v * (1.0 + rng.uniform(-ulps, ulps, v.size) * 2.0 ** -53)
+    x = 10.0 ** rng.uniform(0.0, 18.0, size)
+    on_win = (1.0 - 2.0 * beta + (1.0 - beta) * x) / beta ** 2
+    on_over = x / (beta * cfg.eps_m)
+    on_lose = (1.0 - beta) * x / beta ** 2
+    # inside the cone: y between x/(βε_m) and (1 - β)x/β², geometrically
+    mid = np.sqrt((1.0 - beta) / (beta ** 3 * cfg.eps_m))
+    tiny_y = rng.uniform(0.5, 5.0, size) * 2.0 ** -52
+    cloud_x, cloud_y = 10.0 ** rng.uniform(-3.0, 6.0, (2, size))
+    zeros_x, zeros_y = np.array([[0.0, 0.0, 5.0], [0.0, 5.0, 0.0]])
+    x_all = np.concatenate([x, x, x, x, tiny_y / mid, cloud_x, zeros_x])
+    y_all = np.concatenate([near(on_win, 30), near(on_over, 6), near(on_lose, 6), mid * x,
+                            tiny_y, cloud_y, zeros_y])
+    return x_all / rho_m, y_all / rho
+
+
+@pytest.mark.parametrize("base, snrs", [
+    (make_cfg(m=2, n=5, R_m=1.0, eta=4.0), (0.0, 10.0, 20.0, 30.0)),
+    (make_cfg(m=3, n=1, R_m=1.5, beta=1.0 / 3.0, eta=7.0), (5.0, 25.0, 45.0)),
+    (make_cfg(M=4, m=1, n=4, R_m=1.5, beta=0.4994, eta=0.2), (20.0, 40.0)),
+    (make_cfg(R_m=1.0, eta=0.7), (100.0, 110.0, 125.0)),
+])
+def test_npa_fates_hold_at_every_later_snr(base, snrs):
+    """Draws a few ulps about the HSIC-NPA fates' edges: each draw the
+    certificate marks at an SNR keeps its outcome in the reference
+    kernel's floats there and at every higher SNR.  The marked draws that
+    lose are ``floor_draws`` many, and each with g_n > 0 is over."""
+    rng = np.random.default_rng(7)
+    kernel = DrawKernel(CHUNK_ROWS)
+    cfgs = [base.with_snr(s) for s in snrs]
+    cert = SettleCertificate.of(cfgs, Scheme.HSIC_NPA)
+    won = floor = 0
+    for k, cfg in enumerate(cfgs):
+        for edges_at in cfgs:
+            g_m, g_n = _npa_edge_draws(edges_at, rng)
+            marked = kernel.settled(cert, cfg.rho_n, g_m, g_n).copy()
+            g_m, g_n = g_m[marked], g_n[marked]
+            factor, _, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
+            lost = ref_loss_mask(cfg, g_n, factor)
+            assert np.count_nonzero(lost) == kernel.floor_draws, cfg
+            for later in cfgs[k:]:
+                factor, branch, _ = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_NPA)
+                assert np.array_equal(ref_loss_mask(later, g_n, factor), lost), (cfg, later)
+                assert np.all(branch[lost & (g_n > 0.0)] == _B_II1), (cfg, later)
+            won += int(np.count_nonzero(~lost))
+            floor += int(np.count_nonzero(lost))
+    assert won > 500 and floor > 500
+
+
 def test_certificate_is_off_where_it_cannot_hold():
     cfgs = [make_cfg(snr_db=s) for s in (10.0, 20.0)]
     assert SettleCertificate.of(cfgs, Scheme.HSIC_PA) is not None
@@ -402,3 +484,27 @@ def test_fig3a_sweep_settles_nothing(monkeypatch):
     rows = _kernel_rows(monkeypatch)
     mc_summary(cells, trials, spec.seed)
     assert sum(rows) == len(cells) * trials
+
+
+def test_fig5a_npa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
+    """fig5a's eta4 curve, where no draw is type I and winning: HSIC-NPA
+    draws that have won or sit in the floor cone retire, so its kernel
+    sees at most 30% of cells x trials, in chunks of at most
+    ``CHUNK_ROWS``."""
+    trials = 200_000
+    cells, spec = _preset_cells("fig5a", "eta4")
+    rows = _kernel_rows(monkeypatch, (Scheme.HSIC_NPA,))
+    mc_summary(cells, trials, spec.seed)
+    npa_cells = sum(scheme == Scheme.HSIC_NPA for _, scheme in cells)
+    assert max(rows) <= CHUNK_ROWS
+    assert sum(rows) <= 0.30 * npa_cells * trials
+
+
+def test_presets_tally_alike_without_certificates(monkeypatch):
+    """Every preset curve, MC only at 20,000 trials: the rows are the same
+    with every certificate off, so retiring draws changes no count or sum."""
+    specs = [SweepSpec.from_dict({**raw, "methods": ["mc"], "trials": 20_000})
+             for figure in FIGURES for raw in load_preset(figure)["sweeps"]]
+    want = [run_sweep(spec) for spec in specs]
+    monkeypatch.setattr(SettleCertificate, "of", lambda cfgs, scheme: None)
+    assert [run_sweep(spec) for spec in specs] == want
