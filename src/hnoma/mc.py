@@ -72,16 +72,21 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     argument) shows a draw's outcome fixed for every later cell of the
     sweep, the kernel no longer runs on it.  A draw that is type I and
     winning has no loss, no contended loss and γ = 1 there; an HSIC-NPA
-    draw that has won for good has no loss; and an HSIC-NPA draw in the
+    draw that has won for good has no loss; an HSIC-NPA draw in the
     floor cone loses, so the count of those retired so far is added to
-    each later cell's hits.  Once at most half of a block's
-    first 4,096 draws are live, at an SNR with more to follow, a
-    counting pass sizes an int32 index of the live draws
-    (4 bytes each, at most 2 MB per 10^6-draw block), which is compacted
-    in place at each later SNR, and the kernel runs on ``CHUNK_ROWS``
-    gathers of it.  Settled draws keep γ = 1.0 in the block-length γ
-    buffer and the live ones are scattered into it, so every count and
-    every pairwise γ sum is that of the kernel over the whole block.
+    each later cell's hits; and an HSIC-PA draw that is over, adapting
+    and winning has no loss, no contended loss and γ = τ/b.  Once at
+    most half of a block's first 4,096 draws are live, at an SNR with
+    more to follow, one certificate pass builds an int32 index of the
+    live draws (4 bytes each, at most 2 MB per 10^6-draw block), which
+    is compacted in place at each later SNR, and the kernel runs on
+    ``CHUNK_ROWS`` gathers of it and scatters their γ into the
+    block-length γ buffer.  Settled draws keep γ = 1.0 there until a
+    quarter of the 4,096 draws are adapting winners; from then on
+    HSIC-PA's adapting winners retire too, and each cell with an index
+    first fills the whole buffer with min(τ/b, 1) in one contiguous
+    pass (``DrawKernel.gamma_pass``).  So every count and every pairwise
+    γ sum is that of the kernel over the whole block.
     """
     cells = [(cfg, Scheme(scheme)) for cfg, scheme in cells]
     if not cells:
@@ -173,8 +178,10 @@ _TAIL = 40.0        # gains beyond it are dropped (mass < e^-40)
 _MAX_DEPTH = 40     # bisection levels of the adaptive rule
 _N_SCAN = 2049      # scan points per grid of the breakpoint search
 _REL_WIDTH = 1e-13  # a breakpoint bracket closes at this width relative to |t|
-# every third step bisects; a scan bracket is narrower than its root or,
-# on t = 0, than its range, so 44 halvings (132 steps) close it first
+# a bracket that has not halved over three steps bisects on the next, so
+# its width halves at least every four steps; a scan bracket is narrower
+# than its root or, on t = 0, than its range, so 44 halvings (176 steps)
+# close it first
 _MAX_STEPS = 200
 
 
@@ -249,8 +256,9 @@ def _region_breakpoints(clauses) -> list:
     in pair order then by t, and all brackets of all clauses are closed
     together by Illinois steps (Dowell & Jarratt, BIT 11, 1971): a secant
     point, with the value at an end kept twice in a row halved, and a
-    bisection every third step, each step one evaluation of every curve
-    formula at once for all brackets.  Trial points stay
+    bisection for a bracket that has not halved over its last three
+    steps, each step one evaluation of every curve formula at once for
+    all brackets.  Trial points stay
     ``0.4 * _REL_WIDTH`` (relative) inside the bracket, so a root on a
     bracket end closes in one step.  A bracket stops at a width of
     ``_REL_WIDTH`` relative to its larger end (to its clause's scan range
@@ -295,21 +303,22 @@ def _region_breakpoints(clauses) -> list:
     # a bracket's lower end keeps the sign it starts with
     neg_lo = f_lo < 0
     last = np.zeros(lo.size, dtype=np.int8)   # +1: lo moved last, -1: hi
+    # the widths one, two and three steps back
+    width_1 = width_2 = width_3 = np.full(lo.size, np.inf)
     values = curves.on(np.concatenate([first, second]))
-    for step in range(_MAX_STEPS):
+    for _ in range(_MAX_STEPS):
         big = np.maximum(np.abs(lo), np.abs(hi))
-        live = (hi - lo > _REL_WIDTH * np.maximum(big, span)) & (hi > np.nextafter(lo, np.inf))
+        width = hi - lo
+        live = (width > _REL_WIDTH * np.maximum(big, span)) & (hi > np.nextafter(lo, np.inf))
         if not live.any():
             break
         # every bracket takes a step and a closed one keeps its old state,
         # so the curves are grouped and gathered once for the whole search
         mid = 0.5 * (lo + hi)
-        if step % 3 == 2:
-            x = mid
-        else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            x = np.where(np.isfinite(x), x, mid)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = hi - f_hi * width / (f_hi - f_lo)
+        x = np.where(np.isfinite(x) & (width <= 0.5 * width_3), x, mid)
+        width_1, width_2, width_3 = width, width_1, width_2
         margin = 0.4 * _REL_WIDTH * big
         x = np.minimum(np.maximum(x, lo + margin), hi - margin)
         at_x = np.clip(values(np.concatenate([x, x])), -1e300, 1e300)

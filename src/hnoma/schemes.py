@@ -155,14 +155,18 @@ class DrawKernel:
         np.logical_and(hit, self.lose, out=hit)
         return int(np.count_nonzero(hit))
 
-    def settled(self, cert: SettleCertificate, rho_n: float, g_m, g_n, at=None):
+    def settled(self, cert: SettleCertificate, rho_n: float, g_m, g_n, at=None,
+                adapting: bool = False):
         """Mask of the draws (of ``g_m[at]``, ``g_n[at]`` with ``at``) whose
         outcome ``cert`` shows fixed at ``rho_n`` and at every higher SNR
         of its sweep.  Such a draw is type I and winning, where ``run``
         would find no loss, no contended loss and γ = 1; or, for HSIC-NPA,
         won for good in either branch, or in the floor cone, where ``run``
-        would find a loss.  ``floor_draws`` is set to the number of
-        floor-cone draws in the mask.
+        would find a loss; or, for HSIC-PA with ``adapting``, over,
+        adapting and winning, where ``run`` would find no loss, no
+        contended loss and γ = τ/b.  ``floor_draws`` is set to the number
+        of floor-cone draws in the mask, ``adapting_draws`` to the number
+        of adapting winners.
 
         The mask is a view onto the kernel's buffers, like the results of
         ``run``, and valid until the next ``run`` or ``settled``, which
@@ -170,17 +174,18 @@ class DrawKernel:
         their floating-point argument.
         """
         n = g_m.size if at is None else at.size
-        c, bg = self._reals[0][:n], self._reals[1][:n]
-        out, wins = self._masks[0][:n], self._masks[1][:n]
+        c, bg, s, q, a, b = (r[:n] for r in self._reals[:6])
+        out, wins, fate, test = (m[:n] for m in self._masks)
         if at is not None:
             g_m = np.take(g_m, at, out=c, mode="wrap")
             g_n = np.take(g_n, at, out=bg, mode="wrap")
-        self.floor_draws = 0
+        self.floor_draws = self.adapting_draws = 0
         npa = cert.k_w is not None
+        up = 1.0 + _SETTLE_MARGIN
+        # the NPA and PA fates before the type-I test, which overwrites
+        # the gathered gains
         if npa:
-            # before the type-I test, which overwrites the gathered gains
-            s, q = self._reals[2][:n], self._reals[3][:n]
-            won, cone = self._masks[2][:n], self._masks[3][:n]
+            won, cone = fate, test
             np.multiply(g_m, cert.k_o, out=s)
             np.less_equal(s, g_n, out=cone)             # over at every SNR
             np.multiply(g_n, cert.k_q, out=s)
@@ -192,18 +197,58 @@ class DrawKernel:
             np.multiply(g_n, cert.k_w, out=s)
             np.multiply(g_m, cert.k_l, out=q)
             np.subtract(s, q, out=s)
-            np.greater_equal(s, (1.0 + _SETTLE_MARGIN) / rho_n, out=won)  # a type-II win
+            np.greater_equal(s, up / rho_n, out=won)    # a type-II win
+        elif adapting:
+            np.multiply(g_m, cert.k_o, out=s)
+            np.less_equal(s, g_n, out=fate)             # over at every SNR
+            np.multiply(g_m, cert.k_a * rho_n, out=a)   # A
+            np.multiply(g_n, cert.beta * rho_n, out=b)  # B
+            np.multiply(g_m, cert.k_x * rho_n, out=s)
+            np.add(s, 1.0, out=s)
+            np.subtract(a, up, out=q)
+            np.multiply(q, s, out=q)                    # (A - 1 - δ)(1 + X)
+            np.multiply(b, up, out=s)
+            np.greater_equal(q, s, out=test)            # adapting
+            np.logical_and(fate, test, out=fate)
+            np.add(b, 1.0, out=q)
+            np.multiply(q, a, out=q)                    # A(1 + B)
+            np.multiply(g_n, up * rho_n, out=s)
+            np.add(s, up, out=s)                        # (1 + δ)(1 + y)
+            np.greater_equal(q, s, out=test)            # and winning
+            np.logical_and(fate, test, out=fate)
+            self.adapting_draws = int(np.count_nonzero(fate))
         # the win test first: g_n may be bg, which the type-I test overwrites
-        np.greater_equal(g_n, (1.0 + _SETTLE_MARGIN) / (rho_n * cert.k_d), out=wins)
+        np.greater_equal(g_n, up / (rho_n * cert.k_d), out=wins)
         np.multiply(g_m, cert.k_a, out=c)
         np.multiply(g_n, cert.beta, out=bg)
         np.subtract(c, bg, out=c)                       # (1 - δ)a - βg_n
-        np.greater_equal(c, (1.0 + _SETTLE_MARGIN) / rho_n, out=out)
+        np.greater_equal(c, up / rho_n, out=out)
         np.logical_and(out, wins, out=out)
         if npa:
             np.logical_or(out, won, out=out)
             np.logical_or(out, cone, out=out)
+        elif adapting:
+            np.logical_or(out, fate, out=out)
         return out
+
+    def gamma_pass(self, cfg: SystemConfig, g_m, g_n, gamma) -> None:
+        """γ = min(τ/b, 1) of every draw into ``gamma``, a chunk at a time,
+        with the operations of ``run``.  That is ``run``'s γ bit for bit on
+        an adapting draw, which has b > τ, and 1 on a type-I draw with
+        τ >= b > 0; other draws get a value that ``run`` must overwrite.
+        """
+        rows = self._reals[0].size
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for lo in range(0, g_m.size, rows):
+                tau = gamma[lo:lo + rows]
+                b = self._reals[0][:tau.size]
+                np.multiply(cfg.rho_m, g_m[lo:lo + rows], out=tau)
+                np.divide(tau, cfg.eps_m, out=tau)
+                np.subtract(tau, 1.0, out=tau)
+                np.maximum(0.0, tau, out=tau)
+                np.multiply(cfg.beta * cfg.rho_n, g_n[lo:lo + rows], out=b)
+                np.divide(tau, b, out=tau)
+                np.minimum(tau, 1.0, out=tau)
 
 
 # δ of the settled-draw certificate
@@ -216,8 +261,9 @@ _SETTLE_MAX_RHO = 1e100
 
 class SettleCertificate(NamedTuple):
     """When a draw's outcome is fixed for the rest of a sweep: type I and
-    winning at this SNR and at every higher one, or, for HSIC-NPA, won
-    for good or in the floor cone.
+    winning at this SNR and at every higher one; or, for HSIC-NPA, won
+    for good or in the floor cone; or, for HSIC-PA, over, adapting and
+    winning.
 
     The sweep is cells of one scheme with a type-I branch (HSIC-NPA or
     HSIC-PA) that share β and ε_m, visited at rising ρ_n.  Write
@@ -248,8 +294,8 @@ class SettleCertificate(NamedTuple):
     overflows or underflows, which holds for ρ_n <= 1e100 and gains
     below 1e50 (sampled gains stay below 40).
 
-    HSIC-NPA has two more fates; the fields from ``k_w`` on are None
-    for HSIC-PA, whose γ still moves on draws that have won.  Write
+    HSIC-NPA has two more fates and HSIC-PA one; ``k_w``, ``k_l`` and
+    ``k_q`` are None for HSIC-PA, and ``k_x`` for HSIC-NPA.  Write
     x = ρ_m g_m, y = ρ_n g_n, S = 1 - 2β + β²y + (1 - β)x and
     W = β²y - (1 - β)x - (1 - 2β), and r⁺ >= ρ_m/ρ_n >= r⁻ at every
     SNR of the sweep (r⁻ is r).  For y > 0 a type-II draw loses iff
@@ -280,6 +326,42 @@ class SettleCertificate(NamedTuple):
     - Zero gains: g_n = 0 fails the third test and g_m = 0 < g_n the
       second, so those draws stay live; the kernel finds the all-zero
       draw type I and losing (1·1 <= 1).
+
+    HSIC-PA's fate is over, adapting and winning.  Such a draw's
+    γ = τ/b still moves with ρ_n, so ``settled`` marks it only with
+    ``adapting``, for sweeps whose later cells form γ by
+    ``DrawKernel.gamma_pass``.  Write T = x/ε_m, so that an adapting
+    draw has τ = T - 1 and the rate factor 1 + τ; A = (1 - δ)ρ_n a,
+    X = r⁻ρ_n g_m and B = βρ_n g_n.  The tests are
+
+        k_o g_m <= g_n,   (A - 1 - δ)(1 + X) >= (1 + δ)B   and
+        A(1 + B) >= (1 + δ)(1 + ρ_n g_n).
+
+    At fixed r the last two are convex quadratics in ρ_n, negative at
+    ρ_n = 0, so once they hold they hold at every higher ρ_n; and they
+    only strengthen as r grows, once A >= 1 + δ.
+
+    - Over: the cone's first test, as above; b > 0 since T > 1.
+    - Adapting: A, X, B and the products are within 9u of their
+      values, so a draw that passes has
+      ((1 - 0.99δ)T - 1 - 0.99δ)(1 + x) >= (1 + 0.99δ)b with r⁻ for
+      ρ_m/ρ_n, and so at every later cell with its own ρ_m and ρ_n.
+      There T > 1 + 1.9δ, so the kernel's τ is at least T - 1 - 3uT > 0,
+      its τ·(1 + x) at least (T - 1)(1 + x) - 6uT(1 + x) and its b at
+      most b(1 + 2u): the adapt gap τ(1 + x) - b is at least
+      0.99δ((T + 1)(1 + x) + b) - 6uT(1 + x) - 2ub > 0.
+    - Winning: likewise T(1 + b) >= (1 + 1.98δ)(1 + y) at every later
+      cell, while the kernel's (1 + τ)(1 + b) is at least
+      T(1 + b)(1 - 8u) and its 1 + y at most (1 + y)(1 + 2u).
+    - γ: such a draw has τ < b in the kernel's floats, so the pass's
+      min(τ/b, 1) is the kernel's τ/b bit for bit, and a retired type-I
+      winner has τ >= b > 0 (its win test needs g_n > 0), so it gets 1.
+    - Zero gains: g_n = 0 passes the over test only with g_m = 0, where
+      the adapting test reads -(1 + δ) >= 0.
+    - The products are within 1 + 2δ of at most ρ_m²g_m²/ε_m and
+      ρ_m ρ_n g_m g_n/ε_m, and ``of`` leaves ``k_x`` None unless
+      ρ_m max(ρ_m, ρ_n)/ε_m <= ``_SETTLE_MAX_RHO``², so with gains
+      below 1e50 they stay below 1e300.
     """
 
     k_a: float      # (1 - δ) r / ε_m
@@ -289,12 +371,14 @@ class SettleCertificate(NamedTuple):
     k_l: float = None   # (1 + δ)(1 - β) r⁺ / (1 - 2β)
     k_o: float = None   # (1 + δ) r⁺ / (β ε_m)
     k_q: float = None   # (1 + δ) β² / ((1 - β) r⁻)
+    k_x: float = None   # r⁻
 
     @classmethod
     def of(cls, cfgs, scheme: Scheme):
         """The certificate of a sweep over ``cfgs``, which share β and
         ε_m, or None: FSIC has no type-I branch, near β = ½ the win gap
-        is too small, and past ``_SETTLE_MAX_RHO`` products may overflow."""
+        is too small, and past ``_SETTLE_MAX_RHO`` products may overflow
+        (for HSIC-PA's fate, past its square)."""
         beta = cfgs[0].beta
         if (scheme == Scheme.FSIC or not 1.0 - 2.0 * beta >= _SETTLE_MIN_GAP
                 or max(cfg.rho_n for cfg in cfgs) > _SETTLE_MAX_RHO):
@@ -304,13 +388,18 @@ class SettleCertificate(NamedTuple):
         r = min(quotients) * (1.0 - 2.0 ** -50)
         cert = cls(k_a=(1.0 - _SETTLE_MARGIN) * r / cfgs[0].eps_m, beta=beta,
                    k_d=beta ** 2 / (1.0 - 2.0 * beta))
-        if scheme == Scheme.HSIC_PA:
-            return cert
         r_hi = max(quotients) * (1.0 + 2.0 ** -50)
         up, down = 1.0 + _SETTLE_MARGIN, 1.0 - _SETTLE_MARGIN
+        k_o = up * r_hi / (beta * cfgs[0].eps_m)
+        if scheme == Scheme.HSIC_PA:
+            rho_m = max(cfg.rho_m for cfg in cfgs)
+            rho = max(rho_m, max(cfg.rho_n for cfg in cfgs))
+            if rho_m * rho / cfgs[0].eps_m > _SETTLE_MAX_RHO ** 2:
+                return cert
+            return cert._replace(k_o=k_o, k_x=r)
         return cert._replace(
             k_w=down * cert.k_d, k_l=up * (1.0 - beta) * r_hi / (1.0 - 2.0 * beta),
-            k_o=up * r_hi / (beta * cfgs[0].eps_m), k_q=up * beta ** 2 / ((1.0 - beta) * r))
+            k_o=k_o, k_q=up * beta ** 2 / ((1.0 - beta) * r))
 
 
 def rate_factors(cfg: SystemConfig, g_m, g_n, scheme: Scheme):

@@ -12,6 +12,11 @@ from .schemes import DrawKernel, Scheme, SettleCertificate
 
 # draws whose settled share decides whether a sweep builds its live index
 _PROBE_ROWS = 4096
+# the γ pass costs about 5 ns per block row and the kernel about 35 ns per
+# indexed draw (x86, one core), so the pass pays once more than a seventh
+# of the draws are adapting winners; it switches on at a quarter of the
+# probe, with a margin
+_PASS_SHARE = 4
 
 
 def tally_chunk(kernel: DrawKernel, cfg: SystemConfig, scheme: Scheme,
@@ -37,36 +42,39 @@ def sweeps(cells) -> list:
     return [sorted(group, key=lambda cell: cell[0].rho_n) for group in groups.values()]
 
 
-def _live_index(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n):
-    """Positions (int32, exactly sized by a counting pass) of the block's
-    draws that are not settled at ``rho_n``, and how many of the settled
-    ones lose for good (the floor cone)."""
+def _live_index(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
+                gamma, adapting: bool):
+    """Positions (int32, exactly sized) of the block's draws that are not
+    settled at ``rho_n``, and how many of the settled ones lose for good
+    (the floor cone).  The certificate runs once: its mask goes into the
+    bytes of ``gamma``, which HSIC-PA overwrites next and HSIC-NPA never
+    reads, and the index is counted and read from there."""
+    mask = gamma.view(np.bool_)[:g_m.size]
     starts = range(0, g_m.size, CHUNK_ROWS)
-    n_live = g_m.size
+    floor = 0
     for lo in starts:
         hi = lo + CHUNK_ROWS
-        n_live -= int(np.count_nonzero(kernel.settled(cert, rho_n, g_m[lo:hi], g_n[lo:hi])))
-    live = np.empty(n_live, dtype=np.int32)
-    end = floor = 0
-    for lo in starts:
-        hi = lo + CHUNK_ROWS
-        settled = kernel.settled(cert, rho_n, g_m[lo:hi], g_n[lo:hi])
+        settled = kernel.settled(cert, rho_n, g_m[lo:hi], g_n[lo:hi], adapting=adapting)
+        np.logical_not(settled, out=mask[lo:hi])
         floor += kernel.floor_draws
-        at = np.flatnonzero(np.logical_not(settled, out=settled))
+    live = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    end = 0
+    for lo in starts:
+        at = np.flatnonzero(mask[lo:lo + CHUNK_ROWS])
         np.add(at, lo, out=live[end:end + at.size], casting="unsafe")
         end += at.size
     return live, floor
 
 
 def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
-            live, gamma):
+            live, gamma, adapting: bool):
     """Drop the draws settled at ``rho_n`` from ``live``, in place, and
     give them γ = 1 in ``gamma`` (unless None); returns the live prefix
     and how many of the dropped draws lose for good."""
     end = floor = 0
     for lo in range(0, live.size, CHUNK_ROWS):
         at = live[lo:lo + CHUNK_ROWS]
-        settled = kernel.settled(cert, rho_n, g_m, g_n, at)
+        settled = kernel.settled(cert, rho_n, g_m, g_n, at, adapting)
         floor += kernel.floor_draws
         if gamma is not None:
             gamma[at[settled]] = 1.0
@@ -79,26 +87,40 @@ def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
 def tally_sweep(kernel: DrawKernel, sweep, g_m, g_n, gamma, want_pt: bool):
     """Tally one block for the cells of one sweep, ``(cfg, scheme, tally)``
     in ascending ρ_n, running the kernel only on draws not yet settled.
-    Draws retired in the floor cone count as a loss at every later cell."""
+    Draws retired in the floor cone count as a loss at every later cell.
+    HSIC-PA's adapting winners retire once the probe finds enough of
+    them: from then on each cell with an index forms the whole block's γ
+    by ``DrawKernel.gamma_pass`` and the kernel overwrites the live
+    draws' γ."""
     scheme = sweep[0][1]
     pa = scheme == Scheme.HSIC_PA
     pt = want_pt and pa
     cert = SettleCertificate.of([cfg for cfg, _, _ in sweep], scheme)
+    can_adapt = cert is not None and cert.k_x is not None
+    passing = False   # the adapting fate is on, and γ comes from the pass
     live = None
     floor = 0   # draws retired so far that lose at every SNR
     for k, (cfg, _, tally) in enumerate(sweep):
+        probing = cert is not None and k + 1 < len(sweep) and (
+            live is None or can_adapt and not passing)
+        if probing:
+            probe = kernel.settled(cert, cfg.rho_n, g_m[:_PROBE_ROWS], g_n[:_PROBE_ROWS],
+                                   adapting=can_adapt)
+            passing = passing or _PASS_SHARE * kernel.adapting_draws >= probe.size
+            # adapting winners count as settled only once the pass is on
+            settled = int(np.count_nonzero(probe)) - (0 if passing else kernel.adapting_draws)
         if live is not None:
             live, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live,
-                                 gamma if pa else None)
+                                 gamma if pa and not passing else None, passing)
             floor += lost
-        elif cert is not None and k + 1 < len(sweep):
+        elif probing and 2 * settled >= probe.size:
             # an index pays for itself only over the SNRs that follow; it
             # is built once at most half of the block's first draws are live
-            probe = kernel.settled(cert, cfg.rho_n, g_m[:_PROBE_ROWS], g_n[:_PROBE_ROWS])
-            if 2 * np.count_nonzero(probe) >= probe.size:
-                live, floor = _live_index(kernel, cert, cfg.rho_n, g_m, g_n)
-                if pa:
-                    gamma.fill(1.0)
+            live, floor = _live_index(kernel, cert, cfg.rho_n, g_m, g_n, gamma, passing)
+            if pa and not passing:
+                gamma.fill(1.0)
+        if passing and live is not None:
+            kernel.gamma_pass(cfg, g_m, g_n, gamma)
         for lo in range(0, g_m.size if live is None else live.size, CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
             hits, pt_hits = (

@@ -284,7 +284,8 @@ def test_sweep_matches_one_cell_calls_over_several_blocks(monkeypatch, sweep_see
     rng = np.random.default_rng(sweep_seed)
     rows = _kernel_rows(monkeypatch)
     npa_rows = _kernel_rows(monkeypatch, (Scheme.HSIC_NPA,))
-    retired = npa_retired = 0
+    pa_rows = _kernel_rows(monkeypatch, (Scheme.HSIC_PA,))
+    retired = npa_retired = pa_retired = 0
     for _ in range(3):
         cfgs = _random_sweep(rng)
         cells = [(cfg, scheme) for cfg in cfgs for scheme in SCHEMES]
@@ -292,15 +293,18 @@ def test_sweep_matches_one_cell_calls_over_several_blocks(monkeypatch, sweep_see
         for want_pt in (False, True):
             rows.clear()
             npa_rows.clear()
+            pa_rows.clear()
             got = mc_summary(cells, trials, sweep_seed, want_pt=want_pt)
             retired += len(cells) * trials - sum(rows)
             npa_retired += len(cfgs) * trials - sum(npa_rows)
+            pa_retired += len(cfgs) * trials - sum(pa_rows)
             want = [mc_summary([cell], trials, sweep_seed, want_pt=want_pt)[0]
                     for cell in cells]
             assert got == want, cfgs[0]
     # a seed whose sweeps retire nothing would check nothing here
     assert retired > 0
     assert npa_retired > 0
+    assert pa_retired > 0
 
 
 def _sweep_block(cfgs, seed):
@@ -448,6 +452,64 @@ def test_npa_fates_hold_at_every_later_snr(base, snrs):
     assert won > 500 and floor > 500
 
 
+def _pa_edge_draws(cfg, rng, size=300):
+    """Draws about the HSIC-PA fate's edges at ``cfg``, a few ulps off
+    each: over, b = T; adapting, (T - 1)(1 + x) = b; and winning while
+    adapting, T(1 + b) = 1 + y (x = ρ_m g_m, y = ρ_n g_n, T = x/ε_m and
+    b = βy): the first at x from 1 to 1e18, the second at T from 2 to
+    1e18 and the last where it exists, 1 < T < 1/β.  Then zero gains and
+    a log-uniform cloud over the (x, y) plane."""
+    beta, eps = cfg.beta, cfg.eps_m
+    near = lambda v, ulps: v * (1.0 + rng.uniform(-ulps, ulps, v.size) * 2.0 ** -53)
+    x = 10.0 ** rng.uniform(0.0, 18.0, size)
+    on_over = x / (beta * eps)
+    x_adapt = eps * (1.0 + x)                          # T = 1 + x
+    on_adapt = x * (1.0 + x_adapt) / beta
+    t = rng.uniform(1.0, 1.0 / beta, size)
+    on_win = (t - 1.0) / (1.0 - beta * t)
+    cloud_x, cloud_y = 10.0 ** rng.uniform(-3.0, 9.0, (2, size))
+    zeros_x, zeros_y = np.array([[0.0, 0.0, 5.0], [0.0, 5.0, 0.0]])
+    x_all = np.concatenate([x, x_adapt, eps * t, cloud_x, zeros_x])
+    y_all = np.concatenate([near(on_over, 6), near(on_adapt, 30), near(on_win, 30),
+                            cloud_y, zeros_y])
+    return x_all / cfg.rho_m, y_all / cfg.rho_n
+
+
+@pytest.mark.parametrize("base, snrs", [
+    (make_cfg(m=2, n=5, R_m=1.0, eta=4.0), (0.0, 10.0, 20.0, 30.0)),
+    (make_cfg(m=3, n=1, R_m=1.5, beta=1.0 / 3.0, eta=7.0), (5.0, 25.0, 45.0)),
+    (make_cfg(M=4, m=1, n=4, R_m=1.5, beta=0.4994, eta=0.2), (20.0, 40.0)),
+    (make_cfg(R_m=1.0, eta=0.7), (100.0, 110.0, 125.0)),
+])
+def test_pa_fates_hold_at_every_later_snr(base, snrs):
+    """Draws a few ulps about the HSIC-PA fate's edges: each draw the
+    certificate marks at an SNR with ``adapting`` is, in the reference
+    kernel's floats there and at every higher SNR, either type I or over
+    and adapting (``adapting_draws`` many), wins, and has the γ of
+    ``DrawKernel.gamma_pass``, min(τ/b, 1), bit for bit."""
+    rng = np.random.default_rng(9)
+    kernel = DrawKernel(CHUNK_ROWS)
+    cfgs = [base.with_snr(s) for s in snrs]
+    cert = SettleCertificate.of(cfgs, Scheme.HSIC_PA)
+    adapting = 0
+    for k, cfg in enumerate(cfgs):
+        for edges_at in cfgs:
+            g_m, g_n = _pa_edge_draws(edges_at, rng)
+            marked = kernel.settled(cert, cfg.rho_n, g_m, g_n, adapting=True).copy()
+            n_adapting = kernel.adapting_draws
+            g_m, g_n = g_m[marked], g_n[marked]
+            for later in cfgs[k:]:
+                factor, branch, gamma = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_PA)
+                assert not np.any(ref_loss_mask(later, g_n, factor)), (cfg, later)
+                assert np.all((branch == _B_I) | (branch == _B_II2)), (cfg, later)
+                assert np.count_nonzero(branch == _B_II2) == n_adapting, (cfg, later)
+                passed = np.full(g_m.size, np.nan)
+                kernel.gamma_pass(later, g_m, g_n, passed)
+                assert np.array_equal(passed.view(np.int64), gamma.view(np.int64)), (cfg, later)
+            adapting += n_adapting
+    assert adapting > 500
+
+
 def test_certificate_is_off_where_it_cannot_hold():
     cfgs = [make_cfg(snr_db=s) for s in (10.0, 20.0)]
     assert SettleCertificate.of(cfgs, Scheme.HSIC_PA) is not None
@@ -477,13 +539,26 @@ def test_fig1_sweep_runs_the_kernel_on_few_draws(monkeypatch):
 
 
 def test_fig3a_sweep_settles_nothing(monkeypatch):
-    """fig3a's m1 curve (η = 7): almost no draw is type I and winning, so
-    no index is built and the kernel sees every draw of every cell."""
+    """fig3a's m1 curve (η = 7): almost no draw is type I and winning,
+    and up to 15 dB too few adapt and win for the γ pass, so there the
+    kernel sees every draw of every cell; from 20 dB the adapting
+    winners retire, and the whole curve's rows fall below 85% of
+    cells x trials."""
     trials = 200_000
     cells, spec = _preset_cells("fig3a", "m1")
-    rows = _kernel_rows(monkeypatch)
+    rows = {}
+    run = DrawKernel.run
+
+    def spy(self, cfg, scheme, g_m, g_n, gamma):
+        rows[cfg.rho_n] = rows.get(cfg.rho_n, 0) + g_m.size
+        return run(self, cfg, scheme, g_m, g_n, gamma)
+
+    monkeypatch.setattr(DrawKernel, "run", spy)
     mc_summary(cells, trials, spec.seed)
-    assert sum(rows) == len(cells) * trials
+    early = [cfg.rho_n for cfg, _ in cells if cfg.rho_n <= 10.0 ** 1.5]
+    assert len(early) == 4
+    assert sum(rows[rho] for rho in early) == len(early) * trials
+    assert sum(rows.values()) <= 0.85 * len(cells) * trials
 
 
 def test_fig5a_npa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
@@ -498,6 +573,20 @@ def test_fig5a_npa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
     npa_cells = sum(scheme == Scheme.HSIC_NPA for _, scheme in cells)
     assert max(rows) <= CHUNK_ROWS
     assert sum(rows) <= 0.30 * npa_cells * trials
+
+
+def test_fig5a_pa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
+    """fig5a's eta4 curve: from 20 dB most HSIC-PA draws are over,
+    adapting and winning, retire and get γ from the pass, so its kernel
+    sees at most 50% of cells x trials, in chunks of at most
+    ``CHUNK_ROWS``."""
+    trials = 200_000
+    cells, spec = _preset_cells("fig5a", "eta4")
+    rows = _kernel_rows(monkeypatch, (Scheme.HSIC_PA,))
+    mc_summary(cells, trials, spec.seed)
+    pa_cells = sum(scheme == Scheme.HSIC_PA for _, scheme in cells)
+    assert max(rows) <= CHUNK_ROWS
+    assert sum(rows) <= 0.50 * pa_cells * trials
 
 
 def test_presets_tally_alike_without_certificates(monkeypatch):
