@@ -142,11 +142,11 @@ def run_sweep(spec: SweepSpec) -> list:
     ``p_t_exact_batch`` and one SNR-free asymptotic coefficient.  The closed
     forms run last: their small arrays, allocated ahead of the MC gain block,
     raised fig1-contended's peak RSS by 1.5 MB."""
+    regime = regime_label(spec.config_at(spec.snr_db[0]))  # SNR-free; the spec checks this SNR
     points = []
     for snr in spec.snr_db:
         try:
-            cfg = spec.config_at(snr)
-            points.append((snr, cfg, regime_label(cfg)))
+            points.append((snr, spec.config_at(snr), regime))
         except InvalidConfigError as exc:
             points.append((snr, None, f"error:{type(exc).__name__}"))
     valid = [cfg for _, cfg, _ in points if cfg is not None]

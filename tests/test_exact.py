@@ -230,6 +230,58 @@ def test_batch_rejects_configs_that_differ_in_more_than_snr():
     assert exact_pt_terms_batch([]) == []
 
 
+def _batch_rows_are_the_config_terms(sweep, terms):
+    for one, t in zip(sweep, terms):
+        if isinstance(t, dict):
+            assert t == config_pt_terms(one), one
+        else:
+            with pytest.raises(InvalidConfigError, match=str(t)):
+                compute_constants(one)
+
+
+def test_a_mixed_batch_fails_only_the_rows_whose_constants_fail():
+    # one constants pass covers the sweep: each row whose checks fail holds
+    # its own error, and the rows that pass keep their one-config bits
+    base = SystemConfig.make(M=2, m=2, n=1, R_m=0.015, beta=0.372, eta=0.0503,
+                             snr_db=0.0)
+    snrs = range(-20, 61, 5)
+    sweep = [base.with_snr(snr) for snr in snrs]
+    terms = exact_pt_terms_batch(sweep)
+    failed = [snr for snr, t in zip(snrs, terms) if isinstance(t, InvalidConfigError)]
+    assert failed == [snr for snr in snrs if snr not in (0, 35)]
+    assert len({id(t) for t in terms}) == len(terms)  # each error in its own slot
+    _batch_rows_are_the_config_terms(sweep, terms)
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (3, 1)])
+def test_a_batch_over_the_first_lo_seam_keeps_each_rows_bits(m, n):
+    # one ulp above first_lo = 12 the first-stage-loss line meets the
+    # diagonal at some SNRs only: omega_4 is NaN in those rows of the arrays
+    base = SystemConfig.make(M=5, m=m, n=n, R_m=0.2, beta=0.25,
+                             eta=12.000000000000002, snr_db=0.0)
+    sweep = [base.with_snr(snr) for snr in range(-20, 61, 5)]
+    assert {compute_constants(cfg).omega_4 is None for cfg in sweep} == {True, False}
+    terms = exact_pt_terms_batch(sweep)
+    assert all(isinstance(t, dict) for t in terms)
+    _batch_rows_are_the_config_terms(sweep, terms)
+
+
+def test_a_batch_row_whose_checks_see_inf_fails_without_a_warning():
+    # at -3000 dB the crossing points overflow to inf; the array code must
+    # fail that row quietly, with no RuntimeWarning (an error under pytest)
+    import warnings
+    base = SystemConfig.make(M=2, m=2, n=1, R_m=0.015, beta=0.372, eta=0.0503,
+                             snr_db=0.0)
+    sweep = [base.with_snr(snr) for snr in (0, -3000, 35)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = exact_pt_terms_batch(sweep)
+        with pytest.raises(InvalidConfigError):
+            compute_constants(sweep[1])
+    assert [isinstance(t, dict) for t in terms] == [True, False, True]
+    _batch_rows_are_the_config_terms(sweep, terms)
+
+
 def test_terms_match_region_integration_everywhere():
     for cfg in regime_covering_configs(14, seed=5):
         terms = exact_pt_terms(cfg)

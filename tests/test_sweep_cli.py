@@ -460,7 +460,7 @@ def test_an_snr_whose_constants_fail_fails_only_its_own_row():
 def test_a_sweep_evaluates_each_sub_event_once_for_all_its_snrs(monkeypatch, m, n):
     spec = _spec(m=m, n=n, snr_db=tuple(range(0, 61, 5)), methods=("exact", "asymptotic"))
     sub_events = len(hnoma.exact.exact_pt_terms(spec.config_at(10)))
-    calls = {"mass": 0, "coefficient": 0}
+    calls = {"mass": 0, "coefficient": 0, "constants": 0, "label": 0}
 
     def counted(module, name, key):
         fn = getattr(module, name)
@@ -473,11 +473,16 @@ def test_a_sweep_evaluates_each_sub_event_once_for_all_its_snrs(monkeypatch, m, 
     counted(hnoma.exact, "mass_upper_interval", "mass")
     counted(hnoma.exact, "mass_lower_interval", "mass")
     counted(hnoma.asymptotic, "asymptotic_pt_terms", "coefficient")
+    counted(hnoma.exact, "compute_constants", "constants")
+    counted(hnoma.sweep, "regime_label", "label")
     rows = run_sweep(spec)
     assert len(rows) == 26
     assert not any(r["regime"].startswith("error") for r in rows)
     assert 1 <= calls["mass"] <= sub_events
     assert calls["coefficient"] == 1
+    # one constants pass for the exact batch, one for the unit-SNR config
+    assert calls["constants"] == 2
+    assert calls["label"] == 1
 
 
 def test_cli_sweep_to_a_directory_is_a_config_error(tmp_path):
