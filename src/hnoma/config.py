@@ -74,9 +74,10 @@ class SystemConfig:
         check_ranks(self.M, self.m, self.n)
         if not 0.0 < self.beta < 0.5:
             raise InvalidConfigError(f"beta={self.beta} outside (0, 1/2)")
-        # written so that NaN fails too; 2^R_m overflows from max_exp on
-        if not 0.0 < self.R_m < sys.float_info.max_exp:
-            raise InvalidConfigError(f"R_m={self.R_m} must be positive, with 2^R_m finite")
+        # written so that NaN fails too; 2^R_m overflows from max_exp on,
+        # and below about 1.6e-16 rounds to 1, where ε_m = 2^R_m - 1 is 0
+        if not (0.0 < self.R_m < sys.float_info.max_exp and 2.0 ** self.R_m > 1.0):
+            raise InvalidConfigError(f"R_m={self.R_m} must be positive, with 2^R_m finite, > 1")
         if not (0.0 < self.rho_n < math.inf and 0.0 < self.rho_m < math.inf):
             raise InvalidConfigError("transmit SNRs must be positive and finite")
         if self.eta is None:

@@ -155,18 +155,35 @@ class DrawKernel:
         np.logical_and(hit, self.lose, out=hit)
         return int(np.count_nonzero(hit))
 
+    def npa_losses(self) -> int:
+        """HSIC-NPA's loss count on the draws of the last HSIC-PA ``run``:
+        its buffers still hold the first-stage factor, 1 + b, 1 + ρ_n g_n
+        and the over bits, and HSIC-NPA's own operations on them give
+        ``run(HSIC_NPA)``'s loss mask."""
+        n = self.lose.size
+        one_b, first_stage, product, rhs = (self._reals[k][:n] for k in (3, 4, 5, 7))
+        hit = self._masks[3][:n]
+        _select(self._words[0][:n], first_stage, one_b, out=product)
+        np.multiply(product, one_b, out=product)
+        np.less_equal(product, rhs, out=hit)
+        return int(np.count_nonzero(hit))
+
     def settled(self, cert: SettleCertificate, rho_n: float, g_m, g_n, at=None,
-                adapting: bool = False):
+                passing: bool = False):
         """Mask of the draws (of ``g_m[at]``, ``g_n[at]`` with ``at``) whose
-        outcome ``cert`` shows fixed at ``rho_n`` and at every higher SNR
-        of its sweep.  Such a draw is type I and winning, where ``run``
-        would find no loss, no contended loss and γ = 1; or, for HSIC-NPA,
-        won for good in either branch, or in the floor cone, where ``run``
-        would find a loss; or, for HSIC-PA with ``adapting``, over,
-        adapting and winning, where ``run`` would find no loss, no
-        contended loss and γ = τ/b.  ``floor_draws`` is set to the number
-        of floor-cone draws in the mask, ``adapting_draws`` to the number
-        of adapting winners.
+        outcome ``cert`` shows fixed, in every scheme of its sweep, at
+        ``rho_n`` and at every higher SNR of the sweep.  A draw that is
+        type I and winning is settled in both schemes: ``run`` finds no
+        loss, no contended loss and γ = 1.  HSIC-NPA's other fates are won
+        for good, where ``run`` finds no loss, and the floor cone, where it
+        finds one.  HSIC-PA's other fates count only with ``passing``, for
+        sweeps whose later cells form γ by ``gamma_pass``: won for good, in
+        any branch, or over, adapting and winning, where ``run`` finds no
+        loss and no contended loss.  On a sweep of both schemes a
+        floor-cone draw is settled only where it also adapts and wins.
+        ``floor_draws`` is set to the number of floor-cone draws in the
+        mask, ``passed_draws`` to the number that are in it only by
+        ``passing``.
 
         The mask is a view onto the kernel's buffers, like the results of
         ``run``, and valid until the next ``run`` or ``settled``, which
@@ -175,32 +192,30 @@ class DrawKernel:
         """
         n = g_m.size if at is None else at.size
         c, bg, s, q, a, b = (r[:n] for r in self._reals[:6])
-        out, wins, fate, test = (m[:n] for m in self._masks)
+        out, fate, won, wins = (m[:n] for m in self._masks)
         if at is not None:
             g_m = np.take(g_m, at, out=c, mode="wrap")
             g_n = np.take(g_n, at, out=bg, mode="wrap")
-        self.floor_draws = self.adapting_draws = 0
-        npa = cert.k_w is not None
+        self.floor_draws = self.passed_draws = 0
+        passing = passing and cert.pa
+        won_for_good = passing or not cert.pa
+        adapting = passing and cert.k_x is not None
+        cone = cert.npa and (adapting or not cert.pa)
         up = 1.0 + _SETTLE_MARGIN
-        # the NPA and PA fates before the type-I test, which overwrites
-        # the gathered gains
-        if npa:
-            won, cone = fate, test
-            np.multiply(g_m, cert.k_o, out=s)
-            np.less_equal(s, g_n, out=cone)             # over at every SNR
-            np.multiply(g_n, cert.k_q, out=s)
-            np.less_equal(s, g_m, out=won)              # and losing there
-            np.logical_and(cone, won, out=cone)
-            np.greater_equal(g_n, _SETTLE_MARGIN / rho_n, out=won)
-            np.logical_and(cone, won, out=cone)
-            self.floor_draws = int(np.count_nonzero(cone))
-            np.multiply(g_n, cert.k_w, out=s)
-            np.multiply(g_m, cert.k_l, out=q)
-            np.subtract(s, q, out=s)
-            np.greater_equal(s, up / rho_n, out=won)    # a type-II win
-        elif adapting:
+        # the type-II fates before the type-I test, which overwrites the
+        # gathered gains
+        if cone:
             np.multiply(g_m, cert.k_o, out=s)
             np.less_equal(s, g_n, out=fate)             # over at every SNR
+            np.multiply(g_n, cert.k_q, out=s)
+            np.less_equal(s, g_m, out=won)              # and losing there
+            np.logical_and(fate, won, out=fate)
+            np.greater_equal(g_n, _SETTLE_MARGIN / rho_n, out=won)
+            np.logical_and(fate, won, out=fate)
+        if adapting:
+            adapts = out if cone else fate
+            np.multiply(g_m, cert.k_o, out=s)
+            np.less_equal(s, g_n, out=adapts)           # over at every SNR
             np.multiply(g_m, cert.k_a * rho_n, out=a)   # A
             np.multiply(g_n, cert.beta * rho_n, out=b)  # B
             np.multiply(g_m, cert.k_x * rho_n, out=s)
@@ -208,15 +223,23 @@ class DrawKernel:
             np.subtract(a, up, out=q)
             np.multiply(q, s, out=q)                    # (A - 1 - δ)(1 + X)
             np.multiply(b, up, out=s)
-            np.greater_equal(q, s, out=test)            # adapting
-            np.logical_and(fate, test, out=fate)
+            np.greater_equal(q, s, out=won)             # adapting
+            np.logical_and(adapts, won, out=adapts)
             np.add(b, 1.0, out=q)
             np.multiply(q, a, out=q)                    # A(1 + B)
             np.multiply(g_n, up * rho_n, out=s)
             np.add(s, up, out=s)                        # (1 + δ)(1 + y)
-            np.greater_equal(q, s, out=test)            # and winning
-            np.logical_and(fate, test, out=fate)
-            self.adapting_draws = int(np.count_nonzero(fate))
+            np.greater_equal(q, s, out=won)             # and winning
+            np.logical_and(adapts, won, out=adapts)
+            if cone:
+                np.logical_and(fate, adapts, out=fate)
+        if cone:
+            self.floor_draws = int(np.count_nonzero(fate))
+        if won_for_good:
+            np.multiply(g_n, cert.k_w, out=s)
+            np.multiply(g_m, cert.k_l, out=q)
+            np.subtract(s, q, out=s)
+            np.greater_equal(s, up / rho_n, out=won)    # a type-II win
         # the win test first: g_n may be bg, which the type-I test overwrites
         np.greater_equal(g_n, up / (rho_n * cert.k_d), out=wins)
         np.multiply(g_m, cert.k_a, out=c)
@@ -224,31 +247,41 @@ class DrawKernel:
         np.subtract(c, bg, out=c)                       # (1 - δ)a - βg_n
         np.greater_equal(c, up / rho_n, out=out)
         np.logical_and(out, wins, out=out)
-        if npa:
+        type_i = int(np.count_nonzero(out)) if passing else 0
+        if won_for_good:
             np.logical_or(out, won, out=out)
-            np.logical_or(out, cone, out=out)
-        elif adapting:
+        if cone or adapting:
             np.logical_or(out, fate, out=out)
+        if passing:
+            self.passed_draws = int(np.count_nonzero(out)) - type_i
         return out
 
     def gamma_pass(self, cfg: SystemConfig, g_m, g_n, gamma) -> None:
-        """γ = min(τ/b, 1) of every draw into ``gamma``, a chunk at a time,
-        with the operations of ``run``.  That is ``run``'s γ bit for bit on
-        an adapting draw, which has b > τ, and 1 on a type-I draw with
-        τ >= b > 0; other draws get a value that ``run`` must overwrite.
+        """``run``'s γ of every winner into ``gamma``, a chunk at a time,
+        with ``run``'s operations: 1 where τ·(ρ_m g_m + 1) < b, else
+        min(τ/b, 1).  That is γ bit for bit on every draw with b > 0:
+        τ/b on an adapting draw (b > τ), 1 on a first-stage one and 1 on
+        a type-I one (τ >= b).  τ is not floored at 0: a negative one
+        (run's τ = 0) makes the first test pass, and γ is 1 either way.
+        A draw with τ = b = 0 gets NaN, a value that ``run`` must
+        overwrite.
         """
         rows = self._reals[0].size
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for lo in range(0, g_m.size, rows):
                 tau = gamma[lo:lo + rows]
-                b = self._reals[0][:tau.size]
+                denom, b = (r[:tau.size] for r in self._reals[1:3])
+                first_stage = self._masks[0][:tau.size]
                 np.multiply(cfg.rho_m, g_m[lo:lo + rows], out=tau)
+                np.add(tau, 1.0, out=denom)
                 np.divide(tau, cfg.eps_m, out=tau)
                 np.subtract(tau, 1.0, out=tau)
-                np.maximum(0.0, tau, out=tau)
                 np.multiply(cfg.beta * cfg.rho_n, g_n[lo:lo + rows], out=b)
+                np.multiply(tau, denom, out=denom)
+                np.less(denom, b, out=first_stage)
                 np.divide(tau, b, out=tau)
                 np.minimum(tau, 1.0, out=tau)
+                np.maximum(tau, first_stage, out=tau)   # 1 on the first stage
 
 
 # δ of the settled-draw certificate
@@ -261,12 +294,13 @@ _SETTLE_MAX_RHO = 1e100
 
 class SettleCertificate(NamedTuple):
     """When a draw's outcome is fixed for the rest of a sweep: type I and
-    winning at this SNR and at every higher one; or, for HSIC-NPA, won
-    for good or in the floor cone; or, for HSIC-PA, over, adapting and
-    winning.
+    winning at this SNR and at every higher one; or won for good, in any
+    branch; or, for HSIC-NPA, in the floor cone; or, for HSIC-PA, over,
+    adapting and winning.
 
-    The sweep is cells of one scheme with a type-I branch (HSIC-NPA or
-    HSIC-PA) that share β and ε_m, visited at rising ρ_n.  Write
+    The sweep is HSIC-NPA and HSIC-PA cells (``npa`` and ``pa`` say which
+    it has) that share β and ε_m, visited at rising ρ_n; a draw settles
+    only where its outcome is fixed in each of them.  Write
     a = r g_m/ε_m, c = a - βg_n and d = β²g_n/(1 - 2β), where
     r <= ρ_m/ρ_n at every SNR of the sweep.  In exact arithmetic a draw
     is type I when ρ_n c >= 1, since τ >= ρ_n a - 1 >= b then, and a
@@ -294,8 +328,8 @@ class SettleCertificate(NamedTuple):
     overflows or underflows, which holds for ρ_n <= 1e100 and gains
     below 1e50 (sampled gains stay below 40).
 
-    HSIC-NPA has two more fates and HSIC-PA one; ``k_w``, ``k_l`` and
-    ``k_q`` are None for HSIC-PA, and ``k_x`` for HSIC-NPA.  Write
+    Both schemes can be won for good, HSIC-NPA's draws can also sit in
+    the floor cone, and HSIC-PA's can adapt and win.  Write
     x = ρ_m g_m, y = ρ_n g_n, S = 1 - 2β + β²y + (1 - β)x and
     W = β²y - (1 - β)x - (1 - 2β), and r⁺ >= ρ_m/ρ_n >= r⁻ at every
     SNR of the sweep (r⁻ is r).  For y > 0 a type-II draw loses iff
@@ -311,6 +345,13 @@ class SettleCertificate(NamedTuple):
       type-I gap y(β²y - 1 + 2β) >= yW are both at least
       0.99δ(1 - 2β)y/(1 + y) relative to the test's sides (at least
       3e-12 with 1 - 2β >= 1e-3), against rounding of at most 12u.
+      HSIC-PA's first-stage branch forms HSIC-NPA's factor fs with the
+      same operations.  In its adapting branch the kernel's
+      τ·(1 + x) >= b gives fl(1 + τ) >= fs(1 - 4u), so the loss test's
+      product is at least 1 - 6u times the first-stage one, well inside
+      the gap: the test marks an HSIC-PA win in every branch.  Its γ still moves
+      with the branch and ρ_n, so ``settled`` marks it for HSIC-PA only
+      with ``passing``.
     - The floor cone: k_o g_m <= g_n, k_q g_n <= g_m and g_n >= δ/ρ_n.
       The first gives x/ε_m <= b/(1 + δ), so at every SNR the kernel's
       τ is at most x/ε_m(1 + 3u) - 1 + u and its b at least b(1 - 2u):
@@ -323,13 +364,15 @@ class SettleCertificate(NamedTuple):
       12u: with y a few ulps, 1 + b and 1 + y round to neighbouring
       floats and a draw of the cone can win.  No test depends on ρ_n
       but the third, which only strengthens as ρ_n grows.
+      On a sweep with HSIC-PA cells a cone draw settles only where it
+      also passes the adapting fate's tests.
     - Zero gains: g_n = 0 fails the third test and g_m = 0 < g_n the
       second, so those draws stay live; the kernel finds the all-zero
       draw type I and losing (1·1 <= 1).
 
-    HSIC-PA's fate is over, adapting and winning.  Such a draw's
+    HSIC-PA's own fate is over, adapting and winning.  Such a draw's
     γ = τ/b still moves with ρ_n, so ``settled`` marks it only with
-    ``adapting``, for sweeps whose later cells form γ by
+    ``passing``, for sweeps whose later cells form γ by
     ``DrawKernel.gamma_pass``.  Write T = x/ε_m, so that an adapting
     draw has τ = T - 1 and the rate factor 1 + τ; A = (1 - δ)ρ_n a,
     X = r⁻ρ_n g_m and B = βρ_n g_n.  The tests are
@@ -353,9 +396,11 @@ class SettleCertificate(NamedTuple):
     - Winning: likewise T(1 + b) >= (1 + 1.98δ)(1 + y) at every later
       cell, while the kernel's (1 + τ)(1 + b) is at least
       T(1 + b)(1 - 8u) and its 1 + y at most (1 + y)(1 + 2u).
-    - γ: such a draw has τ < b in the kernel's floats, so the pass's
-      min(τ/b, 1) is the kernel's τ/b bit for bit, and a retired type-I
-      winner has τ >= b > 0 (its win test needs g_n > 0), so it gets 1.
+    - γ: ``DrawKernel.gamma_pass`` repeats the kernel's operations up
+      to its adapt test τ·(1 + x) >= b, so it gives the kernel's γ bit
+      for bit wherever b > 0, in any branch.  Every settled draw has
+      b > 0: a type-I winner has y > (1 - 2β)/β², one won for good
+      y > 4(1 - 2β), and an adapting one b > T > 1.
     - Zero gains: g_n = 0 passes the over test only with g_m = 0, where
       the adapting test reads -(1 + δ) >= 0.
     - The products are within 1 + 2δ of at most ρ_m²g_m²/ε_m and
@@ -364,42 +409,42 @@ class SettleCertificate(NamedTuple):
       below 1e50 they stay below 1e300.
     """
 
+    npa: bool       # the sweep has HSIC-NPA cells
+    pa: bool        # the sweep has HSIC-PA cells
     k_a: float      # (1 - δ) r / ε_m
     beta: float
     k_d: float      # β² / (1 - 2β)
-    k_w: float = None   # (1 - δ) β² / (1 - 2β)
-    k_l: float = None   # (1 + δ)(1 - β) r⁺ / (1 - 2β)
-    k_o: float = None   # (1 + δ) r⁺ / (β ε_m)
-    k_q: float = None   # (1 + δ) β² / ((1 - β) r⁻)
-    k_x: float = None   # r⁻
+    k_w: float      # (1 - δ) β² / (1 - 2β)
+    k_l: float      # (1 + δ)(1 - β) r⁺ / (1 - 2β)
+    k_o: float      # (1 + δ) r⁺ / (β ε_m)
+    k_q: float      # (1 + δ) β² / ((1 - β) r⁻)
+    k_x: float      # r⁻, or None where the adapting fate is off
 
     @classmethod
-    def of(cls, cfgs, scheme: Scheme):
+    def of(cls, cfgs, *schemes: Scheme):
         """The certificate of a sweep over ``cfgs``, which share β and
-        ε_m, or None: FSIC has no type-I branch, near β = ½ the win gap
-        is too small, and past ``_SETTLE_MAX_RHO`` products may overflow
-        (for HSIC-PA's fate, past its square)."""
-        beta = cfgs[0].beta
-        if (scheme == Scheme.FSIC or not 1.0 - 2.0 * beta >= _SETTLE_MIN_GAP
+        ε_m, with cells of ``schemes``, or None: FSIC has no type-I
+        branch, near β = ½ the win gap is too small, and past
+        ``_SETTLE_MAX_RHO`` products may overflow (for HSIC-PA's own
+        fate, past its square)."""
+        beta, eps_m = cfgs[0].beta, cfgs[0].eps_m
+        if (Scheme.FSIC in schemes or not 1.0 - 2.0 * beta >= _SETTLE_MIN_GAP
                 or max(cfg.rho_n for cfg in cfgs) > _SETTLE_MAX_RHO):
             return None
         # bounds on every rho_m / rho_n: 8u beyond the least and greatest quotient
         quotients = [cfg.rho_m / cfg.rho_n for cfg in cfgs]
         r = min(quotients) * (1.0 - 2.0 ** -50)
-        cert = cls(k_a=(1.0 - _SETTLE_MARGIN) * r / cfgs[0].eps_m, beta=beta,
-                   k_d=beta ** 2 / (1.0 - 2.0 * beta))
         r_hi = max(quotients) * (1.0 + 2.0 ** -50)
         up, down = 1.0 + _SETTLE_MARGIN, 1.0 - _SETTLE_MARGIN
-        k_o = up * r_hi / (beta * cfgs[0].eps_m)
-        if scheme == Scheme.HSIC_PA:
-            rho_m = max(cfg.rho_m for cfg in cfgs)
-            rho = max(rho_m, max(cfg.rho_n for cfg in cfgs))
-            if rho_m * rho / cfgs[0].eps_m > _SETTLE_MAX_RHO ** 2:
-                return cert
-            return cert._replace(k_o=k_o, k_x=r)
-        return cert._replace(
-            k_w=down * cert.k_d, k_l=up * (1.0 - beta) * r_hi / (1.0 - 2.0 * beta),
-            k_o=k_o, k_q=up * beta ** 2 / ((1.0 - beta) * r))
+        rho_m = max(cfg.rho_m for cfg in cfgs)
+        rho = max(rho_m, max(cfg.rho_n for cfg in cfgs))
+        k_d = beta ** 2 / (1.0 - 2.0 * beta)
+        return cls(
+            npa=Scheme.HSIC_NPA in schemes, pa=Scheme.HSIC_PA in schemes,
+            k_a=down * r / eps_m, beta=beta, k_d=k_d, k_w=down * k_d,
+            k_l=up * (1.0 - beta) * r_hi / (1.0 - 2.0 * beta),
+            k_o=up * r_hi / (beta * eps_m), k_q=up * beta ** 2 / ((1.0 - beta) * r),
+            k_x=r if rho_m * rho / eps_m <= _SETTLE_MAX_RHO ** 2 else None)
 
 
 def rate_factors(cfg: SystemConfig, g_m, g_n, scheme: Scheme):

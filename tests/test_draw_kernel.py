@@ -246,17 +246,25 @@ def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _kernel_rows(monkeypatch, schemes=SCHEMES):
-    """A list that collects the row count of every ``DrawKernel.run`` on
-    one of ``schemes``."""
+    """A list that collects the rows the kernel serves to one of
+    ``schemes``: those of every ``DrawKernel.run`` on it and, for
+    HSIC-NPA, those of every HSIC-NPA verdict read from an HSIC-PA run
+    (``DrawKernel.npa_losses``)."""
     rows = []
-    run = DrawKernel.run
+    run, npa_losses = DrawKernel.run, DrawKernel.npa_losses
 
     def spy(self, cfg, scheme, g_m, g_n, gamma):
         if scheme in schemes:
             rows.append(g_m.size)
         return run(self, cfg, scheme, g_m, g_n, gamma)
 
+    def npa_spy(self):
+        if Scheme.HSIC_NPA in schemes:
+            rows.append(self.lose.size)
+        return npa_losses(self)
+
     monkeypatch.setattr(DrawKernel, "run", spy)
+    monkeypatch.setattr(DrawKernel, "npa_losses", npa_spy)
     return rows
 
 
@@ -396,6 +404,15 @@ def test_settled_draws_lose_nowhere_later_in_the_sweep(base, snrs):
     assert marked > 500
 
 
+# the sweeps of the fate tests, from a low SNR to past 100 dB
+FATE_SWEEPS = [
+    (make_cfg(m=2, n=5, R_m=1.0, eta=4.0), (0.0, 10.0, 20.0, 30.0)),
+    (make_cfg(m=3, n=1, R_m=1.5, beta=1.0 / 3.0, eta=7.0), (5.0, 25.0, 45.0)),
+    (make_cfg(M=4, m=1, n=4, R_m=1.5, beta=0.4994, eta=0.2), (20.0, 40.0)),
+    (make_cfg(R_m=1.0, eta=0.7), (100.0, 110.0, 125.0)),
+]
+
+
 def _npa_edge_draws(cfg, rng, size=300):
     """Draws about the HSIC-NPA fates' edges at ``cfg``, a few ulps off
     each: the type-II win edge β²y - (1 - β)x = 1 - 2β and the floor
@@ -419,12 +436,7 @@ def _npa_edge_draws(cfg, rng, size=300):
     return x_all / rho_m, y_all / rho
 
 
-@pytest.mark.parametrize("base, snrs", [
-    (make_cfg(m=2, n=5, R_m=1.0, eta=4.0), (0.0, 10.0, 20.0, 30.0)),
-    (make_cfg(m=3, n=1, R_m=1.5, beta=1.0 / 3.0, eta=7.0), (5.0, 25.0, 45.0)),
-    (make_cfg(M=4, m=1, n=4, R_m=1.5, beta=0.4994, eta=0.2), (20.0, 40.0)),
-    (make_cfg(R_m=1.0, eta=0.7), (100.0, 110.0, 125.0)),
-])
+@pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
 def test_npa_fates_hold_at_every_later_snr(base, snrs):
     """Draws a few ulps about the HSIC-NPA fates' edges: each draw the
     certificate marks at an SNR keeps its outcome in the reference
@@ -475,28 +487,26 @@ def _pa_edge_draws(cfg, rng, size=300):
     return x_all / cfg.rho_m, y_all / cfg.rho_n
 
 
-@pytest.mark.parametrize("base, snrs", [
-    (make_cfg(m=2, n=5, R_m=1.0, eta=4.0), (0.0, 10.0, 20.0, 30.0)),
-    (make_cfg(m=3, n=1, R_m=1.5, beta=1.0 / 3.0, eta=7.0), (5.0, 25.0, 45.0)),
-    (make_cfg(M=4, m=1, n=4, R_m=1.5, beta=0.4994, eta=0.2), (20.0, 40.0)),
-    (make_cfg(R_m=1.0, eta=0.7), (100.0, 110.0, 125.0)),
-])
+@pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
 def test_pa_fates_hold_at_every_later_snr(base, snrs):
-    """Draws a few ulps about the HSIC-PA fate's edges: each draw the
-    certificate marks at an SNR with ``adapting`` is, in the reference
-    kernel's floats there and at every higher SNR, either type I or over
-    and adapting (``adapting_draws`` many), wins, and has the γ of
-    ``DrawKernel.gamma_pass``, min(τ/b, 1), bit for bit."""
+    """Draws a few ulps about the HSIC-PA adapting fate's edges: each draw
+    the certificate marks at an SNR with ``passing``, its won-for-good
+    test off, is, in the reference kernel's floats there and at every
+    higher SNR, either type I or over and adapting (``passed_draws``
+    many), wins, and has the γ of ``DrawKernel.gamma_pass`` bit for
+    bit."""
     rng = np.random.default_rng(9)
     kernel = DrawKernel(CHUNK_ROWS)
     cfgs = [base.with_snr(s) for s in snrs]
-    cert = SettleCertificate.of(cfgs, Scheme.HSIC_PA)
+    # with k_w = 0 no draw passes the won-for-good test, so the marks are
+    # the type-I and adapting tests' own
+    cert = SettleCertificate.of(cfgs, Scheme.HSIC_PA)._replace(k_w=0.0)
     adapting = 0
     for k, cfg in enumerate(cfgs):
         for edges_at in cfgs:
             g_m, g_n = _pa_edge_draws(edges_at, rng)
-            marked = kernel.settled(cert, cfg.rho_n, g_m, g_n, adapting=True).copy()
-            n_adapting = kernel.adapting_draws
+            marked = kernel.settled(cert, cfg.rho_n, g_m, g_n, passing=True).copy()
+            n_adapting = kernel.passed_draws
             g_m, g_n = g_m[marked], g_n[marked]
             for later in cfgs[k:]:
                 factor, branch, gamma = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_PA)
@@ -508,6 +518,115 @@ def test_pa_fates_hold_at_every_later_snr(base, snrs):
                 assert np.array_equal(passed.view(np.int64), gamma.view(np.int64)), (cfg, later)
             adapting += n_adapting
     assert adapting > 500
+
+
+def _first_stage_win_edge_draws(cfg, rng, size=300):
+    """Draws a few ulps about the type-II win edge β²y - (1 - β)x = 1 - 2β
+    (x = ρ_m g_m, y = ρ_n g_n) with x from 1e-3 ε_m to ε_m, where τ = 0
+    and HSIC-PA decodes at the first stage, as HSIC-NPA does."""
+    beta = cfg.beta
+    x = cfg.eps_m * 10.0 ** rng.uniform(-3.0, 0.0, size)
+    y = (1.0 - 2.0 * beta + (1.0 - beta) * x) / beta ** 2
+    y *= 1.0 + rng.uniform(-30.0, 30.0, size) * 2.0 ** -53
+    return x / cfg.rho_m, y / cfg.rho_n
+
+
+@pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
+def test_pa_won_fate_holds_at_every_later_snr(base, snrs):
+    """Draws a few ulps about the HSIC-NPA and the HSIC-PA fates' edges,
+    and about the win edge where HSIC-PA decodes at the first stage:
+    each draw the HSIC-PA certificate marks at an SNR with ``passing``
+    wins in the reference kernel's floats there and at every higher SNR,
+    in whichever branch it is, and ``DrawKernel.gamma_pass`` gives it
+    the reference γ bit for bit.  The won-for-good test adds marks, and
+    the marks take in first-stage and adapting draws as well as type I."""
+    rng = np.random.default_rng(13)
+    kernel = DrawKernel(CHUNK_ROWS)
+    cfgs = [base.with_snr(s) for s in snrs]
+    cert = SettleCertificate.of(cfgs, Scheme.HSIC_PA)
+    branches = np.zeros(4, dtype=int)
+    won = 0
+    for k, cfg in enumerate(cfgs):
+        for edges_at in cfgs:
+            for edge_draws in (_npa_edge_draws, _pa_edge_draws, _first_stage_win_edge_draws):
+                g_m, g_n = edge_draws(edges_at, rng)
+                marked = kernel.settled(cert, cfg.rho_n, g_m, g_n, passing=True).copy()
+                without_won = kernel.settled(cert._replace(k_w=0.0), cfg.rho_n, g_m, g_n,
+                                             passing=True)
+                assert not np.any(without_won & ~marked), cfg
+                won += int(np.count_nonzero(marked & ~without_won))
+                g_m, g_n = g_m[marked], g_n[marked]
+                for later in cfgs[k:]:
+                    factor, branch, gamma = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_PA)
+                    assert not np.any(ref_loss_mask(later, g_n, factor)), (cfg, later)
+                    passed = np.full(g_m.size, np.nan)
+                    kernel.gamma_pass(later, g_m, g_n, passed)
+                    assert np.array_equal(passed.view(np.int64), gamma.view(np.int64)), \
+                        (cfg, later)
+                    branches += np.bincount(branch, minlength=4)
+    assert won > 500
+    assert branches[_B_I] > 100 and branches[_B_II1] > 100 and branches[_B_II2] > 100
+
+
+@pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
+def test_shared_fates_hold_for_both_schemes(base, snrs):
+    """The certificate of a curve with both hybrid schemes marks a draw
+    only where its outcome is fixed in each: without ``passing`` only
+    type-I winners, and with it the draws that win HSIC-PA and keep
+    their HSIC-NPA outcome, at every later SNR, where the ones that lose
+    HSIC-NPA are ``floor_draws`` many."""
+    rng = np.random.default_rng(17)
+    kernel = DrawKernel(CHUNK_ROWS)
+    cfgs = [base.with_snr(s) for s in snrs]
+    cert = SettleCertificate.of(cfgs, Scheme.HSIC_NPA, Scheme.HSIC_PA)
+    floor = 0
+    for k, cfg in enumerate(cfgs):
+        for edges_at in cfgs:
+            for edge_draws in (_npa_edge_draws, _pa_edge_draws):
+                g_m, g_n = edge_draws(edges_at, rng)
+                type_i = kernel.settled(cert, cfg.rho_n, g_m, g_n).copy()
+                assert kernel.floor_draws == 0
+                marked = kernel.settled(cert, cfg.rho_n, g_m, g_n, passing=True).copy()
+                assert not np.any(type_i & ~marked), cfg
+                factor, branch, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
+                assert np.all(branch[type_i] == _B_I), cfg
+                assert not np.any(ref_loss_mask(cfg, g_n, factor)[type_i]), cfg
+                g_m, g_n = g_m[marked], g_n[marked]
+                factor, _, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
+                lost = ref_loss_mask(cfg, g_n, factor)
+                assert np.count_nonzero(lost) == kernel.floor_draws, cfg
+                floor += kernel.floor_draws
+                for later in cfgs[k:]:
+                    factor, _, _ = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_NPA)
+                    assert np.array_equal(ref_loss_mask(later, g_n, factor), lost), \
+                        (cfg, later)
+                    factor, _, _ = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_PA)
+                    assert not np.any(ref_loss_mask(later, g_n, factor)), (cfg, later)
+    assert floor > 100
+
+
+def test_npa_verdict_of_a_pa_run_matches_its_own_run_on_ties():
+    """``npa_losses`` after an HSIC-PA run, whole or gathered, counts what
+    ``run(HSIC_NPA)`` finds on the same draws: per tie draw, and per
+    chunk of a block with the ties in it."""
+    kernel, own = DrawKernel(CHUNK_ROWS), DrawKernel(CHUNK_ROWS)
+    for k, cfg in enumerate(_cfgs()):
+        for g_m, g_n in _tie_draws(cfg):
+            g_m, g_n = np.array([g_m]), np.array([g_n])
+            own.run(cfg, Scheme.HSIC_NPA, g_m, g_n, np.empty(1))
+            kernel.run(cfg, Scheme.HSIC_PA, g_m, g_n, np.empty(1))
+            assert kernel.npa_losses() == int(own.lose[0]), (cfg, g_m, g_n)
+        g_m, g_n = _block_with_ties(cfg, k)
+        gamma = np.empty(g_m.size)
+        for lo in range(0, g_m.size, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, g_m.size)
+            own.run(cfg, Scheme.HSIC_NPA, g_m[lo:hi], g_n[lo:hi], gamma[lo:hi])
+            want = int(np.count_nonzero(own.lose))
+            kernel.run(cfg, Scheme.HSIC_PA, g_m[lo:hi], g_n[lo:hi], gamma[lo:hi])
+            assert kernel.npa_losses() == want, cfg
+            at = np.arange(hi - 1, lo - 1, -1, dtype=np.int32)
+            kernel.run_at(cfg, Scheme.HSIC_PA, g_m, g_n, gamma, at)
+            assert kernel.npa_losses() == want, cfg
 
 
 def test_certificate_is_off_where_it_cannot_hold():
@@ -538,12 +657,11 @@ def test_fig1_sweep_runs_the_kernel_on_few_draws(monkeypatch):
     assert sum(rows) <= 0.45 * len(cells) * trials
 
 
-def test_fig3a_sweep_settles_nothing(monkeypatch):
-    """fig3a's m1 curve (η = 7): almost no draw is type I and winning,
-    and up to 15 dB too few adapt and win for the γ pass, so there the
-    kernel sees every draw of every cell; from 20 dB the adapting
-    winners retire, and the whole curve's rows fall below 85% of
-    cells x trials."""
+def test_fig3a_sweep_runs_the_kernel_on_few_draws(monkeypatch):
+    """fig3a's m1 curve (η = 7): almost no draw is type I and winning, but
+    from 5 dB most draws have won for good or adapt and win, retire and
+    get γ from the pass; the kernel sees every draw only at 0 dB, and the
+    whole curve's rows fall below 15% of cells x trials."""
     trials = 200_000
     cells, spec = _preset_cells("fig3a", "m1")
     rows = {}
@@ -555,17 +673,16 @@ def test_fig3a_sweep_settles_nothing(monkeypatch):
 
     monkeypatch.setattr(DrawKernel, "run", spy)
     mc_summary(cells, trials, spec.seed)
-    early = [cfg.rho_n for cfg, _ in cells if cfg.rho_n <= 10.0 ** 1.5]
-    assert len(early) == 4
-    assert sum(rows[rho] for rho in early) == len(early) * trials
-    assert sum(rows.values()) <= 0.85 * len(cells) * trials
+    rhos = sorted({cfg.rho_n for cfg, _ in cells})
+    assert rhos[0] == 1.0 and rows[rhos[0]] == trials
+    assert sum(rows.values()) <= 0.15 * len(cells) * trials
 
 
 def test_fig5a_npa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
-    """fig5a's eta4 curve, where no draw is type I and winning: HSIC-NPA
-    draws that have won or sit in the floor cone retire, so its kernel
-    sees at most 30% of cells x trials, in chunks of at most
-    ``CHUNK_ROWS``."""
+    """fig5a's eta4 curve, where no draw is type I and winning: draws that
+    have won, or sit in the floor cone and adapt and win HSIC-PA, retire,
+    so the kernel serves HSIC-NPA at most 30% of cells x trials, in
+    chunks of at most ``CHUNK_ROWS``."""
     trials = 200_000
     cells, spec = _preset_cells("fig5a", "eta4")
     rows = _kernel_rows(monkeypatch, (Scheme.HSIC_NPA,))
@@ -576,10 +693,9 @@ def test_fig5a_npa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
 
 
 def test_fig5a_pa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
-    """fig5a's eta4 curve: from 20 dB most HSIC-PA draws are over,
-    adapting and winning, retire and get γ from the pass, so its kernel
-    sees at most 50% of cells x trials, in chunks of at most
-    ``CHUNK_ROWS``."""
+    """fig5a's eta4 curve: from 10-15 dB most HSIC-PA draws have won for
+    good, retire and get γ from the pass, so its kernel sees at most 50%
+    of cells x trials, in chunks of at most ``CHUNK_ROWS``."""
     trials = 200_000
     cells, spec = _preset_cells("fig5a", "eta4")
     rows = _kernel_rows(monkeypatch, (Scheme.HSIC_PA,))
@@ -595,5 +711,5 @@ def test_presets_tally_alike_without_certificates(monkeypatch):
     specs = [SweepSpec.from_dict({**raw, "methods": ["mc"], "trials": 20_000})
              for figure in FIGURES for raw in load_preset(figure)["sweeps"]]
     want = [run_sweep(spec) for spec in specs]
-    monkeypatch.setattr(SettleCertificate, "of", lambda cfgs, scheme: None)
+    monkeypatch.setattr(SettleCertificate, "of", lambda cfgs, *schemes: None)
     assert [run_sweep(spec) for spec in specs] == want

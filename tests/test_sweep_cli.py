@@ -428,6 +428,18 @@ def test_cli_non_finite_inputs_are_config_errors(tmp_path):
                and r["value"] is None for r in rows[2:])
 
 
+def test_cli_refuses_an_r_m_whose_target_sinr_rounds_to_zero(tmp_path):
+    # 2^1e-17 rounds to 1, so ε_m = 2^R_m - 1 is 0 and the thresholds
+    # divide by it; 2^1e-15 does not, and that spec still runs
+    for i, (R_m, code) in enumerate(((1e-17, EXIT_CONFIG), (1e-15, EXIT_OK))):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(dict(_to_dict(_spec()), R_m=R_m)))
+        out = tmp_path / f"o{i}.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
+    assert len(out.read_text().splitlines()) == 1 + 4
+
+
 def test_overflowing_curves_fail_their_row_without_a_warning(tmp_path):
     # at R_m = 1000 back-substitution curves overflow to inf, which checks
     # nothing; that fails the row, silently, not the run
