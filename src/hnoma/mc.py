@@ -66,32 +66,9 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     frame (T = 1), so ``energy_mean`` is formed from ``gamma_mean``; it is
     exactly 2 β ρ_n off HSIC-PA.  Returns one summary dict per cell.
 
-    Draws settle along a curve.  The HSIC-NPA and HSIC-PA cells that
-    share (β, R_m, η) form one curve (FSIC's cells another, where nothing
-    settles), visited in ascending ρ_n with one kernel run per SNR: an
-    HSIC-PA run leaves in its buffers all that HSIC-NPA's verdict needs
-    (``DrawKernel.npa_losses``).  Once ``schemes.SettleCertificate``
-    (which gives the floating-point argument) shows a draw's outcome
-    fixed in each scheme of the curve for every later cell, the kernel
-    no longer runs on it.  A draw that is type I and winning has no
-    loss, no contended loss and γ = 1 there; a draw that has won for
-    good has no loss in either scheme; an HSIC-NPA draw in the floor
-    cone loses, so the count of those retired so far is added to each
-    later HSIC-NPA cell's hits; and an HSIC-PA draw that is over,
-    adapting and winning has no loss and no contended loss.  Once at
-    most half of a block's first 4,096 draws are live, at an SNR with
-    more to follow, one certificate pass builds an int32 index of the
-    live draws (4 bytes each, at most 2 MB per 10^6-draw block), which
-    is compacted in place at each later SNR, and the kernel runs on
-    ``CHUNK_ROWS`` gathers of it and scatters their γ into the
-    block-length γ buffer.  An HSIC-PA draw's γ moves with its branch
-    and ρ_n unless it is type I, so settled draws keep γ = 1.0 there
-    until a quarter of the 4,096 draws are winners that only the γ pass
-    can retire; from then on every HSIC-PA winner whose loss is fixed
-    retires, and each HSIC-PA cell with an index first fills the whole
-    buffer with the kernel's γ in one contiguous pass
-    (``DrawKernel.gamma_pass``).  So every count and every pairwise γ
-    sum is that of the kernel over the whole block.
+    The cells are tallied along curves, on the draws whose outcome is
+    not yet fixed (see ``tally``); every count and every pairwise γ sum
+    is that of the kernel over the whole block.
     """
     cells = [(cfg, Scheme(scheme)) for cfg, scheme in cells]
     if not cells:

@@ -132,11 +132,14 @@ class DrawKernel:
 
     def run_at(self, cfg: SystemConfig, scheme: Scheme, g_m, g_n, gamma, at) -> None:
         """``run`` on the draws ``g_m[at]``, ``g_n[at]`` (at most ``rows``
-        of them), with HSIC-PA's γ scattered into ``gamma[at]``.
-
-        The draws are gathered into the kernel's own buffers, so a gather
-        needs no memory of its own.
+        of them), with HSIC-PA's γ in ``gamma[at]``.  ``at`` is a slice,
+        whose views ``run`` reads and writes, or an int32 index, whose
+        draws are gathered into the kernel's own buffers (so a gather
+        needs no memory of its own) and whose γ is scattered.
         """
+        if isinstance(at, slice):
+            self.run(cfg, scheme, g_m[at], g_n[at], gamma[at])
+            return
         n = at.size
         tau, denom, rhs = (self._reals[k][:n] for k in (0, 1, 7))
         # the positions are in range; "wrap" skips a buffered bounds check
@@ -168,34 +171,36 @@ class DrawKernel:
         np.less_equal(product, rhs, out=hit)
         return int(np.count_nonzero(hit))
 
-    def settled(self, cert: SettleCertificate, rho_n: float, g_m, g_n, at=None,
+    def settled(self, cert: SettleCertificate, rho_n: float, g_m, g_n, at=slice(None),
                 passing: bool = False):
-        """Mask of the draws (of ``g_m[at]``, ``g_n[at]`` with ``at``) whose
-        outcome ``cert`` shows fixed, in every scheme of its sweep, at
-        ``rho_n`` and at every higher SNR of the sweep.  A draw that is
-        type I and winning is settled in both schemes: ``run`` finds no
-        loss, no contended loss and γ = 1.  HSIC-NPA's other fates are won
-        for good, where ``run`` finds no loss, and the floor cone, where it
-        finds one.  HSIC-PA's other fates count only with ``passing``, for
-        sweeps whose later cells form γ by ``gamma_pass``: won for good, in
-        any branch, or over, adapting and winning, where ``run`` finds no
-        loss and no contended loss.  On a sweep of both schemes a
-        floor-cone draw is settled only where it also adapts and wins.
-        ``floor_draws`` is set to the number of floor-cone draws in the
-        mask, ``passed_draws`` to the number that are in it only by
-        ``passing``.
+        """Mask of the draws ``g_m[at]``, ``g_n[at]`` (``at`` as in
+        ``run_at``) whose outcome ``cert`` shows fixed, in every scheme of its
+        sweep, at ``rho_n`` and at every higher SNR of the sweep.  A draw that
+        is type I and winning is settled in both schemes: ``run`` finds no
+        loss, no contended loss and γ = 1.  HSIC-NPA's other fates are won for
+        good, where ``run`` finds no loss, and the floor cone, where it finds
+        one.  HSIC-PA's other fates count only with ``passing``, for sweeps
+        whose later cells form γ by ``gamma_pass``: won for good, in any
+        branch, or over, adapting and winning, where ``run`` finds no loss and
+        no contended loss.  On a sweep of both schemes a floor-cone draw is
+        settled only where it also adapts and wins.  ``floor_draws`` is set to
+        the number of floor-cone draws in the mask, ``passed_draws`` to the
+        number that are in it only by ``passing``.
 
         The mask is a view onto the kernel's buffers, like the results of
         ``run``, and valid until the next ``run`` or ``settled``, which
         both reuse them.  See ``SettleCertificate`` for the tests and
         their floating-point argument.
         """
-        n = g_m.size if at is None else at.size
+        gathered = not isinstance(at, slice)
+        n = at.size if gathered else g_m[at].size
         c, bg, s, q, a, b = (r[:n] for r in self._reals[:6])
         out, fate, won, wins = (m[:n] for m in self._masks)
-        if at is not None:
+        if gathered:
             g_m = np.take(g_m, at, out=c, mode="wrap")
             g_n = np.take(g_n, at, out=bg, mode="wrap")
+        else:
+            g_m, g_n = g_m[at], g_n[at]
         self.floor_draws = self.passed_draws = 0
         passing = passing and cert.pa
         won_for_good = passing or not cert.pa

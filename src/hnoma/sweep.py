@@ -77,6 +77,8 @@ class SweepSpec:
                     f"underperformance supports only mc/numeric-integration, got {bad}")
         if MC in self.methods and self.trials < 1:
             raise InvalidConfigError("trials must be >= 1 when mc is requested")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed={self.seed} must be >= 0")
         # base config validation (field types, ranks, rates, beta)
         self.config_at(self.snr_db[0])
 

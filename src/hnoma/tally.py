@@ -1,6 +1,21 @@
 """The Monte Carlo tally of one gain block: the per-draw kernel over the
-cells of a curve, run only on the draws whose outcome is not yet fixed
-(see ``mc.mc_summary`` and ``schemes.SettleCertificate``)."""
+cells of a curve, in ascending ρ_n.  A draw retires, and the kernel no
+longer runs on it, once ``schemes.SettleCertificate`` shows its outcome
+fixed at this step and every later one, in each scheme of the curve.
+
+While a curve has no index, each step with a later one probes the block's
+first ``_PROBE_ROWS`` draws.  HSIC-PA's fates other than type I
+(``passing``) switch on once ``1/_PASS_SHARE`` of the probe are winners
+that only they retire, and once at most half of it is live one retire pass
+builds an int32 index of the live draws; the probe then stops, and each
+later step compacts the index in place with the same pass.  The kernel
+runs on ``CHUNK_ROWS`` slices of the block, or pieces of the index once
+there is one.  Floor-cone draws retired so far count as an HSIC-NPA loss
+at each later step.  Each HSIC-PA step with an index first writes every
+draw's γ in one contiguous pass (``DrawKernel.gamma_pass`` when passing,
+else 1, since only type-I winners retire), then the kernel overwrites the
+live draws' γ: every count and pairwise γ sum is the whole-block kernel's.
+"""
 
 from __future__ import annotations
 
@@ -20,13 +35,10 @@ _PASS_SHARE = 4
 
 
 def tally_chunk(kernel: DrawKernel, cfg: SystemConfig, scheme: Scheme,
-                g_m, g_n, gamma, want_pt: bool, at=None):
-    """``(hits, pt_hits)`` of one chunk of draws, or of the draws ``at``;
+                g_m, g_n, gamma, want_pt: bool, at=slice(None)):
+    """``(hits, pt_hits)`` of the draws ``at`` (see ``DrawKernel.run_at``);
     γ goes into ``gamma``."""
-    if at is None:
-        kernel.run(cfg, scheme, g_m, g_n, gamma)
-    else:
-        kernel.run_at(cfg, scheme, g_m, g_n, gamma, at)
+    kernel.run_at(cfg, scheme, g_m, g_n, gamma, at)
     hits = int(np.count_nonzero(kernel.lose))
     # the contended positive-cap loss: losing, not type I, tau > 0
     return hits, kernel.contended_losses() if want_pt else 0
@@ -45,59 +57,36 @@ def curves(cells) -> list:
             for steps in groups.values()]
 
 
-def _live_index(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
-                gamma, passing: bool):
-    """Positions (int32, exactly sized) of the block's draws that are not
-    settled at ``rho_n``, and how many of the settled ones lose for good
-    (the floor cone).  The certificate runs once: its mask goes into the
-    bytes of ``gamma``, which HSIC-PA overwrites next and HSIC-NPA never
-    reads, and the index is counted and read from there."""
-    mask = gamma.view(np.bool_)[:g_m.size]
-    starts = range(0, g_m.size, CHUNK_ROWS)
-    floor = 0
-    for lo in starts:
-        hi = lo + CHUNK_ROWS
-        settled = kernel.settled(cert, rho_n, g_m[lo:hi], g_n[lo:hi], passing=passing)
-        np.logical_not(settled, out=mask[lo:hi])
-        floor += kernel.floor_draws
-    live = np.empty(np.count_nonzero(mask), dtype=np.int32)
-    end = 0
-    for lo in starts:
-        at = np.flatnonzero(mask[lo:lo + CHUNK_ROWS])
-        np.add(at, lo, out=live[end:end + at.size], casting="unsafe")
-        end += at.size
-    return live, floor
+def _chunks(size: int, live) -> list:
+    """A step's chunks of a block of ``size`` draws: ``CHUNK_ROWS`` slices
+    while there is no index (``live`` None), pieces of the index after."""
+    if live is None:
+        return [slice(lo, min(lo + CHUNK_ROWS, size)) for lo in range(0, size, CHUNK_ROWS)]
+    return [live[lo:lo + CHUNK_ROWS] for lo in range(0, live.size, CHUNK_ROWS)]
 
 
 def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
-            live, gamma, passing: bool):
-    """Drop the draws settled at ``rho_n`` from ``live``, in place, and
-    give them γ = 1 in ``gamma`` (unless None); returns the live prefix
-    and how many of the dropped draws lose for good."""
+            live, passing: bool):
+    """The int32 positions of the draws of ``live`` (the whole block when
+    None; an index is compacted in place) not settled at ``rho_n``, and
+    how many of the settled ones lose for good."""
+    out = np.empty(g_m.size, dtype=np.int32) if live is None else live
     end = floor = 0
-    for lo in range(0, live.size, CHUNK_ROWS):
-        at = live[lo:lo + CHUNK_ROWS]
+    for at in _chunks(g_m.size, live):
         settled = kernel.settled(cert, rho_n, g_m, g_n, at, passing)
         floor += kernel.floor_draws
-        if gamma is not None:
-            gamma[at[settled]] = 1.0
-        kept = np.compress(np.logical_not(settled, out=settled), at)
-        live[end:end + kept.size] = kept   # after the copy: the two may overlap
+        positions = np.arange(at.start, at.stop, dtype=np.int32) if live is None else at
+        kept = np.compress(np.logical_not(settled, out=settled), positions)
+        out[end:end + kept.size] = kept   # after the copy: the two may overlap
         end += kept.size
-    return live[:end], floor
+    return out[:end], floor
 
 
 def tally_curve(kernel: DrawKernel, curve, g_m, g_n, gamma, want_pt: bool):
-    """Tally one block for the cells of one curve (see ``curves``), one
-    kernel run per step and chunk, only on the draws not yet settled for
-    every scheme of the curve.  A step with both HSIC-NPA and HSIC-PA
-    cells runs HSIC-PA, and its buffers give HSIC-NPA's verdict too
-    (``DrawKernel.npa_losses``).  Draws retired in the floor cone count
-    as an HSIC-NPA loss at every later step.  HSIC-PA draws other than
-    type-I winners retire once the probe finds enough of them: from then
-    on each HSIC-PA step with an index forms the whole block's γ by
-    ``DrawKernel.gamma_pass`` and the kernel overwrites the live draws'
-    γ."""
+    """Tally one block for the cells of one curve (see ``curves`` and the
+    module docstring), one kernel run per step and chunk.  A step with
+    both HSIC-NPA and HSIC-PA cells runs HSIC-PA, and its buffers give
+    HSIC-NPA's verdict too (``DrawKernel.npa_losses``)."""
     schemes = {scheme for _, cells in curve for scheme, _ in cells}
     pa = Scheme.HSIC_PA in schemes
     cert = SettleCertificate.of([cfg for cfg, _ in curve], *schemes)
@@ -105,37 +94,28 @@ def tally_curve(kernel: DrawKernel, curve, g_m, g_n, gamma, want_pt: bool):
     live = None
     floor = 0   # draws retired so far that lose HSIC-NPA at every SNR
     for k, (cfg, cells) in enumerate(curve):
-        probing = cert is not None and k + 1 < len(curve) and (
-            live is None or pa and not passing)
+        probing = live is None and cert is not None and k + 1 < len(curve)
         if probing:
-            probe = kernel.settled(cert, cfg.rho_n, g_m[:_PROBE_ROWS], g_n[:_PROBE_ROWS],
-                                   passing=pa)
+            probe = kernel.settled(cert, cfg.rho_n, g_m, g_n, slice(0, _PROBE_ROWS), pa)
             passing = passing or _PASS_SHARE * kernel.passed_draws >= probe.size
             # the pass's winners count as settled only once it is on
             settled = int(np.count_nonzero(probe)) - (0 if passing else kernel.passed_draws)
-        if live is not None:
-            live, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live,
-                                 gamma if pa and not passing else None, passing)
+        # an index pays for itself only over the SNRs that follow
+        if live is not None or probing and 2 * settled >= probe.size:
+            live, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing)
             floor += lost
-        elif probing and 2 * settled >= probe.size:
-            # an index pays for itself only over the SNRs that follow; it
-            # is built once at most half of the block's first draws are live
-            live, floor = _live_index(kernel, cert, cfg.rho_n, g_m, g_n, gamma, passing)
-            if pa and not passing:
-                gamma.fill(1.0)
         here = {scheme for scheme, _ in cells}
         run = Scheme.HSIC_PA if Scheme.HSIC_PA in here else cells[0][0]
         shared = here == {Scheme.HSIC_NPA, Scheme.HSIC_PA}
         pt = want_pt and run == Scheme.HSIC_PA
-        if run == Scheme.HSIC_PA and passing and live is not None:
-            kernel.gamma_pass(cfg, g_m, g_n, gamma)
+        if run == Scheme.HSIC_PA and live is not None:
+            if passing:
+                kernel.gamma_pass(cfg, g_m, g_n, gamma)
+            else:
+                gamma.fill(1.0)
         hits = pt_hits = npa_hits = 0
-        for lo in range(0, g_m.size if live is None else live.size, CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            chunk_hits, chunk_pt = (
-                tally_chunk(kernel, cfg, run, g_m[lo:hi], g_n[lo:hi], gamma[lo:hi], pt)
-                if live is None else
-                tally_chunk(kernel, cfg, run, g_m, g_n, gamma, pt, live[lo:hi]))
+        for at in _chunks(g_m.size, live):
+            chunk_hits, chunk_pt = tally_chunk(kernel, cfg, run, g_m, g_n, gamma, pt, at)
             hits += chunk_hits
             pt_hits += chunk_pt
             npa_hits += kernel.npa_losses() if shared else chunk_hits

@@ -36,6 +36,8 @@ def run_validation(configs=None, trials: int = 200_000,
     """Run the invariant suite at each config; returns CheckResult rows."""
     if trials < 1:
         raise InvalidConfigError(f"trials={trials} must be >= 1")
+    if seed < 0:
+        raise InvalidConfigError(f"seed={seed} must be >= 0")
     if configs is not None and len(configs) == 0:
         raise InvalidConfigError("empty config list")
     rows = []

@@ -19,7 +19,7 @@ from hnoma.channel import CHUNK_ROWS
 from hnoma.cli import FIGURES, load_preset
 from hnoma.schemes import _B_I, _B_II1, _B_II2, DrawKernel, SettleCertificate, rate_factors
 from hnoma.sweep import SweepSpec, run_sweep
-from hnoma.tally import tally_chunk
+from hnoma.tally import _retire, tally_chunk
 
 from conftest import make_cfg
 from reference import energy_array, ref_loss_mask, ref_rate_factors, ref_tau
@@ -627,6 +627,100 @@ def test_npa_verdict_of_a_pa_run_matches_its_own_run_on_ties():
             at = np.arange(hi - 1, lo - 1, -1, dtype=np.int32)
             kernel.run_at(cfg, Scheme.HSIC_PA, g_m, g_n, gamma, at)
             assert kernel.npa_losses() == want, cfg
+
+
+def _chunk_forms(lo, hi):
+    """The draws lo..hi as a slice and as an int32 index."""
+    return slice(lo, hi), np.arange(lo, hi, dtype=np.int32)
+
+
+def test_run_at_a_slice_or_an_index_matches_run_on_the_views():
+    """``run_at`` with a slice, and with the int32 index of the same
+    draws, leaves the factor, loss mask and γ of ``run`` on the views, bit
+    for bit."""
+    kernel = DrawKernel(CHUNK_ROWS)
+    for k, cfg in enumerate(_cfgs()):
+        g_m, g_n = _block_with_ties(cfg, k)
+        for scheme in SCHEMES:
+            for lo in range(0, g_m.size, CHUNK_ROWS):
+                hi = min(lo + CHUNK_ROWS, g_m.size)
+                gamma = np.full(g_m.size, np.nan)
+                kernel.run(cfg, scheme, g_m[lo:hi], g_n[lo:hi], gamma[lo:hi])
+                want = [kernel.factor.tobytes(), kernel.lose.tobytes(), gamma.tobytes()]
+                for at in _chunk_forms(lo, hi):
+                    gamma = np.full(g_m.size, np.nan)
+                    kernel.run_at(cfg, scheme, g_m, g_n, gamma, at)
+                    got = [kernel.factor.tobytes(), kernel.lose.tobytes(), gamma.tobytes()]
+                    assert got == want, (cfg, scheme, at)
+
+
+def _fate_block(cfg, rng):
+    """The HSIC-NPA and HSIC-PA fate edge draws at ``cfg``, repeated over
+    two chunks and a partial third."""
+    (m_npa, n_npa), (m_pa, n_pa) = _npa_edge_draws(cfg, rng), _pa_edge_draws(cfg, rng)
+    reps = 2 * CHUNK_ROWS // (m_npa.size + m_pa.size) + 1
+    return (np.tile(np.concatenate([m_npa, m_pa]), reps),
+            np.tile(np.concatenate([n_npa, n_pa]), reps))
+
+
+def _fate_certificates(cfgs):
+    return [SettleCertificate.of(cfgs, *schemes)
+            for schemes in ((Scheme.HSIC_NPA,), (Scheme.HSIC_PA,),
+                            (Scheme.HSIC_NPA, Scheme.HSIC_PA))]
+
+
+@pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
+def test_settled_at_a_slice_or_an_index_matches_the_views(base, snrs):
+    """``settled`` with a slice, and with the int32 index of the same
+    draws, gives the mask, ``floor_draws`` and ``passed_draws`` it gives
+    on the views, bit for bit."""
+    rng = np.random.default_rng(11)
+    kernel = DrawKernel(CHUNK_ROWS)
+    cfgs = [base.with_snr(s) for s in snrs]
+    for cert in _fate_certificates(cfgs):
+        for cfg in cfgs:
+            g_m, g_n = _fate_block(cfg, rng)
+            for passing in (False, True):
+                for lo in range(0, g_m.size, CHUNK_ROWS):
+                    hi = min(lo + CHUNK_ROWS, g_m.size)
+                    mask = kernel.settled(cert, cfg.rho_n, g_m[lo:hi], g_n[lo:hi],
+                                          passing=passing)
+                    want = (mask.tobytes(), kernel.floor_draws, kernel.passed_draws)
+                    for at in _chunk_forms(lo, hi):
+                        mask = kernel.settled(cert, cfg.rho_n, g_m, g_n, at, passing)
+                        got = (mask.tobytes(), kernel.floor_draws, kernel.passed_draws)
+                        assert got == want, (cfg, cert, passing, at)
+
+
+@pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
+def test_retire_builds_and_compacts_the_live_index(base, snrs):
+    """``_retire`` without an index gives the int32 positions of the
+    unsettled draws, ``np.flatnonzero`` of a whole-block ``settled`` mask,
+    and the floor count of that call; compacting the index of every draw,
+    or of a subset, in place gives the same result on those draws."""
+    rng = np.random.default_rng(13)
+    kernel = DrawKernel(CHUNK_ROWS)
+    cfgs = [base.with_snr(s) for s in snrs]
+    settled = floor = 0
+    for cert in _fate_certificates(cfgs):
+        for cfg in cfgs:
+            g_m, g_n = _fate_block(cfg, rng)
+            whole = DrawKernel(g_m.size)
+            subset = np.flatnonzero(rng.random(g_m.size) < 0.7).astype(np.int32)
+            for passing in (False, True):
+                mask = whole.settled(cert, cfg.rho_n, g_m, g_n, passing=passing)
+                want = np.flatnonzero(~mask).astype(np.int32), whole.floor_draws
+                for live in (None, np.arange(g_m.size, dtype=np.int32)):
+                    got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing)
+                    assert got.dtype == np.int32
+                    assert np.array_equal(got, want[0]) and lost == want[1], (cfg, cert)
+                mask = whole.settled(cert, cfg.rho_n, g_m[subset], g_n[subset], passing=passing)
+                got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, subset.copy(), passing)
+                assert np.array_equal(got, subset[~mask]), (cfg, cert)
+                assert lost == whole.floor_draws, (cfg, cert)
+                settled += g_m.size - want[0].size
+                floor += want[1]
+    assert settled > 0 and floor > 0
 
 
 def test_certificate_is_off_where_it_cannot_hold():

@@ -532,6 +532,28 @@ def test_cli_validate_rejects_nonpositive_trials(monkeypatch):
         run_validation(trials=0)
 
 
+def test_cli_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # numpy's SeedSequence takes only non-negative seeds: each command
+    # refuses a negative one before it writes or validates anything
+    def no_work(cfg, *args, **kwargs):
+        raise AssertionError("validation ran before rejecting the seed")
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**_to_dict(_spec()), "seed": -5}))
+    out = tmp_path / "new" / "x.csv"
+    assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.parent.exists()
+    figs = tmp_path / "figs"
+    assert main(["figure", "fig1", "--seed", "-1", "--trials", "100",
+                 "--out", str(figs)]) == EXIT_CONFIG
+    assert not figs.exists()
+    monkeypatch.setattr(hnoma.validate, "p_t_exact", no_work)
+    assert main(["validate", "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("seed=-") == 3
+    with pytest.raises(InvalidConfigError):
+        run_validation(seed=-1)
+
+
 def test_validation_negative_control_names_invariant(monkeypatch):
     # corrupting a derived constant must trip a named check; shrink the
     # crossing point (inflating it only appends zero-mass interval, which
