@@ -6,9 +6,9 @@ from .channel import (OrderPairDensity, mass_lower_interval,
 from .config import InvalidConfigError, SystemConfig, db_to_linear, linear_to_db
 from .estimates import ProbEstimate
 from .exact import (RegimeConstants, compute_constants, eta_thresholds,
-                    exact_pt_terms, p_t_exact, regime_label)
-from .mc import (estimate_coupled, estimate_decomposition, integrate_event,
-                 integrate_events, integrate_underperformance, mc_summary)
+                    p_t_exact, regime_label)
+from .mc import (estimate_decomposition, integrate_event, integrate_events,
+                 integrate_underperformance, mc_summary)
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import (EventRegion, region_contended_loss,
                       region_uncontended_loss, region_underperformance,

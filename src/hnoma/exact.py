@@ -209,12 +209,12 @@ def contended_terms(cfg, base=None, k=None) -> dict:
 
 
 def exact_pt_terms_batch(cfgs, n_c: int = N_C) -> list:
-    """``exact_pt_terms`` of configs that differ only in SNR, each a dict
-    or the error of a config whose constants fail.  One constants pass
-    over a ``_Gathered`` view of the configs gives one cell table whose
-    limits are arrays, and a sub-event is one ``_cell_quadrature`` over
-    the rows whose checks pass, with the curves run on the configs'
-    attributes as columns."""
+    """Each contended-loss sub-event's mass at each config's SNR: a dict
+    per config, or the error of a config whose constants fail.  The
+    configs differ only in SNR.  One constants pass over a ``_Gathered``
+    view of the configs gives one cell table whose limits are arrays, and
+    a sub-event is one ``_cell_quadrature`` over the rows whose checks
+    pass, with the curves run on the configs' attributes as columns."""
     if n_c < 16:
         raise InvalidConfigError(f"n_c={n_c} too small; need >= 16")
     if len({(c.M, c.m, c.n, c.beta, c.R_m, c.eta) for c in cfgs}) > 1:
@@ -238,11 +238,6 @@ def exact_pt_terms_batch(cfgs, n_c: int = N_C) -> list:
         terms[name] = values.tolist()
     return [InvalidConfigError(fault) if fault else {name: v[i] for name, v in terms.items()}
             for i, fault in enumerate(k.fault.tolist())]
-
-
-def exact_pt_terms(cfg: SystemConfig, n_c: int = N_C) -> dict:
-    """Each contended-loss sub-event at the config's SNR."""
-    return raised(*exact_pt_terms_batch([cfg], n_c))
 
 
 def p_t_exact_batch(cfgs, n_c: int = N_C) -> list:

@@ -98,12 +98,6 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     return out
 
 
-def estimate_coupled(cfg: SystemConfig, trials: int, seed: int) -> dict:
-    """Per-scheme estimates on shared draws (exact count dominance)."""
-    summaries = mc_summary([(cfg, s) for s in HNOMA_SCHEMES], trials, seed)
-    return {s: out["estimate"] for s, out in zip(HNOMA_SCHEMES, summaries)}
-
-
 def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
     """Split the power-adaptive loss event into its disjoint sub-events.
 
@@ -146,8 +140,7 @@ def dominance_violations(cfg: SystemConfig, trials: int, seed: int) -> int:
     HSIC-NPA's below FSIC's; the schemes' design makes this zero."""
     viol = 0
     for g_m, g_n in _pair_chunks(cfg, trials, seed):
-        f_fsic, f_npa, f_pa = (rate_factors(cfg, g_m, g_n, s)[0]
-                               for s in HNOMA_SCHEMES)
+        f_fsic, f_npa, f_pa = (rate_factors(cfg, g_m, g_n, s) for s in HNOMA_SCHEMES)
         viol += int(np.count_nonzero(f_pa < f_npa) + np.count_nonzero(f_npa < f_fsic))
     return viol
 
@@ -157,7 +150,6 @@ def dominance_violations(cfg: SystemConfig, trials: int, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 _TAIL = 40.0        # gains beyond it are dropped (mass < e^-40)
-_MAX_DEPTH = 40     # bisection levels of the adaptive rule
 _N_SCAN = 2049      # scan points per grid of the breakpoint search
 _REL_WIDTH = 1e-13  # a breakpoint bracket closes at this width relative to |t|
 # a bracket that has not halved over three steps bisects on the next, so
@@ -386,8 +378,7 @@ def integrate_events(regions, pair: OrderPairDensity, abs_tol: float = 1e-7) -> 
         return np.where(active, mass(pair, t, lo, np.minimum(hi, _TAIL)), 0.0)
 
     values, errs, oks = adaptive_integrate(integrand, np.array(a), np.array(b),
-                                           abs_tol=np.array(tol), max_depth=_MAX_DEPTH,
-                                           initial_panels=8)
+                                           abs_tol=np.array(tol), initial_panels=8)
     values, errs, oks = values.tolist(), errs.tolist(), oks.tolist()
     out = []
     counts = iter(n_segs)

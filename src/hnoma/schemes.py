@@ -24,11 +24,6 @@ class Scheme(str, enum.Enum):
 HNOMA_SCHEMES = (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)
 
 
-# branch codes of ``rate_factors``: not applicable (FSIC), type I, and
-# type II decoded at the first stage (case 1) or at the cap (case 2)
-_B_NA, _B_I, _B_II1, _B_II2 = 0, 1, 2, 3
-
-
 def _select(mask, a, b, out):
     """``out = where(mask, a, b)`` bit for bit, without a per-draw branch.
 
@@ -453,25 +448,11 @@ class SettleCertificate(NamedTuple):
 
 
 def rate_factors(cfg: SystemConfig, g_m, g_n, scheme: Scheme):
-    """Vectorized NOMA-slot decision.
-
-    Returns ``(factor, branch_code, gamma)`` where ``factor`` is the linear
-    rate argument (rate = log2(factor)); ties as in ``DrawKernel``.
-    """
-    scheme = Scheme(scheme)
+    """Vectorized NOMA-slot decision: each draw's linear rate argument
+    (rate = log2(factor)), in the gains' broadcast shape; ties as in
+    ``DrawKernel``."""
     g_m, g_n = np.broadcast_arrays(np.asarray(g_m, dtype=float),
                                    np.asarray(g_n, dtype=float))
-    shape = g_m.shape
     kernel = DrawKernel(g_m.size)
-    gamma = np.ones(g_m.size)
-    kernel.run(cfg, scheme, g_m.reshape(-1), g_n.reshape(-1), gamma)
-    if scheme == Scheme.FSIC:
-        branch = np.full(g_m.size, _B_NA, dtype=np.int8)
-    elif scheme == Scheme.HSIC_NPA:
-        branch = np.where(kernel.over, _B_II1, _B_I).astype(np.int8)
-    else:
-        branch = np.where(kernel.over, np.where(kernel.adapt, _B_II2, _B_II1),
-                          _B_I).astype(np.int8)
-    return (kernel.factor.reshape(shape), branch.reshape(shape),
-            gamma.reshape(shape))
-
+    kernel.run(cfg, Scheme(scheme), g_m.reshape(-1), g_n.reshape(-1), np.empty(g_m.size))
+    return kernel.factor.reshape(g_m.shape)

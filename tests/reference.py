@@ -3,10 +3,13 @@
 None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
 
 - the NOMA-slot decision written step by step, one temporary per step,
-  which the fused ``schemes.DrawKernel`` must match bit for bit, and the
-  per-draw energy array, whose mean ``mc_summary`` forms from that of γ;
-- one-cell wrappers of ``mc_summary`` (``estimate_probability``,
-  ``estimate_pt``);
+  which the fused ``schemes.DrawKernel`` must match bit for bit, the
+  kernel's own factor, branch and γ of given draws
+  (``kernel_rate_factors``), and the per-draw energy array, whose mean
+  ``mc_summary`` forms from that of γ;
+- wrappers of ``mc_summary``: one cell (``estimate_probability``,
+  ``estimate_pt``) and every hybrid-NOMA scheme on shared draws
+  (``estimate_coupled``);
 - per-gain classifiers of the contended-loss sub-events (which bound
   binds at each legacy gain) and the gated region of one sub-event,
   written apart from the branch table of ``exact.contended_terms`` that
@@ -48,12 +51,17 @@ from hnoma.numerics import fejer1_weights
 from hnoma.regions import (Clause, EventRegion, _cap_floor_const, capped_loss,
                            decode_tie, diagonal, first_loss, power_cap,
                            region_contended_loss)
-from hnoma.schemes import _B_I, _B_II1, _B_II2, _B_NA, Scheme
+from hnoma.schemes import HNOMA_SCHEMES, DrawKernel, Scheme
 
 
 # ---------------------------------------------------------------------------
 #  NOMA-slot decision, step by step
 # ---------------------------------------------------------------------------
+
+# branch codes: not applicable (FSIC), type I, and type II decoded at the
+# first stage (case 1) or at the cap (case 2)
+B_NA, B_I, B_II1, B_II2 = 0, 1, 2, 3
+
 
 def ref_tau(cfg, g_m):
     return np.maximum(0.0, cfg.rho_m * np.asarray(g_m, dtype=float) / cfg.eps_m - 1.0)
@@ -67,19 +75,41 @@ def ref_rate_factors(cfg, g_m, g_n, scheme):
     denom = cfg.rho_m * g_m + 1.0
     first_stage = 1.0 + b / denom
     if scheme == Scheme.FSIC:
-        return first_stage, np.full(b.shape, _B_NA, dtype=np.int8), np.ones_like(first_stage)
+        return first_stage, np.full(b.shape, B_NA, dtype=np.int8), np.ones_like(first_stage)
     type_i = b <= tau
     if scheme == Scheme.HSIC_NPA:
         factor = np.where(type_i, 1.0 + b, first_stage)
-        branch = np.where(type_i, _B_I, _B_II1).astype(np.int8)
+        branch = np.where(type_i, B_I, B_II1).astype(np.int8)
         return factor, branch, np.ones_like(factor)
     capped = 1.0 + tau
     case2 = tau * denom >= b
     factor = np.where(type_i, 1.0 + b, np.where(case2, capped, first_stage))
-    branch = np.where(type_i, _B_I, np.where(case2, _B_II2, _B_II1)).astype(np.int8)
+    branch = np.where(type_i, B_I, np.where(case2, B_II2, B_II1)).astype(np.int8)
     gamma = np.ones_like(factor)
     np.divide(tau, b, out=gamma, where=~type_i & case2)
     return factor, branch, gamma
+
+
+def kernel_rate_factors(cfg, g_m, g_n, scheme):
+    """``ref_rate_factors`` read off one run of the library's
+    ``DrawKernel``: its factor, the branch codes from its ``over`` and
+    ``adapt`` masks, and HSIC-PA's γ from its buffer (1 elsewhere), in
+    the gains' broadcast shape."""
+    scheme = Scheme(scheme)
+    g_m, g_n = np.broadcast_arrays(np.asarray(g_m, dtype=float),
+                                   np.asarray(g_n, dtype=float))
+    kernel = DrawKernel(g_m.size)
+    gamma = np.ones(g_m.size)
+    kernel.run(cfg, scheme, g_m.reshape(-1), g_n.reshape(-1), gamma)
+    if scheme == Scheme.FSIC:
+        branch = np.full(g_m.size, B_NA, dtype=np.int8)
+    elif scheme == Scheme.HSIC_NPA:
+        branch = np.where(kernel.over, B_II1, B_I).astype(np.int8)
+    else:
+        branch = np.where(kernel.over, np.where(kernel.adapt, B_II2, B_II1),
+                          B_I).astype(np.int8)
+    return (kernel.factor.reshape(g_m.shape), branch.reshape(g_m.shape),
+            gamma.reshape(g_m.shape))
 
 
 def ref_loss_mask(cfg, g_n, factor):
@@ -110,6 +140,12 @@ def estimate_pt(cfg, trials: int, seed: int):
                       want_pt=True)[0]["pt_estimate"]
 
 
+def estimate_coupled(cfg, trials: int, seed: int) -> dict:
+    """Per-scheme estimates on shared draws (exact count dominance)."""
+    summaries = mc_summary([(cfg, s) for s in HNOMA_SCHEMES], trials, seed)
+    return {s: out["estimate"] for s, out in zip(HNOMA_SCHEMES, summaries)}
+
+
 # ---------------------------------------------------------------------------
 #  Closed-form sub-event masses, one config at a time
 # ---------------------------------------------------------------------------
@@ -135,7 +171,8 @@ def _cell_mass(cfg, cell, n_c: int) -> float:
 
 
 def config_pt_terms(cfg, n_c: int = N_C) -> dict:
-    """``exact.exact_pt_terms`` evaluated for this config alone."""
+    """This config's dict of ``exact.exact_pt_terms_batch``, evaluated
+    for it alone."""
     return {name: _cell_mass(cfg, cell, n_c)
             for name, cell in contended_terms(cfg).items()}
 
@@ -454,7 +491,8 @@ def _cell_mass_expansion(cfg, k: _TermConstants, cell, n_c: int) -> float:
 
 
 def expansion_pt_terms(cfg, n_c: int = N_C) -> dict:
-    """``exact.exact_pt_terms`` through the signed exponential expansion."""
+    """This config's dict of ``exact.exact_pt_terms_batch`` through the
+    signed exponential expansion."""
     k = _term_constants(cfg)
     return {name: _cell_mass_expansion(cfg, k, cell, n_c)
             for name, cell in contended_terms(cfg).items()}

@@ -20,7 +20,8 @@ from hnoma.regions import capped_loss, decode_tie
 from hnoma.schemes import rate_factors
 
 from conftest import SEED, regime_covering_configs
-from reference import energy_array, estimate_probability, fejer_quadrature
+from reference import (energy_array, estimate_probability, fejer_quadrature,
+                       kernel_rate_factors)
 
 TRIALS_BIG = 10_000_000
 
@@ -168,9 +169,9 @@ def test_criterion_7_dominance_and_partition():
         cfg = SystemConfig.make(**params)
         g = sample_gain_matrix(cfg.M, stream(SEED, 100 + k), 1_000_000)
         g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
-        f_fsic, _, _ = rate_factors(cfg, g_m, g_n, Scheme.FSIC)
-        f_npa, _, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
-        f_pa, _, _ = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
+        f_fsic = rate_factors(cfg, g_m, g_n, Scheme.FSIC)
+        f_npa = rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
+        f_pa = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
         violations += int(np.count_nonzero(f_pa < f_npa))
         violations += int(np.count_nonzero(f_npa < f_fsic))
         dec = estimate_decomposition(cfg, 1_000_000, SEED + 100 + k)
@@ -191,7 +192,7 @@ def test_criterion_8_energy_accounting():
         cfg = SystemConfig.make(**params)
         g = sample_gain_matrix(cfg.M, stream(SEED, 100 + k), 1_000_000)
         g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
-        _, _, gamma = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
+        _, _, gamma = kernel_rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
         e_pa = energy_array(cfg, Scheme.HSIC_PA, gamma)
         cap = 2.0 * cfg.beta * cfg.rho_n
         if not (np.all(e_pa <= cap + 1e-12) and cap < cfg.rho_n):

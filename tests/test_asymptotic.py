@@ -5,8 +5,9 @@ import numpy as np
 from scipy import integrate
 
 from hnoma import (OrderPairDensity, SystemConfig, asymptotic_pt_terms,
-                   exact_pt_terms, p_t_asymptotic, p_t_exact)
-from hnoma.exact import compute_constants, contended_terms, eta_thresholds
+                   p_t_asymptotic, p_t_exact)
+from hnoma.exact import (compute_constants, contended_terms, eta_thresholds,
+                         exact_pt_terms_batch)
 
 from conftest import make_cfg, regime_covering_configs
 from reference import cell_leading_terms, joint_pdf_near_zero
@@ -84,7 +85,7 @@ def test_terms_match_exact_at_110_db():
     for cfg in regime_covering_configs(60, seed=41):
         hi = cfg.with_snr(110.0)
         scale = hi.rho_m ** max(cfg.m, cfg.n)
-        exact = exact_pt_terms(hi)
+        exact = exact_pt_terms_batch([hi])[0]
         for name, v in asymptotic_pt_terms(cfg).items():
             assert math.isclose(v, exact[name] * scale, rel_tol=1e-7,
                                 abs_tol=1e-300), (cfg, name)

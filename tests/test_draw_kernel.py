@@ -17,12 +17,13 @@ import hnoma.mc
 from hnoma import ProbEstimate, Scheme, SystemConfig, mc_summary
 from hnoma.channel import CHUNK_ROWS
 from hnoma.cli import FIGURES, load_preset
-from hnoma.schemes import _B_I, _B_II1, _B_II2, DrawKernel, SettleCertificate, rate_factors
+from hnoma.schemes import DrawKernel, SettleCertificate, rate_factors
 from hnoma.sweep import SweepSpec, run_sweep
 from hnoma.tally import _retire, tally_chunk
 
 from conftest import make_cfg
-from reference import energy_array, ref_loss_mask, ref_rate_factors, ref_tau
+from reference import (B_I, B_II1, B_II2, energy_array, kernel_rate_factors,
+                       ref_loss_mask, ref_rate_factors, ref_tau)
 
 SCHEMES = (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)
 
@@ -33,7 +34,7 @@ def _ref_chunk(cfg, scheme, c_m, c_n, want_pt):
     pt_hits = 0
     if want_pt:
         pt_hits = int(np.count_nonzero(
-            lose & (branch != _B_I) & (ref_tau(cfg, c_m) > 0.0)))
+            lose & (branch != B_I) & (ref_tau(cfg, c_m) > 0.0)))
     return int(np.count_nonzero(lose)), pt_hits, gamma
 
 
@@ -75,7 +76,7 @@ def _tie_draws(cfg):
     # edge β²ρ_n g_n - (1 - β)ρ_m g_m = 1 - 2β
     def npa(g_m, g_n):
         factor, branch, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
-        return bool(ref_loss_mask(cfg, g_n, factor)), branch == _B_II1
+        return bool(ref_loss_mask(cfg, g_n, factor)), branch == B_II1
 
     def last_loss(g_m, x):
         (lose, over), (lose_up, over_up) = npa(g_m, x), npa(g_m, np.nextafter(x, np.inf))
@@ -130,7 +131,7 @@ def test_ties_are_on_the_branches_they_claim():
     for cfg in _cfgs():
         ties = _tie_draws(cfg)
         _, branch, _ = ref_rate_factors(cfg, ties[:, 0], ties[:, 1], Scheme.HSIC_PA)
-        assert set(branch.tolist()) >= {_B_I, _B_II2}
+        assert set(branch.tolist()) >= {B_I, B_II2}
 
 
 def test_tally_kernel_matches_reference_on_ties():
@@ -159,11 +160,13 @@ def test_tally_kernel_matches_reference_on_ties():
 def test_rate_factors_matches_reference_on_ties(scheme):
     for k, cfg in enumerate(_cfgs()):
         g_m, g_n = _block_with_ties(cfg, k)
-        factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
+        factor, branch, gamma = kernel_rate_factors(cfg, g_m, g_n, scheme)
         ref_factor, ref_branch, ref_gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
         assert np.array_equal(factor.view(np.int64), ref_factor.view(np.int64))
         assert branch.dtype == np.int8 and np.array_equal(branch, ref_branch)
         assert np.array_equal(gamma.view(np.int64), ref_gamma.view(np.int64))
+        assert np.array_equal(rate_factors(cfg, g_m, g_n, scheme).view(np.int64),
+                              ref_factor.view(np.int64))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -175,11 +178,13 @@ def test_subnormal_gain_raises_no_warning(scheme):
         g_m = np.full(g_n.size, 20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factor, branch, gamma = rate_factors(cfg, g_m, g_n, scheme)
+            factor, branch, gamma = kernel_rate_factors(cfg, g_m, g_n, scheme)
+            production = rate_factors(cfg, g_m, g_n, scheme)
         ref_factor, ref_branch, ref_gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
         assert np.array_equal(factor.view(np.int64), ref_factor.view(np.int64))
         assert np.array_equal(branch, ref_branch)
         assert np.array_equal(gamma.view(np.int64), ref_gamma.view(np.int64))
+        assert np.array_equal(production.view(np.int64), ref_factor.view(np.int64))
 
 
 def _ref_summary(cfg, scheme, blocks, want_pt):
@@ -398,7 +403,7 @@ def test_settled_draws_lose_nowhere_later_in_the_sweep(base, snrs):
             for later in cfgs[k:]:
                 factor, branch, gamma = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_PA)
                 lose = ref_loss_mask(later, g_n, factor)
-                assert np.all(branch[settled] == _B_I), (cfg, later)
+                assert np.all(branch[settled] == B_I), (cfg, later)
                 assert not np.any(lose[settled]), (cfg, later)
                 assert np.all(gamma[settled] == 1.0), (cfg, later)
     assert marked > 500
@@ -458,7 +463,7 @@ def test_npa_fates_hold_at_every_later_snr(base, snrs):
             for later in cfgs[k:]:
                 factor, branch, _ = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_NPA)
                 assert np.array_equal(ref_loss_mask(later, g_n, factor), lost), (cfg, later)
-                assert np.all(branch[lost & (g_n > 0.0)] == _B_II1), (cfg, later)
+                assert np.all(branch[lost & (g_n > 0.0)] == B_II1), (cfg, later)
             won += int(np.count_nonzero(~lost))
             floor += int(np.count_nonzero(lost))
     assert won > 500 and floor > 500
@@ -511,8 +516,8 @@ def test_pa_fates_hold_at_every_later_snr(base, snrs):
             for later in cfgs[k:]:
                 factor, branch, gamma = ref_rate_factors(later, g_m, g_n, Scheme.HSIC_PA)
                 assert not np.any(ref_loss_mask(later, g_n, factor)), (cfg, later)
-                assert np.all((branch == _B_I) | (branch == _B_II2)), (cfg, later)
-                assert np.count_nonzero(branch == _B_II2) == n_adapting, (cfg, later)
+                assert np.all((branch == B_I) | (branch == B_II2)), (cfg, later)
+                assert np.count_nonzero(branch == B_II2) == n_adapting, (cfg, later)
                 passed = np.full(g_m.size, np.nan)
                 kernel.gamma_pass(later, g_m, g_n, passed)
                 assert np.array_equal(passed.view(np.int64), gamma.view(np.int64)), (cfg, later)
@@ -565,7 +570,7 @@ def test_pa_won_fate_holds_at_every_later_snr(base, snrs):
                         (cfg, later)
                     branches += np.bincount(branch, minlength=4)
     assert won > 500
-    assert branches[_B_I] > 100 and branches[_B_II1] > 100 and branches[_B_II2] > 100
+    assert branches[B_I] > 100 and branches[B_II1] > 100 and branches[B_II2] > 100
 
 
 @pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
@@ -589,7 +594,7 @@ def test_shared_fates_hold_for_both_schemes(base, snrs):
                 marked = kernel.settled(cert, cfg.rho_n, g_m, g_n, passing=True).copy()
                 assert not np.any(type_i & ~marked), cfg
                 factor, branch, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
-                assert np.all(branch[type_i] == _B_I), cfg
+                assert np.all(branch[type_i] == B_I), cfg
                 assert not np.any(ref_loss_mask(cfg, g_n, factor)[type_i]), cfg
                 g_m, g_n = g_m[marked], g_n[marked]
                 factor, _, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)

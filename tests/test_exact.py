@@ -6,8 +6,8 @@ import pytest
 from scipy import integrate
 
 from hnoma import (InvalidConfigError, OrderPairDensity, SystemConfig,
-                   compute_constants, estimate_decomposition, exact_pt_terms,
-                   integrate_event, p_t_exact, regime_label)
+                   compute_constants, estimate_decomposition, integrate_event,
+                   p_t_exact, regime_label)
 from hnoma.exact import contended_terms, eta_thresholds, exact_pt_terms_batch
 from hnoma.regions import (_cap_floor_const, capped_loss, decode_tie, first_loss,
                            power_cap)
@@ -141,7 +141,7 @@ def test_gamma1_vs_quadrature_including_extremes():
 
 def test_nc_minimum_enforced():
     with pytest.raises(InvalidConfigError):
-        exact_pt_terms(make_cfg(), n_c=8)
+        exact_pt_terms_batch([make_cfg()], n_c=8)
 
 
 def test_batched_terms_are_the_per_config_terms_bit_for_bit():
@@ -284,7 +284,7 @@ def test_a_batch_row_whose_checks_see_inf_fails_without_a_warning():
 
 def test_terms_match_region_integration_everywhere():
     for cfg in regime_covering_configs(14, seed=5):
-        terms = exact_pt_terms(cfg)
+        terms = exact_pt_terms_batch([cfg])[0]
         pair = OrderPairDensity(cfg.M, cfg.m, cfg.n)
         for name in terms:
             ref = integrate_event(region_contended_bucket(cfg, name), pair,
@@ -298,7 +298,7 @@ def test_decomposition_buckets_match_terms():
     trials = 1_000_000
     for cfg in regime_covering_configs(13, seed=5):
         dec = estimate_decomposition(cfg, trials, SEED)
-        for name, p in exact_pt_terms(cfg).items():
+        for name, p in exact_pt_terms_batch([cfg])[0].items():
             sigma = math.sqrt(p * (1.0 - p) / trials)
             assert abs(dec[name].value - p) <= 4.0 * sigma, (cfg, name)
 
@@ -307,7 +307,7 @@ def test_expansion_engine_agrees_at_moderate_snr():
     # validates the erf/exponential antiderivative algebra of each term
     for cfg in regime_covering_configs(10, seed=9):
         cfg = cfg.with_snr(min(cfg.snr_db, 18.0))
-        t_prod = exact_pt_terms(cfg, n_c=512)
+        t_prod = exact_pt_terms_batch([cfg], n_c=512)[0]
         t_exp = expansion_pt_terms(cfg, n_c=512)
         for name, v in t_prod.items():
             assert abs(v - t_exp[name]) <= 1e-9 + 1e-7 * abs(v), (cfg, name)

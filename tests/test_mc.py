@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hnoma import (OrderPairDensity, ProbEstimate, Scheme, estimate_coupled,
+from hnoma import (OrderPairDensity, ProbEstimate, Scheme,
                    estimate_decomposition, integrate_event,
                    integrate_underperformance, p_t_exact,
                    region_contended_loss, region_underperformance)
@@ -12,8 +12,8 @@ from hnoma.numerics import stream
 from hnoma.schemes import HNOMA_SCHEMES, DrawKernel
 
 from conftest import SEED, make_cfg
-from reference import (clause_bounds, estimate_probability, estimate_pt,
-                       region_contains, region_everything, region_legacy_below)
+from reference import (clause_bounds, estimate_coupled, estimate_probability,
+                       estimate_pt, region_contains, region_everything, region_legacy_below)
 
 
 def test_prob_estimate_invariants():
@@ -105,10 +105,9 @@ def test_decomposition_cells_match_reference_classifiers_draw_for_draw():
     # closed forms' table, the one the per-gain classifiers of
     # ``reference`` name; the decomposition's counts follow draw for draw
     from hnoma.exact import contended_terms
-    from hnoma.schemes import _B_I, _B_II2
     from hnoma.validate import DEFAULT_CONFIGS
     from conftest import regime_covering_configs
-    from reference import (capped_branch_bucket, first_branch_bucket,
+    from reference import (B_I, B_II2, capped_branch_bucket, first_branch_bucket,
                            ref_loss_mask, ref_rate_factors, ref_tau)
 
     trials = 1_000_000
@@ -121,10 +120,10 @@ def test_decomposition_cells_match_reference_classifiers_draw_for_draw():
         factor, branch, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
         lose = ref_loss_mask(cfg, g_n, factor)
         tau = ref_tau(cfg, g_m)
-        contended = lose & (branch != _B_I)
+        contended = lose & (branch != B_I)
         live = contended & (tau > 0.0)
         t, y = g_m[live], g_n[live]
-        capped = branch[live] == _B_II2
+        capped = branch[live] == B_II2
         want = np.where(capped,
                         np.char.add("P_T1_", capped_branch_bucket(cfg, t).astype(str)),
                         np.char.add("P_T2_", first_branch_bucket(cfg, t).astype(str)))
@@ -141,7 +140,7 @@ def test_decomposition_cells_match_reference_classifiers_draw_for_draw():
         assert np.array_equal(got, want), cfg
         checked += t.size
 
-        counts = {"P_I": int(np.count_nonzero(lose & (branch == _B_I)))}
+        counts = {"P_I": int(np.count_nonzero(lose & (branch == B_I)))}
         counts.update((name, int(np.count_nonzero(want == name))) for name in names)
         counts["P_II2"] = int(np.count_nonzero(contended & (tau == 0.0)))
         expected = {k: ProbEstimate.from_counts(v, trials) for k, v in counts.items()}
@@ -178,8 +177,7 @@ def _whole_block_summary(cells, trials, seed, want_pt):
     # mc_summary before its tally was chunked and fused: the step-by-step
     # kernels on whole blocks
     import hnoma.mc
-    from hnoma.schemes import _B_I
-    from reference import ref_loss_mask, ref_rate_factors, ref_tau
+    from reference import B_I, ref_loss_mask, ref_rate_factors, ref_tau
 
     tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0) for _ in cells]
     M, m, n = cells[0][0].M, cells[0][0].m, cells[0][0].n
@@ -195,7 +193,7 @@ def _whole_block_summary(cells, trials, seed, want_pt):
             if want_pt and scheme == Scheme.HSIC_PA:
                 tau = ref_tau(cfg, g_m)
                 tally["pt_hits"] += int(np.count_nonzero(
-                    lose & (branch != _B_I) & (tau > 0.0)))
+                    lose & (branch != B_I) & (tau > 0.0)))
     out = []
     for (cfg, scheme), tally in zip(cells, tallies):
         gamma_mean = tally["gamma_sum"] / trials

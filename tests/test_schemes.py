@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hnoma import Scheme, SystemConfig
 from hnoma.channel import sample_gain_matrix
 from hnoma.numerics import stream
-from hnoma.schemes import _B_I, _B_II2, _B_NA, DrawKernel, rate_factors
+from hnoma.schemes import DrawKernel, rate_factors
 
 from conftest import SEED
-from reference import energy_array
+from reference import B_I, B_II2, B_NA, energy_array, kernel_rate_factors
 
 
 def _cfg_example():
@@ -38,10 +38,12 @@ def _lose(cfg, g_m, g_n, scheme):
 
 
 def _one_draw(cfg, g_m, g_n, scheme):
-    """``rate_factors`` and the kernel's loss test of one draw, as Python
-    scalars: (NOMA-slot rate, branch code, gamma, loses to OMA)."""
+    """``rate_factors``, the kernel's branch and γ, and its loss test of
+    one draw, as Python scalars: (NOMA-slot rate, branch code, gamma,
+    loses to OMA)."""
     g_n = np.array([g_n])
-    factor, branch, gamma = rate_factors(cfg, np.array([g_m]), g_n, scheme)
+    factor = rate_factors(cfg, np.array([g_m]), g_n, scheme)
+    _, branch, gamma = kernel_rate_factors(cfg, np.array([g_m]), g_n, scheme)
     return (float(np.log2(factor[0])), int(branch[0]), float(gamma[0]),
             bool(_lose(cfg, g_m, g_n, scheme)[0]))
 
@@ -58,7 +60,7 @@ def test_power_adaptive_rate_worked_example():
     cfg = _cfg_example()
     rate, branch, gamma, _ = _one_draw(cfg, 1.0, 2.0, Scheme.HSIC_PA)
     assert math.isclose(float(_tau(cfg, 1.0)), 9.0)
-    assert branch == _B_II2
+    assert branch == B_II2
     assert math.isclose(rate, math.log2(10.0))
     assert abs(rate - 3.3219) < 1e-4
     assert math.isclose(gamma, 0.45)
@@ -76,7 +78,7 @@ def test_type_boundary_goes_to_type_i():
     g_n = tau / (cfg.beta * cfg.rho_n)  # received power exactly at the cap
     for scheme in (Scheme.HSIC_PA, Scheme.HSIC_NPA):
         rate, branch, gamma, _ = _one_draw(cfg, g_m, g_n, scheme)
-        assert branch == _B_I
+        assert branch == B_I
         assert math.isclose(rate, math.log2(1.0 + tau))
         assert gamma == 1.0
 
@@ -84,7 +86,7 @@ def test_type_boundary_goes_to_type_i():
 def test_fsic_branch_not_applicable():
     cfg = _cfg_example()
     rate, branch, _, _ = _one_draw(cfg, 1.0, 2.0, Scheme.FSIC)
-    assert branch == _B_NA
+    assert branch == B_NA
     assert math.isclose(rate, math.log2(1.0 + 20.0 / 11.0))
 
 
@@ -132,9 +134,9 @@ def test_rate_dominance_and_energy_over_bulk_draws():
     for k, cfg in enumerate(_random_cfgs(20, 7)):
         g = sample_gain_matrix(cfg.M, stream(SEED, 10 + k), 50_000)
         g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
-        f_fsic, _, _ = rate_factors(cfg, g_m, g_n, Scheme.FSIC)
-        f_npa, _, g_npa = rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
-        f_pa, _, g_pa = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
+        f_fsic = rate_factors(cfg, g_m, g_n, Scheme.FSIC)
+        f_npa, _, g_npa = kernel_rate_factors(cfg, g_m, g_n, Scheme.HSIC_NPA)
+        f_pa, _, g_pa = kernel_rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
         assert np.all(f_pa >= f_npa) and np.all(f_npa >= f_fsic)
         e_pa = energy_array(cfg, Scheme.HSIC_PA, g_pa)
         e_npa = energy_array(cfg, Scheme.HSIC_NPA, g_npa)
@@ -154,8 +156,8 @@ def test_power_adaptation_factor_identity():
     cfg = _cfg_example()
     g = sample_gain_matrix(cfg.M, stream(SEED, 5), 200_000)
     g_m, g_n = g[:, cfg.m - 1], g[:, cfg.n - 1]
-    _, branch, gamma = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
-    case2 = branch == 3
+    _, branch, gamma = kernel_rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
+    case2 = branch == B_II2
     assert np.any(case2)
     tau = _tau(cfg, g_m)
     lhs = gamma[case2] * cfg.beta * cfg.rho_n * g_n[case2]
@@ -177,8 +179,8 @@ def test_rate_dominance_property(beta, R_m, eta, rho_n, g_m, g_n):
                             rho_n=rho_n)
     gm = np.array([g_m])
     gn = np.array([g_n])
-    f_fsic, _, _ = rate_factors(cfg, gm, gn, Scheme.FSIC)
-    f_npa, _, _ = rate_factors(cfg, gm, gn, Scheme.HSIC_NPA)
-    f_pa, _, gamma = rate_factors(cfg, gm, gn, Scheme.HSIC_PA)
+    f_fsic = rate_factors(cfg, gm, gn, Scheme.FSIC)
+    f_npa = rate_factors(cfg, gm, gn, Scheme.HSIC_NPA)
+    f_pa, _, gamma = kernel_rate_factors(cfg, gm, gn, Scheme.HSIC_PA)
     assert f_pa[0] >= f_npa[0] >= f_fsic[0]
     assert 0.0 < gamma[0] <= 1.0

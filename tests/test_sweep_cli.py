@@ -471,7 +471,7 @@ def test_an_snr_whose_constants_fail_fails_only_its_own_row():
 @pytest.mark.parametrize("m, n", [(1, 2), (3, 1)])
 def test_a_sweep_evaluates_each_sub_event_once_for_all_its_snrs(monkeypatch, m, n):
     spec = _spec(m=m, n=n, snr_db=tuple(range(0, 61, 5)), methods=("exact", "asymptotic"))
-    sub_events = len(hnoma.exact.exact_pt_terms(spec.config_at(10)))
+    sub_events = len(hnoma.exact.exact_pt_terms_batch([spec.config_at(10)])[0])
     calls = {"mass": 0, "coefficient": 0, "constants": 0, "label": 0}
 
     def counted(module, name, key):
@@ -605,8 +605,8 @@ def test_multi_block_sweep_matches_one_cell_summaries(monkeypatch):
     # three blocks, the last one partial: every cell must see the same
     # draws in the same block order as a one-cell pass would
     import hnoma.mc
-    from hnoma.mc import estimate_coupled, mc_summary
-    from reference import estimate_pt
+    from hnoma.mc import mc_summary
+    from reference import estimate_coupled, estimate_pt
 
     monkeypatch.setattr(hnoma.mc, "BLOCK_TRIALS", 1_000)
     trials = 2_500
