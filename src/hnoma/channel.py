@@ -48,26 +48,39 @@ def _sort_columns(cols: np.ndarray, low: np.ndarray) -> None:
 
 
 def sample_gain_matrix(M: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized sampler: (size, M) array of ascending ordered gains.
+    """(size, M) array of ascending ordered gains: ``sample_gain_ranks`` of all."""
+    return sample_gain_ranks(M, rng, size, range(1, M + 1))
 
-    The array is column-major (the transpose of an (M, size) array), so
-    the gains of one rank are contiguous.  It is filled ``CHUNK_ROWS``
-    draws at a time in the generator's order, each chunk kept in cache
-    through draw, transform and a sorting network.  The result equals one ``rng.random((size, M))``,
-    transformed and row-sorted, and leaves ``rng`` where that call would.
+
+def sample_gain_ranks(M: int, rng: np.random.Generator, size: int, ranks) -> np.ndarray:
+    """Vectorized sampler: (size, len(ranks)) array whose column k holds
+    the gains of rank ``ranks[k]`` (1-based) of M ascending ordered gains.
+
+    The array is column-major, so the gains of one rank are contiguous.
+    It is filled ``CHUNK_ROWS`` draws at a time in the generator's order,
+    each chunk kept in cache through draw, transform, a sorting network
+    of all M gains and the copy of its ranks.  The result equals those
+    columns of one ``rng.random((size, M))``, transformed and row-sorted,
+    and leaves ``rng`` where that call would.
     """
-    g = np.empty((M, size))
+    rows_of = [r - 1 for r in ranks]
+    every = rows_of == list(range(M))  # then each chunk sorts in place
+    g = np.empty((len(rows_of), size))
     buf = np.empty((CHUNK_ROWS, M))
     low = np.empty(CHUNK_ROWS)
+    sorted_chunk = None if every else np.empty((M, CHUNK_ROWS))
     for start in range(0, size, CHUNK_ROWS):
         rows = buf[:size - start]
         rng.random(out=rows)
         np.negative(rows, out=rows)
         np.log1p(rows, out=rows)
         np.negative(rows, out=rows)
-        cols = g[:, start:start + CHUNK_ROWS]
+        out = g[:, start:start + CHUNK_ROWS]
+        cols = out if every else sorted_chunk[:, :rows.shape[0]]
         np.copyto(cols, rows.T)
         _sort_columns(cols, low)
+        if not every:
+            np.take(cols, rows_of, axis=0, out=out)
     return g.T
 
 

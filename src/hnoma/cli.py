@@ -42,15 +42,14 @@ def _overrides(args) -> dict:
 
 
 def _run_and_write(args, raws, path):
-    """Run the sweep of each raw spec, with the command line's ``--trials``
-    and ``--seed``, and write its rows to ``path(spec)``; yields each path
-    and row count.  Every spec parses before a directory is made."""
+    """Run the raw specs, with the command line's ``--trials`` and ``--seed``,
+    in one ``run_sweep`` call and write each spec's rows to ``path(spec)``;
+    yields each path and row count.  Every spec parses before a directory is made."""
     specs = [replace(_parsed(SweepSpec.from_dict, raw), **_overrides(args))
              for raw in raws]
-    for spec in specs:
+    for spec, rows in zip(specs, run_sweep(specs)):
         out = path(spec)
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        rows = run_sweep(spec)
         write_rows(rows, out, args.format)
         yield out, len(rows)
 

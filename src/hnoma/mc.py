@@ -6,92 +6,80 @@ from functools import cache
 
 import numpy as np
 
-from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,
-                      mass_upper_interval, sample_gain_matrix)
+# sample_gain_matrix is not called here; bench/tracing.py looks it up here
+from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,  # noqa: F401
+                      mass_upper_interval, sample_gain_matrix, sample_gain_ranks)
 from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate, raised
 from .exact import contended_terms
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import EventRegion, _Gathered, diagonal, region_underperformance
 from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors
-from .tally import curves, tally_curve
+from .tally import _chunks, curves, tally_curve
 
 BLOCK_TRIALS = 1_000_000
 
-# the most recent block, {(M, seed, block, size): read-only column-major
-# (size, M) gains}; a figure's curves share M, seed and trials, so they
-# reuse one draw when the trials fit in one block
-_kept = {}
 
-
-def _pair_blocks(cfg: SystemConfig, trials: int, seed: int):
-    """The (g_m, g_n) gain columns of every block, as read-only views.
+def _rank_blocks(M: int, ranks, trials: int, seed: int):
+    """The gains of ``ranks`` in every block, as ``{rank: read-only view}``.
 
     The only place gains are drawn.  Trials split into blocks of
-    ``BLOCK_TRIALS`` (the last one partial) and block b always comes from
-    ``stream(seed, b)``, so every consumer sees the same draws.  The
-    process keeps its last sorted block (column-major, 8*M*BLOCK_TRIALS
-    bytes) and hands it out again to the next pass that asks for the same
-    block; a rank's column of it is contiguous, so nothing is copied.
-    """
+    ``BLOCK_TRIALS`` (the last one partial); block b comes from ``stream(seed,
+    b)`` sorted over all M ranks, so every consumer sees the same gains
+    whichever ranks it reads.  A rank's gains are a contiguous column."""
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        size = min(BLOCK_TRIALS, trials - start)
-        key = (cfg.M, seed, block, size)
-        g = _kept.get(key)
-        if g is None:
-            _kept.clear()  # free the old block before drawing the new one
-            g = sample_gain_matrix(cfg.M, stream(seed, block), size)
-            g.flags.writeable = False
-            _kept[key] = g
-        yield g[:, cfg.m - 1], g[:, cfg.n - 1]
+        g = sample_gain_ranks(M, stream(seed, block), min(BLOCK_TRIALS, trials - start), ranks)
+        g.flags.writeable = False
+        yield dict(zip(ranks, g.T))
 
 
 def _pair_chunks(cfg: SystemConfig, trials: int, seed: int):
-    """The draws of ``_pair_blocks`` as ``CHUNK_ROWS``-row views."""
-    for g_m, g_n in _pair_blocks(cfg, trials, seed):
-        for lo in range(0, g_m.size, CHUNK_ROWS):
-            yield g_m[lo:lo + CHUNK_ROWS], g_n[lo:lo + CHUNK_ROWS]
+    """The (g_m, g_n) gains of every block as ``CHUNK_ROWS``-row views."""
+    for cols in _rank_blocks(cfg.M, (cfg.m, cfg.n), trials, seed):
+        for at in _chunks(cols[cfg.m].size, None):
+            yield cols[cfg.m][at], cols[cfg.n][at]
 
 
 def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     """Underperformance estimate plus mean power-adaptation factor / energy
     for every ``(cfg, scheme)`` cell, all on the same draws.
 
-    The cells must share ``(M, m, n)``; each gain block is drawn once and
-    fed to every cell, so memory stays at one block.  With ``want_pt`` the
+    The cells must share M; their (m, n) may differ.  Each block is drawn
+    once, with only the ranks the cells read, and fed to every cell, so
+    memory stays at one block of those ranks.  With ``want_pt`` the
     contended positive-cap loss event is counted in the same pass
     (power-adaptive cells only).  Each draw spends (1 + γ) β ρ_n over one
     frame (T = 1), so ``energy_mean`` is formed from ``gamma_mean``; it is
     exactly 2 β ρ_n off HSIC-PA.  Returns one summary dict per cell.
 
     The cells are tallied along curves, on the draws whose outcome is
-    not yet fixed (see ``tally``); every count and every pairwise γ sum
-    is that of the kernel over the whole block.
+    not yet fixed (see ``tally``); every count and pairwise γ sum is that
+    of the kernel over the whole block, as in a call on the cell alone.
     """
     cells = [(cfg, Scheme(scheme)) for cfg, scheme in cells]
     if not cells:
         return []
-    if len({(cfg.M, cfg.m, cfg.n) for cfg, _ in cells}) > 1:
-        raise InvalidConfigError("mc_summary cells must share (M, m, n)")
+    if len({cfg.M for cfg, _ in cells}) > 1:
+        raise InvalidConfigError("mc_summary cells must share M")
     tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0) for _ in cells]
     groups = curves([(*cell, tally) for cell, tally in zip(cells, tallies)])
+    ranks = sorted({rank for cfg, _ in cells for rank in (cfg.m, cfg.n)})
     kernel = DrawKernel(CHUNK_ROWS)
-    for g_m, g_n in _pair_blocks(cells[0][0], trials, seed):
+    for cols in _rank_blocks(cells[0][0].M, ranks, trials, seed):
         # per-draw factors go into one block-length buffer, so the sums
         # are the same pairwise sums as over a whole-block kernel
-        gamma = np.empty(g_m.size)
+        gamma = np.empty(cols[ranks[0]].size)
         for curve in groups:
-            tally_curve(kernel, curve, g_m, g_n, gamma, want_pt)
+            cfg = curve[0][0]
+            tally_curve(kernel, curve, cols[cfg.m], cols[cfg.n], gamma, want_pt)
     out = []
     for (cfg, scheme), tally in zip(cells, tallies):
         gamma_mean = tally["gamma_sum"] / trials
-        summary = {
-            "estimate": ProbEstimate.from_counts(tally["hits"], trials),
-            "gamma_mean": gamma_mean,
-            "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n,
-        }
+        summary = {"estimate": ProbEstimate.from_counts(tally["hits"], trials),
+                   "gamma_mean": gamma_mean,
+                   "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n}
         if want_pt and scheme == Scheme.HSIC_PA:
             summary["pt_estimate"] = ProbEstimate.from_counts(tally["pt_hits"], trials)
         out.append(summary)
@@ -210,12 +198,6 @@ class _ClauseCurves:
         return values
 
 
-@cache
-def _pairs(n: int):
-    """Index arrays ``(i, j)`` of every pair i < j of n curves, in order."""
-    return np.triu_indices(n, 1)
-
-
 def _region_breakpoints(clauses) -> list:
     """Legacy-gain values where two boundary curves of a clause cross,
     one list per clause (empty where the clause's range below the tail
@@ -257,8 +239,8 @@ def _region_breakpoints(clauses) -> list:
         for row, c in zip(scan, own):
             row[:] = c(clause.cfg, grid) if callable(c) else c
         np.clip(scan, -1e300, 1e300, out=scan)  # finite values only
-        # every curve pair at once, in pair order
-        i, j = _pairs(len(own))
+        # every curve pair i < j at once, in pair order
+        i, j = np.triu_indices(len(own), 1)
         d = scan[i] - scan[j]
         pair, at = np.divmod(np.flatnonzero(np.diff(np.signbit(d), axis=1)),
                              grid.size - 1)

@@ -99,27 +99,17 @@ class SweepSpec:
 
 def _row(snr_db, scheme, method, est: ProbEstimate = None, regime="",
          gamma_mean=None, energy_mean=None):
-    return {
-        "snr_db": snr_db,
-        "scheme": scheme,
-        "method": method,
-        "value": None if est is None else est.value,
-        "std_err": None if est is None else est.std_err,
-        "trials": None if est is None else est.trials,
-        "regime": regime,
-        "gamma_mean": gamma_mean,
-        "energy_mean": energy_mean,
-    }
+    value, std_err, trials = (None,) * 3 if est is None else (est.value, est.std_err, est.trials)
+    return dict(zip(CSV_COLUMNS, (snr_db, scheme, method, value, std_err, trials,
+                                  regime, gamma_mean, energy_mean)))
 
 
-def _integrals(spec: SweepSpec, points) -> list:
-    """The numeric-integration estimate, or the error, of every valid
-    (SNR, scheme) cell in grid order, all from one ``integrate_events``
+def _integrals(spec: SweepSpec, valid) -> list:
+    """The numeric-integration estimate, or the error, of every (valid
+    config, scheme) cell in grid order, all from one ``integrate_events``
     call; a cell whose region cannot be built fails alone."""
     cells = []
-    for _, cfg, _ in points:
-        if cfg is None:
-            continue
+    for cfg in valid:
         for scheme in spec.schemes:
             try:
                 cells.append(region_contended_loss(cfg)
@@ -135,29 +125,42 @@ def _integrals(spec: SweepSpec, points) -> list:
     return [next(results) if isinstance(c, EventRegion) else c for c in cells]
 
 
-def run_sweep(spec: SweepSpec) -> list:
-    """One row per (snr, scheme, method), in grid order.
+def run_sweep(specs) -> list:
+    """One row list per spec of the sequence ``specs``, a row per (snr,
+    scheme, method) in grid order; a failed row has ``error:<name>`` in
+    its regime column and the sweep goes on.  The MC cells of all specs
+    that share (M, trials, seed, quantity) go to one ``mc_summary`` call,
+    which draws each block once.  Each other method then makes one pass
+    over a spec's valid SNRs and schemes (``integrate_events``,
+    ``p_t_exact_batch``, one SNR-free asymptotic coefficient), after all
+    MC: the closed forms' small arrays, allocated ahead of the MC gain
+    block, raised fig1-contended's peak RSS by 1.5 MB."""
+    points, pools = [], {}
+    for k, spec in enumerate(specs):
+        regime = regime_label(spec.config_at(spec.snr_db[0]))  # SNR-free; the spec checks this SNR
+        points.append([])
+        for snr in spec.snr_db:
+            try:
+                points[k].append((snr, spec.config_at(snr), regime))
+            except InvalidConfigError as exc:
+                points[k].append((snr, None, f"error:{type(exc).__name__}"))
+        if MC in spec.methods:
+            pools.setdefault((spec.M, spec.trials, spec.seed, spec.quantity), []).extend(
+                (k, cfg, scheme) for _, cfg, _ in points[k] if cfg is not None
+                for scheme in spec.schemes)
+    summaries = [[] for _ in specs]
+    for (_, trials, seed, quantity), pool in pools.items():
+        got = mc_summary([cell[1:] for cell in pool], trials, seed,
+                         want_pt=quantity == "contended-loss")
+        for (k, _, _), summary in zip(pool, got):
+            summaries[k].append(summary)
+    return [_rows(spec, pts, iter(got)) for spec, pts, got in zip(specs, points, summaries)]
 
-    Per-row failures are recorded in the regime column as ``error:<name>``
-    rather than aborting the sweep.  Each method makes one pass over every
-    valid SNR and scheme: ``mc_summary`` on shared draws, ``integrate_events``,
-    ``p_t_exact_batch`` and one SNR-free asymptotic coefficient.  The closed
-    forms run last: their small arrays, allocated ahead of the MC gain block,
-    raised fig1-contended's peak RSS by 1.5 MB."""
-    regime = regime_label(spec.config_at(spec.snr_db[0]))  # SNR-free; the spec checks this SNR
-    points = []
-    for snr in spec.snr_db:
-        try:
-            points.append((snr, spec.config_at(snr), regime))
-        except InvalidConfigError as exc:
-            points.append((snr, None, f"error:{type(exc).__name__}"))
+
+def _rows(spec: SweepSpec, points, summaries) -> list:
+    """The rows of one spec, given an iterator of its MC summaries in grid order."""
     valid = [cfg for _, cfg, _ in points if cfg is not None]
-    summaries = iter(())
-    if MC in spec.methods:
-        cells = [(cfg, scheme) for cfg in valid for scheme in spec.schemes]
-        summaries = iter(mc_summary(cells, spec.trials, spec.seed,
-                                    want_pt=spec.quantity == "contended-loss"))
-    integrals = iter(_integrals(spec, points) if NUMERIC in spec.methods else ())
+    integrals = iter(_integrals(spec, valid) if NUMERIC in spec.methods else ())
     exacts = iter(p_t_exact_batch(valid) if EXACT in spec.methods else ())
     coef = None
     if ASYMPTOTIC in spec.methods:  # valid[0] exists: the spec checks its first SNR
@@ -168,9 +171,8 @@ def run_sweep(spec: SweepSpec) -> list:
     rows = []
     for snr, cfg, regime in points:
         if cfg is None:
-            for scheme in spec.schemes:
-                for method in spec.methods:
-                    rows.append(_row(snr, scheme, method, regime=regime))
+            rows += [_row(snr, scheme, method, regime=regime)
+                     for scheme in spec.schemes for method in spec.methods]
             continue
         exact = next(exacts, None)  # exact rows have one scheme, HSIC-PA
         for scheme in spec.schemes:
@@ -178,21 +180,18 @@ def run_sweep(spec: SweepSpec) -> list:
             integral = next(integrals, None)
             for method in spec.methods:
                 try:
-                    gamma_mean = energy_mean = None
+                    means = ()
                     if method == MC:
-                        est = (summary["pt_estimate"]
-                               if spec.quantity == "contended-loss"
-                               else summary["estimate"])
-                        gamma_mean = summary["gamma_mean"]
-                        energy_mean = summary["energy_mean"]
+                        est = summary["pt_estimate" if spec.quantity == "contended-loss"
+                                      else "estimate"]
+                        means = summary["gamma_mean"], summary["energy_mean"]
                     elif method == EXACT:
                         est = raised(exact)
                     elif method == ASYMPTOTIC:
                         est = scaled_asymptotic(cfg, raised(coef))
                     else:  # numeric integration
                         est = raised(integral)
-                    rows.append(_row(snr, scheme, method, est, regime,
-                                     gamma_mean, energy_mean))
+                    rows.append(_row(snr, scheme, method, est, regime, *means))
                 except ROW_ERRORS as exc:
                     rows.append(_row(snr, scheme, method,
                                      regime=f"error:{type(exc).__name__}"))

@@ -46,12 +46,12 @@ def tally_chunk(kernel: DrawKernel, cfg: SystemConfig, scheme: Scheme,
 
 def curves(cells) -> list:
     """The cells ``(cfg, scheme, tally)`` grouped into curves, along which
-    draws settle: the HSIC-NPA and HSIC-PA cells that share (β, R_m, η)
-    form one, and FSIC's cells another.  A curve is a list of steps
+    draws settle: the HSIC-NPA and HSIC-PA cells that share (m, n, β,
+    R_m, η) form one, and FSIC's cells another.  A curve is a list of steps
     ``(cfg, [(scheme, tally), ...])``, one per config, in ascending ρ_n."""
     groups = {}
     for cfg, scheme, tally in cells:
-        key = (cfg.beta, cfg.R_m, cfg.eta, scheme == Scheme.FSIC)
+        key = (cfg.m, cfg.n, cfg.beta, cfg.R_m, cfg.eta, scheme == Scheme.FSIC)
         groups.setdefault(key, {}).setdefault(cfg, []).append((scheme, tally))
     return [sorted(steps.items(), key=lambda step: step[0].rho_n)
             for steps in groups.values()]

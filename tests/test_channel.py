@@ -47,15 +47,27 @@ def _whole_array_sampler(M, rng, size):
 
 @pytest.mark.parametrize("M", range(2, 17))
 def test_chunked_sampler_matches_whole_array_sampler(M):
-    from hnoma.channel import CHUNK_ROWS
+    # the rank path gives the same columns, ranks in any order, and leaves
+    # its generator where the full call does
+    from hnoma.channel import CHUNK_ROWS, sample_gain_ranks
 
+    rank_sets = ([1], [M], [M, 1], [2, M], list(range(1, M + 1, 2)),
+                 list(range(M, 0, -1)))
     for size in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 50_001):
         chunked, whole = stream(SEED, 7), stream(SEED, 7)
+        picked = [stream(SEED, 7) for _ in rank_sets]
         for _ in range(2):  # the next call on the same generator too
             g = sample_gain_matrix(M, chunked, size)
+            want = _whole_array_sampler(M, whole, size)
             assert g.shape == (size, M) and g.flags.f_contiguous
-            assert np.array_equal(g, _whole_array_sampler(M, whole, size))
-        assert np.array_equal(chunked.random(3), whole.random(3))
+            assert np.array_equal(g, want)
+            for ranks, rng in zip(rank_sets, picked):
+                g = sample_gain_ranks(M, rng, size, ranks)
+                assert g.shape == (size, len(ranks)) and g.flags.f_contiguous
+                assert np.array_equal(g, want[:, np.subtract(ranks, 1)]), ranks
+        after = whole.random(3)
+        for rng in (chunked, *picked):
+            assert np.array_equal(rng.random(3), after)
 
 
 def test_sampler_network_sorts_every_zero_one_column():

@@ -210,12 +210,17 @@ def _ref_summary(cfg, scheme, blocks, want_pt):
     return out
 
 
+def _feed(monkeypatch, cfg, g_m, g_n):
+    """Make ``mc_summary`` tally the one block (g_m, g_n) of cfg's ranks."""
+    monkeypatch.setattr(hnoma.mc, "_rank_blocks",
+                        lambda M, ranks, trials, seed: iter([{cfg.m: g_m, cfg.n: g_n}]))
+
+
 def test_mc_summary_matches_reference_on_ties(monkeypatch):
     """Whole-pass sums too: the γ shortcut off HSIC-PA and the energy mean."""
     for k, cfg in enumerate(_cfgs()):
         g_m, g_n = _block_with_ties(cfg, k)
-        monkeypatch.setattr(hnoma.mc, "_pair_blocks",
-                            lambda cfg, trials, seed: iter([(g_m, g_n)]))
+        _feed(monkeypatch, cfg, g_m, g_n)
         cells = [(cfg, scheme) for scheme in SCHEMES]
         got = mc_summary(cells, g_m.size, 0, want_pt=True)
         for cell, summary in zip(cells, got):
@@ -237,8 +242,7 @@ def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
             cells = [(cfg, scheme) for scheme in SCHEMES]
             for g_m, g_n in draws:
                 g_m, g_n = np.array([g_m]), np.array([g_n])
-                monkeypatch.setattr(hnoma.mc, "_pair_blocks",
-                                    lambda cfg, trials, seed: iter([(g_m, g_n)]))
+                _feed(monkeypatch, cfg, g_m, g_n)
                 got = mc_summary(cells, 1, 0)
                 for (_, scheme), summary in zip(cells, got):
                     _, _, gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
@@ -350,8 +354,7 @@ def test_sweep_matches_reference_on_ties_at_every_snr(monkeypatch, base):
     call.  β = ½ - 1e-12 is past the certificate's β range."""
     cfgs = [base.with_snr(s) for s in (0.0, 8.0, 15.0, 25.0, 40.0)]
     g_m, g_n = _sweep_block(cfgs, 3)
-    monkeypatch.setattr(hnoma.mc, "_pair_blocks",
-                        lambda cfg, trials, seed: iter([(g_m, g_n)]))
+    _feed(monkeypatch, base, g_m, g_n)
     cells = [(cfg, scheme) for cfg in cfgs for scheme in SCHEMES]
     rows = _kernel_rows(monkeypatch)
     got = mc_summary(cells, g_m.size, 0, want_pt=True)
@@ -809,6 +812,6 @@ def test_presets_tally_alike_without_certificates(monkeypatch):
     with every certificate off, so retiring draws changes no count or sum."""
     specs = [SweepSpec.from_dict({**raw, "methods": ["mc"], "trials": 20_000})
              for figure in FIGURES for raw in load_preset(figure)["sweeps"]]
-    want = [run_sweep(spec) for spec in specs]
+    want = run_sweep(specs)
     monkeypatch.setattr(SettleCertificate, "of", lambda cfgs, *schemes: None)
-    assert [run_sweep(spec) for spec in specs] == want
+    assert run_sweep(specs) == want

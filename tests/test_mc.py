@@ -41,12 +41,27 @@ def test_trials_validation():
         estimate_probability(cfg, Scheme.HSIC_PA, 0, SEED)
 
 
-def test_mc_summary_cells_must_share_ranks():
+def test_mc_summary_over_mixed_ranks_matches_one_call_per_pair(monkeypatch):
+    # cells of several (m, n) and one M share each block's draw, yet each
+    # gets what a call on its own (m, n) cells gives; the first two pairs
+    # share (beta, R_m, eta), so only their ranks keep their curves apart
+    import hnoma.mc
     from hnoma import InvalidConfigError, mc_summary
-    cells = [(make_cfg(), Scheme.HSIC_PA),
-             (make_cfg(m=3, n=1, R_m=0.5, eta=5.0), Scheme.HSIC_PA)]
-    with pytest.raises(InvalidConfigError):
-        mc_summary(cells, 1_000, SEED)
+    from hnoma.channel import CHUNK_ROWS
+
+    monkeypatch.setattr(hnoma.mc, "BLOCK_TRIALS", CHUNK_ROWS + 1_000)
+    trials = 2 * (CHUNK_ROWS + 1_000) - 777   # two blocks, the second partial
+    bases = (make_cfg(), make_cfg(m=4, n=2), make_cfg(m=3, n=1, R_m=0.5, eta=5.0),
+             make_cfg(m=2, n=5, beta=0.4, eta=0.3))
+    cells = [(base.with_snr(snr), scheme) for base in bases for snr in (0.0, 12.0, 25.0)
+             for scheme in HNOMA_SCHEMES]
+    cells = [cells[k] for k in np.random.default_rng(SEED).permutation(len(cells))]
+    for want_pt in (False, True):
+        got = mc_summary(cells, trials, SEED, want_pt=want_pt)
+        for base in bases:
+            own = [k for k, (cfg, _) in enumerate(cells) if (cfg.m, cfg.n) == (base.m, base.n)]
+            want = mc_summary([cells[k] for k in own], trials, SEED, want_pt=want_pt)
+            assert [got[k] for k in own] == want, (base, want_pt)
     with pytest.raises(InvalidConfigError):
         mc_summary([(make_cfg(), Scheme.FSIC), (make_cfg(M=6), Scheme.FSIC)],
                    1_000, SEED)
@@ -225,35 +240,42 @@ def test_chunked_tally_matches_whole_block_loop(monkeypatch, block_trials):
             assert got == _whole_block_summary(cells, trials, SEED, want_pt)
 
 
-def test_pair_blocks_are_views_of_the_kept_block():
+def test_pair_blocks_are_views_of_the_kept_block(monkeypatch):
+    # a block holds only the ranks read, and each rank's gains are a
+    # read-only contiguous view of it
     import hnoma.mc
 
-    cfg = make_cfg()
-    for g_m, g_n in hnoma.mc._pair_blocks(cfg, 50_000, SEED):
-        (kept,) = hnoma.mc._kept.values()
-        for col in (g_m, g_n):
+    drawn = []
+    sample = hnoma.mc.sample_gain_ranks
+    monkeypatch.setattr(hnoma.mc, "sample_gain_ranks",
+                        lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    cfg = make_cfg(m=4, n=2)
+    for cols in hnoma.mc._rank_blocks(cfg.M, [cfg.m, cfg.n], 50_000, SEED):
+        (block,) = drawn
+        assert block.shape == (50_000, 2) and not block.flags.writeable
+        for col in (cols[cfg.m], cols[cfg.n]):
             assert col.flags.c_contiguous and not col.flags.writeable
-            assert np.shares_memory(col, kept)
+            assert np.shares_memory(col, block)
 
 
 def test_mc_summary_over_a_kept_block_allocates_one_gamma_buffer():
     # the gains are read in place and the energy mean comes from γ's mean:
-    # one 8 MB γ buffer per 10^6-draw block plus the chunk kernel, where
-    # column copies and an energy array took 32 MB
+    # the block of the two ranks read (16 MB), then one 8 MB γ buffer per
+    # 10^6-draw block plus the chunk kernel, where column copies and an
+    # energy array took 32 MB
     import tracemalloc
 
     from hnoma import mc_summary
 
     cfg = make_cfg()
     cells = [(cfg, scheme) for scheme in HNOMA_SCHEMES]
-    mc_summary(cells[:1], 1_000_000, SEED)  # draws and keeps the block
     tracemalloc.start()
     try:
         mc_summary(cells, 1_000_000, SEED, want_pt=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10e6
+    assert peak <= 8 * 2 * 1_000_000 + 10e6
 
 
 def test_fixed_power_energy_mean_is_exact():

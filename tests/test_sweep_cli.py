@@ -54,12 +54,12 @@ def test_spec_validation():
 
 def test_run_sweep_rows_and_determinism():
     spec = _spec()
-    rows = run_sweep(spec)
+    rows = run_sweep([spec])[0]
     assert len(rows) == len(spec.snr_db) * len(spec.methods)
     assert rows[0]["regime"] == "m<n:T1c1:T2c1"
     mc_rows = [r for r in rows if r["method"] == "mc"]
     assert all(r["gamma_mean"] is not None for r in mc_rows)
-    assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec))
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep([spec])[0])
     header = rows_to_csv(rows).splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
 
@@ -68,10 +68,10 @@ def test_integration_failure_is_a_row_not_an_abort(monkeypatch):
     def fail(*args, **kwargs):
         raise IntegrationFailureError("value=0.0, err=1.0")
 
-    exact_rows = run_sweep(_spec(methods=("exact",)))
+    exact_rows = run_sweep([_spec(methods=("exact",))])[0]
     monkeypatch.setattr(hnoma.sweep, "integrate_events", fail)
     spec = _spec(methods=("exact", "numeric-integration"))
-    rows = run_sweep(spec)
+    rows = run_sweep([spec])[0]
     assert len(rows) == len(spec.snr_db) * len(spec.schemes) * len(spec.methods)
     assert [r for r in rows if r["method"] == "exact"] == exact_rows
     for row in rows:
@@ -91,9 +91,9 @@ def test_a_cell_that_does_not_converge_fails_alone(monkeypatch):
         return values, errs, oks
 
     spec = _spec(methods=("exact", "numeric-integration"), snr_db=(0.0, 10.0, 20.0))
-    good = run_sweep(spec)
+    good = run_sweep([spec])[0]
     monkeypatch.setattr(hnoma.mc, "adaptive_integrate", last_segment_fails)
-    rows = run_sweep(spec)
+    rows = run_sweep([spec])[0]
     assert rows[:-1] == good[:-1]
     assert all(r["value"] is not None for r in rows[:-1])
     assert rows[-1]["method"] == "numeric-integration" and rows[-1]["snr_db"] == 20.0
@@ -109,7 +109,7 @@ def test_a_cell_that_does_not_converge_fails_alone(monkeypatch):
         return build(cfg)
 
     monkeypatch.setattr(hnoma.sweep, "region_contended_loss", no_region_at_10_db)
-    rows = run_sweep(spec)
+    rows = run_sweep([spec])[0]
     assert rows[:3] + rows[4:] == good[:3] + good[4:]
     assert rows[3]["snr_db"] == 10.0 and rows[3]["method"] == "numeric-integration"
     assert rows[3]["value"] is None and rows[3]["regime"] == "error:ZeroDivisionError"
@@ -127,7 +127,7 @@ def test_a_sweep_integrates_in_one_search_and_one_pass(monkeypatch):
                        snr_db=(0.0, 10.0, 20.0, 30.0)),
                  _spec(quantity="underperformance", methods=("numeric-integration",),
                        schemes=("FSIC", "HSIC-NPA", "HSIC-PA"), snr_db=(5.0, 15.0))):
-        rows = run_sweep(spec)
+        rows = run_sweep([spec])[0]
         assert all(r["value"] is not None for r in rows)
         assert calls == {"_region_breakpoints": 1, "adaptive_integrate": 1}
         calls.update(dict.fromkeys(calls, 0))
@@ -137,7 +137,7 @@ def test_underperformance_sweep_covers_schemes(tmp_path):
     spec = _spec(quantity="underperformance",
                  schemes=("FSIC", "HSIC-NPA", "HSIC-PA"),
                  methods=("mc", "numeric-integration"), snr_db=(12.0,))
-    rows = run_sweep(spec)
+    rows = run_sweep([spec])[0]
     assert len(rows) == 6
     path = tmp_path / "out.json"
     write_rows(rows, str(path), "json")
@@ -256,32 +256,61 @@ def test_oracle_never_imports_numpy_ma(tmp_path):
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 6
 
 
-def test_figure_draws_its_block_once(tmp_path, monkeypatch):
-    # a preset's curves share M, seed and trials, so one kept block feeds all
+def _count_draws(monkeypatch):
+    """The (size, ranks) of every block ``hnoma.mc`` draws from now on, and
+    the blocks drawn."""
     import hnoma.mc
 
-    monkeypatch.setattr(hnoma.mc, "_kept", {})
-    sizes = []
-    sample = hnoma.mc.sample_gain_matrix
+    calls, blocks = [], []
+    sample = hnoma.mc.sample_gain_ranks
 
-    def counted(M, rng, size):
-        sizes.append(size)
-        return sample(M, rng, size)
+    def counted(M, rng, size, ranks):
+        calls.append((size, tuple(ranks)))
+        blocks.append(sample(M, rng, size, ranks))
+        return blocks[-1]
 
-    monkeypatch.setattr(hnoma.mc, "sample_gain_matrix", counted)
+    monkeypatch.setattr(hnoma.mc, "sample_gain_ranks", counted)
+    return calls, blocks
+
+
+def test_figure_draws_its_block_once(tmp_path, monkeypatch):
+    # a preset's curves share M, seed and trials, so one draw feeds all
+    calls, blocks = _count_draws(monkeypatch)
     out = tmp_path / "fig"
     assert main(["figure", "fig1", "--trials", "20000", "--out", str(out)]) == EXIT_OK
+    sizes = [size for size, _ in calls]
     assert sizes == [20_000]
-    (kept,) = hnoma.mc._kept.values()
-    assert not kept.flags.writeable
+    (block,) = blocks
+    assert not block.flags.writeable
     with pytest.raises(ValueError):
-        kept[0, 0] = 0.0
+        block[0, 0] = 0.0
     for raw in load_preset("fig1")["sweeps"]:
-        hnoma.mc._kept.clear()  # every curve draws its own block
         spec = replace(SweepSpec.from_dict(raw), trials=20_000)
-        fresh = rows_to_csv(run_sweep(spec))
+        fresh = rows_to_csv(run_sweep([spec])[0])  # every curve draws its own block
         assert (out / f"fig1_{spec.label}.csv").read_text() == fresh
-    assert len(sizes) == 5
+    assert len(calls) == 5
+
+
+def test_figure_over_two_blocks_draws_each_once(tmp_path, monkeypatch):
+    # each of the two blocks of 10^6 draws is drawn once, for all four
+    # curves: every block drawn takes one stream(seed, block)
+    import hnoma.mc
+
+    streams = []
+    stream = hnoma.mc.stream
+    monkeypatch.setattr(hnoma.mc, "stream",
+                        lambda seed, block: streams.append(block) or stream(seed, block))
+    assert main(["figure", "fig1", "--trials", "2000000", "--out", str(tmp_path)]) == EXIT_OK
+    assert streams == [0, 1]
+
+
+def test_figure_draws_only_the_ranks_it_reads(tmp_path, monkeypatch):
+    # fig5a's curves all read ranks 2 and 5, so its block holds two of the
+    # five; fig1's curves read every rank
+    calls, _ = _count_draws(monkeypatch)
+    for fig in ("fig5a", "fig1"):
+        assert main(["figure", fig, "--trials", "2000", "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == [(2000, (2, 5)), (2000, (1, 2, 3, 4, 5))]
 
 
 def test_cli_config_errors(tmp_path):
@@ -351,7 +380,7 @@ def test_cli_sweep_one_ulp_above_a_column_threshold(tmp_path, m, n):
     path.write_text(json.dumps(spec))
     out = tmp_path / "seam.csv"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
-    rows = run_sweep(SweepSpec.from_dict(spec))
+    rows = run_sweep([SweepSpec.from_dict(spec)])[0]
     assert out.read_text() == rows_to_csv(rows)
     assert len(rows) == 9
     assert not any(r["regime"].startswith("error:") for r in rows)
@@ -370,8 +399,8 @@ def test_cli_flags_do_not_carry_over_between_calls(tmp_path, monkeypatch):
     for raw in load_preset("fig1")["sweeps"]:
         spec = replace(SweepSpec.from_dict(raw), trials=2000)
         path = f"fig1_{spec.label}.csv"
-        assert (first / path).read_text() == rows_to_csv(run_sweep(replace(spec, seed=5)))
-        assert (second / path).read_text() == rows_to_csv(run_sweep(spec))
+        assert (first / path).read_text() == rows_to_csv(run_sweep([replace(spec, seed=5)])[0])
+        assert (second / path).read_text() == rows_to_csv(run_sweep([spec])[0])
 
 
 def test_cli_program_errors_are_not_config_errors(tmp_path, monkeypatch):
@@ -418,11 +447,11 @@ def test_cli_non_finite_inputs_are_config_errors(tmp_path):
             == EXIT_CONFIG
         assert not out.exists()
     # a later SNR is checked per row, like any other invalid point
-    rows = run_sweep(_spec(snr_db=(10.0, nan)))
+    rows = run_sweep([_spec(snr_db=(10.0, nan))])[0]
     assert rows[0]["regime"] == "m<n:T1c1:T2c1"
     assert all(r["regime"] == "error:InvalidConfigError" and r["value"] is None
                for r in rows[2:])
-    rows = run_sweep(_spec(snr_db=(10.0, 4000.0)))
+    rows = run_sweep([_spec(snr_db=(10.0, 4000.0))])[0]
     assert rows[0]["regime"] == "m<n:T1c1:T2c1"
     assert all(r["snr_db"] == 4000.0 and r["regime"] == "error:InvalidConfigError"
                and r["value"] is None for r in rows[2:])
@@ -461,7 +490,7 @@ def test_overflowing_curves_fail_their_row_without_a_warning(tmp_path):
 def test_an_snr_whose_constants_fail_fails_only_its_own_row():
     # 10 and 3000 dB are evaluated in one batch; only 3000 dB fails
     # back-substitution, and only its asymptotic scaling overflows
-    rows = run_sweep(_spec(snr_db=(10, 3000), methods=("exact", "asymptotic")))
+    rows = run_sweep([_spec(snr_db=(10, 3000), methods=("exact", "asymptotic"))])[0]
     assert [r["regime"] for r in rows] == ["m<n:T1c1:T2c1", "m<n:T1c1:T2c1",
                                            "error:InvalidConfigError",
                                            "error:OverflowError"]
@@ -487,7 +516,7 @@ def test_a_sweep_evaluates_each_sub_event_once_for_all_its_snrs(monkeypatch, m, 
     counted(hnoma.asymptotic, "asymptotic_pt_terms", "coefficient")
     counted(hnoma.exact, "compute_constants", "constants")
     counted(hnoma.sweep, "regime_label", "label")
-    rows = run_sweep(spec)
+    rows = run_sweep([spec])[0]
     assert len(rows) == 26
     assert not any(r["regime"].startswith("error") for r in rows)
     assert 1 <= calls["mass"] <= sub_events
@@ -616,7 +645,7 @@ def test_multi_block_sweep_matches_one_cell_summaries(monkeypatch):
                    trials=trials))
     for spec in specs:
         contended = spec.quantity == "contended-loss"
-        mc_rows = [r for r in run_sweep(spec) if r["method"] == "mc"]
+        mc_rows = [r for r in run_sweep([spec])[0] if r["method"] == "mc"]
         assert len(mc_rows) == len(spec.snr_db) * len(spec.schemes)
         for row in mc_rows:
             cfg = spec.config_at(row["snr_db"])

@@ -47,6 +47,6 @@ def test_run_sweep_returns_the_full_grid_in_order(raw):
         spec = SweepSpec.from_dict(raw)
     except InvalidConfigError:
         assume(False)
-    rows = run_sweep(spec)
+    rows = run_sweep([spec])[0]
     grid = list(itertools.product(spec.snr_db, spec.schemes, spec.methods))
     assert [(r["snr_db"], r["scheme"], r["method"]) for r in rows] == grid
