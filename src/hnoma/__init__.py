@@ -7,7 +7,7 @@ from .config import InvalidConfigError, SystemConfig, db_to_linear, linear_to_db
 from .estimates import ProbEstimate
 from .exact import (RegimeConstants, compute_constants, eta_thresholds,
                     p_t_exact, regime_label)
-from .mc import (estimate_decomposition, integrate_event, integrate_events,
+from .mc import (draw_counts, integrate_event, integrate_events,
                  integrate_underperformance, mc_summary)
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import (EventRegion, region_contended_loss,

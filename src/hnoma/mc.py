@@ -6,7 +6,8 @@ from functools import cache
 
 import numpy as np
 
-# sample_gain_matrix is not called here; bench/tracing.py looks it up here
+# sample_gain_matrix and rate_factors are not called here; bench/tracing.py
+# looks them up here
 from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,  # noqa: F401
                       mass_upper_interval, sample_gain_matrix, sample_gain_ranks)
 from .config import InvalidConfigError, SystemConfig
@@ -14,7 +15,7 @@ from .estimates import NUMERIC, ProbEstimate, raised
 from .exact import contended_terms
 from .numerics import IntegrationFailureError, adaptive_integrate, stream
 from .regions import EventRegion, _Gathered, diagonal, region_underperformance
-from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors
+from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors  # noqa: F401
 from .tally import _chunks, curves, tally_curve
 
 BLOCK_TRIALS = 1_000_000
@@ -33,13 +34,7 @@ def _rank_blocks(M: int, ranks, trials: int, seed: int):
         g = sample_gain_ranks(M, stream(seed, block), min(BLOCK_TRIALS, trials - start), ranks)
         g.flags.writeable = False
         yield dict(zip(ranks, g.T))
-
-
-def _pair_chunks(cfg: SystemConfig, trials: int, seed: int):
-    """The (g_m, g_n) gains of every block as ``CHUNK_ROWS``-row views."""
-    for cols in _rank_blocks(cfg.M, (cfg.m, cfg.n), trials, seed):
-        for at in _chunks(cols[cfg.m].size, None):
-            yield cols[cfg.m][at], cols[cfg.n][at]
+        del g   # the next block is drawn without this one
 
 
 def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
@@ -67,13 +62,17 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     groups = curves([(*cell, tally) for cell, tally in zip(cells, tallies)])
     ranks = sorted({rank for cfg, _ in cells for rank in (cfg.m, cfg.n)})
     kernel = DrawKernel(CHUNK_ROWS)
+    gamma = None
     for cols in _rank_blocks(cells[0][0].M, ranks, trials, seed):
         # per-draw factors go into one block-length buffer, so the sums
         # are the same pairwise sums as over a whole-block kernel
-        gamma = np.empty(cols[ranks[0]].size)
+        size = cols[ranks[0]].size
+        if gamma is None:
+            gamma = np.empty(size)
         for curve in groups:
             cfg = curve[0][0]
-            tally_curve(kernel, curve, cols[cfg.m], cols[cfg.n], gamma, want_pt)
+            tally_curve(kernel, curve, cols[cfg.m], cols[cfg.n], gamma[:size], want_pt)
+        del cols   # the next block is drawn without this one
     out = []
     for (cfg, scheme), tally in zip(cells, tallies):
         gamma_mean = tally["gamma_sum"] / trials
@@ -86,51 +85,48 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     return out
 
 
-def estimate_decomposition(cfg: SystemConfig, trials: int, seed: int) -> dict:
-    """Split the power-adaptive loss event into its disjoint sub-events.
+def draw_counts(cfg: SystemConfig, trials: int, seed: int) -> dict:
+    """Integer counts of one pass over the draws of ``cfg``, as the
+    validation suite reads them.
 
-    Type-I losses count as ``P_I`` and contended losses with a zero cap
-    as ``P_II2``.  Every other losing draw goes to the cell of
-    ``exact.contended_terms`` whose legacy-gain interval and boundary
-    curves contain it.  The counts must sum to the total loss count,
-    which checks that the cells tile the contended region; this is
-    asserted.
+    Every chunk runs FSIC, HSIC-NPA and HSIC-PA, in that order, through
+    one ``DrawKernel``; HSIC-PA runs last because ``split`` reads its
+    buffers.  ``losses`` holds each scheme's loss count, and
+    ``out_of_order`` the draws where a scheme's rate factor is below the
+    one before it (the schemes' design makes this zero).  ``split``
+    splits HSIC-PA's losses: type-I losses count as ``P_I`` and
+    contended losses with a zero cap as ``P_II2``;
+    every other losing draw goes to the cell of ``exact.contended_terms``
+    whose legacy-gain interval and boundary curves contain it.  Where the
+    cells tile the contended region, ``split`` sums to HSIC-PA's losses.
     """
     table = contended_terms(cfg)
-    counts = {"P_I": 0, **dict.fromkeys(table, 0), "P_II2": 0}
     cells = [(name, *cell) for name, cell in table.items() if cell]
-    total = 0
+    split = {"P_I": 0, **dict.fromkeys(table, 0), "P_II2": 0}
+    losses = dict.fromkeys(HNOMA_SCHEMES, 0)
+    out_of_order = 0
     kernel = DrawKernel(CHUNK_ROWS)
-    gamma = np.empty(CHUNK_ROWS)
-    for g_m, g_n in _pair_chunks(cfg, trials, seed):
-        kernel.run(cfg, Scheme.HSIC_PA, g_m, g_n, gamma[:g_m.size])
-        lose, over, tau = kernel.lose, kernel.over, kernel.tau
-        total += int(np.count_nonzero(lose))
-        counts["P_I"] += int(np.count_nonzero(lose & ~over))
-        contended = lose & over
-        counts["P_II2"] += int(np.count_nonzero(contended & (tau == 0.0)))
-        live = contended & (tau > 0.0)
-        t, y = g_m[live], g_n[live]
-        for name, lower, upper, a, b in cells:
-            inside = (a < t) & (t < b) & (lower(cfg, t) < y) & (y < upper(cfg, t))
-            counts[name] += int(np.count_nonzero(inside))
-    if sum(counts.values()) != total:
-        raise AssertionError(
-            f"decomposition buckets sum to {sum(counts.values())}, "
-            f"expected {total} losing draws")
-    out = {name: ProbEstimate.from_counts(k, trials) for name, k in counts.items()}
-    out["total"] = ProbEstimate.from_counts(total, trials)
-    return out
-
-
-def dominance_violations(cfg: SystemConfig, trials: int, seed: int) -> int:
-    """Draws where HSIC-PA's NOMA-slot rate is below HSIC-NPA's, or
-    HSIC-NPA's below FSIC's; the schemes' design makes this zero."""
-    viol = 0
-    for g_m, g_n in _pair_chunks(cfg, trials, seed):
-        f_fsic, f_npa, f_pa = (rate_factors(cfg, g_m, g_n, s) for s in HNOMA_SCHEMES)
-        viol += int(np.count_nonzero(f_pa < f_npa) + np.count_nonzero(f_npa < f_fsic))
-    return viol
+    gamma, below = np.empty(CHUNK_ROWS), np.empty(CHUNK_ROWS)
+    for cols in _rank_blocks(cfg.M, (cfg.m, cfg.n), trials, seed):
+        for at in _chunks(cols[cfg.m].size, None):
+            g_m, g_n = cols[cfg.m][at], cols[cfg.n][at]
+            prev = below[:g_m.size]
+            for k, scheme in enumerate(HNOMA_SCHEMES):
+                kernel.run(cfg, scheme, g_m, g_n, gamma[:g_m.size])
+                losses[scheme] += int(np.count_nonzero(kernel.lose))
+                if k:
+                    out_of_order += int(np.count_nonzero(kernel.factor < prev))
+                np.copyto(prev, kernel.factor)
+            lose, over, tau = kernel.lose, kernel.over, kernel.tau
+            split["P_I"] += int(np.count_nonzero(lose & ~over))
+            contended = lose & over
+            split["P_II2"] += int(np.count_nonzero(contended & (tau == 0.0)))
+            live = contended & (tau > 0.0)
+            t, y = g_m[live], g_n[live]
+            for name, lower, upper, a, b in cells:
+                inside = (a < t) & (t < b) & (lower(cfg, t) < y) & (y < upper(cfg, t))
+                split[name] += int(np.count_nonzero(inside))
+    return {"losses": losses, "out_of_order": out_of_order, "split": split}
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ class DrawKernel:
     """NOMA-slot decision and loss test for chunks of up to ``rows`` draws.
 
     The one place the per-draw decision is written: ``rate_factors``, the
-    Monte Carlo tally and the decomposition run it.  Each per-draw
+    Monte Carlo tally and ``mc.draw_counts`` run it.  Each per-draw
     quantity is formed once, into buffers allocated once.  After ``run``
     these attributes are views onto the chunk, valid until the next
     ``run``:

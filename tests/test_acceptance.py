@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from hnoma import (OrderPairDensity, Scheme, SystemConfig,
-                   estimate_decomposition, integrate_event,
+                   draw_counts, integrate_event,
                    integrate_underperformance, mc_summary, p_t_asymptotic,
                    p_t_exact, region_contended_loss, regime_label)
 from hnoma.channel import sample_gain_matrix
@@ -174,10 +174,9 @@ def test_criterion_7_dominance_and_partition():
         f_pa = rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
         violations += int(np.count_nonzero(f_pa < f_npa))
         violations += int(np.count_nonzero(f_npa < f_fsic))
-        dec = estimate_decomposition(cfg, 1_000_000, SEED + 100 + k)
-        buckets = round(sum(v.value for name, v in dec.items()
-                            if name != "total") * 1_000_000)
-        total = round(dec["total"].value * 1_000_000)
+        counts = draw_counts(cfg, 1_000_000, SEED + 100 + k)
+        buckets = sum(counts["split"].values())
+        total = counts["losses"][Scheme.HSIC_PA]
         if buckets != total:
             _report("7 (dominance and partition)", False,
                     f"bucket sum {buckets} != total {total}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hnoma.mc
-from hnoma import ProbEstimate, Scheme, SystemConfig, mc_summary
+from hnoma import ProbEstimate, Scheme, SystemConfig, draw_counts, mc_summary
 from hnoma.channel import CHUNK_ROWS
 from hnoma.cli import FIGURES, load_preset
 from hnoma.schemes import DrawKernel, SettleCertificate, rate_factors
@@ -248,6 +248,42 @@ def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
                     _, _, gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
                     want = energy_array(cfg, scheme, gamma)[0]
                     assert summary["energy_mean"] == want, (cfg, scheme, g_m, g_n)
+
+
+def test_draw_counts_match_the_tally_and_reference(monkeypatch):
+    """The validation suite's one pass, on the tie blocks and on one block
+    of the library's own draws: each scheme's loss count is
+    ``mc_summary``'s estimate and the reference's count, the out-of-order
+    count is the one ``rate_factors`` gives, and the split's type-I and
+    zero-cap losses are the reference's HSIC-PA ones."""
+    from hnoma.channel import sample_gain_matrix
+    from hnoma.numerics import stream
+
+    cfg = make_cfg(m=3, n=1, R_m=0.5, eta=5.0, snr_db=15.0)
+    g = sample_gain_matrix(cfg.M, stream(0, 0), 2 * CHUNK_ROWS + 5)
+    blocks = [(cfg, g[:, cfg.m - 1], g[:, cfg.n - 1], False)]
+    blocks += [(cfg, *_block_with_ties(cfg, k), True) for k, cfg in enumerate(_cfgs())]
+    for cfg, g_m, g_n, feed in blocks:
+        if feed:
+            _feed(monkeypatch, cfg, g_m, g_n)
+        trials = g_m.size
+        got = draw_counts(cfg, trials, 0)
+        summaries = mc_summary([(cfg, scheme) for scheme in SCHEMES], trials, 0)
+        for scheme, summary in zip(SCHEMES, summaries):
+            losses = got["losses"][scheme]
+            assert ProbEstimate.from_counts(losses, trials) == summary["estimate"]
+            factor, _, _ = ref_rate_factors(cfg, g_m, g_n, scheme)
+            assert losses == int(np.count_nonzero(ref_loss_mask(cfg, g_n, factor)))
+        factors = [rate_factors(cfg, g_m, g_n, scheme) for scheme in SCHEMES]
+        out_of_order = sum(int(np.count_nonzero(later < earlier))
+                           for earlier, later in zip(factors, factors[1:]))
+        assert got["out_of_order"] == out_of_order, cfg
+        factor, branch, _ = ref_rate_factors(cfg, g_m, g_n, Scheme.HSIC_PA)
+        lose = ref_loss_mask(cfg, g_n, factor)
+        type_i = branch == B_I
+        zero_cap = ~type_i & (ref_tau(cfg, g_m) == 0.0)
+        assert got["split"]["P_I"] == int(np.count_nonzero(lose & type_i)), cfg
+        assert got["split"]["P_II2"] == int(np.count_nonzero(lose & zero_cap)), cfg
 
 
 # ---------------------------------------------------------------------------

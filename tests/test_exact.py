@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from hnoma import (InvalidConfigError, OrderPairDensity, SystemConfig,
-                   compute_constants, estimate_decomposition, integrate_event,
+                   compute_constants, draw_counts, integrate_event,
                    p_t_exact, regime_label)
 from hnoma.exact import contended_terms, eta_thresholds, exact_pt_terms_batch
 from hnoma.regions import (_cap_floor_const, capped_loss, decode_tie, first_loss,
@@ -297,10 +297,10 @@ def test_decomposition_buckets_match_terms():
     # the first 13 regime-covering configs are one per branch column
     trials = 1_000_000
     for cfg in regime_covering_configs(13, seed=5):
-        dec = estimate_decomposition(cfg, trials, SEED)
+        split = draw_counts(cfg, trials, SEED)["split"]
         for name, p in exact_pt_terms_batch([cfg])[0].items():
             sigma = math.sqrt(p * (1.0 - p) / trials)
-            assert abs(dec[name].value - p) <= 4.0 * sigma, (cfg, name)
+            assert abs(split[name] / trials - p) <= 4.0 * sigma, (cfg, name)
 
 
 def test_expansion_engine_agrees_at_moderate_snr():

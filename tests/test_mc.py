@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hnoma import (OrderPairDensity, ProbEstimate, Scheme,
-                   estimate_decomposition, integrate_event,
+                   draw_counts, integrate_event,
                    integrate_underperformance, p_t_exact,
                    region_contended_loss, region_underperformance)
 from hnoma.channel import sample_gain_matrix
@@ -77,14 +77,14 @@ def test_coupled_monotonicity():
 def test_decomposition_partition_and_buckets():
     for cfg in (make_cfg(snr_db=15.0),
                 make_cfg(m=3, n=1, R_m=0.5, eta=5.0, snr_db=15.0)):
-        dec = estimate_decomposition(cfg, 200_000, SEED)
+        counts = draw_counts(cfg, 200_000, SEED)
         names = (("P_I", "P_T1_1", "P_T1_2", "P_T1_3", "P_T2_1", "P_T2_2", "P_II2")
                  if cfg.m < cfg.n else
                  ("P_I", "P_T1_1", "P_T1_2", "P_T1_3", "P_T1_4", "P_T2_1",
                   "P_T2_2", "P_II2"))
-        assert set(dec) == set(names) | {"total"}
-        bucket_hits = round(sum(dec[k].value for k in names) * 200_000)
-        assert bucket_hits == round(dec["total"].value * 200_000)
+        assert set(counts["split"]) == set(names)
+        bucket_hits = sum(counts["split"][k] for k in names)
+        assert bucket_hits == counts["losses"][Scheme.HSIC_PA]
 
 
 def test_zero_cap_draws_only_in_uncontended_or_zero_cap_buckets():
@@ -109,16 +109,16 @@ def test_std_err_scaling():
 
 def test_pt_estimate_matches_decomposition():
     cfg = make_cfg(snr_db=15.0)
-    dec = estimate_decomposition(cfg, 100_000, SEED)
+    split = draw_counts(cfg, 100_000, SEED)["split"]
     pt = estimate_pt(cfg, 100_000, SEED)
-    pt_from_dec = sum(dec[k].value for k in dec if k.startswith("P_T"))
+    pt_from_dec = sum(v / 100_000 for k, v in split.items() if k.startswith("P_T"))
     assert math.isclose(pt.value, pt_from_dec, rel_tol=0.0, abs_tol=1e-15)
 
 
 def test_decomposition_cells_match_reference_classifiers_draw_for_draw():
     # every live contended-loss draw sits in exactly one cell of the
     # closed forms' table, the one the per-gain classifiers of
-    # ``reference`` name; the decomposition's counts follow draw for draw
+    # ``reference`` name; draw_counts' split follows draw for draw
     from hnoma.exact import contended_terms
     from hnoma.validate import DEFAULT_CONFIGS
     from conftest import regime_covering_configs
@@ -158,17 +158,15 @@ def test_decomposition_cells_match_reference_classifiers_draw_for_draw():
         counts = {"P_I": int(np.count_nonzero(lose & (branch == B_I)))}
         counts.update((name, int(np.count_nonzero(want == name))) for name in names)
         counts["P_II2"] = int(np.count_nonzero(contended & (tau == 0.0)))
-        expected = {k: ProbEstimate.from_counts(v, trials) for k, v in counts.items()}
-        n_lose = int(np.count_nonzero(lose))
-        expected["total"] = ProbEstimate.from_counts(n_lose, trials)
-        assert estimate_decomposition(cfg, trials, SEED) == expected, cfg
+        got = draw_counts(cfg, trials, SEED)
+        assert got["split"] == counts, cfg
+        assert got["losses"][Scheme.HSIC_PA] == int(np.count_nonzero(lose)), cfg
     assert checked > 100_000
 
 
 def test_decomposition_and_validation_run_the_kernel_in_chunks(monkeypatch):
-    # no pass of the validation suite runs the per-draw kernel on more
-    # than one chunk of rows: not the decomposition, the coupled
-    # estimates or the dominance count
+    # the validation suite's one pass over a config's draws runs the
+    # per-draw kernel on no more than one chunk of rows at a time
     from hnoma.channel import CHUNK_ROWS
     from hnoma.validate import DEFAULT_CONFIGS, run_validation
 
@@ -183,9 +181,8 @@ def test_decomposition_and_validation_run_the_kernel_in_chunks(monkeypatch):
     trials = 3 * CHUNK_ROWS + 5
     run_validation(DEFAULT_CONFIGS[:1], trials=trials, seed=SEED)
     assert max(rows) <= CHUNK_ROWS
-    # decomposition 1 pass, coupled estimates 2 (FSIC, and HSIC-PA whose
-    # run gives HSIC-NPA's verdict too), dominance count 3
-    assert sum(rows) == 6 * trials
+    # one run per hybrid scheme, each draw once
+    assert sum(rows) == 3 * trials
 
 
 def _whole_block_summary(cells, trials, seed, want_pt):
@@ -258,11 +255,13 @@ def test_pair_blocks_are_views_of_the_kept_block(monkeypatch):
             assert np.shares_memory(col, block)
 
 
-def test_mc_summary_over_a_kept_block_allocates_one_gamma_buffer():
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_mc_summary_over_a_kept_block_allocates_one_gamma_buffer(blocks):
     # the gains are read in place and the energy mean comes from γ's mean:
-    # the block of the two ranks read (16 MB), then one 8 MB γ buffer per
-    # 10^6-draw block plus the chunk kernel, where column copies and an
-    # energy array took 32 MB
+    # the block of the two ranks read (16 MB), then one 8 MB γ buffer for
+    # all 10^6-draw blocks plus the chunk kernel, where column copies and
+    # an energy array took 32 MB.  Over two blocks the first is dropped
+    # before the second is drawn, so one block and one γ buffer are held
     import tracemalloc
 
     from hnoma import mc_summary
@@ -271,11 +270,14 @@ def test_mc_summary_over_a_kept_block_allocates_one_gamma_buffer():
     cells = [(cfg, scheme) for scheme in HNOMA_SCHEMES]
     tracemalloc.start()
     try:
-        mc_summary(cells, 1_000_000, SEED, want_pt=True)
+        mc_summary(cells, blocks * 1_000_000, SEED, want_pt=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2 * 1_000_000 + 10e6
+    if blocks == 1:
+        assert peak <= 8 * 2 * 1_000_000 + 10e6
+    else:
+        assert peak <= 8 * 2 * 1_000_000 + 8 * 1_000_000 + 4e6
 
 
 def test_fixed_power_energy_mean_is_exact():

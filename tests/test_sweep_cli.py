@@ -313,6 +313,15 @@ def test_figure_draws_only_the_ranks_it_reads(tmp_path, monkeypatch):
     assert calls == [(2000, (2, 5)), (2000, (1, 2, 3, 4, 5))]
 
 
+def test_validation_draws_one_block_per_config(monkeypatch):
+    # one pass over each config's draws feeds all of validate's MC checks
+    from hnoma.validate import DEFAULT_CONFIGS
+
+    calls, _ = _count_draws(monkeypatch)
+    run_validation()
+    assert calls == [(200_000, (p["m"], p["n"])) for p in DEFAULT_CONFIGS]
+
+
 def test_cli_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"M": 5}))
