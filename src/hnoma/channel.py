@@ -52,7 +52,8 @@ def sample_gain_matrix(M: int, rng: np.random.Generator, size: int) -> np.ndarra
     return sample_gain_ranks(M, rng, size, range(1, M + 1))
 
 
-def sample_gain_ranks(M: int, rng: np.random.Generator, size: int, ranks) -> np.ndarray:
+def sample_gain_ranks(M: int, rng: np.random.Generator, size: int, ranks,
+                      out=None) -> np.ndarray:
     """Vectorized sampler: (size, len(ranks)) array whose column k holds
     the gains of rank ``ranks[k]`` (1-based) of M ascending ordered gains.
 
@@ -61,11 +62,14 @@ def sample_gain_ranks(M: int, rng: np.random.Generator, size: int, ranks) -> np.
     each chunk kept in cache through draw, transform, a sorting network
     of all M gains and the copy of its ranks.  The result equals those
     columns of one ``rng.random((size, M))``, transformed and row-sorted,
-    and leaves ``rng`` where that call would.
+    and leaves ``rng`` where that call would, so consecutive calls on one
+    generator give the rows of one call over their total size.  With
+    ``out``, a C-ordered (len(ranks), >= size) array, the result is a view
+    of its first ``size`` columns.
     """
     rows_of = [r - 1 for r in ranks]
     every = rows_of == list(range(M))  # then each chunk sorts in place
-    g = np.empty((len(rows_of), size))
+    g = np.empty((len(rows_of), size)) if out is None else out[:, :size]
     buf = np.empty((CHUNK_ROWS, M))
     low = np.empty(CHUNK_ROWS)
     sorted_chunk = None if every else np.empty((M, CHUNK_ROWS))
@@ -75,12 +79,12 @@ def sample_gain_ranks(M: int, rng: np.random.Generator, size: int, ranks) -> np.
         np.negative(rows, out=rows)
         np.log1p(rows, out=rows)
         np.negative(rows, out=rows)
-        out = g[:, start:start + CHUNK_ROWS]
-        cols = out if every else sorted_chunk[:, :rows.shape[0]]
+        dest = g[:, start:start + CHUNK_ROWS]
+        cols = dest if every else sorted_chunk[:, :rows.shape[0]]
         np.copyto(cols, rows.T)
         _sort_columns(cols, low)
         if not every:
-            np.take(cols, rows_of, axis=0, out=out)
+            np.take(cols, rows_of, axis=0, out=dest)
     return g.T
 
 

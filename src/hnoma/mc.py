@@ -13,28 +13,47 @@ from .channel import (CHUNK_ROWS, OrderPairDensity, mass_lower_interval,  # noqa
 from .config import InvalidConfigError, SystemConfig
 from .estimates import NUMERIC, ProbEstimate, raised
 from .exact import contended_terms
-from .numerics import IntegrationFailureError, adaptive_integrate, stream
+from .numerics import (IntegrationFailureError, adaptive_integrate, pairwise_join,
+                       pairwise_leaves, stream)
 from .regions import EventRegion, _Gathered, diagonal, region_underperformance
 from .schemes import HNOMA_SCHEMES, DrawKernel, Scheme, rate_factors  # noqa: F401
-from .tally import _chunks, curves, tally_curve
+from .tally import _chunks, curves, plan_curve, tally_curve
 
 BLOCK_TRIALS = 1_000_000
+# the longest leaf a block is cut into (see ``_rank_blocks``): four kernel
+# chunks, so a leaf's gains and γ stay a few MB whatever the trial count
+LEAF_ROWS = 4 * CHUNK_ROWS
 
 
 def _rank_blocks(M: int, ranks, trials: int, seed: int):
-    """The gains of ``ranks`` in every block, as ``{rank: read-only view}``.
+    """Every block as ``(size, leaves)``: its draw count, and its gains
+    of ``ranks`` one leaf at a time, each as ``{rank: read-only view}``.
 
     The only place gains are drawn.  Trials split into blocks of
     ``BLOCK_TRIALS`` (the last one partial); block b comes from ``stream(seed,
     b)`` sorted over all M ranks, so every consumer sees the same gains
-    whichever ranks it reads.  A rank's gains are a contiguous column."""
+    whichever ranks it reads.  A block is drawn in the leaves of its
+    pairwise-sum tree (``numerics.pairwise_leaves(size, LEAF_ROWS)``), in
+    order from its one stream, so its gains are those of one whole-block
+    draw and sums over its leaves rebuild its ``np.sum``
+    (``numerics.pairwise_join``).  A rank's gains are a contiguous row of
+    one buffer that every leaf reuses: a leaf's views hold until the next
+    leaf is drawn.
+    """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
+    buf = np.empty((len(ranks), min(LEAF_ROWS, trials)))
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        g = sample_gain_ranks(M, stream(seed, block), min(BLOCK_TRIALS, trials - start), ranks)
+        size = min(BLOCK_TRIALS, trials - start)
+        yield size, _leaves(M, ranks, stream(seed, block), pairwise_leaves(size, LEAF_ROWS), buf)
+
+
+def _leaves(M: int, ranks, rng, sizes, buf):
+    """The gains of ``ranks`` in leaves of ``sizes`` draws, in turn from ``rng``."""
+    for size in sizes:
+        g = sample_gain_ranks(M, rng, size, ranks, out=buf)
         g.flags.writeable = False
         yield dict(zip(ranks, g.T))
-        del g   # the next block is drawn without this one
 
 
 def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
@@ -42,37 +61,47 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     for every ``(cfg, scheme)`` cell, all on the same draws.
 
     The cells must share M; their (m, n) may differ.  Each block is drawn
-    once, with only the ranks the cells read, and fed to every cell, so
-    memory stays at one block of those ranks.  With ``want_pt`` the
-    contended positive-cap loss event is counted in the same pass
-    (power-adaptive cells only).  Each draw spends (1 + γ) β ρ_n over one
-    frame (T = 1), so ``energy_mean`` is formed from ``gamma_mean``; it is
-    exactly 2 β ρ_n off HSIC-PA.  Returns one summary dict per cell.
+    once, a leaf at a time, with only the ranks the cells read, and each
+    leaf is fed to every cell, so memory stays at one leaf of those ranks
+    and one leaf-length γ buffer whatever the trial count.  With
+    ``want_pt`` the contended positive-cap loss event is counted in the
+    same pass (power-adaptive cells only).  Each draw spends (1 + γ) β ρ_n
+    over one frame (T = 1), so ``energy_mean`` is formed from
+    ``gamma_mean``; it is exactly 2 β ρ_n off HSIC-PA.  Returns one
+    summary dict per cell.
 
     The cells are tallied along curves, on the draws whose outcome is
-    not yet fixed (see ``tally``); every count and pairwise γ sum is that
-    of the kernel over the whole block, as in a call on the cell alone.
+    not yet fixed (see ``tally``); a curve retires draws on every leaf as
+    the probe of its first leaf planned (``tally.plan_curve``).  Counts
+    add over the leaves, and each cell's γ sums over the leaves of a block
+    are joined up that block's pairwise-sum tree, so every count and γ
+    sum is that of the kernel over the whole block, as in a call on the
+    cell alone.
     """
     cells = [(cfg, Scheme(scheme)) for cfg, scheme in cells]
     if not cells:
         return []
     if len({cfg.M for cfg, _ in cells}) > 1:
         raise InvalidConfigError("mc_summary cells must share M")
-    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0) for _ in cells]
+    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0, leaf_sums=[]) for _ in cells]
     groups = curves([(*cell, tally) for cell, tally in zip(cells, tallies)])
+    plans = [None] * len(groups)
     ranks = sorted({rank for cfg, _ in cells for rank in (cfg.m, cfg.n)})
     kernel = DrawKernel(CHUNK_ROWS)
-    gamma = None
-    for cols in _rank_blocks(cells[0][0].M, ranks, trials, seed):
-        # per-draw factors go into one block-length buffer, so the sums
-        # are the same pairwise sums as over a whole-block kernel
-        size = cols[ranks[0]].size
-        if gamma is None:
-            gamma = np.empty(size)
-        for curve in groups:
-            cfg = curve[0][0]
-            tally_curve(kernel, curve, cols[cfg.m], cols[cfg.n], gamma[:size], want_pt)
-        del cols   # the next block is drawn without this one
+    longest = min(LEAF_ROWS, trials)
+    gamma, index = np.empty(longest), np.empty(longest, dtype=np.int32)
+    for size, leaves in _rank_blocks(cells[0][0].M, ranks, trials, seed):
+        for cols in leaves:
+            n = cols[ranks[0]].size
+            for k, curve in enumerate(groups):
+                cfg = curve[0][0]
+                g_m, g_n = cols[cfg.m], cols[cfg.n]
+                if plans[k] is None:
+                    plans[k] = plan_curve(kernel, curve, g_m, g_n)
+                tally_curve(kernel, curve, plans[k], g_m, g_n, gamma[:n], index, want_pt)
+        for tally in tallies:
+            tally["gamma_sum"] += pairwise_join(size, LEAF_ROWS, tally["leaf_sums"])
+            tally["leaf_sums"].clear()
     out = []
     for (cfg, scheme), tally in zip(cells, tallies):
         gamma_mean = tally["gamma_sum"] / trials
@@ -107,7 +136,8 @@ def draw_counts(cfg: SystemConfig, trials: int, seed: int) -> dict:
     out_of_order = 0
     kernel = DrawKernel(CHUNK_ROWS)
     gamma, below = np.empty(CHUNK_ROWS), np.empty(CHUNK_ROWS)
-    for cols in _rank_blocks(cfg.M, (cfg.m, cfg.n), trials, seed):
+    blocks = _rank_blocks(cfg.M, (cfg.m, cfg.n), trials, seed)
+    for cols in (leaf for _, leaves in blocks for leaf in leaves):
         for at in _chunks(cols[cfg.m].size, None):
             g_m, g_n = cols[cfg.m][at], cols[cfg.n][at]
             prev = below[:g_m.size]
@@ -194,6 +224,16 @@ class _ClauseCurves:
         return values
 
 
+@cache
+def _curve_pairs(k: int) -> tuple:
+    """``np.triu_indices(k, 1)``, read-only: every pair i < j of k curves,
+    in pair order."""
+    pairs = np.triu_indices(k, 1)
+    for side in pairs:
+        side.flags.writeable = False
+    return pairs
+
+
 def _region_breakpoints(clauses) -> list:
     """Legacy-gain values where two boundary curves of a clause cross,
     one list per clause (empty where the clause's range below the tail
@@ -236,7 +276,7 @@ def _region_breakpoints(clauses) -> list:
             row[:] = c(clause.cfg, grid) if callable(c) else c
         np.clip(scan, -1e300, 1e300, out=scan)  # finite values only
         # every curve pair i < j at once, in pair order
-        i, j = np.triu_indices(len(own), 1)
+        i, j = _curve_pairs(len(own))
         d = scan[i] - scan[j]
         pair, at = np.divmod(np.flatnonzero(np.diff(np.signbit(d), axis=1)),
                              grid.size - 1)

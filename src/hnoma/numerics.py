@@ -154,3 +154,52 @@ def stream(seed: int, block: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# ---------------------------------------------------------------------------
+#  numpy's pairwise summation, one leaf at a time
+# ---------------------------------------------------------------------------
+
+# numpy sums up to this many values in one unrolled loop (PW_BLOCKSIZE)
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum cuts n > 128 values: n/2 rounded down to
+    a multiple of its unroll factor 8."""
+    half = n // 2
+    return half - half % 8
+
+
+def pairwise_leaves(n: int, bound: int) -> list:
+    """The lengths, left to right, of the leaves of numpy's pairwise-sum
+    tree over n values cut at ``bound``: the nodes at most ``bound`` long
+    whose parent is longer.
+
+    ``np.sum`` of a contiguous float64 array adds 0.0 to the root of a
+    tree that cuts n > 128 values at ``n//2 - (n//2) % 8`` and sums up to
+    128 in one loop (Higham, SIAM J. Sci. Comput. 14, 1993).  With
+    ``bound >= 128`` every node above a leaf is cut, so ``np.sum`` of each
+    leaf is that node's sum and ``pairwise_join`` rebuilds the root.
+    """
+    if bound < _PAIRWISE_BLOCK:
+        raise ValueError(f"bound={bound} must be >= {_PAIRWISE_BLOCK}")
+    if n <= bound:
+        return [n]
+    half = _pairwise_split(n)
+    return pairwise_leaves(half, bound) + pairwise_leaves(n - half, bound)
+
+
+def pairwise_join(n: int, bound: int, sums) -> float:
+    """``np.sum`` of n float64 values, bit for bit, from ``sums``: the
+    ``np.sum`` of each leaf of ``pairwise_leaves(n, bound)``, in order."""
+    sums = iter(sums)
+
+    def node(n):
+        if n <= bound:
+            return next(sums)
+        half = _pairwise_split(n)
+        return node(half) + node(n - half)
+    # np.sum starts from 0.0: a leaf's sum is 0.0 + its node's, the whole
+    # sum 0.0 + the root's, and those differ only in the sign of a zero
+    return 0.0 + node(n)

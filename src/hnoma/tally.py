@@ -1,20 +1,23 @@
-"""The Monte Carlo tally of one gain block: the per-draw kernel over the
-cells of a curve, in ascending ρ_n.  A draw retires, and the kernel no
-longer runs on it, once ``schemes.SettleCertificate`` shows its outcome
-fixed at this step and every later one, in each scheme of the curve.
+"""The Monte Carlo tally of one leaf of a gain block (see
+``mc._rank_blocks``): the per-draw kernel over the cells of a curve, in
+ascending ρ_n.  A draw retires, and the kernel no longer runs on it, once
+``schemes.SettleCertificate`` shows its outcome fixed at this step and
+every later one, in each scheme of the curve.
 
-While a curve has no index, each step with a later one probes the block's
-first ``_PROBE_ROWS`` draws.  HSIC-PA's fates other than type I
-(``passing``) switch on once ``1/_PASS_SHARE`` of the probe are winners
-that only they retire, and once at most half of it is live one retire pass
-builds an int32 index of the live draws; the probe then stops, and each
-later step compacts the index in place with the same pass.  The kernel
-runs on ``CHUNK_ROWS`` slices of the block, or pieces of the index once
-there is one.  Floor-cone draws retired so far count as an HSIC-NPA loss
-at each later step.  Each HSIC-PA step with an index first writes every
-draw's γ in one contiguous pass (``DrawKernel.gamma_pass`` when passing,
-else 1, since only type-I winners retire), then the kernel overwrites the
-live draws' γ: every count and pairwise γ sum is the whole-block kernel's.
+A curve plans its retiring once, on its first leaf (``plan_curve``):
+each step with a later one probes the leaf's first ``_PROBE_ROWS``
+draws.  HSIC-PA's fates other than type I (``passing``) switch on once
+``1/_PASS_SHARE`` of the probe are winners that only they retire, and the
+first step at which at most half of the probe is live starts the index;
+the probe then stops.  On every leaf, that step's retire pass builds an
+int32 index of the leaf's live draws, and each later step compacts it in
+place with the same pass.  The kernel runs on ``CHUNK_ROWS`` slices of
+the leaf, or pieces of the index once there is one.  Floor-cone draws
+retired so far count as an HSIC-NPA loss at each later step.  Each
+HSIC-PA step with an index first writes every draw's γ in one contiguous
+pass (``DrawKernel.gamma_pass`` when passing, else 1, since only type-I
+winners retire), then the kernel overwrites the live draws' γ: every
+count and pairwise γ sum is the whole-leaf kernel's.
 """
 
 from __future__ import annotations
@@ -66,11 +69,15 @@ def _chunks(size: int, live) -> list:
 
 
 def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
-            live, passing: bool):
-    """The int32 positions of the draws of ``live`` (the whole block when
+            live, passing: bool, out=None):
+    """The int32 positions of the draws of ``live`` (all of ``g_m`` when
     None; an index is compacted in place) not settled at ``rho_n``, and
-    how many of the settled ones lose for good."""
-    out = np.empty(g_m.size, dtype=np.int32) if live is None else live
+    how many of the settled ones lose for good.  An index is built in
+    ``out``, a new array when it is None."""
+    if live is not None:
+        out = live
+    elif out is None:
+        out = np.empty(g_m.size, dtype=np.int32)
     end = floor = 0
     for at in _chunks(g_m.size, live):
         settled = kernel.settled(cert, rho_n, g_m, g_n, at, passing)
@@ -82,27 +89,42 @@ def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
     return out[:end], floor
 
 
-def tally_curve(kernel: DrawKernel, curve, g_m, g_n, gamma, want_pt: bool):
-    """Tally one block for the cells of one curve (see ``curves`` and the
-    module docstring), one kernel run per step and chunk.  A step with
-    both HSIC-NPA and HSIC-PA cells runs HSIC-PA, and its buffers give
-    HSIC-NPA's verdict too (``DrawKernel.npa_losses``)."""
+def plan_curve(kernel: DrawKernel, curve, g_m, g_n) -> tuple:
+    """How ``tally_curve`` retires draws along ``curve``, from the probe
+    of the first ``_PROBE_ROWS`` of the draws (see the module docstring):
+    ``(cert, passing, start)``, the curve's certificate, whether HSIC-PA's
+    other fates are on and γ comes from the pass, and the step from which
+    a live index is kept (``len(curve)``: none is).  No count or sum
+    depends on the plan, so one plan serves every leaf of a curve."""
     schemes = {scheme for _, cells in curve for scheme, _ in cells}
     pa = Scheme.HSIC_PA in schemes
     cert = SettleCertificate.of([cfg for cfg, _ in curve], *schemes)
-    passing = False   # HSIC-PA's other fates are on, and γ comes from the pass
+    passing = False
+    # an index pays for itself only over the SNRs that follow
+    for k, (cfg, _) in enumerate(curve[:-1] if cert is not None else ()):
+        probe = kernel.settled(cert, cfg.rho_n, g_m, g_n, slice(0, _PROBE_ROWS), pa)
+        passing = passing or _PASS_SHARE * kernel.passed_draws >= probe.size
+        # the pass's winners count as settled only once it is on
+        settled = int(np.count_nonzero(probe)) - (0 if passing else kernel.passed_draws)
+        if 2 * settled >= probe.size:
+            return cert, passing, k
+    return cert, passing, len(curve)
+
+
+def tally_curve(kernel: DrawKernel, curve, plan, g_m, g_n, gamma, index, want_pt: bool):
+    """Tally one leaf for the cells of one curve (see ``curves`` and the
+    module docstring), one kernel run per step and chunk, retiring draws
+    as ``plan`` (``plan_curve``) says, with the live index in ``index``.
+    A step with both HSIC-NPA and HSIC-PA cells runs HSIC-PA, and its
+    buffers give HSIC-NPA's verdict too (``DrawKernel.npa_losses``).
+    Counts add to each cell's tally, and the leaf's γ sum is appended to
+    its ``leaf_sums``."""
+    cert, passing, start = plan
     live = None
     floor = 0   # draws retired so far that lose HSIC-NPA at every SNR
     for k, (cfg, cells) in enumerate(curve):
-        probing = live is None and cert is not None and k + 1 < len(curve)
-        if probing:
-            probe = kernel.settled(cert, cfg.rho_n, g_m, g_n, slice(0, _PROBE_ROWS), pa)
-            passing = passing or _PASS_SHARE * kernel.passed_draws >= probe.size
-            # the pass's winners count as settled only once it is on
-            settled = int(np.count_nonzero(probe)) - (0 if passing else kernel.passed_draws)
-        # an index pays for itself only over the SNRs that follow
-        if live is not None or probing and 2 * settled >= probe.size:
-            live, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing)
+        if k >= start:
+            live, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing, index)
             floor += lost
         here = {scheme for scheme, _ in cells}
         run = Scheme.HSIC_PA if Scheme.HSIC_PA in here else cells[0][0]
@@ -125,4 +147,4 @@ def tally_curve(kernel: DrawKernel, curve, g_m, g_n, gamma, want_pt: bool):
             npa = scheme == Scheme.HSIC_NPA
             tally["hits"] += npa_hits + floor if npa else hits
             tally["pt_hits"] += 0 if npa else pt_hits
-            tally["gamma_sum"] += float(g_m.size) if npa else gamma_sum
+            tally["leaf_sums"].append(float(g_m.size) if npa else gamma_sum)

@@ -211,9 +211,19 @@ def _ref_summary(cfg, scheme, blocks, want_pt):
 
 
 def _feed(monkeypatch, cfg, g_m, g_n):
-    """Make ``mc_summary`` tally the one block (g_m, g_n) of cfg's ranks."""
-    monkeypatch.setattr(hnoma.mc, "_rank_blocks",
-                        lambda M, ranks, trials, seed: iter([{cfg.m: g_m, cfg.n: g_n}]))
+    """Make ``hnoma.mc`` draw (g_m, g_n) for cfg's ranks: each leaf drawn
+    takes the next rows, from the first again once all are taken, so a
+    pass over ``g_m.size`` trials tallies exactly these draws."""
+    gains = {cfg.m: g_m, cfg.n: g_n}
+    at = 0
+
+    def sample(M, rng, size, ranks, out=None):
+        nonlocal at
+        leaf = np.array([gains[rank][at:at + size] for rank in ranks]).T
+        at = (at + size) % g_m.size
+        return leaf
+
+    monkeypatch.setattr(hnoma.mc, "sample_gain_ranks", sample)
 
 
 def test_mc_summary_matches_reference_on_ties(monkeypatch):
@@ -263,7 +273,13 @@ def test_draw_counts_match_the_tally_and_reference(monkeypatch):
     g = sample_gain_matrix(cfg.M, stream(0, 0), 2 * CHUNK_ROWS + 5)
     blocks = [(cfg, g[:, cfg.m - 1], g[:, cfg.n - 1], False)]
     blocks += [(cfg, *_block_with_ties(cfg, k), True) for k, cfg in enumerate(_cfgs())]
+    # then in blocks of 7,000 draws, the last partial, each cut into leaves
+    # of 1,744-1,752 draws (the partial one into 1,248 and 1,259)
+    blocks += [(cfg, *_block_with_ties(cfg, k), "leaves") for k, cfg in enumerate(_cfgs())]
     for cfg, g_m, g_n, feed in blocks:
+        if feed == "leaves":
+            monkeypatch.setattr(hnoma.mc, "BLOCK_TRIALS", 7_000)
+            monkeypatch.setattr(hnoma.mc, "LEAF_ROWS", 2_000)
         if feed:
             _feed(monkeypatch, cfg, g_m, g_n)
         trials = g_m.size

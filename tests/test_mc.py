@@ -218,17 +218,21 @@ def _whole_block_summary(cells, trials, seed, want_pt):
     return out
 
 
-@pytest.mark.parametrize("block_trials", [None, "partial"])
+@pytest.mark.parametrize("block_trials", [None, "partial", "leaves"])
 def test_chunked_tally_matches_whole_block_loop(monkeypatch, block_trials):
     import hnoma.mc
     from hnoma import mc_summary
     from hnoma.channel import CHUNK_ROWS
 
     trials = 2 * CHUNK_ROWS + 123  # not a multiple of the chunk
-    if block_trials == "partial":
+    if block_trials in ("partial", "leaves"):
         # three blocks, none a multiple of the chunk, the last one partial
         monkeypatch.setattr(hnoma.mc, "BLOCK_TRIALS", CHUNK_ROWS + 1_000)
         trials = 2 * (CHUNK_ROWS + 1_000) + 777
+    if block_trials == "leaves":
+        # each full block in eight leaves of 2,168-2,176 draws, the last in
+        # one of 777, each with a partial chunk and a probe of all of it
+        monkeypatch.setattr(hnoma.mc, "LEAF_ROWS", 3_000)
     for base in (make_cfg(), make_cfg(m=3, n=1, R_m=0.5, eta=5.0)):
         cells = [(base.with_snr(snr), scheme) for snr in (0.0, 12.0, 25.0)
                  for scheme in (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)]
@@ -238,46 +242,62 @@ def test_chunked_tally_matches_whole_block_loop(monkeypatch, block_trials):
 
 
 def test_pair_blocks_are_views_of_the_kept_block(monkeypatch):
-    # a block holds only the ranks read, and each rank's gains are a
-    # read-only contiguous view of it
+    # a block is drawn a leaf at a time, a leaf holds only the ranks read,
+    # and each rank's gains are a read-only contiguous view of it; the
+    # leaves, in order, are the block one whole draw gives
     import hnoma.mc
+    from hnoma.numerics import pairwise_leaves
 
     drawn = []
     sample = hnoma.mc.sample_gain_ranks
     monkeypatch.setattr(hnoma.mc, "sample_gain_ranks",
-                        lambda *args: drawn.append(sample(*args)) or drawn[-1])
+                        lambda *args, **kw: drawn.append(sample(*args, **kw)) or drawn[-1])
+    monkeypatch.setattr(hnoma.mc, "LEAF_ROWS", 20_000)
     cfg = make_cfg(m=4, n=2)
-    for cols in hnoma.mc._rank_blocks(cfg.M, [cfg.m, cfg.n], 50_000, SEED):
-        (block,) = drawn
-        assert block.shape == (50_000, 2) and not block.flags.writeable
+    sizes = pairwise_leaves(50_000, 20_000)
+    assert len(sizes) == 4
+    (size, leaves), = hnoma.mc._rank_blocks(cfg.M, [cfg.m, cfg.n], 50_000, SEED)
+    assert size == 50_000
+    got = []
+    for k, cols in enumerate(leaves):
+        block = drawn[k]
+        assert block.shape == (sizes[k], 2) and not block.flags.writeable
         for col in (cols[cfg.m], cols[cfg.n]):
             assert col.flags.c_contiguous and not col.flags.writeable
             assert np.shares_memory(col, block)
+        got.append(np.array(block))
+    assert len(drawn) == len(sizes)
+    whole = sample_gain_matrix(cfg.M, stream(SEED, 0), 50_000)[:, [cfg.m - 1, cfg.n - 1]]
+    assert np.array_equal(np.concatenate(got), whole)
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_mc_summary_over_a_kept_block_allocates_one_gamma_buffer(blocks):
-    # the gains are read in place and the energy mean comes from γ's mean:
-    # the block of the two ranks read (16 MB), then one 8 MB γ buffer for
-    # all 10^6-draw blocks plus the chunk kernel, where column copies and
-    # an energy array took 32 MB.  Over two blocks the first is dropped
-    # before the second is drawn, so one block and one γ buffer are held
+    # the gains are drawn a leaf at a time into one buffer, read in place,
+    # and the tally reuses one leaf-length γ buffer and live index, so the
+    # peak is one leaf of the ranks read plus the chunk kernel (5-6 MB),
+    # whatever the trial count: below the 8 MB that the γ buffer of one
+    # 10^6-draw block took alone, for one pair's two ranks and for all
+    # five of fig1's curves
     import tracemalloc
 
     from hnoma import mc_summary
+    from hnoma.cli import load_preset
+    from hnoma.sweep import SweepSpec
 
     cfg = make_cfg()
-    cells = [(cfg, scheme) for scheme in HNOMA_SCHEMES]
-    tracemalloc.start()
-    try:
-        mc_summary(cells, blocks * 1_000_000, SEED, want_pt=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    if blocks == 1:
-        assert peak <= 8 * 2 * 1_000_000 + 10e6
-    else:
-        assert peak <= 8 * 2 * 1_000_000 + 8 * 1_000_000 + 4e6
+    fig1 = [SweepSpec.from_dict(raw) for raw in load_preset("fig1")["sweeps"]]
+    for n_ranks, cells in ((2, [(cfg, scheme) for scheme in HNOMA_SCHEMES]),
+                           (5, [(spec.config_at(snr), scheme) for spec in fig1
+                                for snr in spec.snr_db for scheme in spec.schemes])):
+        assert len({rank for cfg, _ in cells for rank in (cfg.m, cfg.n)}) == n_ranks
+        tracemalloc.start()
+        try:
+            mc_summary(cells, blocks * 1_000_000, SEED, want_pt=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 1_000_000, n_ranks
 
 
 def test_fixed_power_energy_mean_is_exact():

@@ -2,10 +2,11 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 
 from hnoma import adaptive_integrate
 from hnoma.exact import _cell_quadrature
-from hnoma.numerics import fejer1_weights, stream
+from hnoma.numerics import fejer1_weights, pairwise_join, pairwise_leaves, stream
 from hnoma.regions import diagonal
 
 from conftest import SEED
@@ -188,3 +189,30 @@ def test_streams_reproducible_and_disjoint():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert len(np.intersect1d(a1, b)) == 0  # no shared values across blocks
+
+
+# ---------------------------------------------------------------------------
+#  numpy's pairwise summation, one leaf at a time
+# ---------------------------------------------------------------------------
+
+def test_pairwise_leaves_rebuild_np_sum_bit_for_bit():
+    # values of both signs over 60 orders of magnitude make the sum depend
+    # on the order of every addition, so a numpy release that cut its
+    # pairwise tree elsewhere, or summed a leaf otherwise, fails here
+    rng = np.random.default_rng(SEED)
+    lengths = [1, 7, 8, 128, 129, 16_385, 65_537, 500_000, 1_000_000]
+    lengths += rng.integers(1, 1_500_000, size=20).tolist()
+    for n in lengths:
+        x = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-70.0, 70.0, n))
+        want = np.sum(x)
+        for bound in (128, 1_000, 4_096, 65_536):
+            sizes = pairwise_leaves(n, bound)
+            assert sum(sizes) == n and max(sizes) <= bound
+            # the tree is cut no further than the bound needs
+            assert len(sizes) == 1 or min(sizes) > bound // 2 - 8
+            ends = np.cumsum(sizes)
+            sums = [float(np.sum(x[end - size:end])) for size, end in zip(sizes, ends)]
+            got = pairwise_join(n, bound, sums)
+            assert np.float64(got).view(np.int64) == want.view(np.int64), (n, bound)
+    with pytest.raises(ValueError):
+        pairwise_leaves(1_000, 127)

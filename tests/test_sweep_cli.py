@@ -257,18 +257,24 @@ def test_oracle_never_imports_numpy_ma(tmp_path):
 
 
 def _count_draws(monkeypatch):
-    """The (size, ranks) of every block ``hnoma.mc`` draws from now on, and
-    the blocks drawn."""
+    """The (size, ranks) of every block ``hnoma.mc`` draws from now on, its
+    size summed over its leaves, and the leaves drawn.  A block starts
+    with its ``stream(seed, block)``."""
     import hnoma.mc
 
     calls, blocks = [], []
-    sample = hnoma.mc.sample_gain_ranks
+    stream, sample = hnoma.mc.stream, hnoma.mc.sample_gain_ranks
 
-    def counted(M, rng, size, ranks):
-        calls.append((size, tuple(ranks)))
-        blocks.append(sample(M, rng, size, ranks))
+    def started(seed, block):
+        calls.append((0, ()))
+        return stream(seed, block)
+
+    def counted(M, rng, size, ranks, out=None):
+        calls[-1] = (calls[-1][0] + size, tuple(ranks))
+        blocks.append(sample(M, rng, size, ranks, out=out))
         return blocks[-1]
 
+    monkeypatch.setattr(hnoma.mc, "stream", started)
     monkeypatch.setattr(hnoma.mc, "sample_gain_ranks", counted)
     return calls, blocks
 
