@@ -46,7 +46,7 @@ def _leading_mass(m: int, n: int, u, lo, hi):
 
 def asymptotic_pt_terms(cfg: SystemConfig) -> dict:
     """Leading coefficients of each sub-event (multiply by rho_m^-n or ^-m)."""
-    unit = replace(cfg, rho_m=1.0, rho_n=cfg.eta)
+    unit = replace(cfg, rho_n=cfg.eta)  # rho_m = eta / eta = 1 exactly
     pref = OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor
     mass = partial(_leading_mass, cfg.m, cfg.n)
     return {name: 0.0 if cell is None or not cell[3] > cell[2]

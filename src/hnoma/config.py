@@ -61,16 +61,14 @@ class SystemConfig:
     n: int
     R_m: float          # legacy target rate, bits per channel use
     beta: float         # power reduction coefficient, 0 < beta < 1/2
+    eta: float          # power ratio rho_n / rho_m, fixed along a sweep
     rho_n: float        # transmit SNR of the opportunistic user (linear)
-    rho_m: float        # transmit SNR of the legacy user (linear)
-    eta: float = None   # rho_n / rho_m, stored for sweeps
 
     def __post_init__(self):
         for name in ("M", "m", "n"):
             check_number(name, getattr(self, name), int)
-        for name in ("R_m", "beta", "rho_n", "rho_m", "eta"):
-            if getattr(self, name) is not None:  # eta defaults to rho_n / rho_m
-                check_number(name, getattr(self, name))
+        for name in ("R_m", "beta", "eta", "rho_n"):
+            check_number(name, getattr(self, name))
         check_ranks(self.M, self.m, self.n)
         if not 0.0 < self.beta < 0.5:
             raise InvalidConfigError(f"beta={self.beta} outside (0, 1/2)")
@@ -78,36 +76,27 @@ class SystemConfig:
         # and below about 1.6e-16 rounds to 1, where ε_m = 2^R_m - 1 is 0
         if not (0.0 < self.R_m < sys.float_info.max_exp and 2.0 ** self.R_m > 1.0):
             raise InvalidConfigError(f"R_m={self.R_m} must be positive, with 2^R_m finite, > 1")
+        if not 0.0 < self.eta < math.inf:
+            raise InvalidConfigError(f"power ratio eta={self.eta} must be positive and finite")
         if not (0.0 < self.rho_n < math.inf and 0.0 < self.rho_m < math.inf):
-            raise InvalidConfigError("transmit SNRs must be positive and finite")
-        if self.eta is None:
-            object.__setattr__(self, "eta", self.rho_n / self.rho_m)
-        elif abs(self.eta * self.rho_m - self.rho_n) > 1e-12 * self.rho_n:
-            raise InvalidConfigError(
-                f"eta={self.eta} inconsistent with rho_n/rho_m={self.rho_n / self.rho_m}"
-            )
+            raise InvalidConfigError(f"transmit SNRs rho_n={self.rho_n} and rho_m = rho_n/eta"
+                                     f" = {self.rho_m} must be positive and finite")
 
     @classmethod
-    def make(cls, M, m, n, R_m, beta, eta, snr_db=None, rho_n=None) -> "SystemConfig":
-        """Build a config from the power ratio ``eta`` and one SNR knob.
-
-        ``snr_db`` sets ``rho_n = 10^(snr_db/10)``; alternatively pass
-        ``rho_n`` directly.
-        """
-        if (snr_db is None) == (rho_n is None):
-            raise InvalidConfigError("give exactly one of snr_db / rho_n")
-        if not eta:  # rho_n / eta would raise ZeroDivisionError
-            raise InvalidConfigError(f"power ratio eta={eta} must be positive")
-        if rho_n is None:
-            check_number("snr_db", snr_db)
-            rho_n = db_to_linear(snr_db)
-        return cls(M=M, m=m, n=n, R_m=R_m, beta=beta,
-                   rho_n=rho_n, rho_m=rho_n / eta, eta=eta)
+    def make(cls, M, m, n, R_m, beta, eta, snr_db) -> "SystemConfig":
+        """Build a config from the power ratio ``eta`` and the SNR in dB:
+        ``rho_n = 10^(snr_db/10)``."""
+        check_number("snr_db", snr_db)
+        return cls(M=M, m=m, n=n, R_m=R_m, beta=beta, eta=eta, rho_n=db_to_linear(snr_db))
 
     def with_snr(self, snr_db: float) -> "SystemConfig":
         """Same scenario at a different SNR, keeping eta fixed."""
-        rho_n = db_to_linear(snr_db)
-        return replace(self, rho_n=rho_n, rho_m=rho_n / self.eta)
+        return replace(self, rho_n=db_to_linear(snr_db))
+
+    @property
+    def rho_m(self) -> float:
+        """Transmit SNR of the legacy user (linear), rho_n / eta."""
+        return self.rho_n / self.eta
 
     @property
     def snr_db(self) -> float:

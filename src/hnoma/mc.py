@@ -395,8 +395,7 @@ def integrate_events(regions, pair: OrderPairDensity, abs_tol: float = 1e-7) -> 
         active = (t > t_lo[k]) & (t <= t_top[k])
         return np.where(active, mass(pair, t, lo, np.minimum(hi, _TAIL)), 0.0)
 
-    values, errs, oks = adaptive_integrate(integrand, np.array(a), np.array(b),
-                                           abs_tol=np.array(tol), initial_panels=8)
+    values, errs, oks = adaptive_integrate(integrand, np.array(a), np.array(b), np.array(tol))
     values, errs, oks = values.tolist(), errs.tolist(), oks.tolist()
     out = []
     counts = iter(n_segs)

@@ -41,15 +41,20 @@ def _simpson(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
+# panels per segment, and bisections below a panel
+PANELS = 8
+MAX_DEPTH = 40
+
+
+def adaptive_integrate(f, a, b, abs_tol):
     """Tolerance-driven bisection (adaptive Simpson) over [a, b].
 
     Handles kinks and jump discontinuities by localizing them through
-    repeated bisection.  ``[a, b]`` is cut into ``initial_panels`` panels,
+    repeated bisection.  ``[a, b]`` is cut into ``PANELS`` panels,
     each with its width's share of ``abs_tol``.  An interval is accepted
     once its error estimate ``(left + right - whole) / 15`` is within its
     tolerance (or the roundoff floor of its value), else both halves are
-    refined with half the tolerance, down to ``max_depth`` splits.  No
+    refined with half the tolerance, down to ``MAX_DEPTH`` splits.  No
     interval is accepted at the first level, since one estimate from a
     panel's five points is blind to a feature between them.
 
@@ -74,26 +79,24 @@ def adaptive_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
     live = np.flatnonzero(b > a)
     if live.size:
         value[live], err[live] = _integrate_panels(
-            lambda x, k: f(x, live[k]), a[live], b[live], abs_tol[live],
-            max_depth, initial_panels)
+            lambda x, k: f(x, live[k]), a[live], b[live], abs_tol[live])
     return value, err, err <= abs_tol
 
 
-def _integrate_panels(f, a, b, abs_tol, max_depth, initial_panels):
+def _integrate_panels(f, a, b, abs_tol):
     """Per-segment (value, err) sums of the panels of segments [a_k, b_k]."""
-    edges = np.linspace(a, b, initial_panels + 1, axis=1)
+    edges = np.linspace(a, b, PANELS + 1, axis=1)
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     mid = 0.5 * (lo + hi)
-    seg = np.repeat(np.arange(a.size), initial_panels)  # segment of each interval
+    seg = np.repeat(np.arange(a.size), PANELS)  # segment of each interval
     f_edges = f(np.concatenate([edges.ravel(), mid]),
-                np.concatenate([np.repeat(np.arange(a.size), initial_panels + 1), seg]))
+                np.concatenate([np.repeat(np.arange(a.size), PANELS + 1), seg]))
     f_grid = f_edges[:edges.size].reshape(edges.shape)
     fa, fb, fm = f_grid[:, :-1].ravel(), f_grid[:, 1:].ravel(), f_edges[edges.size:]
     whole = _simpson(lo, hi, fa, fm, fb)
-    tol = (np.repeat(abs_tol, initial_panels) * (hi - lo)
-           / np.repeat(b - a, initial_panels))
+    tol = np.repeat(abs_tol, PANELS) * (hi - lo) / np.repeat(b - a, PANELS)
     levels = []          # (value, err, split) of every level, top first
-    depth = max_depth
+    depth = MAX_DEPTH
     while lo.size:
         m = 0.5 * (lo + hi)
         quarter = f(np.concatenate([0.5 * (lo + m), 0.5 * (m + hi)]),
@@ -131,11 +134,11 @@ def _integrate_panels(f, a, b, abs_tol, max_depth, initial_panels):
         below_v, below_e, _ = levels[k + 1]
         value[split] = below_v[0::2] + below_v[1::2]
         err[split] = below_e[0::2] + below_e[1::2]
-    panel_v = levels[0][0].reshape(a.size, initial_panels)
-    panel_e = levels[0][1].reshape(a.size, initial_panels)
+    panel_v = levels[0][0].reshape(a.size, PANELS)
+    panel_e = levels[0][1].reshape(a.size, PANELS)
     total = np.zeros(a.size)
     err_total = np.zeros(a.size)
-    for k in range(initial_panels):  # panel by panel, left to right
+    for k in range(PANELS):  # panel by panel, left to right
         total = total + panel_v[:, k]
         err_total = err_total + panel_e[:, k]
     return total, err_total

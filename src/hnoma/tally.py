@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import CHUNK_ROWS
-from .config import SystemConfig
 from .schemes import DrawKernel, Scheme, SettleCertificate
 
 # draws whose settled share decides whether a curve builds its live index
@@ -35,16 +34,6 @@ _PROBE_ROWS = 4096
 # the draws are winners that only it can retire, and it switches on there;
 # that share mostly grows at the SNRs that follow
 _PASS_SHARE = 4
-
-
-def tally_chunk(kernel: DrawKernel, cfg: SystemConfig, scheme: Scheme,
-                g_m, g_n, gamma, want_pt: bool, at=slice(None)):
-    """``(hits, pt_hits)`` of the draws ``at`` (see ``DrawKernel.run_at``);
-    γ goes into ``gamma``."""
-    kernel.run_at(cfg, scheme, g_m, g_n, gamma, at)
-    hits = int(np.count_nonzero(kernel.lose))
-    # the contended positive-cap loss: losing, not type I, tau > 0
-    return hits, kernel.contended_losses() if want_pt else 0
 
 
 def curves(cells) -> list:
@@ -69,15 +58,12 @@ def _chunks(size: int, live) -> list:
 
 
 def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
-            live, passing: bool, out=None):
+            live, passing: bool, out):
     """The int32 positions of the draws of ``live`` (all of ``g_m`` when
-    None; an index is compacted in place) not settled at ``rho_n``, and
-    how many of the settled ones lose for good.  An index is built in
-    ``out``, a new array when it is None."""
-    if live is not None:
-        out = live
-    elif out is None:
-        out = np.empty(g_m.size, dtype=np.int32)
+    None) not settled at ``rho_n``, and how many of the settled ones lose
+    for good.  A new index is built in ``out``; ``live`` is compacted in
+    place."""
+    out = out if live is None else live
     end = floor = 0
     for at in _chunks(g_m.size, live):
         settled = kernel.settled(cert, rho_n, g_m, g_n, at, passing)
@@ -137,9 +123,11 @@ def tally_curve(kernel: DrawKernel, curve, plan, g_m, g_n, gamma, index, want_pt
                 gamma.fill(1.0)
         hits = pt_hits = npa_hits = 0
         for at in _chunks(g_m.size, live):
-            chunk_hits, chunk_pt = tally_chunk(kernel, cfg, run, g_m, g_n, gamma, pt, at)
+            kernel.run_at(cfg, run, g_m, g_n, gamma, at)
+            chunk_hits = int(np.count_nonzero(kernel.lose))
             hits += chunk_hits
-            pt_hits += chunk_pt
+            # the contended positive-cap loss: losing, not type I, tau > 0
+            pt_hits += kernel.contended_losses() if pt else 0
             npa_hits += kernel.npa_losses() if shared else chunk_hits
         # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
         gamma_sum = float(gamma.sum()) if run == Scheme.HSIC_PA else float(g_m.size)

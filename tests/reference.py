@@ -5,8 +5,9 @@ None of this runs in ``hnoma figure``, ``sweep`` or ``validate``:
 - the NOMA-slot decision written step by step, one temporary per step,
   which the fused ``schemes.DrawKernel`` must match bit for bit, the
   kernel's own factor, branch and γ of given draws
-  (``kernel_rate_factors``), and the per-draw energy array, whose mean
-  ``mc_summary`` forms from that of γ;
+  (``kernel_rate_factors``), the per-draw energy array, whose mean
+  ``mc_summary`` forms from that of γ, and ``mc_summary`` itself from
+  that decision on whole blocks (``ref_mc_summary``);
 - wrappers of ``mc_summary``: one cell (``estimate_probability``,
   ``estimate_pt``) and every hybrid-NOMA scheme on shared draws
   (``estimate_coupled``);
@@ -45,6 +46,7 @@ from scipy import special
 
 from hnoma.channel import (OrderPairDensity, _leggauss, mass_lower_interval,
                            mass_upper_interval)
+from hnoma.estimates import ProbEstimate
 from hnoma.exact import N_C, contended_terms
 from hnoma.mc import mc_summary
 from hnoma.numerics import fejer1_weights
@@ -129,6 +131,34 @@ def energy_array(cfg, scheme, gamma):
     return (1.0 + gamma) * cfg.beta * cfg.rho_n
 
 
+def ref_mc_summary(cells, blocks, want_pt: bool) -> list:
+    """``mc_summary`` of the ``(cfg, scheme)`` cells from the step-by-step
+    decision, each block whole: ``blocks`` yields the (g_m, g_n) draws of
+    each block, which every cell reads."""
+    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0) for _ in cells]
+    trials = 0
+    for g_m, g_n in blocks:
+        trials += g_m.size
+        for (cfg, scheme), tally in zip(cells, tallies):
+            factor, branch, gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
+            lose = ref_loss_mask(cfg, g_n, factor)
+            tally["hits"] += int(np.count_nonzero(lose))
+            tally["gamma_sum"] += float(gamma.sum())
+            if want_pt and scheme == Scheme.HSIC_PA:
+                tally["pt_hits"] += int(np.count_nonzero(
+                    lose & (branch != B_I) & (ref_tau(cfg, g_m) > 0.0)))
+    out = []
+    for (cfg, scheme), tally in zip(cells, tallies):
+        gamma_mean = tally["gamma_sum"] / trials
+        summary = {"estimate": ProbEstimate.from_counts(tally["hits"], trials),
+                   "gamma_mean": gamma_mean,
+                   "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n}
+        if want_pt and scheme == Scheme.HSIC_PA:
+            summary["pt_estimate"] = ProbEstimate.from_counts(tally["pt_hits"], trials)
+        out.append(summary)
+    return out
+
+
 def estimate_probability(cfg, scheme, trials: int, seed: int):
     """Fraction of draws where the scheme fails to beat pure OMA."""
     return mc_summary([(cfg, scheme)], trials, seed)[0]["estimate"]
@@ -202,7 +232,7 @@ def _leading_mass(unit, pref: float, cell) -> float:
 
 def cell_leading_terms(cfg) -> dict:
     """``asymptotic.asymptotic_pt_terms`` one unit-SNR cell at a time."""
-    unit = replace(cfg, rho_m=1.0, rho_n=cfg.eta)
+    unit = replace(cfg, rho_n=cfg.eta)
     pref = OrderPairDensity(cfg.M, cfg.m, cfg.n).prefactor
     return {name: _leading_mass(unit, pref, cell)
             for name, cell in contended_terms(unit).items()}

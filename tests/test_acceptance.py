@@ -249,8 +249,8 @@ def test_criterion_9_numerics():
                 else ("k_1", "k_3", "first_lo", "k_2"))
         for key in keys:
             vals = [p_t_exact(SystemConfig(M=5, m=m, n=n, R_m=R_m, beta=beta,
-                                           rho_n=(th[key] + s) * 100.0,
-                                           rho_m=100.0)).value
+                                           eta=th[key] + s,
+                                           rho_n=(th[key] + s) * 100.0)).value
                     for s in (-1e-6, 1e-6)]
             worst_seam = max(worst_seam, abs(vals[0] - vals[1]))
     ok_c = worst_seam < 1e-6

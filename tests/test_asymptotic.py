@@ -14,7 +14,7 @@ from reference import cell_leading_terms, joint_pdf_near_zero
 
 
 def _unit(cfg):
-    return replace(cfg, rho_m=1.0, rho_n=cfg.eta)
+    return replace(cfg, rho_n=cfg.eta)
 
 
 def test_limit_constants_satisfy_their_quadratics():
@@ -137,7 +137,7 @@ def test_decay_exponent_by_construction():
     # the approximation is coefficient / rho_m^n (or ^m): doubling rho_m
     # divides it by exactly 2^n (2^m)
     for cfg in (make_cfg(n=3), make_cfg(m=3, n=1, R_m=0.35)):
-        a1, a2 = (p_t_asymptotic(replace(cfg, rho_m=rho, rho_n=cfg.eta * rho)).value
+        a1, a2 = (p_t_asymptotic(replace(cfg, rho_n=cfg.eta * rho)).value
                   for rho in (1e4, 2e4))
         k = cfg.n if cfg.m < cfg.n else cfg.m
         assert math.isclose(a1 / a2, 2.0 ** k, rel_tol=1e-9)

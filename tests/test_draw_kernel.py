@@ -19,11 +19,11 @@ from hnoma.channel import CHUNK_ROWS
 from hnoma.cli import FIGURES, load_preset
 from hnoma.schemes import DrawKernel, SettleCertificate, rate_factors
 from hnoma.sweep import SweepSpec, run_sweep
-from hnoma.tally import _retire, tally_chunk
+from hnoma.tally import _retire
 
 from conftest import make_cfg
 from reference import (B_I, B_II1, B_II2, energy_array, kernel_rate_factors,
-                       ref_loss_mask, ref_rate_factors, ref_tau)
+                       ref_loss_mask, ref_mc_summary, ref_rate_factors, ref_tau)
 
 SCHEMES = (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)
 
@@ -144,8 +144,9 @@ def test_tally_kernel_matches_reference_on_ties():
                 gamma = np.full(g_m.size, np.nan)
                 for lo in range(0, g_m.size, CHUNK_ROWS):
                     hi = lo + CHUNK_ROWS
-                    got = tally_chunk(kernel, cfg, scheme, g_m[lo:hi], g_n[lo:hi],
-                                      gamma[lo:hi], want_pt)
+                    kernel.run(cfg, scheme, g_m[lo:hi], g_n[lo:hi], gamma[lo:hi])
+                    got = (int(np.count_nonzero(kernel.lose)),
+                           kernel.contended_losses() if want_pt else 0)
                     hits, pt_hits, ref_gamma = _ref_chunk(cfg, scheme, g_m[lo:hi],
                                                           g_n[lo:hi], want_pt)
                     assert got == (hits, pt_hits)
@@ -187,29 +188,6 @@ def test_subnormal_gain_raises_no_warning(scheme):
         assert np.array_equal(production.view(np.int64), ref_factor.view(np.int64))
 
 
-def _ref_summary(cfg, scheme, blocks, want_pt):
-    """The summary dict of one cell from the step-by-step reference, over
-    the (g_m, g_n) blocks, each summed over one block-length γ buffer."""
-    hits = pt_hits = trials = 0
-    gamma_sum = 0.0
-    pt = want_pt and scheme == Scheme.HSIC_PA
-    for g_m, g_n in blocks:
-        gamma = np.empty(g_m.size)
-        for lo in range(0, g_m.size, CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            h, p, gamma[lo:hi] = _ref_chunk(cfg, scheme, g_m[lo:hi], g_n[lo:hi], pt)
-            hits, pt_hits = hits + h, pt_hits + p
-        gamma_sum += float(gamma.sum()) if scheme == Scheme.HSIC_PA else float(g_m.size)
-        trials += g_m.size
-    gamma_mean = gamma_sum / trials
-    out = {"estimate": ProbEstimate.from_counts(hits, trials),
-           "gamma_mean": gamma_mean,
-           "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n}
-    if pt:
-        out["pt_estimate"] = ProbEstimate.from_counts(pt_hits, trials)
-    return out
-
-
 def _feed(monkeypatch, cfg, g_m, g_n):
     """Make ``hnoma.mc`` draw (g_m, g_n) for cfg's ranks: each leaf drawn
     takes the next rows, from the first again once all are taken, so a
@@ -233,8 +211,7 @@ def test_mc_summary_matches_reference_on_ties(monkeypatch):
         _feed(monkeypatch, cfg, g_m, g_n)
         cells = [(cfg, scheme) for scheme in SCHEMES]
         got = mc_summary(cells, g_m.size, 0, want_pt=True)
-        for cell, summary in zip(cells, got):
-            assert summary == _ref_summary(*cell, [(g_m, g_n)], True)
+        assert got == ref_mc_summary(cells, [(g_m, g_n)], True)
 
 
 def test_mc_summary_energy_matches_reference_draw_by_draw(monkeypatch):
@@ -412,8 +389,8 @@ def test_sweep_matches_reference_on_ties_at_every_snr(monkeypatch, base):
     got = mc_summary(cells, g_m.size, 0, want_pt=True)
     settles = SettleCertificate.of(cfgs, Scheme.HSIC_PA) is not None
     assert (sum(rows) < len(cells) * g_m.size) == settles
-    for cell, summary in zip(cells, got):
-        assert summary == _ref_summary(*cell, [(g_m, g_n)], True), cell
+    for cell, summary, want in zip(cells, got, ref_mc_summary(cells, [(g_m, g_n)], True)):
+        assert summary == want, cell
         assert summary == mc_summary([cell], g_m.size, 0, want_pt=True)[0], cell
 
 
@@ -754,10 +731,11 @@ def test_settled_at_a_slice_or_an_index_matches_the_views(base, snrs):
 
 @pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
 def test_retire_builds_and_compacts_the_live_index(base, snrs):
-    """``_retire`` without an index gives the int32 positions of the
-    unsettled draws, ``np.flatnonzero`` of a whole-block ``settled`` mask,
-    and the floor count of that call; compacting the index of every draw,
-    or of a subset, in place gives the same result on those draws."""
+    """``_retire`` without an index writes into the caller's buffer the
+    int32 positions of the unsettled draws, ``np.flatnonzero`` of a
+    whole-block ``settled`` mask, and gives the floor count of that call;
+    compacting the index of every draw, or of a subset, in place gives the
+    same result on those draws."""
     rng = np.random.default_rng(13)
     kernel = DrawKernel(CHUNK_ROWS)
     cfgs = [base.with_snr(s) for s in snrs]
@@ -767,15 +745,19 @@ def test_retire_builds_and_compacts_the_live_index(base, snrs):
             g_m, g_n = _fate_block(cfg, rng)
             whole = DrawKernel(g_m.size)
             subset = np.flatnonzero(rng.random(g_m.size) < 0.7).astype(np.int32)
+            index = np.empty(g_m.size, dtype=np.int32)
             for passing in (False, True):
                 mask = whole.settled(cert, cfg.rho_n, g_m, g_n, passing=passing)
                 want = np.flatnonzero(~mask).astype(np.int32), whole.floor_draws
                 for live in (None, np.arange(g_m.size, dtype=np.int32)):
-                    got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing)
+                    got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing,
+                                        index)
                     assert got.dtype == np.int32
+                    assert np.shares_memory(got, index if live is None else live)
                     assert np.array_equal(got, want[0]) and lost == want[1], (cfg, cert)
                 mask = whole.settled(cert, cfg.rho_n, g_m[subset], g_n[subset], passing=passing)
-                got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, subset.copy(), passing)
+                got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, subset.copy(), passing,
+                                    index)
                 assert np.array_equal(got, subset[~mask]), (cfg, cert)
                 assert lost == whole.floor_draws, (cfg, cert)
                 settled += g_m.size - want[0].size

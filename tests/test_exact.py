@@ -24,8 +24,7 @@ from reference import (config_pt_terms, expansion_pt_terms, gamma1,
 def test_threshold_hand_values():
     th = eta_thresholds(beta=0.25, eps_m=1.0)
     assert math.isclose(th["k_1"], 8.0 / 3.0)
-    cfg = SystemConfig.make(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0,
-                            rho_n=16.0)
+    cfg = SystemConfig(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0, rho_n=16.0)
     assert math.isclose(_cap_floor_const(cfg), 0.5)
 
 
@@ -162,7 +161,7 @@ def test_cells_do_not_depend_on_snr():
     assert {cfg.m < cfg.n for cfg in configs} == {True, False}
     checked = 0
     for cfg in configs:
-        unit = contended_terms(replace(cfg, rho_m=1.0, rho_n=cfg.eta))
+        unit = contended_terms(replace(cfg, rho_n=cfg.eta))
         for snr in range(0, 61, 5):
             at = cfg.with_snr(snr)
             table = contended_terms(at)
@@ -203,8 +202,7 @@ def test_cells_at_column_seams_do_not_depend_on_snr(m, n):
         for name in names:
             for steps in (-2, -1, 1, 2):
                 eta = _ulps_from(th[name], steps)
-                base = SystemConfig.make(M=5, m=m, n=n, R_m=R_m, beta=beta, eta=eta,
-                                         rho_n=eta)
+                base = SystemConfig(M=5, m=m, n=n, R_m=R_m, beta=beta, eta=eta, rho_n=eta)
                 unit = contended_terms(base)
                 sweep = [base.with_snr(snr) for snr in range(0, 61, 5)]
                 for at in sweep:
@@ -351,8 +349,8 @@ def test_regime_seam_continuity():
             eta0 = th[key]
             vals = []
             for eta in (eta0 - 1e-6, eta0 + 1e-6):
-                cfg = SystemConfig(M=5, m=m, n=n, R_m=R_m, beta=beta,
-                                   rho_n=eta * rho_m, rho_m=rho_m)
+                cfg = SystemConfig(M=5, m=m, n=n, R_m=R_m, beta=beta, eta=eta,
+                                   rho_n=eta * rho_m)
                 vals.append(p_t_exact(cfg).value)
             assert abs(vals[0] - vals[1]) < 1e-6, (m, n, key)
 

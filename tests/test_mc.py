@@ -13,7 +13,8 @@ from hnoma.schemes import HNOMA_SCHEMES, DrawKernel
 
 from conftest import SEED, make_cfg
 from reference import (clause_bounds, estimate_coupled, estimate_probability,
-                       estimate_pt, region_contains, region_everything, region_legacy_below)
+                       estimate_pt, ref_mc_summary, region_contains, region_everything,
+                       region_legacy_below)
 
 
 def test_prob_estimate_invariants():
@@ -185,37 +186,15 @@ def test_decomposition_and_validation_run_the_kernel_in_chunks(monkeypatch):
     assert sum(rows) == 3 * trials
 
 
-def _whole_block_summary(cells, trials, seed, want_pt):
-    # mc_summary before its tally was chunked and fused: the step-by-step
-    # kernels on whole blocks
+def _drawn_blocks(cfg, trials, seed):
+    """The (g_m, g_n) blocks that ``mc_summary`` draws for cfg's ranks,
+    each whole, as before its tally was chunked and fused."""
     import hnoma.mc
-    from reference import B_I, ref_loss_mask, ref_rate_factors, ref_tau
 
-    tallies = [dict(hits=0, pt_hits=0, gamma_sum=0.0) for _ in cells]
-    M, m, n = cells[0][0].M, cells[0][0].m, cells[0][0].n
     for block, start in enumerate(range(0, trials, hnoma.mc.BLOCK_TRIALS)):
         size = min(hnoma.mc.BLOCK_TRIALS, trials - start)
-        g = sample_gain_matrix(M, stream(seed, block), size)
-        g_m, g_n = g[:, m - 1].copy(), g[:, n - 1].copy()
-        for (cfg, scheme), tally in zip(cells, tallies):
-            factor, branch, gamma = ref_rate_factors(cfg, g_m, g_n, scheme)
-            lose = ref_loss_mask(cfg, g_n, factor)
-            tally["hits"] += int(np.count_nonzero(lose))
-            tally["gamma_sum"] += float(gamma.sum())
-            if want_pt and scheme == Scheme.HSIC_PA:
-                tau = ref_tau(cfg, g_m)
-                tally["pt_hits"] += int(np.count_nonzero(
-                    lose & (branch != B_I) & (tau > 0.0)))
-    out = []
-    for (cfg, scheme), tally in zip(cells, tallies):
-        gamma_mean = tally["gamma_sum"] / trials
-        summary = {"estimate": ProbEstimate.from_counts(tally["hits"], trials),
-                   "gamma_mean": gamma_mean,
-                   "energy_mean": (1.0 + gamma_mean) * cfg.beta * cfg.rho_n}
-        if want_pt and scheme == Scheme.HSIC_PA:
-            summary["pt_estimate"] = ProbEstimate.from_counts(tally["pt_hits"], trials)
-        out.append(summary)
-    return out
+        g = sample_gain_matrix(cfg.M, stream(seed, block), size)
+        yield g[:, cfg.m - 1].copy(), g[:, cfg.n - 1].copy()
 
 
 @pytest.mark.parametrize("block_trials", [None, "partial", "leaves"])
@@ -238,7 +217,7 @@ def test_chunked_tally_matches_whole_block_loop(monkeypatch, block_trials):
                  for scheme in (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA)]
         for want_pt in (False, True):
             got = mc_summary(cells, trials, SEED, want_pt=want_pt)
-            assert got == _whole_block_summary(cells, trials, SEED, want_pt)
+            assert got == ref_mc_summary(cells, _drawn_blocks(base, trials, SEED), want_pt)
 
 
 def test_pair_blocks_are_views_of_the_kept_block(monkeypatch):

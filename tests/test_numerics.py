@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import hnoma.numerics
 from hnoma import adaptive_integrate
 from hnoma.exact import _cell_quadrature
 from hnoma.numerics import fejer1_weights, pairwise_join, pairwise_leaves, stream
@@ -53,9 +54,9 @@ def test_erfcx_matches_mpmath():
 #  adaptive integration
 # ---------------------------------------------------------------------------
 
-def _one(f, a, b, **kw):
+def _one(f, a, b, abs_tol=1e-7):
     """``adaptive_integrate`` over the one segment [a, b], as Python scalars."""
-    v, e, ok = adaptive_integrate(f, np.array([a]), np.array([b]), **kw)
+    v, e, ok = adaptive_integrate(f, np.array([a]), np.array([b]), abs_tol)
     assert v.shape == e.shape == ok.shape == (1,)
     return v.item(), e.item(), ok.item()
 
@@ -79,7 +80,7 @@ def _simpson(a, b, fa, fm, fb):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _depth_first_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=16):
+def _depth_first_integrate(f, a, b, abs_tol=1e-7, max_depth=40, initial_panels=8):
     """Reference: adaptive Simpson as a depth-first recursion, one point
     per call of ``f``; an interval is never accepted at the first level."""
     g = lambda x: float(f(np.array([x]), np.zeros(1, dtype=np.intp))[0])
@@ -119,38 +120,34 @@ _INTEGRANDS = {
 }
 
 
-def test_adaptive_integrate_matches_depth_first_reference():
+def test_adaptive_integrate_matches_depth_first_reference(monkeypatch):
+    assert (hnoma.numerics.PANELS, hnoma.numerics.MAX_DEPTH) == (8, 40)
     for name, f in _INTEGRANDS.items():
-        for a, b, kw in ((0.0, 1.0, {}),
-                         (0.0, 2.2, dict(abs_tol=1e-10, initial_panels=8)),
-                         (-0.4, 1.3, dict(abs_tol=1e-9, max_depth=6)),
-                         (0.1, 0.9, dict(max_depth=0))):
-            got = _one(f, a, b, **kw)
-            assert got == _depth_first_integrate(f, a, b, **kw), (name, a, b, kw)
+        for a, b, abs_tol, depth in ((0.0, 1.0, 1e-7, 40), (0.0, 2.2, 1e-10, 40),
+                                     (-0.4, 1.3, 1e-9, 6), (0.1, 0.9, 1e-7, 0)):
+            monkeypatch.setattr(hnoma.numerics, "MAX_DEPTH", depth)
+            got = _one(f, a, b, abs_tol)
+            assert got == _depth_first_integrate(f, a, b, abs_tol, depth), (name, a, b, depth)
             assert type(got[0]) is float and type(got[2]) is bool
 
 
-def test_adaptive_integrate_segments_are_independent():
+def test_adaptive_integrate_segments_are_independent(monkeypatch):
     edges = np.array([0.0, 0.2, 0.31237, 0.5, 2.2])
     for name, f in _INTEGRANDS.items():
-        values, errs, oks = adaptive_integrate(f, edges[:-1], edges[1:],
-                                               abs_tol=1e-9, initial_panels=8)
+        values, errs, oks = adaptive_integrate(f, edges[:-1], edges[1:], 1e-9)
         for k in range(edges.size - 1):
-            ref = _depth_first_integrate(f, edges[k], edges[k + 1],
-                                         abs_tol=1e-9, initial_panels=8)
+            ref = _depth_first_integrate(f, edges[k], edges[k + 1], abs_tol=1e-9)
             assert (values[k], errs[k], oks[k]) == ref, (name, k)
     # a tolerance per segment, one of them out of reach at this depth
     tols = np.array([1e-9, 3e-12, 1e-30, 2e-7])
+    monkeypatch.setattr(hnoma.numerics, "MAX_DEPTH", 12)
     for name, f in _INTEGRANDS.items():
-        values, errs, oks = adaptive_integrate(f, edges[:-1], edges[1:], abs_tol=tols,
-                                               max_depth=12, initial_panels=8)
+        values, errs, oks = adaptive_integrate(f, edges[:-1], edges[1:], tols)
         for k in range(edges.size - 1):
-            ref = _one(f, edges[k], edges[k + 1], abs_tol=tols[k],
-                       max_depth=12, initial_panels=8)
+            ref = _one(f, edges[k], edges[k + 1], abs_tol=tols[k])
             assert (values[k], errs[k], oks[k]) == ref, (name, k)
             assert ref == _depth_first_integrate(f, edges[k], edges[k + 1],
-                                                 abs_tol=tols[k], max_depth=12,
-                                                 initial_panels=8), (name, k)
+                                                 abs_tol=tols[k], max_depth=12), (name, k)
 
 
 def test_adaptive_integrate_tells_f_the_segment_of_each_point():
@@ -161,7 +158,7 @@ def test_adaptive_integrate_tells_f_the_segment_of_each_point():
         seen.append((x, k))
         return np.exp(x)
 
-    adaptive_integrate(f, edges[:-1], edges[1:], abs_tol=1e-9, initial_panels=8)
+    adaptive_integrate(f, edges[:-1], edges[1:], 1e-9)
     x, k = map(np.concatenate, zip(*seen))
     assert set(k.tolist()) == {0, 2, 3}
     assert np.all((edges[k] <= x) & (x <= edges[k + 1]))
@@ -174,7 +171,7 @@ def test_adaptive_integrate_counts_one_call_per_level():
         calls.append(x.size)
         return np.where(x < 0.31237, 1.0, 0.0)
 
-    _one(f, 0.0, 1.0, abs_tol=1e-9, max_depth=40)
+    _one(f, 0.0, 1.0, abs_tol=1e-9)
     assert len(calls) <= 42  # the panel points, then at most one per level
 
 

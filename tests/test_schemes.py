@@ -14,8 +14,7 @@ from reference import B_I, B_II2, B_NA, energy_array, kernel_rate_factors
 
 def _cfg_example():
     # beta=1/4, rho_n=40, rho_m=10, R_m=1
-    return SystemConfig.make(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=4.0,
-                             rho_n=40.0)
+    return SystemConfig(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=4.0, rho_n=40.0)
 
 
 def _kernel(cfg, g_m, g_n, scheme=Scheme.HSIC_PA):
@@ -49,8 +48,7 @@ def _one_draw(cfg, g_m, g_n, scheme):
 
 
 def test_tau_threshold_hand_values():
-    cfg = SystemConfig.make(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0,
-                            rho_n=10.0)
+    cfg = SystemConfig(M=5, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0, rho_n=10.0)
     assert math.isclose(float(_tau(cfg, 1.0)), 9.0)
     assert float(_tau(cfg, 0.5 * cfg.alpha_m)) == 0.0
     assert float(_tau(cfg, cfg.alpha_m)) == 0.0
@@ -104,8 +102,7 @@ def test_indicator_limits():
     cfg = _cfg_example()
     # ranked gains 1, 1e6, 2e6, 3e6, 4e6: legacy (m=1) 1, opportunistic (n=2) 1e6
     assert _one_draw(cfg, 1.0, 1e6, Scheme.HSIC_PA)[3] is False
-    cfg2 = SystemConfig.make(M=2, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0,
-                             rho_n=10.0)
+    cfg2 = SystemConfig(M=2, m=1, n=2, R_m=1.0, beta=0.25, eta=1.0, rho_n=10.0)
     for s in (Scheme.FSIC, Scheme.HSIC_NPA, Scheme.HSIC_PA):
         assert _one_draw(cfg2, 0.0, 0.0, s)[3] is True
 
@@ -175,8 +172,7 @@ def test_power_adaptation_factor_identity():
     g_n=st.floats(0.0, 20.0),
 )
 def test_rate_dominance_property(beta, R_m, eta, rho_n, g_m, g_n):
-    cfg = SystemConfig.make(M=4, m=2, n=3, R_m=R_m, beta=beta, eta=eta,
-                            rho_n=rho_n)
+    cfg = SystemConfig(M=4, m=2, n=3, R_m=R_m, beta=beta, eta=eta, rho_n=rho_n)
     gm = np.array([g_m])
     gn = np.array([g_n])
     f_fsic = rate_factors(cfg, gm, gn, Scheme.FSIC)
