@@ -87,7 +87,9 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
     groups = curves([(*cell, tally) for cell, tally in zip(cells, tallies)])
     plans = [None] * len(groups)
     ranks = sorted({rank for cfg, _ in cells for rank in (cfg.m, cfg.n)})
-    kernel = DrawKernel(CHUNK_ROWS)
+    from . import ctally   # on first use: importing hnoma loads no compiled code
+
+    kernel, lib = DrawKernel(CHUNK_ROWS), ctally.load()
     longest = min(LEAF_ROWS, trials)
     gamma, index = np.empty(longest), np.empty(longest, dtype=np.int32)
     for size, leaves in _rank_blocks(cells[0][0].M, ranks, trials, seed):
@@ -97,8 +99,8 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
                 cfg = curve[0][0]
                 g_m, g_n = cols[cfg.m], cols[cfg.n]
                 if plans[k] is None:
-                    plans[k] = plan_curve(kernel, curve, g_m, g_n)
-                tally_curve(kernel, curve, plans[k], g_m, g_n, gamma[:n], index, want_pt)
+                    plans[k] = plan_curve(kernel, lib, curve, g_m, g_n, index)
+                tally_curve(kernel, lib, curve, plans[k], g_m, g_n, gamma[:n], index, want_pt)
         for tally in tallies:
             tally["gamma_sum"] += pairwise_join(size, LEAF_ROWS, tally["leaf_sums"])
             tally["leaf_sums"].clear()

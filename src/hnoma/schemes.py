@@ -197,10 +197,7 @@ class DrawKernel:
         else:
             g_m, g_n = g_m[at], g_n[at]
         self.floor_draws = self.passed_draws = 0
-        passing = passing and cert.pa
-        won_for_good = passing or not cert.pa
-        adapting = passing and cert.k_x is not None
-        cone = cert.npa and (adapting or not cert.pa)
+        passing, won_for_good, adapting, cone = cert.tests(passing)
         up = 1.0 + _SETTLE_MARGIN
         # the type-II fates before the type-I test, which overwrites the
         # gathered gains
@@ -419,6 +416,13 @@ class SettleCertificate(NamedTuple):
     k_o: float      # (1 + δ) r⁺ / (β ε_m)
     k_q: float      # (1 + δ) β² / ((1 - β) r⁻)
     k_x: float      # r⁻, or None where the adapting fate is off
+
+    def tests(self, passing: bool) -> tuple:
+        """Which of ``DrawKernel.settled``'s tests run, with or without
+        ``passing``: ``(passing, won_for_good, adapting, cone)``."""
+        passing = passing and self.pa
+        adapting = passing and self.k_x is not None
+        return passing, passing or not self.pa, adapting, self.npa and (adapting or not self.pa)
 
     @classmethod
     def of(cls, cfgs, *schemes: Scheme):

@@ -18,6 +18,12 @@ HSIC-PA step with an index first writes every draw's γ in one contiguous
 pass (``DrawKernel.gamma_pass`` when passing, else 1, since only type-I
 winners retire), then the kernel overwrites the live draws' γ: every
 count and pairwise γ sum is the whole-leaf kernel's.
+
+The kernel, the γ pass and the settle test run one chunk at a time
+through ``_kernel_chunk``, ``gamma_pass`` and ``_settle_chunk``: in C
+(``ctally.load()``, built on the first ``mc_summary`` call) where it
+loaded, else in numpy (``DrawKernel``), with the same counts, γ and
+live index bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ _PROBE_ROWS = 4096
 # the γ pass costs about 9 ns per block row and the kernel about 35 ns per
 # indexed draw (x86, one core), so the pass pays once about a quarter of
 # the draws are winners that only it can retire, and it switches on there;
-# that share mostly grows at the SNRs that follow
+# that share mostly grows at the SNRs that follow.  Compiled, the two cost
+# about 3 and 6 ns, but a share of a half was no faster on fig1, fig3a or
+# fig5a, so one value serves both paths
 _PASS_SHARE = 4
 
 
@@ -57,60 +65,95 @@ def _chunks(size: int, live) -> list:
     return [live[lo:lo + CHUNK_ROWS] for lo in range(0, live.size, CHUNK_ROWS)]
 
 
-def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n,
+def _kernel_chunk(kernel: DrawKernel, lib, cfg, scheme: Scheme, g_m, g_n, gamma, at,
+                  pt: bool, shared: bool) -> tuple:
+    """One kernel run on the chunk ``at`` (as in ``DrawKernel.run_at``),
+    through the compiled pass ``lib`` (``ctally.load()``) or, where it is
+    None, ``kernel``: ``(hits, pt_hits, npa_hits)``, the losses, the
+    contended losses with ``pt`` (else 0) and HSIC-NPA's losses, read off
+    an HSIC-PA run with ``shared`` (else the losses).  HSIC-PA writes γ
+    into ``gamma[at]``."""
+    if lib is not None:
+        return lib.chunk(cfg, scheme, g_m, g_n, gamma, at, pt, shared)
+    kernel.run_at(cfg, scheme, g_m, g_n, gamma, at)
+    hits = int(np.count_nonzero(kernel.lose))
+    # the contended positive-cap loss: losing, not type I, tau > 0
+    return (hits, kernel.contended_losses() if pt else 0,
+            kernel.npa_losses() if shared else hits)
+
+
+def _settle_chunk(kernel: DrawKernel, lib, cert: SettleCertificate, rho_n: float, g_m, g_n,
+                  at, passing: bool, out) -> tuple:
+    """``DrawKernel.settled`` on the chunk ``at``, through ``lib`` or
+    ``kernel`` as in ``_kernel_chunk``: the int32 positions of the draws
+    not settled go to the front of ``out``, which may overlap ``at`` from
+    its start on, and the result is ``(kept, floor_draws,
+    passed_draws)``."""
+    if lib is not None:
+        return lib.settle(cert, rho_n, g_m, g_n, at, passing, out)
+    settled = kernel.settled(cert, rho_n, g_m, g_n, at, passing)
+    positions = np.arange(at.start, at.stop, dtype=np.int32) if isinstance(at, slice) else at
+    kept = np.compress(np.logical_not(settled, out=settled), positions)
+    out[:kept.size] = kept   # after the copy: the two may overlap
+    return kept.size, kernel.floor_draws, kernel.passed_draws
+
+
+def _retire(kernel: DrawKernel, lib, cert: SettleCertificate, rho_n: float, g_m, g_n,
             live, passing: bool, out):
     """The int32 positions of the draws of ``live`` (all of ``g_m`` when
     None) not settled at ``rho_n``, and how many of the settled ones lose
-    for good.  A new index is built in ``out``; ``live`` is compacted in
-    place."""
+    for good, through ``lib`` or ``kernel`` as in ``_kernel_chunk``.  A
+    new index is built in ``out``; ``live`` is compacted in place."""
     out = out if live is None else live
     end = floor = 0
     for at in _chunks(g_m.size, live):
-        settled = kernel.settled(cert, rho_n, g_m, g_n, at, passing)
-        floor += kernel.floor_draws
-        positions = np.arange(at.start, at.stop, dtype=np.int32) if live is None else at
-        kept = np.compress(np.logical_not(settled, out=settled), positions)
-        out[end:end + kept.size] = kept   # after the copy: the two may overlap
-        end += kept.size
+        kept, lost, _ = _settle_chunk(kernel, lib, cert, rho_n, g_m, g_n, at, passing, out[end:])
+        end += kept
+        floor += lost
     return out[:end], floor
 
 
-def plan_curve(kernel: DrawKernel, curve, g_m, g_n) -> tuple:
+def plan_curve(kernel: DrawKernel, lib, curve, g_m, g_n, out) -> tuple:
     """How ``tally_curve`` retires draws along ``curve``, from the probe
     of the first ``_PROBE_ROWS`` of the draws (see the module docstring):
     ``(cert, passing, start)``, the curve's certificate, whether HSIC-PA's
     other fates are on and γ comes from the pass, and the step from which
-    a live index is kept (``len(curve)``: none is).  No count or sum
-    depends on the plan, so one plan serves every leaf of a curve."""
+    a live index is kept (``len(curve)``: none is).  ``out`` is scratch
+    for the probe's positions.  No count or sum depends on the plan, so
+    one plan serves every leaf of a curve."""
     schemes = {scheme for _, cells in curve for scheme, _ in cells}
     pa = Scheme.HSIC_PA in schemes
     cert = SettleCertificate.of([cfg for cfg, _ in curve], *schemes)
+    probe = slice(0, min(_PROBE_ROWS, g_m.size))
     passing = False
     # an index pays for itself only over the SNRs that follow
     for k, (cfg, _) in enumerate(curve[:-1] if cert is not None else ()):
-        probe = kernel.settled(cert, cfg.rho_n, g_m, g_n, slice(0, _PROBE_ROWS), pa)
-        passing = passing or _PASS_SHARE * kernel.passed_draws >= probe.size
+        kept, _, passed = _settle_chunk(kernel, lib, cert, cfg.rho_n, g_m, g_n, probe, pa, out)
+        passing = passing or _PASS_SHARE * passed >= probe.stop
         # the pass's winners count as settled only once it is on
-        settled = int(np.count_nonzero(probe)) - (0 if passing else kernel.passed_draws)
-        if 2 * settled >= probe.size:
+        settled = probe.stop - kept - (0 if passing else passed)
+        if 2 * settled >= probe.stop:
             return cert, passing, k
     return cert, passing, len(curve)
 
 
-def tally_curve(kernel: DrawKernel, curve, plan, g_m, g_n, gamma, index, want_pt: bool):
+def tally_curve(kernel: DrawKernel, lib, curve, plan, g_m, g_n, gamma, index,
+                want_pt: bool):
     """Tally one leaf for the cells of one curve (see ``curves`` and the
     module docstring), one kernel run per step and chunk, retiring draws
     as ``plan`` (``plan_curve``) says, with the live index in ``index``.
-    A step with both HSIC-NPA and HSIC-PA cells runs HSIC-PA, and its
-    buffers give HSIC-NPA's verdict too (``DrawKernel.npa_losses``).
-    Counts add to each cell's tally, and the leaf's γ sum is appended to
-    its ``leaf_sums``."""
+    The kernel, the γ pass and the retire pass run compiled where ``lib``
+    (``ctally.load()``) is not None, else in numpy.  A step with both
+    HSIC-NPA and HSIC-PA cells runs HSIC-PA, and its buffers give
+    HSIC-NPA's verdict too (``DrawKernel.npa_losses``).  Counts add to
+    each cell's tally, and the leaf's γ sum is appended to its
+    ``leaf_sums``."""
     cert, passing, start = plan
     live = None
     floor = 0   # draws retired so far that lose HSIC-NPA at every SNR
     for k, (cfg, cells) in enumerate(curve):
         if k >= start:
-            live, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing, index)
+            live, lost = _retire(kernel, lib, cert, cfg.rho_n, g_m, g_n, live, passing, index)
             floor += lost
         here = {scheme for scheme, _ in cells}
         run = Scheme.HSIC_PA if Scheme.HSIC_PA in here else cells[0][0]
@@ -118,17 +161,15 @@ def tally_curve(kernel: DrawKernel, curve, plan, g_m, g_n, gamma, index, want_pt
         pt = want_pt and run == Scheme.HSIC_PA
         if run == Scheme.HSIC_PA and live is not None:
             if passing:
-                kernel.gamma_pass(cfg, g_m, g_n, gamma)
+                (kernel if lib is None else lib).gamma_pass(cfg, g_m, g_n, gamma)
             else:
                 gamma.fill(1.0)
         hits = pt_hits = npa_hits = 0
         for at in _chunks(g_m.size, live):
-            kernel.run_at(cfg, run, g_m, g_n, gamma, at)
-            chunk_hits = int(np.count_nonzero(kernel.lose))
-            hits += chunk_hits
-            # the contended positive-cap loss: losing, not type I, tau > 0
-            pt_hits += kernel.contended_losses() if pt else 0
-            npa_hits += kernel.npa_losses() if shared else chunk_hits
+            counts = _kernel_chunk(kernel, lib, cfg, run, g_m, g_n, gamma, at, pt, shared)
+            hits += counts[0]
+            pt_hits += counts[1]
+            npa_hits += counts[2]
         # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
         gamma_sum = float(gamma.sum()) if run == Scheme.HSIC_PA else float(g_m.size)
         for scheme, tally in cells:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hnoma.mc
+import hnoma.tally
 from hnoma import ProbEstimate, Scheme, SystemConfig, draw_counts, mc_summary
 from hnoma.channel import CHUNK_ROWS
 from hnoma.cli import FIGURES, load_preset
@@ -283,26 +284,27 @@ def test_draw_counts_match_the_tally_and_reference(monkeypatch):
 #  Settled draws: a sweep runs the kernel only on draws whose outcome can change
 # ---------------------------------------------------------------------------
 
+def _chunk_rows(at) -> int:
+    return at.stop - at.start if isinstance(at, slice) else at.size
+
+
 def _kernel_rows(monkeypatch, schemes=SCHEMES):
     """A list that collects the rows the kernel serves to one of
-    ``schemes``: those of every ``DrawKernel.run`` on it and, for
-    HSIC-NPA, those of every HSIC-NPA verdict read from an HSIC-PA run
-    (``DrawKernel.npa_losses``)."""
+    ``schemes``: those of every kernel chunk run for it
+    (``tally._kernel_chunk``, the one dispatch of the compiled and the
+    numpy kernel) and, for HSIC-NPA, those of every HSIC-NPA verdict read
+    off an HSIC-PA chunk (``shared``)."""
     rows = []
-    run, npa_losses = DrawKernel.run, DrawKernel.npa_losses
+    chunk = hnoma.tally._kernel_chunk
 
-    def spy(self, cfg, scheme, g_m, g_n, gamma):
+    def spy(kernel, lib, cfg, scheme, g_m, g_n, gamma, at, pt, shared):
         if scheme in schemes:
-            rows.append(g_m.size)
-        return run(self, cfg, scheme, g_m, g_n, gamma)
+            rows.append(_chunk_rows(at))
+        if shared and Scheme.HSIC_NPA in schemes:
+            rows.append(_chunk_rows(at))
+        return chunk(kernel, lib, cfg, scheme, g_m, g_n, gamma, at, pt, shared)
 
-    def npa_spy(self):
-        if Scheme.HSIC_NPA in schemes:
-            rows.append(self.lose.size)
-        return npa_losses(self)
-
-    monkeypatch.setattr(DrawKernel, "run", spy)
-    monkeypatch.setattr(DrawKernel, "npa_losses", npa_spy)
+    monkeypatch.setattr(hnoma.tally, "_kernel_chunk", spy)
     return rows
 
 
@@ -750,14 +752,14 @@ def test_retire_builds_and_compacts_the_live_index(base, snrs):
                 mask = whole.settled(cert, cfg.rho_n, g_m, g_n, passing=passing)
                 want = np.flatnonzero(~mask).astype(np.int32), whole.floor_draws
                 for live in (None, np.arange(g_m.size, dtype=np.int32)):
-                    got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing,
-                                        index)
+                    got, lost = _retire(kernel, None, cert, cfg.rho_n, g_m, g_n, live,
+                                        passing, index)
                     assert got.dtype == np.int32
                     assert np.shares_memory(got, index if live is None else live)
                     assert np.array_equal(got, want[0]) and lost == want[1], (cfg, cert)
                 mask = whole.settled(cert, cfg.rho_n, g_m[subset], g_n[subset], passing=passing)
-                got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, subset.copy(), passing,
-                                    index)
+                got, lost = _retire(kernel, None, cert, cfg.rho_n, g_m, g_n, subset.copy(),
+                                    passing, index)
                 assert np.array_equal(got, subset[~mask]), (cfg, cert)
                 assert lost == whole.floor_draws, (cfg, cert)
                 settled += g_m.size - want[0].size
@@ -801,13 +803,13 @@ def test_fig3a_sweep_runs_the_kernel_on_few_draws(monkeypatch):
     trials = 200_000
     cells, spec = _preset_cells("fig3a", "m1")
     rows = {}
-    run = DrawKernel.run
+    chunk = hnoma.tally._kernel_chunk
 
-    def spy(self, cfg, scheme, g_m, g_n, gamma):
-        rows[cfg.rho_n] = rows.get(cfg.rho_n, 0) + g_m.size
-        return run(self, cfg, scheme, g_m, g_n, gamma)
+    def spy(kernel, lib, cfg, scheme, g_m, g_n, gamma, at, pt, shared):
+        rows[cfg.rho_n] = rows.get(cfg.rho_n, 0) + _chunk_rows(at)
+        return chunk(kernel, lib, cfg, scheme, g_m, g_n, gamma, at, pt, shared)
 
-    monkeypatch.setattr(DrawKernel, "run", spy)
+    monkeypatch.setattr(hnoma.tally, "_kernel_chunk", spy)
     mc_summary(cells, trials, spec.seed)
     rhos = sorted({cfg.rho_n for cfg, _ in cells})
     assert rhos[0] == 1.0 and rows[rhos[0]] == trials
