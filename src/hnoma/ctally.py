@@ -5,8 +5,9 @@ with ctypes.
 first ``mc_summary`` call, never at import) with the interpreter's C
 compiler (``sysconfig.get_config_var("CC")``) and the flags ``_FLAGS``,
 and keeps it in the package's ``__pycache__``, or in ``~/.cache/hnoma``
-where that is not private and writable.  The object's name is a hash of the source,
-the flags and the platform, so a machine builds each source once; a
+where that is not private and writable.  The object's name is a hash of
+the source, the flags and the platform, so a machine builds each source
+once (about 1 s, three clones of each loop); a
 build is written under a temporary name and moved into place with
 ``os.replace``.  Objects are loaded only from a directory the user owns
 and no one else may write.  Where no object can be built or loaded,
@@ -15,9 +16,19 @@ and no one else may write.  Where no object can be built or loaded,
 The C loops run ``DrawKernel``'s operations in its order, so the two
 paths give the same counts and γ bit for bit (see ``_tally.c``); that
 needs a compiler that rounds every operation on its own, hence
-``-ffp-contract=off`` and no ``-ffast-math``, ``-Ofast`` or
-``-march=native`` (an object in a shared home directory must run on
-every CPU that reads it).
+``-ffp-contract=off`` and no ``-ffast-math`` or ``-Ofast``.
+
+The loops run on the CPU's widest vectors all the same: with gcc on
+x86-64 glibc, ``_tally.c`` builds each entry point three times
+(``target_clones``: x86-64-v4 with AVX-512, x86-64-v3 with AVX2, and
+baseline x86-64), and the dynamic loader picks the widest clone the CPU
+runs, so one object serves every x86-64 CPU.  ``-march=native`` would
+not: the object's name does not know the CPU and a home directory may be
+shared between machines, so an older CPU that loaded it would stop on an
+illegal instruction.  The clones give the same bits: v3 and v4 have
+fused multiply-add, which ``-ffp-contract=off`` keeps out of every
+clone, and vector width changes no IEEE operation and no exact count.
+The tests check each clone the host runs against numpy.
 """
 
 from __future__ import annotations
@@ -41,6 +52,31 @@ class _Settle(ctypes.Structure):
     _fields_ = [(name, ctypes.c_double) for name in (
         "k_o", "k_q", "floor_g_n", "k_a_rho", "beta_rho", "k_x_rho", "up", "up_rho", "k_w",
         "k_l", "up_over_rho", "win_g_n", "k_a", "beta")]
+
+
+class _Step(ctypes.Structure):
+    """``_tally.c``'s ``struct step``: one step of a curve."""
+    _fields_ = [("bounds", _Settle),
+                *[(name, ctypes.c_double) for name in ("rho_m", "eps_m", "beta_rho_n", "rho_n")],
+                *[(name, ctypes.c_int32) for name in (
+                    "scheme", "want_pt", "shared", "retire", "cone", "adapting", "won_for_good",
+                    "passing")]]
+
+
+class _Leaf(ctypes.Structure):
+    """``_tally.c``'s ``struct leaf``: a leaf's buffers."""
+    _fields_ = [("g_m", ctypes.c_void_p), ("g_n", ctypes.c_void_p), ("gamma", ctypes.c_void_p),
+                ("index", ctypes.c_void_p), ("size", ctypes.c_int64)]
+
+
+def _bounds(cert, rho_n: float, adapting: bool) -> _Settle:
+    """The settle bounds of ``cert`` at ``rho_n`` (none without ``cert``)."""
+    if cert is None:
+        return _Settle()
+    up = 1.0 + _SETTLE_MARGIN
+    return _Settle(cert.k_o, cert.k_q, _SETTLE_MARGIN / rho_n, cert.k_a * rho_n,
+                   cert.beta * rho_n, (cert.k_x if adapting else 0.0) * rho_n, up, up * rho_n,
+                   cert.k_w, cert.k_l, up / rho_n, up / (rho_n * cert.k_d), cert.k_a, cert.beta)
 
 
 def _cache_dirs() -> list:
@@ -127,60 +163,59 @@ def _address(array) -> int:
 
 
 class CompiledTally:
-    """``_tally.c``'s three loops on numpy arrays.  The gains and γ are
-    contiguous float64 leaves, an index a contiguous int32 array; a chunk
-    ``at`` is a slice of the leaf or an index, as in
-    ``DrawKernel.run_at``."""
+    """``_tally.c``'s two entry points on numpy arrays: ``step``, one step
+    of ``tally.tally_curve`` on a leaf, and ``settle``, the probe's settle
+    test on a chunk.  The gains and γ are contiguous float64 leaves, the
+    index a contiguous int32 array at least as long."""
 
     def __init__(self, lib):
-        ptr, i64, dbl, cint = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
-        self._chunk = lib.tally_chunk
-        self._chunk.argtypes = [cint, dbl, dbl, dbl, dbl, ptr, ptr, ptr, ptr, i64, i64,
-                                cint, cint, ptr]
-        self._chunk.restype = None
-        self._gamma = lib.gamma_pass
-        self._gamma.argtypes = [dbl, dbl, dbl, ptr, ptr, ptr, i64]
-        self._gamma.restype = None
+        ptr, i64, cint = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
+        self._step = lib.tally_step
+        self._step.argtypes = [ctypes.POINTER(_Step), ctypes.POINTER(_Leaf), i64, ptr]
+        self._step.restype = None
         self._settle = lib.settle_chunk
         self._settle.argtypes = [ctypes.POINTER(_Settle), cint, cint, cint, cint, ptr, ptr,
                                  ptr, i64, i64, ptr, ptr]
         self._settle.restype = i64
-        self._counts = (ctypes.c_int64 * 3)()
+        self._counts = (ctypes.c_int64 * 5)()
 
     @staticmethod
-    def _span(at) -> tuple:
-        """``(index address or None, lo, n)`` of the chunk ``at``."""
-        if isinstance(at, slice):
-            return None, at.start, at.stop - at.start
-        return _address(at), 0, at.size
+    def step_args(step) -> _Step:
+        """The ``tally.Step`` ``step`` as ``tally_step`` reads it; built once
+        per curve, for every leaf."""
+        cfg, cert = step.cfg, step.cert
+        tests = (False,) * 4 if cert is None else cert.tests(step.passing)
+        _, won_for_good, adapting, cone = tests
+        return _Step(_bounds(cert, cfg.rho_n, adapting), cfg.rho_m, cfg.eps_m,
+                     cfg.beta * cfg.rho_n, cfg.rho_n, _CODES[step.run], step.pt, step.shared,
+                     cert is not None, cone, adapting, won_for_good, step.passing)
 
-    def chunk(self, cfg, scheme: Scheme, g_m, g_n, gamma, at, pt: bool, shared: bool) -> tuple:
-        """``DrawKernel.run_at`` on ``at``, γ written for HSIC-PA:
-        ``(hits, pt_hits, npa_hits)`` as ``tally._kernel_chunk`` gives them."""
-        index, lo, n = self._span(at)
-        self._chunk(_CODES[scheme], cfg.rho_m, cfg.eps_m, cfg.beta * cfg.rho_n, cfg.rho_n,
-                    _address(g_m), _address(g_n), _address(gamma), index, lo, n, pt, shared,
-                    self._counts)
+    @staticmethod
+    def leaf(g_m, g_n, gamma, index) -> _Leaf:
+        """A leaf's buffers as ``tally_step`` reads them: their addresses,
+        taken once for all the steps of a curve on the leaf."""
+        return _Leaf(_address(g_m), _address(g_n), _address(gamma), _address(index), g_m.size)
+
+    def step(self, args: _Step, leaf: _Leaf, live: int) -> tuple:
+        """One step (``step_args``) on ``leaf``, whose live draws are the
+        first ``live`` of its index, or all of them where ``live`` < 0:
+        ``(hits, pt_hits, npa_hits, floor_draws, kept)``, as ``tally._step``
+        gives them, with ``kept`` the live draws after the step (-1: no
+        index yet)."""
+        self._step(args, leaf, live, self._counts)
         return tuple(self._counts)
 
-    def gamma_pass(self, cfg, g_m, g_n, gamma) -> None:
-        """``DrawKernel.gamma_pass``."""
-        self._gamma(cfg.rho_m, cfg.eps_m, cfg.beta * cfg.rho_n, _address(g_m), _address(g_n),
-                    _address(gamma), g_m.size)
-
     def settle(self, cert, rho_n: float, g_m, g_n, at, passing: bool, out) -> tuple:
-        """``DrawKernel.settled`` on ``at``, the positions of the draws not
-        settled written to ``out`` in order: ``(kept, floor_draws,
-        passed_draws)``.  ``out`` may be ``at`` or start inside it, before
-        its first unread position."""
+        """``DrawKernel.settled`` on ``at``, a slice of the leaf or an int32
+        index, the positions of the draws not settled written to ``out`` in
+        order: ``(kept, floor_draws, passed_draws)``.  ``out`` may be ``at``
+        or start inside it, before its first unread position."""
         passing, won_for_good, adapting, cone = cert.tests(passing)
-        up = 1.0 + _SETTLE_MARGIN
-        bounds = _Settle(cert.k_o, cert.k_q, _SETTLE_MARGIN / rho_n, cert.k_a * rho_n,
-                         cert.beta * rho_n, (cert.k_x if adapting else 0.0) * rho_n, up,
-                         up * rho_n, cert.k_w, cert.k_l, up / rho_n, up / (rho_n * cert.k_d),
-                         cert.k_a, cert.beta)
-        index, lo, n = self._span(at)
-        kept = self._settle(bounds, cone, adapting, won_for_good, passing, _address(g_m),
-                            _address(g_n), index, lo, n, _address(out), self._counts)
+        if isinstance(at, slice):
+            index, lo, n = None, at.start, at.stop - at.start
+        else:
+            index, lo, n = _address(at), 0, at.size
+        kept = self._settle(_bounds(cert, rho_n, adapting), cone, adapting, won_for_good,
+                            passing, _address(g_m), _address(g_n), index, lo, n,
+                            _address(out), self._counts)
         return kept, self._counts[0], self._counts[1]
-

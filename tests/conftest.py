@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hnoma import SystemConfig
+from hnoma import SystemConfig, ctally
 
 SEED = 20250801
 
@@ -14,6 +14,21 @@ def make_cfg(M=5, m=1, n=2, R_m=0.2, beta=0.25, eta=1.0, snr_db=20.0):
 @pytest.fixture
 def fig1_cfg():
     return make_cfg()
+
+
+@pytest.fixture
+def numpy_path(monkeypatch, tmp_path):
+    """A function that forces the compiled tally's build to fail (a cold
+    cache and a missing compiler), so that ``mc_summary`` runs the numpy
+    kernel for the rest of the test; later tests load it again."""
+    def force():
+        monkeypatch.setattr(ctally, "_cache_dirs", lambda: [str(tmp_path)])
+        monkeypatch.setattr(ctally, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
+        ctally.load.cache_clear()
+        assert ctally.load() is None
+
+    yield force
+    ctally.load.cache_clear()
 
 
 def regime_covering_configs(count=30, seed=2025):

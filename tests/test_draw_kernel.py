@@ -288,23 +288,59 @@ def _chunk_rows(at) -> int:
     return at.stop - at.start if isinstance(at, slice) else at.size
 
 
+def _spy_steps(monkeypatch, note):
+    """Call ``note(step, rows)`` after every step of ``tally_curve``
+    (``tally._step``, the one dispatch of the compiled and the numpy
+    tally), with the rows its kernel ran on: the live draws after its
+    retire pass."""
+    run = hnoma.tally._step
+
+    def spy(kernel, lib, step, g_m, g_n, gamma, index, live, leaf):
+        live, counts = run(kernel, lib, step, g_m, g_n, gamma, index, live, leaf)
+        note(step, g_m.size if live is None else live.size)
+        return live, counts
+
+    monkeypatch.setattr(hnoma.tally, "_step", spy)
+
+
 def _kernel_rows(monkeypatch, schemes=SCHEMES):
     """A list that collects the rows the kernel serves to one of
-    ``schemes``: those of every kernel chunk run for it
-    (``tally._kernel_chunk``, the one dispatch of the compiled and the
-    numpy kernel) and, for HSIC-NPA, those of every HSIC-NPA verdict read
-    off an HSIC-PA chunk (``shared``)."""
+    ``schemes``: those of every step that runs it and, for HSIC-NPA, those
+    of every step that reads HSIC-NPA's verdict off an HSIC-PA run
+    (``shared``)."""
     rows = []
-    chunk = hnoma.tally._kernel_chunk
 
-    def spy(kernel, lib, cfg, scheme, g_m, g_n, gamma, at, pt, shared):
-        if scheme in schemes:
-            rows.append(_chunk_rows(at))
-        if shared and Scheme.HSIC_NPA in schemes:
-            rows.append(_chunk_rows(at))
-        return chunk(kernel, lib, cfg, scheme, g_m, g_n, gamma, at, pt, shared)
+    def note(step, n):
+        if step.run in schemes:
+            rows.append(n)
+        if step.shared and Scheme.HSIC_NPA in schemes:
+            rows.append(n)
 
-    monkeypatch.setattr(hnoma.tally, "_kernel_chunk", spy)
+    _spy_steps(monkeypatch, note)
+    return rows
+
+
+def _rows_on_both_paths(monkeypatch, numpy_path, tally, schemes=SCHEMES):
+    """The rows (``_kernel_rows``) of ``tally()``, which are the same with
+    the build forced to fail, where the numpy kernel
+    (``DrawKernel.run_at``) takes them in chunks of at most
+    ``CHUNK_ROWS``."""
+    rows = _kernel_rows(monkeypatch, schemes)
+    tally()
+    loaded = rows.copy()
+    rows.clear()
+    numpy_path()
+    chunks = []
+    run_at = DrawKernel.run_at
+
+    def spy(kernel, cfg, scheme, g_m, g_n, gamma, at):
+        chunks.append(_chunk_rows(at))
+        return run_at(kernel, cfg, scheme, g_m, g_n, gamma, at)
+
+    monkeypatch.setattr(DrawKernel, "run_at", spy)
+    tally()
+    assert rows == loaded
+    assert max(chunks) <= CHUNK_ROWS
     return rows
 
 
@@ -752,14 +788,14 @@ def test_retire_builds_and_compacts_the_live_index(base, snrs):
                 mask = whole.settled(cert, cfg.rho_n, g_m, g_n, passing=passing)
                 want = np.flatnonzero(~mask).astype(np.int32), whole.floor_draws
                 for live in (None, np.arange(g_m.size, dtype=np.int32)):
-                    got, lost = _retire(kernel, None, cert, cfg.rho_n, g_m, g_n, live,
-                                        passing, index)
+                    got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, live, passing,
+                                        index)
                     assert got.dtype == np.int32
                     assert np.shares_memory(got, index if live is None else live)
                     assert np.array_equal(got, want[0]) and lost == want[1], (cfg, cert)
                 mask = whole.settled(cert, cfg.rho_n, g_m[subset], g_n[subset], passing=passing)
-                got, lost = _retire(kernel, None, cert, cfg.rho_n, g_m, g_n, subset.copy(),
-                                    passing, index)
+                got, lost = _retire(kernel, cert, cfg.rho_n, g_m, g_n, subset.copy(), passing,
+                                    index)
                 assert np.array_equal(got, subset[~mask]), (cfg, cert)
                 assert lost == whole.floor_draws, (cfg, cert)
                 settled += g_m.size - want[0].size
@@ -784,14 +820,14 @@ def _preset_cells(figure, label):
     return [(spec.config_at(s), scheme) for s in spec.snr_db for scheme in spec.schemes], spec
 
 
-def test_fig1_sweep_runs_the_kernel_on_few_draws(monkeypatch):
+def test_fig1_sweep_runs_the_kernel_on_few_draws(monkeypatch, numpy_path):
     """fig1's n2 curve: most draws settle by 15-20 dB, so the kernel sees
-    at most 45% of cells x trials, in chunks of at most ``CHUNK_ROWS``."""
+    at most 45% of cells x trials, in numpy in chunks of at most
+    ``CHUNK_ROWS``."""
     trials = 200_000
     cells, spec = _preset_cells("fig1", "n2")
-    rows = _kernel_rows(monkeypatch)
-    mc_summary(cells, trials, spec.seed, want_pt=True)
-    assert max(rows) <= CHUNK_ROWS
+    rows = _rows_on_both_paths(monkeypatch, numpy_path,
+                               lambda: mc_summary(cells, trials, spec.seed, want_pt=True))
     assert sum(rows) <= 0.45 * len(cells) * trials
 
 
@@ -803,43 +839,39 @@ def test_fig3a_sweep_runs_the_kernel_on_few_draws(monkeypatch):
     trials = 200_000
     cells, spec = _preset_cells("fig3a", "m1")
     rows = {}
-    chunk = hnoma.tally._kernel_chunk
 
-    def spy(kernel, lib, cfg, scheme, g_m, g_n, gamma, at, pt, shared):
-        rows[cfg.rho_n] = rows.get(cfg.rho_n, 0) + _chunk_rows(at)
-        return chunk(kernel, lib, cfg, scheme, g_m, g_n, gamma, at, pt, shared)
+    def note(step, n):
+        rows[step.cfg.rho_n] = rows.get(step.cfg.rho_n, 0) + n
 
-    monkeypatch.setattr(hnoma.tally, "_kernel_chunk", spy)
+    _spy_steps(monkeypatch, note)
     mc_summary(cells, trials, spec.seed)
     rhos = sorted({cfg.rho_n for cfg, _ in cells})
     assert rhos[0] == 1.0 and rows[rhos[0]] == trials
     assert sum(rows.values()) <= 0.15 * len(cells) * trials
 
 
-def test_fig5a_npa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
+def test_fig5a_npa_sweep_runs_the_kernel_on_few_draws(monkeypatch, numpy_path):
     """fig5a's eta4 curve, where no draw is type I and winning: draws that
     have won, or sit in the floor cone and adapt and win HSIC-PA, retire,
-    so the kernel serves HSIC-NPA at most 30% of cells x trials, in
-    chunks of at most ``CHUNK_ROWS``."""
+    so the kernel serves HSIC-NPA at most 30% of cells x trials, in numpy
+    in chunks of at most ``CHUNK_ROWS``."""
     trials = 200_000
     cells, spec = _preset_cells("fig5a", "eta4")
-    rows = _kernel_rows(monkeypatch, (Scheme.HSIC_NPA,))
-    mc_summary(cells, trials, spec.seed)
+    rows = _rows_on_both_paths(monkeypatch, numpy_path,
+                               lambda: mc_summary(cells, trials, spec.seed), (Scheme.HSIC_NPA,))
     npa_cells = sum(scheme == Scheme.HSIC_NPA for _, scheme in cells)
-    assert max(rows) <= CHUNK_ROWS
     assert sum(rows) <= 0.30 * npa_cells * trials
 
 
-def test_fig5a_pa_sweep_runs_the_kernel_on_few_draws(monkeypatch):
+def test_fig5a_pa_sweep_runs_the_kernel_on_few_draws(monkeypatch, numpy_path):
     """fig5a's eta4 curve: from 10-15 dB most HSIC-PA draws have won for
     good, retire and get γ from the pass, so its kernel sees at most 50%
-    of cells x trials, in chunks of at most ``CHUNK_ROWS``."""
+    of cells x trials, in numpy in chunks of at most ``CHUNK_ROWS``."""
     trials = 200_000
     cells, spec = _preset_cells("fig5a", "eta4")
-    rows = _kernel_rows(monkeypatch, (Scheme.HSIC_PA,))
-    mc_summary(cells, trials, spec.seed)
+    rows = _rows_on_both_paths(monkeypatch, numpy_path,
+                               lambda: mc_summary(cells, trials, spec.seed), (Scheme.HSIC_PA,))
     pa_cells = sum(scheme == Scheme.HSIC_PA for _, scheme in cells)
-    assert max(rows) <= CHUNK_ROWS
     assert sum(rows) <= 0.50 * pa_cells * trials
 
 
