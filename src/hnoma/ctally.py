@@ -5,18 +5,23 @@ with ctypes.
 first ``mc_summary`` call, never at import) with the interpreter's C
 compiler (``sysconfig.get_config_var("CC")``) and the flags ``_FLAGS``,
 and keeps it in the package's ``__pycache__``, or in ``~/.cache/hnoma``
-where that is not private and writable.  The object's name is a hash of
-the source, the flags and the platform, so a machine builds each source
-once (about 1 s, three clones of each loop); a
-build is written under a temporary name and moved into place with
-``os.replace``.  Objects are loaded only from a directory the user owns
-and no one else may write.  Where no object can be built or loaded,
-``load()`` gives None and the tally runs ``schemes.DrawKernel``.
+where that is not private and writable.  The object's name is the
+interpreter's source hash (``importlib.util.source_hash``, keyed by the
+bytecode magic number) of the source, the flags and the platform, so a
+machine builds each source once per Python minor version (about 1.6 s,
+three clones of each loop); a build is written under a temporary name
+and moved into place with ``os.replace``.  Objects are loaded only from
+a directory the user owns and no one else may write.  Where no object
+can be built or loaded, ``load()`` gives None and the tally runs
+``schemes.DrawKernel``.
 
 The C loops run ``DrawKernel``'s operations in its order, so the two
 paths give the same counts and γ bit for bit (see ``_tally.c``); that
 needs a compiler that rounds every operation on its own, hence
-``-ffp-contract=off`` and no ``-ffast-math`` or ``-Ofast``.
+``-ffp-contract=off`` and no ``-ffast-math`` or ``-Ofast``.  A step
+walks its draws in tiles of a few thousand, copied to contiguous
+scratch and compacted there, so that the settle test and the kernel run
+on slices whichever draws are live.
 
 The loops run on the CPU's widest vectors all the same: with gcc on
 x86-64 glibc, ``_tally.c`` builds each entry point three times
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
+import importlib.util
 import os
 import platform
 import sys
@@ -109,7 +114,9 @@ def _object_path(source: bytes) -> str:
     build ends the search."""
     key = b"\0".join([source, " ".join(_FLAGS).encode(), sys.platform.encode(),
                       platform.machine().encode()])
-    name = f"_tally-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    # the source hash that site has already loaded: naming a file needs
+    # no hashlib, whose import loads OpenSSL's _hashlib
+    name = f"_tally-{importlib.util.source_hash(key).hex()}.so"
     for where in _cache_dirs():
         try:
             os.makedirs(where, mode=0o700, exist_ok=True)
@@ -172,7 +179,7 @@ class CompiledTally:
         ptr, i64, cint = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
         self._step = lib.tally_step
         self._step.argtypes = [ctypes.POINTER(_Step), ctypes.POINTER(_Leaf), i64, ptr]
-        self._step.restype = None
+        self._step.restype = ctypes.c_double
         self._settle = lib.settle_chunk
         self._settle.argtypes = [ctypes.POINTER(_Settle), cint, cint, cint, cint, ptr, ptr,
                                  ptr, i64, i64, ptr, ptr]
@@ -199,11 +206,11 @@ class CompiledTally:
     def step(self, args: _Step, leaf: _Leaf, live: int) -> tuple:
         """One step (``step_args``) on ``leaf``, whose live draws are the
         first ``live`` of its index, or all of them where ``live`` < 0:
-        ``(hits, pt_hits, npa_hits, floor_draws, kept)``, as ``tally._step``
-        gives them, with ``kept`` the live draws after the step (-1: no
-        index yet)."""
-        self._step(args, leaf, live, self._counts)
-        return tuple(self._counts)
+        ``(hits, pt_hits, npa_hits, floor_draws, kept, gamma_sum)``, as
+        ``tally._step`` gives them, with ``kept`` the live draws after the
+        step (-1: no index yet)."""
+        gamma_sum = self._step(args, leaf, live, self._counts)
+        return (*self._counts, gamma_sum)
 
     def settle(self, cert, rho_n: float, g_m, g_n, at, passing: bool, out) -> tuple:
         """``DrawKernel.settled`` on ``at``, a slice of the leaf or an int32

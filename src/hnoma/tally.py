@@ -19,11 +19,15 @@ when passing, else 1, since only type-I winners retire), then the kernel
 overwrites the live draws' γ: every count and pairwise γ sum is the
 whole-leaf kernel's.
 
-Each step of a leaf (its retire pass, γ and kernel) is one call of
-``_step``: in C (``ctally.load()``, built on the first ``mc_summary``
+Each step of a leaf (its retire pass, γ, kernel and γ sum) is one call
+of ``_step``: in C (``ctally.load()``, built on the first ``mc_summary``
 call), one call into ``_tally.c`` per step, where it loaded; else in
-numpy, through ``DrawKernel`` one ``CHUNK_ROWS`` chunk at a time.  Both
-give the same counts, γ and live index bit for bit.
+numpy, through ``DrawKernel`` one ``CHUNK_ROWS`` chunk at a time.  The C
+step walks the leaf or its index in tiles of a few thousand draws, whose
+gains it copies to contiguous scratch: the retire pass flags a tile's
+settled draws and compacts its positions and gains in place, in order,
+the kernel runs on the kept gains, and their γ is scattered back to the
+leaf.  Both give the same counts, γ, γ sum and live index bit for bit.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ _PROBE_ROWS = 4096
 # the γ pass costs about 9 ns per block row and the kernel about 35 ns per
 # indexed draw (x86, one core), so the pass pays once about a quarter of
 # the draws are winners that only it can retire, and it switches on there;
-# that share mostly grows at the SNRs that follow.  Compiled, the two cost
-# about 3 and 6 ns, but a share of a half was no faster on fig1, fig3a or
-# fig5a, so one value serves both paths
+# that share mostly grows at the SNRs that follow.  Compiled, the pass
+# costs about 2 ns per leaf draw and a tiled step 3-5 ns per live draw of
+# the index (AVX-512 clone), but a share of a half was no faster on fig1,
+# fig3a or fig5a, so one value serves both paths
 _PASS_SHARE = 4
 
 
@@ -156,14 +161,15 @@ def _step(kernel: DrawKernel, lib, step: Step, g_m, g_n, gamma, index, live, lea
     where the kernel then runs on the index only (by the pass with
     ``passing``, else 1: only type-I winners retire); run the kernel on
     the live draws.  Gives ``(live, (hits, pt_hits, npa_hits,
-    floor_draws))``: the live draws after the step, the losses, the
-    contended losses with ``pt`` (else 0), HSIC-NPA's losses, read off an
-    HSIC-PA run with ``shared`` (else the losses), and the draws retired
-    here that lose HSIC-NPA at every later SNR.  HSIC-PA writes γ into
-    ``gamma``."""
+    floor_draws, gamma_sum))``: the live draws after the step, the losses,
+    the contended losses with ``pt`` (else 0), HSIC-NPA's losses, read off
+    an HSIC-PA run with ``shared`` (else the losses), the draws retired
+    here that lose HSIC-NPA at every later SNR, and the leaf's γ sum as
+    ``gamma.sum()`` gives it (the leaf's size off HSIC-PA, where γ is 1).
+    HSIC-PA writes γ into ``gamma``."""
     if lib is not None:
-        *counts, kept = lib.step(step.args, leaf, -1 if live is None else live.size)
-        return (None if kept < 0 else index[:kept]), tuple(counts)
+        *counts, kept, gamma_sum = lib.step(step.args, leaf, -1 if live is None else live.size)
+        return (None if kept < 0 else index[:kept]), (*counts, gamma_sum)
     lost = 0
     if step.cert is not None:
         live, lost = _retire(kernel, step.cert, step.cfg.rho_n, g_m, g_n, live, step.passing,
@@ -181,7 +187,9 @@ def _step(kernel: DrawKernel, lib, step: Step, g_m, g_n, gamma, index, live, lea
         # the contended positive-cap loss: losing, not type I, tau > 0
         pt_hits += kernel.contended_losses() if step.pt else 0
         npa_hits += kernel.npa_losses() if step.shared else lose
-    return live, (hits, pt_hits, npa_hits, lost)
+    # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
+    gamma_sum = float(gamma.sum()) if step.run == Scheme.HSIC_PA else float(g_m.size)
+    return live, (hits, pt_hits, npa_hits, lost, gamma_sum)
 
 
 def tally_curve(kernel: DrawKernel, lib, steps, g_m, g_n, gamma, index) -> None:
@@ -195,11 +203,9 @@ def tally_curve(kernel: DrawKernel, lib, steps, g_m, g_n, gamma, index) -> None:
     live = None
     floor = 0   # draws retired so far that lose HSIC-NPA at every SNR
     for step in steps:
-        live, (hits, pt_hits, npa_hits, lost) = _step(kernel, lib, step, g_m, g_n, gamma, index,
-                                                      live, leaf)
+        live, (hits, pt_hits, npa_hits, lost, gamma_sum) = _step(kernel, lib, step, g_m, g_n,
+                                                                 gamma, index, live, leaf)
         floor += lost
-        # γ is 1 off HSIC-PA, and a pairwise sum of ones is exact
-        gamma_sum = float(gamma.sum()) if step.run == Scheme.HSIC_PA else float(g_m.size)
         for scheme, tally in step.cells:
             npa = scheme == Scheme.HSIC_NPA
             tally["hits"] += npa_hits + floor if npa else hits

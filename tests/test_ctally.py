@@ -2,10 +2,12 @@
 
 Each of ``_tally.c``'s entry points must give what the numpy path gives
 bit for bit: a step of ``tally_curve`` (``tally._step``: the counts, the
-γ bytes, the live index and the floor count, on the whole leaf and on
-int32 indexes, with and without retiring draws first) and the probe's
-settle test (the kept positions, floor and passed counts), on draws
-built to sit on the decision's and the certificate's edges.  Each check
+γ bytes and γ sum, the live index and the floor count, on the whole leaf
+and on int32 indexes, with and without retiring draws first, with live
+draws that end on and about the edges of the C step's tiles) and the
+probe's settle test (the kept positions, floor and passed counts), on
+draws built to sit on the decision's and the certificate's edges.  The
+γ sum is ``np.sum``'s, pairwise order and all.  Each check
 runs on the shipped object, whose clone the loader picks by CPU, and on
 the source built without its clones at each x86-64 level the host runs,
 so that every clone is checked.  With the build forced to fail,
@@ -13,6 +15,7 @@ so that every clone is checked.  With the build forced to fail,
 """
 
 import ctypes
+import itertools
 import platform
 import re
 import subprocess
@@ -25,7 +28,7 @@ import hnoma.mc
 from hnoma import Scheme, ctally, mc_summary
 from hnoma.channel import CHUNK_ROWS
 from hnoma.cli import load_preset
-from hnoma.schemes import _SETTLE_MARGIN, DrawKernel
+from hnoma.schemes import _SETTLE_MARGIN, DrawKernel, SettleCertificate
 from hnoma.tally import Step, _settle_chunk, _step
 
 from conftest import make_cfg
@@ -43,6 +46,9 @@ int level(void)
     return __builtin_cpu_supports("x86-64-v4") ? 4 : __builtin_cpu_supports("x86-64-v3") ? 3 : 1;
 }
 """
+# the draws of one tile of a step
+_TILE = int(re.search(rb"TILE = (\d+)",
+                      resources.files("hnoma").joinpath("_tally.c").read_bytes()).group(1))
 # the kernel runs of a step: (scheme, pt, shared)
 _RUNS = [(Scheme.FSIC, False, False), (Scheme.HSIC_NPA, False, False),
          *((Scheme.HSIC_PA, pt, shared) for pt in (False, True) for shared in (False, True))]
@@ -131,7 +137,8 @@ def test_the_source_ships_as_package_data():
 def _run_step(lib, step, g_m, g_n, live):
     """``tally._step`` through ``lib`` (numpy where None) on a NaN γ and an
     index buffer that starts with ``live`` (no index where None):
-    ``(counts, γ bytes, live index bytes or None)``."""
+    ``(counts with the γ sum's bytes, γ bytes, live index bytes or
+    None)``."""
     gamma = np.full(g_m.size, np.nan)
     index = np.full(g_m.size, -1, dtype=np.int32)
     if live is not None:
@@ -141,9 +148,12 @@ def _run_step(lib, step, g_m, g_n, live):
     if lib is not None:
         step = step._replace(args=lib.step_args(step))
         leaf = lib.leaf(g_m, g_n, gamma, index)
-    live, counts = _step(DrawKernel(CHUNK_ROWS), lib, step, g_m, g_n, gamma, index, live, leaf)
+    live, (*counts, gamma_sum) = _step(DrawKernel(CHUNK_ROWS), lib, step, g_m, g_n, gamma,
+                                       index, live, leaf)
     assert live is None or (live.dtype == np.int32 and live.base is index)
-    return counts, gamma.tobytes(), None if live is None else live.tobytes()
+    # the γ sum's bytes: a NaN sum equals itself
+    counts.append(np.float64(gamma_sum).tobytes())
+    return tuple(counts), gamma.tobytes(), None if live is None else live.tobytes()
 
 
 def test_kernel_chunks_match_the_numpy_kernel(libs):
@@ -218,6 +228,77 @@ def test_settle_chunks_match_the_numpy_test(libs, base, snrs):
                     if live is None:
                         settled += g_m.size - len(want[2]) // 4
     assert floor > 0 and passed > 0 and settled > 0
+
+
+def _forced(cert, won_for_good, adapting, cone):
+    """``cert`` with its settle tests forced to the given ones, on both
+    paths (``SettleCertificate.tests``)."""
+    class Forced(type(cert)):
+        __slots__ = ()
+
+        def tests(self, passing):
+            return passing, won_for_good, adapting, cone
+
+    return Forced(*cert)
+
+
+def test_tiled_steps_match_the_numpy_step(libs):
+    """Steps on a leaf of three tiles and a part, whose live draws end on
+    and about a tile's edge: no index yet, and live indexes of 0, 1,
+    tile - 1, tile, tile + 1 and every draw, in a random order.  Each runs
+    with no settle test and under each of the 8 sets of settle tests, with
+    and without ``passing``, for every kernel run: the counts, the floor
+    count, the γ sum, γ and the live index, bit for bit."""
+    base, snrs = FATE_SWEEPS[0]
+    cfgs = [base.with_snr(s) for s in snrs]
+    cert = SettleCertificate.of(cfgs, Scheme.HSIC_NPA, Scheme.HSIC_PA)
+    cfg = cfgs[1]
+    rng = np.random.default_rng(23)
+    size = 3 * _TILE + 77
+    edges = [np.concatenate(pair) for pair in zip(_draws(cfg, 1), _bound_draws(cert, cfg.rho_n))]
+    pick = rng.integers(0, edges[0].size, size)
+    g_m, g_n = edges[0][pick], edges[1][pick]
+    lives = [None, *(rng.permutation(size)[:k].astype(np.int32)
+                     for k in (0, 1, _TILE - 1, _TILE, _TILE + 1, size))]
+    certs = [None, *(_forced(cert, *tests) for tests in itertools.product((False, True),
+                                                                         repeat=3))]
+    floor = retired = 0
+    for forced in certs:
+        for passing in (False, True):
+            for live in lives:
+                for scheme, pt, shared in _RUNS:
+                    step = Step(cfg, [], scheme, pt, shared, forced, passing, None)
+                    want = _run_step(None, step, g_m, g_n, live)
+                    for name, lib in libs:
+                        assert _run_step(lib, step, g_m, g_n, live) == want, (name, step, live)
+                    floor += want[0][3]
+                    if want[2] is not None:
+                        retired += (size if live is None else live.size) - len(want[2]) // 4
+    assert floor > 0 and retired > 0
+
+
+def test_gamma_sums_are_numpys(libs):
+    """An HSIC-PA step's γ sum is ``np.sum`` of the leaf's γ bit for bit,
+    numpy's pairwise order and all, on every leaf length from 1 to 300,
+    on 62,500, on 65,536 and on 60 random lengths, with γ from the pass
+    (an empty index) and from the kernel (the whole leaf).  On some
+    lengths an in-order sum gives other bits."""
+    cfg = make_cfg(snr_db=20.0)
+    rng = np.random.default_rng(29)
+    gains = rng.exponential(size=(2, 65_536))
+    lengths = [*range(1, 301), 62_500, 65_536, *rng.integers(301, 65_536, 60)]
+    in_order = 0
+    for size in lengths:
+        g_m, g_n = gains[:, :size].copy()
+        for live in (None, np.empty(0, dtype=np.int32)):
+            step = Step(cfg, [], Scheme.HSIC_PA, False, False, None, True, None)
+            want = _run_step(None, step, g_m, g_n, live)
+            for name, lib in libs:
+                assert _run_step(lib, step, g_m, g_n, live) == want, (name, size, live)
+            gamma = np.frombuffer(want[1])
+            assert want[0][4] == np.sum(gamma).tobytes()
+            in_order += sum(gamma.tolist(), 0.0) != np.sum(gamma)
+    assert in_order > 0
 
 
 def _pool():
