@@ -1,20 +1,17 @@
-/* The compiled tally pass of hnoma.tally:
- *
- * - tally_step: one step of tally.tally_curve on one leaf.  It writes γ
- *   where the kernel then runs on the live index only (1, or
- *   DrawKernel.gamma_pass), then walks the step's draws (the leaf, or its
- *   live index) in tiles of TILE draws.  Each tile's gains are copied to
- *   contiguous scratch; where the step retires draws, the settle test
- *   (DrawKernel.settled) flags them and the tile's positions and gains
- *   are compacted in place, in order (tally._retire: builds or compacts
- *   the live index, with the floor count); schemes.DrawKernel.run runs
- *   on the kept gains, with the loss count, the contended-loss count
- *   (DrawKernel.contended_losses) and HSIC-NPA's loss count on an HSIC-PA
- *   run (DrawKernel.npa_losses); and HSIC-PA's γ is scattered back to the
- *   leaf.  It gives the leaf's γ sum as numpy's pairwise sum gives it;
- * - settle_chunk: DrawKernel.settled on a chunk, with its floor and passed
- *   counts, keeping the positions of the unsettled draws (the probe of
- *   tally.plan_curve), through the same tiles.
+/* The compiled tally pass of hnoma.tally, one entry point: tally_step, one
+ * step of tally.tally_curve on one leaf.  It writes γ where the kernel
+ * then runs on the live index only (1, or DrawKernel.gamma_pass), then
+ * walks the step's draws (the leaf, or its live index) in tiles of TILE
+ * draws.  Each tile's gains are copied to contiguous scratch; where the
+ * step retires draws, the settle test (DrawKernel.settled) flags them and
+ * the tile's positions and gains are compacted in place, in order
+ * (tally._retire: builds or compacts the live index, with the floor
+ * count); schemes.DrawKernel.run runs on the kept gains, with the loss
+ * count, the contended-loss count (DrawKernel.contended_losses) and
+ * HSIC-NPA's loss count on an HSIC-PA run (DrawKernel.npa_losses); and
+ * HSIC-PA's γ is scattered back to the leaf.  It gives the leaf's γ sum as
+ * numpy's pairwise sum gives it.  The probe of tally.plan_curve runs
+ * DrawKernel.settled in numpy.
  *
  * Every per-draw loop but the compaction and the copies through the index
  * runs on contiguous memory, so that it vectorises.  Each draw goes
@@ -26,12 +23,12 @@
  * arithmetic: hnoma.ctally builds it with -ffp-contract=off and never with
  * -ffast-math.  The maxima and minima are numpy's, which keep a NaN.
  *
- * With gcc 11 or later on x86-64 glibc, each exported function is built
- * three times (target_clones), for x86-64-v4 (AVX-512), x86-64-v3 (AVX2)
- * and baseline x86-64 (SSE2), and the dynamic loader runs the widest the
- * CPU has (a GNU ifunc), so one object serves every x86-64 CPU.  Every
- * helper is always_inline, so that it is built into each clone, or cloned
- * itself (settle_tile, which both entry points call, and the recursive
+ * With gcc 11 or later on x86-64 glibc, tally_step is built three times
+ * (target_clones), for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
+ * x86-64 (SSE2), and the dynamic loader runs the widest the CPU has (a GNU
+ * ifunc), so one object serves every x86-64 CPU.  Every helper is
+ * always_inline, so that it is built into each clone, or cloned itself
+ * (settle_tile, kept out of line for speed, and the recursive
  * pairwise_sum): a plain static function would be built once, for
  * baseline x86-64.  Vector width changes no IEEE add, multiply, divide or
  * compare, nor a count: flags and counts are exact in any order.
@@ -163,14 +160,13 @@ gamma_pass(const struct step *s, const double *restrict g_m, const double *restr
 
 /* The settle test on the draws 0..n - 1, for one set of tests: the callers
  * pass constants, so that each copy is a loop without branches.  keep[i]
- * is 1 where draw i is not settled; counts gets the floor-cone draws and
- * the passed ones (settled, but not type I). */
+ * is 1 where draw i is not settled; floor gets the floor-cone draws. */
 INLINE void
 flags(const int cone, const int adapting, const int won_for_good, const struct settle *s,
       const double *restrict g_m, const double *restrict g_n, int64_t n,
-      int32_t *restrict keep, int64_t *counts)
+      int32_t *restrict keep, int64_t *floor)
 {
-    int64_t floor = 0, passed = 0;
+    int64_t cone_draws = 0;
     for (int64_t i = 0; i < n; i++) {
         double gm = g_m[i], gn = g_n[i];
         int32_t fate = 1, won = 0;
@@ -196,7 +192,7 @@ flags(const int cone, const int adapting, const int won_for_good, const struct s
             fate &= adapts;
         }
         if (cone)
-            floor += fate;
+            cone_draws += fate;
         if (won_for_good) {
             double v = gn * s->k_w;
             v = v - gm * s->k_l;
@@ -206,28 +202,26 @@ flags(const int cone, const int adapting, const int won_for_good, const struct s
         c = c - gn * s->beta;                /* (1 - δ)a - βg_n */
         int32_t type_i = (c >= s->up_over_rho) & (gn >= s->win_g_n);
         int32_t out = type_i | won | ((cone | adapting) & fate);
-        passed += out & !type_i;
         keep[i] = !out;
     }
-    counts[0] += floor;
-    counts[1] += passed;
+    *floor += cone_draws;
 }
 
-/* The settle test, by the tests a step or probe runs. */
+/* The settle test, by the tests a step runs. */
 INLINE void
 settle_flags(const struct settle *s, int cone, int adapting, int won_for_good,
              const double *restrict g_m, const double *restrict g_n, int64_t n,
-             int32_t *restrict keep, int64_t *counts)
+             int32_t *restrict keep, int64_t *floor)
 {
     switch (4 * !!cone + 2 * !!adapting + !!won_for_good) {
-    case 0: flags(0, 0, 0, s, g_m, g_n, n, keep, counts); break;
-    case 1: flags(0, 0, 1, s, g_m, g_n, n, keep, counts); break;
-    case 2: flags(0, 1, 0, s, g_m, g_n, n, keep, counts); break;
-    case 3: flags(0, 1, 1, s, g_m, g_n, n, keep, counts); break;
-    case 4: flags(1, 0, 0, s, g_m, g_n, n, keep, counts); break;
-    case 5: flags(1, 0, 1, s, g_m, g_n, n, keep, counts); break;
-    case 6: flags(1, 1, 0, s, g_m, g_n, n, keep, counts); break;
-    default: flags(1, 1, 1, s, g_m, g_n, n, keep, counts); break;
+    case 0: flags(0, 0, 0, s, g_m, g_n, n, keep, floor); break;
+    case 1: flags(0, 0, 1, s, g_m, g_n, n, keep, floor); break;
+    case 2: flags(0, 1, 0, s, g_m, g_n, n, keep, floor); break;
+    case 3: flags(0, 1, 1, s, g_m, g_n, n, keep, floor); break;
+    case 4: flags(1, 0, 0, s, g_m, g_n, n, keep, floor); break;
+    case 5: flags(1, 0, 1, s, g_m, g_n, n, keep, floor); break;
+    case 6: flags(1, 1, 0, s, g_m, g_n, n, keep, floor); break;
+    default: flags(1, 1, 1, s, g_m, g_n, n, keep, floor); break;
     }
 }
 
@@ -244,25 +238,24 @@ gather(const int32_t *restrict index, const double *restrict g_m, const double *
 
 /* A tile of n draws, at index[0..n - 1], or lo..lo + n - 1 where index is
  * NULL, with gains g_m[0..n - 1] and g_n[0..n - 1]: the settle test, then
- * the positions of the draws not settled go to kept[0..], in order, and,
- * where kept_m is not NULL, their gains to kept_m and kept_n.  kept may
- * be index or lie before it, and kept_m may be g_m (kept_n g_n): each
- * write lands at or before the read it follows.  Returns how many are
- * kept.  Cloned itself, not inlined: both entry points call it. */
+ * the positions of the draws not settled go to kept[0..], in order, and
+ * their gains to kept_m and kept_n.  kept may be index or lie before it,
+ * and kept_m may be g_m (kept_n g_n): each write lands at or before the
+ * read it follows.  Returns how many are kept.  Cloned itself, not
+ * inlined: inlined into tally_step, it has measured from no faster to
+ * 20-45% slower in mc_summary on fig1, fig2 and fig5a. */
 static CLONES int64_t
 settle_tile(const struct settle *s, int cone, int adapting, int won_for_good,
             const double *g_m, const double *g_n, const int32_t *index, int64_t lo, int64_t n,
-            int32_t *kept, double *kept_m, double *kept_n, int64_t *counts)
+            int32_t *kept, double *kept_m, double *kept_n, int64_t *floor)
 {
     int32_t keep[TILE];
-    settle_flags(s, cone, adapting, won_for_good, g_m, g_n, n, keep, counts);
+    settle_flags(s, cone, adapting, won_for_good, g_m, g_n, n, keep, floor);
     int64_t end = 0;
     for (int64_t i = 0; i < n; i++) {
         kept[end] = index ? index[i] : (int32_t)(lo + i);
-        if (kept_m) {
-            kept_m[end] = g_m[i];
-            kept_n[end] = g_n[i];
-        }
+        kept_m[end] = g_m[i];
+        kept_n[end] = g_n[i];
         end += keep[i];
     }
     return end;
@@ -299,33 +292,6 @@ pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* settle on a chunk: the draws index[0..n - 1], or lo..lo + n - 1 where
- * index is NULL, with the passed count only where passing.  kept may be
- * index or lie before it. */
-CLONES int64_t settle_chunk(const struct settle *s, int cone, int adapting, int won_for_good,
-                            int passing, const double *g_m, const double *g_n,
-                            const int32_t *index, int64_t lo, int64_t n, int32_t *kept,
-                            int64_t *counts)
-{
-    double g_m_at[TILE], g_n_at[TILE];
-    int64_t end = 0;
-    counts[0] = counts[1] = 0;
-    for (int64_t at = 0; at < n; at += TILE) {
-        int64_t size = n - at < TILE ? n - at : TILE;
-        const double *tile_m = g_m + lo + at, *tile_n = g_n + lo + at;
-        if (index) {
-            gather(index + at, g_m, g_n, size, g_m_at, g_n_at);
-            tile_m = g_m_at;
-            tile_n = g_n_at;
-        }
-        end += settle_tile(s, cone, adapting, won_for_good, tile_m, tile_n,
-                           index ? index + at : 0, lo + at, size, kept + end, 0, 0, counts);
-    }
-    if (!passing)
-        counts[1] = 0;
-    return end;
-}
-
 /* One step on a leaf whose live draws are index[0..live - 1], or all of
  * them where live < 0 (no index yet).  counts: the kernel's three counts,
  * the draws retired here that lose HSIC-NPA for good, and the live draws
@@ -349,7 +315,7 @@ CLONES double tally_step(const struct step *s, const struct leaf *leaf, int64_t 
     }
     double g_m_at[TILE], g_n_at[TILE], gamma_at[TILE];
     double acc[3] = {0.0, 0.0, 0.0};
-    int64_t settled[2] = {0, 0}, end = 0;
+    int64_t floor = 0, end = 0;
     for (int64_t lo = 0; lo < n; lo += TILE) {
         int64_t size = n - lo < TILE ? n - lo : TILE;
         const double *tile_m = g_m + lo, *tile_n = g_n + lo;
@@ -361,7 +327,7 @@ CLONES double tally_step(const struct step *s, const struct leaf *leaf, int64_t 
         if (s->retire) {
             size = settle_tile(&s->bounds, s->cone, s->adapting, s->won_for_good, tile_m,
                                tile_n, live >= 0 ? index + lo : 0, lo, size, index + end,
-                               g_m_at, g_n_at, settled);
+                               g_m_at, g_n_at, &floor);
             tile_m = g_m_at;
             tile_n = g_n_at;
         }
@@ -374,7 +340,7 @@ CLONES double tally_step(const struct step *s, const struct leaf *leaf, int64_t 
     counts[0] = (int64_t)acc[0];
     counts[1] = pa && s->want_pt ? (int64_t)acc[1] : 0;
     counts[2] = pa && s->shared ? (int64_t)acc[2] : (int64_t)acc[0];
-    counts[3] = settled[0];
+    counts[3] = floor;
     counts[4] = indexed ? end : -1;
     return pa ? 0.0 + pairwise_sum(gamma, leaf->size) : (double)leaf->size;
 }

@@ -8,7 +8,7 @@ and keeps it in the package's ``__pycache__``, or in ``~/.cache/hnoma``
 where that is not private and writable.  The object's name is the
 interpreter's source hash (``importlib.util.source_hash``, keyed by the
 bytecode magic number) of the source, the flags and the platform, so a
-machine builds each source once per Python minor version (about 1.6 s,
+machine builds each source once per Python minor version (about 1.7 s,
 three clones of each loop); a build is written under a temporary name
 and moved into place with ``os.replace``.  Objects are loaded only from
 a directory the user owns and no one else may write.  Where no object
@@ -24,7 +24,7 @@ scratch and compacted there, so that the settle test and the kernel run
 on slices whichever draws are live.
 
 The loops run on the CPU's widest vectors all the same: with gcc on
-x86-64 glibc, ``_tally.c`` builds each entry point three times
+x86-64 glibc, ``_tally.c`` builds its entry point three times
 (``target_clones``: x86-64-v4 with AVX-512, x86-64-v3 with AVX2, and
 baseline x86-64), and the dynamic loader picks the widest clone the CPU
 runs, so one object serves every x86-64 CPU.  ``-march=native`` would
@@ -170,20 +170,15 @@ def _address(array) -> int:
 
 
 class CompiledTally:
-    """``_tally.c``'s two entry points on numpy arrays: ``step``, one step
-    of ``tally.tally_curve`` on a leaf, and ``settle``, the probe's settle
-    test on a chunk.  The gains and γ are contiguous float64 leaves, the
-    index a contiguous int32 array at least as long."""
+    """``_tally.c``'s one entry point on numpy arrays: ``step``, one step of
+    ``tally.tally_curve`` on a leaf.  The gains and γ are contiguous
+    float64 leaves, the index a contiguous int32 array at least as long."""
 
     def __init__(self, lib):
-        ptr, i64, cint = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
         self._step = lib.tally_step
-        self._step.argtypes = [ctypes.POINTER(_Step), ctypes.POINTER(_Leaf), i64, ptr]
+        self._step.argtypes = [ctypes.POINTER(_Step), ctypes.POINTER(_Leaf), ctypes.c_int64,
+                               ctypes.c_void_p]
         self._step.restype = ctypes.c_double
-        self._settle = lib.settle_chunk
-        self._settle.argtypes = [ctypes.POINTER(_Settle), cint, cint, cint, cint, ptr, ptr,
-                                 ptr, i64, i64, ptr, ptr]
-        self._settle.restype = i64
         self._counts = (ctypes.c_int64 * 5)()
 
     @staticmethod
@@ -211,18 +206,3 @@ class CompiledTally:
         step (-1: no index yet)."""
         gamma_sum = self._step(args, leaf, live, self._counts)
         return (*self._counts, gamma_sum)
-
-    def settle(self, cert, rho_n: float, g_m, g_n, at, passing: bool, out) -> tuple:
-        """``DrawKernel.settled`` on ``at``, a slice of the leaf or an int32
-        index, the positions of the draws not settled written to ``out`` in
-        order: ``(kept, floor_draws, passed_draws)``.  ``out`` may be ``at``
-        or start inside it, before its first unread position."""
-        passing, won_for_good, adapting, cone = cert.tests(passing)
-        if isinstance(at, slice):
-            index, lo, n = None, at.start, at.stop - at.start
-        else:
-            index, lo, n = _address(at), 0, at.size
-        kept = self._settle(_bounds(cert, rho_n, adapting), cone, adapting, won_for_good,
-                            passing, _address(g_m), _address(g_n), index, lo, n,
-                            _address(out), self._counts)
-        return kept, self._counts[0], self._counts[1]

@@ -99,7 +99,7 @@ def mc_summary(cells, trials: int, seed: int, want_pt: bool = False) -> list:
                 cfg = curve[0][0]
                 g_m, g_n = cols[cfg.m], cols[cfg.n]
                 if plans[k] is None:
-                    plans[k] = plan_curve(kernel, lib, curve, g_m, g_n, index, want_pt)
+                    plans[k] = plan_curve(kernel, lib, curve, g_m, g_n, want_pt)
                 tally_curve(kernel, lib, plans[k], g_m, g_n, gamma[:n], index)
         for tally in tallies:
             tally["gamma_sum"] += pairwise_join(size, LEAF_ROWS, tally["leaf_sums"])

@@ -6,14 +6,15 @@ every later one, in each scheme of the curve.
 
 A curve plans its retiring once, on its first leaf (``plan_curve``):
 each step with a later one probes the leaf's first ``_PROBE_ROWS``
-draws.  HSIC-PA's fates other than type I (``passing``) switch on once
-``1/_PASS_SHARE`` of the probe are winners that only they retire, and the
-first step at which at most half of the probe is live starts the index;
-the probe then stops.  On every leaf, that step's retire pass builds an
-int32 index of the leaf's live draws, and each later step compacts it in
-place with the same pass.  The kernel runs on the whole leaf, or on the
-index once there is one.  Floor-cone draws retired so far count as an
-HSIC-NPA loss at each later step.  Each HSIC-PA step with an index first
+draws with ``DrawKernel.settled``, in numpy whether or not the compiled
+pass loaded.  HSIC-PA's fates other than type I (``passing``) switch on
+once ``1/_PASS_SHARE`` of the probe are winners that only they retire,
+and the first step at which at most half of the probe is live starts
+the index; the probe then stops.  On every leaf, that step's retire pass
+builds an int32 index of the leaf's live draws, and each later step
+compacts it in place with the same pass.  The kernel runs on the whole
+leaf, or on the index once there is one.  Floor-cone draws retired so far
+count as an HSIC-NPA loss at each later step.  Each HSIC-PA step with an index first
 writes every draw's γ in one contiguous pass (``DrawKernel.gamma_pass``
 when passing, else 1, since only type-I winners retire), then the kernel
 overwrites the live draws' γ: every count and pairwise γ sum is the
@@ -73,34 +74,21 @@ def _chunks(size: int, live) -> list:
     return [live[lo:lo + CHUNK_ROWS] for lo in range(0, live.size, CHUNK_ROWS)]
 
 
-def _settle_chunk(kernel: DrawKernel, lib, cert: SettleCertificate, rho_n: float, g_m, g_n,
-                  at, passing: bool, out) -> tuple:
-    """``DrawKernel.settled`` on the chunk ``at``, through ``lib`` or
-    ``kernel`` as in ``_step``: the int32 positions of the draws
-    not settled go to the front of ``out``, which may overlap ``at`` from
-    its start on, and the result is ``(kept, floor_draws,
-    passed_draws)``."""
-    if lib is not None:
-        return lib.settle(cert, rho_n, g_m, g_n, at, passing, out)
-    settled = kernel.settled(cert, rho_n, g_m, g_n, at, passing)
-    positions = np.arange(at.start, at.stop, dtype=np.int32) if isinstance(at, slice) else at
-    kept = np.compress(np.logical_not(settled, out=settled), positions)
-    out[:kept.size] = kept   # after the copy: the two may overlap
-    return kept.size, kernel.floor_draws, kernel.passed_draws
-
-
 def _retire(kernel: DrawKernel, cert: SettleCertificate, rho_n: float, g_m, g_n, live,
             passing: bool, out):
     """The int32 positions of the draws of ``live`` (all of ``g_m`` when
-    None) not settled at ``rho_n``, and how many of the settled ones lose
-    for good, in numpy.  A new index is built in ``out``; ``live`` is
-    compacted in place."""
+    None) not settled at ``rho_n`` (``DrawKernel.settled``), and how many
+    of the settled ones lose for good, in numpy.  A new index is built in
+    ``out``; ``live`` is compacted in place."""
     out = out if live is None else live
     end = floor = 0
     for at in _chunks(g_m.size, live):
-        kept, lost, _ = _settle_chunk(kernel, None, cert, rho_n, g_m, g_n, at, passing, out[end:])
-        end += kept
-        floor += lost
+        settled = kernel.settled(cert, rho_n, g_m, g_n, at, passing)
+        positions = np.arange(at.start, at.stop, dtype=np.int32) if isinstance(at, slice) else at
+        kept = np.compress(np.logical_not(settled, out=settled), positions)
+        out[end:end + kept.size] = kept   # after the copy: the two may overlap
+        end += kept.size
+        floor += kernel.floor_draws
     return out[:end], floor
 
 
@@ -116,17 +104,17 @@ class Step(NamedTuple):
     args: object       # the step as the compiled pass reads it, or None
 
 
-def plan_curve(kernel: DrawKernel, lib, curve, g_m, g_n, out, want_pt: bool) -> list:
+def plan_curve(kernel: DrawKernel, lib, curve, g_m, g_n, want_pt: bool) -> list:
     """The steps (``Step``) of ``curve`` as ``tally_curve`` runs them,
     retiring draws as the probe of the first ``_PROBE_ROWS`` of the draws
     says (see the module docstring): the curve's certificate, whether
     HSIC-PA's other fates are on and γ comes from the pass, and the step
-    from which a live index is kept.  ``out`` is scratch for the probe's
-    positions.  No count or sum depends on the plan, so one plan serves
-    every leaf of a curve.  A step with both HSIC-NPA and HSIC-PA cells
-    runs HSIC-PA, and its buffers give HSIC-NPA's verdict too
-    (``DrawKernel.npa_losses``); ``want_pt`` counts the contended loss on
-    HSIC-PA runs."""
+    from which a live index is kept.  The probe runs ``kernel.settled``
+    in numpy, compiled pass or not.  No count or sum depends on the plan,
+    so one plan serves every leaf of a curve.  A step with both HSIC-NPA
+    and HSIC-PA cells runs HSIC-PA, and its buffers give HSIC-NPA's
+    verdict too (``DrawKernel.npa_losses``); ``want_pt`` counts the
+    contended loss on HSIC-PA runs."""
     schemes = {scheme for _, cells in curve for scheme, _ in cells}
     pa = Scheme.HSIC_PA in schemes
     cert = SettleCertificate.of([cfg for cfg, _ in curve], *schemes)
@@ -134,10 +122,11 @@ def plan_curve(kernel: DrawKernel, lib, curve, g_m, g_n, out, want_pt: bool) -> 
     passing, start = False, len(curve)
     # an index pays for itself only over the SNRs that follow
     for k, (cfg, _) in enumerate(curve[:-1] if cert is not None else ()):
-        kept, _, passed = _settle_chunk(kernel, lib, cert, cfg.rho_n, g_m, g_n, probe, pa, out)
+        mask = kernel.settled(cert, cfg.rho_n, g_m, g_n, probe, pa)
+        passed = kernel.passed_draws
         passing = passing or _PASS_SHARE * passed >= probe.stop
         # the pass's winners count as settled only once it is on
-        settled = probe.stop - kept - (0 if passing else passed)
+        settled = int(np.count_nonzero(mask)) - (0 if passing else passed)
         if 2 * settled >= probe.stop:
             start = k
             break

@@ -1,13 +1,12 @@
 """The compiled tally pass (``hnoma.ctally``) against the numpy tally.
 
-Each of ``_tally.c``'s entry points must give what the numpy path gives
-bit for bit: a step of ``tally_curve`` (``tally._step``: the counts, the
-γ bytes and γ sum, the live index and the floor count, on the whole leaf
-and on int32 indexes, with and without retiring draws first, with live
-draws that end on and about the edges of the C step's tiles) and the
-probe's settle test (the kept positions, floor and passed counts), on
-draws built to sit on the decision's and the certificate's edges.  The
-γ sum is ``np.sum``'s, pairwise order and all.  Each check
+``_tally.c``'s one entry point, a step of ``tally_curve``
+(``tally._step``), must give what the numpy path gives bit for bit: the
+counts, the γ bytes and γ sum, the live index and the floor count, on
+the whole leaf and on int32 indexes, with and without retiring draws
+first, with live draws that end on and about the edges of the C step's
+tiles, on draws built to sit on the decision's and the certificate's
+edges.  The γ sum is ``np.sum``'s, pairwise order and all.  Each check
 runs on the shipped object, whose clone the loader picks by CPU, and on
 the source built without its clones at each x86-64 level the host runs,
 so that every clone is checked.  With the build forced to fail,
@@ -29,7 +28,7 @@ from hnoma import Scheme, ctally, mc_summary
 from hnoma.channel import CHUNK_ROWS
 from hnoma.cli import load_preset
 from hnoma.schemes import _SETTLE_MARGIN, DrawKernel, SettleCertificate
-from hnoma.tally import Step, _settle_chunk, _step
+from hnoma.tally import Step, _step
 
 from conftest import make_cfg
 from test_draw_kernel import (FATE_SWEEPS, _block_with_ties, _cfgs, _edge_draws,
@@ -118,16 +117,6 @@ def _bound_draws(cert, rho_n):
     return np.array(draws).T
 
 
-def _chunk_forms(size, rng):
-    """The chunks of ``size`` draws as slices, then as int32 indexes of the
-    same draws in a random order, then of a random half of them."""
-    for lo in range(0, size, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, size)
-        yield slice(lo, hi)
-        yield rng.permutation(np.arange(lo, hi, dtype=np.int32))
-        yield np.flatnonzero(rng.random(hi - lo) < 0.5).astype(np.int32) + lo
-
-
 def test_the_source_ships_as_package_data():
     source = resources.files("hnoma").joinpath("_tally.c")
     assert source.is_file()
@@ -190,12 +179,14 @@ def test_gamma_pass_matches_the_numpy_pass(libs):
 
 
 @pytest.mark.parametrize("base, snrs", FATE_SWEEPS)
-def test_settle_chunks_match_the_numpy_test(libs, base, snrs):
-    """The probe's settle test: the kept positions, floor and passed counts
-    of every certificate, with and without ``passing``, on slices and
-    indexes.  Then steps that retire draws first, building the live index
-    or compacting a random one in place: the counts, the floor count, γ
-    and the live index, for each kernel run the certificate serves."""
+def test_retiring_steps_match_the_numpy_step(libs, base, snrs):
+    """Steps that retire draws first, under every certificate, with and
+    without ``passing``, building the live index or compacting a random
+    one in place: the counts, the floor count, γ and the live index, for
+    each kernel run the certificate serves.  The draws must hold
+    floor-cone draws, winners that only ``passing`` retires (counted by
+    numpy's ``DrawKernel.settled``, a ``CHUNK_ROWS`` slice at a time) and
+    draws that retire."""
     kernel = DrawKernel(CHUNK_ROWS)
     rng = np.random.default_rng(19)
     cfgs = [base.with_snr(s) for s in snrs]
@@ -205,18 +196,11 @@ def test_settle_chunks_match_the_numpy_test(libs, base, snrs):
         for k, cfg in enumerate(cfgs):
             g_m, g_n = (np.concatenate(pair) for pair in zip(_draws(cfg, k),
                                                              _bound_draws(cert, cfg.rho_n)))
-            want_out = np.empty(g_m.size, dtype=np.int32)
-            got_out = np.empty(g_m.size, dtype=np.int32)
             for passing in (False, True):
-                for at in _chunk_forms(g_m.size, rng):
-                    want = _settle_chunk(kernel, None, cert, cfg.rho_n, g_m, g_n, at, passing,
-                                         want_out)
-                    for name, lib in libs:
-                        got = lib.settle(cert, cfg.rho_n, g_m, g_n, at, passing, got_out)
-                        assert got == want, (name, cfg, cert, passing)
-                        assert np.array_equal(got_out[:got[0]], want_out[:want[0]]), name
-                    floor += want[1]
-                    passed += want[2]
+                for lo in range(0, g_m.size, CHUNK_ROWS):
+                    kernel.settled(cert, cfg.rho_n, g_m, g_n, slice(lo, lo + CHUNK_ROWS),
+                                   passing)
+                    passed += kernel.passed_draws
                 subset = np.flatnonzero(rng.random(g_m.size) < 0.8).astype(np.int32)
                 for live in (None, subset):
                     for scheme, pt, shared in runs:
